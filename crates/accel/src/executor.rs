@@ -522,12 +522,12 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
 ///
 /// Chunks bound how long a worker holds one shard so P ≫ C interleaves
 /// fairly, but each chunk must stay long enough to (a) amortize the
-/// queue round-trip and (b) keep the fast path's specialized executor
-/// engaged on its first call (it diverts once the run covers the
-/// `|S|·|A|` fused image — see `AccelPipeline::run_samples_fast`). The
-/// result depends only on the shard's own budget and table size, never
-/// on worker count — chunk boundaries are part of the deterministic
-/// schedule.
+/// queue round-trip and (b) cover the `|S|·|A|` table at least once, so
+/// the stall-free kernel's one-time image build on a shard's first call
+/// (see `AccelPipeline::run_samples_fast`) costs at most as much as the
+/// chunk's samples. The result depends only on the shard's own budget
+/// and table size, never on worker count — chunk boundaries are part of
+/// the deterministic schedule.
 pub fn chunk_samples(budget: u64, states: usize, actions: usize) -> u64 {
     /// Target chunk: ~64K samples ≈ sub-millisecond on the fast path.
     const TARGET: u64 = 1 << 16;

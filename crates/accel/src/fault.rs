@@ -36,9 +36,9 @@
 //!
 //! The pipeline stores the runtime as `Option<Box<FaultRt>>` — `None`
 //! unless [`AccelPipeline::enable_faults`] was called — and every hook is
-//! gated on `is_some()`, so the fault-free path (including the fused
-//! window-register executor and its NullSink throughput gate) is
-//! untouched. With a fault config attached the fused executor is
+//! gated on `is_some()`, so the fault-free path (including the
+//! stall-free fast-path kernel and its NullSink throughput gate) is
+//! untouched. With a fault config attached the stall-free kernel is
 //! ineligible and both remaining engines take the per-sample hook.
 //!
 //! Note that an *active* scrub is deliberately a behaviour change even

@@ -14,6 +14,12 @@
 //!   the front end instead — the `ablation_forwarding` experiment), and
 //!   [`HazardMode::Ignore`] (no interlock at all: stale operands, wrong
 //!   values — demonstrates that the dependency handling is *necessary*).
+//!   Beside the cycle-accurate engine sits the bit-exact fast path
+//!   (`AccelPipeline::run_samples_fast`), with one dispatch rule: an
+//!   uninstrumented, fault-free `Forwarding` + Qmax-array configuration
+//!   runs the **stall-free kernel** — one loop, generic over its table
+//!   image (the fused 16-bit slab, or the packed words of a quantized
+//!   table) — and anything else runs the general executor.
 //! * [`qlearning`] / [`sarsa`] — the two §V engine customizations:
 //!   Q-Learning (random behaviour, greedy update via the Qmax array) and
 //!   SARSA (ε-greedy, on-policy action forwarding from stage 2 to
@@ -22,18 +28,11 @@
 //!   state-sharing pipelines over dual-port BRAM with write-collision
 //!   arbitration (Fig. 8) and N independent pipelines over partitioned
 //!   state spaces (Fig. 9).
-//! * `interleave` (crate-internal) — the K-way interleaved multi-stream fast path
-//!   (DESIGN.md §2.12): several pipelines' sample streams advanced one
-//!   step per round in one loop, so their Q-row loads overlap as
-//!   independent dependency chains; packed transition/reward words and
-//!   batched LFSR leaps supply the data-level parallelism. Reached via
-//!   [`FastLayout::Interleaved`] and
-//!   `IndependentPipelines::train_batch_with`.
 //! * [`executor`] — the host-side scale-out layer: a persistent
 //!   [`ShardedExecutor`] worker pool with a chunked work queue that runs
 //!   the `multi` configurations on however many cores the host offers
 //!   (bit-identical results at any worker count), plus the sharded
-//!   `train_batch` API with cache-blocked Q-table layouts. Pools built
+//!   `train_batch` API. Pools built
 //!   with [`ShardedExecutor::new_instrumented`] expose
 //!   [`ExecutorMetrics`] — per-worker busy/idle time, chunk-latency
 //!   histograms, queue-depth gauges — for the DESIGN.md §2.10 metrics
@@ -70,7 +69,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod executor;
 pub mod fault;
-pub(crate) mod interleave;
 pub mod multi;
 pub mod pipeline;
 pub mod prob_engine;
@@ -89,7 +87,7 @@ pub use multi::{
     shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines, LeaseError,
     ShardRun,
 };
-pub use pipeline::{AccelPipeline, FastLayout};
+pub use pipeline::AccelPipeline;
 pub use prob_engine::{ProbPolicyAccel, WeightRule};
 pub use qlearning::QLearningAccel;
 pub use resources::AccelResources;

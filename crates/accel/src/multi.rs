@@ -19,7 +19,7 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::config::{AccelConfig, HazardMode};
 use crate::executor::{chunk_samples, ShardJob, ShardedExecutor};
 use crate::fault::FaultConfig;
-use crate::pipeline::{AccelPipeline, FastLayout};
+use crate::pipeline::AccelPipeline;
 use crate::resources::{analyze, resource_report, AccelResources, EngineKind};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
@@ -482,13 +482,6 @@ pub struct ShardRun {
     pub samples: u64,
     /// Deterministic chunk size the work queue re-entered the shard at.
     pub chunk: u64,
-    /// Q-table traversal layout the cache-blocking pick selected.
-    pub layout: FastLayout,
-    /// Streams interleaved in this shard's executor loop (1 for the
-    /// scalar layouts; K for [`FastLayout::Interleaved`] groups, where
-    /// one shard drives K pipelines — see
-    /// [`train_batch_with`](IndependentPipelines::train_batch_with)).
-    pub streams: usize,
 }
 
 /// What a [`train_batch`] call did: merged cycle counters plus the
@@ -577,17 +570,6 @@ impl std::error::Error for LeaseError {
         }
     }
 }
-
-/// Per-shard working set (the fused fast-path slab) above which
-/// [`train_batch`] switches from the action-major interleaved layout to
-/// the state-major separate-column layout. `bench_scaling`'s layout
-/// sweep (BENCH_scaling.json `layout_rows`) measured the fused slab
-/// winning at *every* Table I size on the reference host — a ~4 MB slab
-/// at |S| = 65536 × 8 actions still ran ~1.8× the column layout — so
-/// the crossover sits above the swept range and state-major only
-/// engages for tables far beyond the paper's (it stays reachable
-/// explicitly via [`FastLayout::StateMajor`]). See DESIGN.md §2.9.
-const CACHE_BLOCK_BYTES: usize = 1 << 26;
 
 /// N independent pipelines over disjoint sub-environments (Fig. 9).
 ///
@@ -891,16 +873,38 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         })
     }
 
+    /// The per-shard plan of a batch of `total_samples` (the split
+    /// [`train_batch`](Self::train_batch) documents). With `resume`, the
+    /// samples a shard has already retired (restored checkpoint progress)
+    /// count against its target.
+    fn batch_plan(&self, total_samples: u64, resume: bool) -> Vec<ShardRun> {
+        let p = self.pipes.len() as u64;
+        let (base, extra) = (total_samples / p, total_samples % p);
+        self.pipes
+            .iter()
+            .enumerate()
+            .map(|(i, pipe)| {
+                let target = base + u64::from((i as u64) < extra);
+                let samples = if resume {
+                    target.saturating_sub(pipe.stats().samples)
+                } else {
+                    target
+                };
+                ShardRun {
+                    pipeline: i,
+                    samples,
+                    chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
+                }
+            })
+            .collect()
+    }
+
     /// Sharded batch training: split a *total* sample budget across the
     /// banks (deterministically — shard `i` gets `total/P`, plus one of
     /// the `total % P` remainder samples for `i < total % P`) and drive
-    /// every shard through the fast-path executor with a cache-blocked
-    /// Q-table layout picked per shard: the fused action-major slab when
-    /// the shard's working set fits the cache block, the leaner
-    /// state-major columns when it would thrash (see [`FastLayout`];
-    /// `bench_scaling` measures the crossover). Results are
-    /// bit-identical to running the same per-shard budgets sequentially
-    /// under any layout.
+    /// every shard through the fast path (`AccelPipeline::run_samples_fast`).
+    /// Results are bit-identical to running the same per-shard budgets
+    /// sequentially.
     pub fn train_batch<E: Environment + Sync>(
         &mut self,
         envs: &[E],
@@ -910,31 +914,12 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         S: Send,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        let p = self.pipes.len() as u64;
-        let (base, extra) = (total_samples / p, total_samples % p);
-        let mut shards = Vec::with_capacity(self.pipes.len());
-        let mut budgets = Vec::with_capacity(self.pipes.len());
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            let samples = base + u64::from((i as u64) < extra);
-            let layout = if pipe.fast_slab_bytes() <= CACHE_BLOCK_BYTES {
-                FastLayout::ActionMajor
-            } else {
-                FastLayout::StateMajor
-            };
-            shards.push(ShardRun {
-                pipeline: i,
-                samples,
-                chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
-                layout,
-                streams: 1,
-            });
-            budgets.push(samples);
-        }
+        let shards = self.batch_plan(total_samples, false);
+        let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
         let root = self.begin_batch_root("train_batch", total_samples);
         let ctx = root.as_ref().map(|(_, active)| active.context());
-        let plan = &shards;
-        let stats = self.drive(envs, &budgets, ctx, |i, pipe, env, n, _| {
-            pipe.run_samples_fast_planned(env, n, plan[i].layout);
+        let stats = self.drive(envs, &budgets, ctx, |_, pipe, env, n, _| {
+            pipe.run_samples_fast(env, n);
         });
         if let Some((tracer, active)) = root {
             tracer.end(active);
@@ -947,160 +932,6 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             dropped_spans: self.dropped_spans(),
             trace: ctx,
         }
-    }
-
-    /// [`train_batch`](Self::train_batch) with an explicit Q-table
-    /// traversal layout and stream width: `layout` forces every shard's
-    /// executor ([`FastLayout::Auto`] keeps the per-shard cache-blocking
-    /// heuristic), and under [`FastLayout::Interleaved`] the pipelines
-    /// are grouped `streams` at a time — each group becomes **one**
-    /// shard whose member sample streams advance interleaved in a
-    /// single executor loop (`crate::interleave`), overlapping their
-    /// Q-row loads. Ineligible pipelines inside a group (instrumented
-    /// sink, fault runtime, non-default hazard/Qmax config) yield to the
-    /// general executor, bit-identically.
-    ///
-    /// Results are bit-identical to [`train_batch`](Self::train_batch)
-    /// with the same total: the deterministic budget split is unchanged
-    /// and each pipeline's samples still execute strictly in order.
-    pub fn train_batch_with<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        total_samples: u64,
-        layout: FastLayout,
-        streams: usize,
-    ) -> BatchReport
-    where
-        S: Send,
-    {
-        assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        assert!(streams >= 1, "need at least one stream per group");
-        let p = self.pipes.len() as u64;
-        let (base, extra) = (total_samples / p, total_samples % p);
-        let mut shards = Vec::with_capacity(self.pipes.len());
-        let mut budgets = Vec::with_capacity(self.pipes.len());
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            let samples = base + u64::from((i as u64) < extra);
-            let lay = match layout {
-                FastLayout::Auto => {
-                    if pipe.fast_slab_bytes() <= CACHE_BLOCK_BYTES {
-                        FastLayout::ActionMajor
-                    } else {
-                        FastLayout::StateMajor
-                    }
-                }
-                forced => forced,
-            };
-            shards.push(ShardRun {
-                pipeline: i,
-                samples,
-                chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
-                layout: lay,
-                streams: if lay == FastLayout::Interleaved {
-                    streams
-                } else {
-                    1
-                },
-            });
-            budgets.push(samples);
-        }
-        let root = self.begin_batch_root("train_batch", total_samples);
-        let ctx = root.as_ref().map(|(_, active)| active.context());
-        let stats = if layout == FastLayout::Interleaved {
-            self.drive_interleaved_groups(envs, &budgets, streams, ctx)
-        } else {
-            let plan = &shards;
-            self.drive(envs, &budgets, ctx, |i, pipe, env, n, _| {
-                pipe.run_samples_fast_planned(env, n, plan[i].layout);
-            })
-        };
-        if let Some((tracer, active)) = root {
-            tracer.end(active);
-        }
-        BatchReport {
-            stats,
-            workers: self.workers(),
-            shards,
-            dropped_iterations: self.dropped_iterations(),
-            dropped_spans: self.dropped_spans(),
-            trace: ctx,
-        }
-    }
-
-    /// Group the pipelines `streams` at a time and submit one shard per
-    /// group: each call advances every member by up to its deterministic
-    /// chunk through the interleaved executor, so the pool's work queue
-    /// can still interleave G ≫ C groups. Per-pipeline sample order is
-    /// strictly sequential (the group loop round-robins *within* a
-    /// chunk), so results stay bit-identical at any worker count.
-    ///
-    /// With a tracer and a batch root context, each group re-entry is a
-    /// `chunk` span whose lane is the group's first pipeline index —
-    /// the deterministic group key, whatever the worker count.
-    fn drive_interleaved_groups<E>(
-        &mut self,
-        envs: &[E],
-        budgets: &[u64],
-        streams: usize,
-        ctx: Option<SpanContext>,
-    ) -> CycleStats
-    where
-        E: Environment + Sync,
-        S: Send,
-    {
-        if budgets.iter().all(|&b| b == 0) {
-            return self.stats();
-        }
-        let owned = self.executor.clone();
-        let pool: &ShardedExecutor = match owned.as_deref() {
-            Some(pool) => pool,
-            None => ShardedExecutor::global(),
-        };
-        let tracing = self.tracer.clone().zip(ctx);
-        let shards: Vec<ShardJob<'_>> = self
-            .pipes
-            .chunks_mut(streams)
-            .zip(envs.chunks(streams))
-            .zip(budgets.chunks(streams))
-            .enumerate()
-            .filter(|(_, (_, gbudgets))| gbudgets.iter().any(|&b| b > 0))
-            .map(|(g, ((pipes, genvs), gbudgets))| {
-                let lane = (g * streams) as u32;
-                let chunks: Vec<u64> = pipes
-                    .iter()
-                    .zip(gbudgets)
-                    .map(|(pipe, &b)| chunk_samples(b, pipe.num_states(), pipe.num_actions()))
-                    .collect();
-                let mut left: Vec<u64> = gbudgets.to_vec();
-                let mut chunk_idx = 0u64;
-                let tracing = tracing.clone();
-                Box::new(move || {
-                    let span = tracing.as_ref().map(|(tracer, root)| {
-                        tracer.begin(root.trace, Some(root.span), "chunk", lane, chunk_idx)
-                    });
-                    let mut legs: Vec<(&mut AccelPipeline<V, S>, &E, u64)> =
-                        Vec::with_capacity(pipes.len());
-                    for (((pipe, env), l), &chunk) in pipes
-                        .iter_mut()
-                        .zip(genvs)
-                        .zip(left.iter_mut())
-                        .zip(&chunks)
-                    {
-                        let take = chunk.min(*l);
-                        *l -= take;
-                        legs.push((pipe, env, take));
-                    }
-                    crate::interleave::run_interleaved_group(&mut legs);
-                    if let (Some((tracer, _)), Some(active)) = (&tracing, span) {
-                        tracer.end(active);
-                    }
-                    chunk_idx += 1;
-                    left.iter().any(|&l| l > 0)
-                }) as ShardJob<'_>
-            })
-            .collect();
-        pool.run_shards(shards);
-        self.stats()
     }
 
     /// [`train_batch`](Self::train_batch) with crash-safe durability:
@@ -1155,37 +986,16 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 Err(e) => return Err(e),
             }
         }
-        let p = self.pipes.len() as u64;
-        let (base, extra) = (total_samples / p, total_samples % p);
-        let mut shards = Vec::with_capacity(self.pipes.len());
-        let mut budgets = Vec::with_capacity(self.pipes.len());
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            let target = base + u64::from((i as u64) < extra);
-            // Checkpointed progress counts against the shard's target.
-            let samples = target.saturating_sub(pipe.stats().samples);
-            let layout = if pipe.fast_slab_bytes() <= CACHE_BLOCK_BYTES {
-                FastLayout::ActionMajor
-            } else {
-                FastLayout::StateMajor
-            };
-            shards.push(ShardRun {
-                pipeline: i,
-                samples,
-                chunk: chunk_samples(samples, pipe.num_states(), pipe.num_actions()),
-                layout,
-                streams: 1,
-            });
-            budgets.push(samples);
-        }
+        let shards = self.batch_plan(total_samples, true);
+        let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
         // Shards run on pool workers and cannot return errors; the first
         // checkpoint failure is parked here and re-raised after the join.
         let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let plan = &shards;
         let failed_ref = &failed;
         let save_tracer = self.tracer.clone();
         let stats = self.drive(envs, &budgets, ctx, |i, pipe, env, n, chunk_ctx| {
             let before = pipe.stats().samples;
-            pipe.run_samples_fast_planned(env, n, plan[i].layout);
+            pipe.run_samples_fast(env, n);
             let after = pipe.stats().samples;
             if before / checkpoint_every != after / checkpoint_every {
                 // Nest the periodic save under the chunk that crossed
@@ -1330,11 +1140,6 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 Err(e) => return Err(CheckpointError::from(e).into()),
             }
         }
-        let layout = if pipe.fast_slab_bytes() <= CACHE_BLOCK_BYTES {
-            FastLayout::ActionMajor
-        } else {
-            FastLayout::StateMajor
-        };
         // Lease chunks are the deterministic executor chunk, but never
         // coarser than the checkpoint cadence — otherwise a small lease
         // would run whole between durable saves and the progress
@@ -1349,7 +1154,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         while pipe.stats().samples < target_samples {
             let before = pipe.stats().samples;
             let take = chunk.min(target_samples - before);
-            pipe.run_samples_fast_planned(env, take, layout);
+            pipe.run_samples_fast(env, take);
             let after = pipe.stats().samples;
             if before / checkpoint_every != after / checkpoint_every {
                 pipe.save_checkpoint(&path)?;

@@ -230,17 +230,17 @@ impl<T: Copy> WriteRing<T> {
     }
 }
 
-/// Fused per-`(s, a)` record for the window-register executor: packed
-/// transition (next state in the low bits, terminal flag in bit 31),
-/// reward, and the live Q word, interleaved so every table word an
+/// Fused per-`(s, a)` cell of the stall-free kernel's 16-bit image:
+/// packed transition (next state in the low bits, terminal flag in bit
+/// 31), reward, and the live Q word, interleaved so every table word an
 /// iteration touches shares one contiguous slab (a single cache line per
 /// state row for `Q8_8` × 8 actions, versus three separate arrays).
 ///
 /// The transition/reward columns are a BRAM-style image of the
-/// environment, snapshotted on first fast-path use — exactly as the
-/// reward table is snapshotted at construction, and as the hardware keeps
-/// both tables memory-resident. The Q column is loaded from the committed
-/// `q_mem` at executor entry and written back at exit.
+/// environment, snapshotted on first kernel use — exactly as the reward
+/// table is snapshotted at construction, and as the hardware keeps both
+/// tables memory-resident. The Q column is loaded from the committed
+/// `q_mem` at kernel entry and written back at exit.
 #[derive(Debug, Clone, Copy)]
 struct FastCell<V> {
     next_packed: u32,
@@ -248,10 +248,8 @@ struct FastCell<V> {
     q: V,
 }
 
-/// Terminal-state flag in [`FastCell::next_packed`] (and in the low word
-/// of the interleaved executor's packed transition image — see
-/// `crate::interleave`).
-pub(crate) const TERMINAL_BIT: u32 = 1 << 31;
+/// Terminal-state flag in [`FastCell::next_packed`].
+const TERMINAL_BIT: u32 = 1 << 31;
 
 /// Quantized-storage runtime (DESIGN.md §2.14): the stored-format policy
 /// plus the dedicated stochastic-rounding dither LFSR unit
@@ -263,110 +261,155 @@ struct QuantRt {
     rng: Lfsr32,
 }
 
-/// Split (structure-of-arrays) environment image for the *packed
-/// quantized* executor: an aligned `u32` per `(s, a)` that packs the
-/// next state (low 22 bits), the terminal flag and the reward's stored
-/// code, next to a mutable working-format Q column kept *on the storage
-/// grid* (every write runs the stochastic rounder, so dequantized codes
-/// are the only values the column ever holds). Holding the live column
-/// in the working format is a host-executor representation choice, not
-/// a semantic one: the architectural stored image is `stored_bits` wide
-/// — [`PackedQTable`] materialises it, the resource model prices it —
-/// and the on-grid column round-trips through it losslessly, while the
-/// hot loop keeps only the writeback rounder on its dependency chain
-/// (no per-read dequantize, no per-write encode). The split still
-/// narrows the read-only transition stream to half of [`FastCell`]'s
-/// 8 bytes.
-#[derive(Debug, Clone)]
-struct PackedImage<V> {
-    nr: Vec<u32>,
-    q: Vec<V>,
-}
-
-/// Next-state field of [`PackedImage::nr`] words (the packed executor
+/// Next-state field of the packed image's `u32` words (the packed image
 /// requires `|S| ≤ 2^22`).
 const PK_STATE_MASK: u32 = (1 << 22) - 1;
-/// Terminal-state flag in [`PackedImage::nr`] words.
+/// Terminal-state flag in the packed image's words.
 const PK_TERMINAL: u32 = 1 << 22;
-/// Bit offset of the reward's stored code in [`PackedImage::nr`] words
+/// Bit offset of the reward's stored code in the packed image's words
 /// (requires `stored_bits ≤ 8`).
 const PK_REWARD_SHIFT: u32 = 24;
 
-/// Invalid window-register address: no real write can carry it (the
-/// fused and interleaved executors track only 3-slot address windows).
-pub(crate) const NO_ADDR: usize = usize::MAX;
+/// Invalid window-register address: no real write can carry it.
+const NO_ADDR: usize = usize::MAX;
 
-/// Q-table traversal layout for the fast-path executor — the
-/// cache-blocking knob batch training tunes per shard.
-///
-/// Both layouts are bit-identical in results (the `fast_path` and
-/// `scaling` equivalence suites pin this); they differ only in how the
-/// working set streams through the host cache hierarchy:
-///
-/// * [`ActionMajor`](Self::ActionMajor) — the fused [`FastCell`] slab:
-///   each state row's transition/reward/Q words interleave contiguously
-///   (one cache line per `Q8_8` × 8-action row). Fastest when the slab
-///   fits in-cache; costs an `O(|S|·|A|)` image build on first use and
-///   triples the bytes per row when it misses.
-/// * [`StateMajor`](Self::StateMajor) — the general fast path over the
-///   separate Q/reward/transition columns: each access touches only the
-///   2-byte Q word plus the column entries, the smaller footprint when
-///   the table far exceeds cache (and the only executor for
-///   instrumented sinks and non-default hazard/Qmax configs).
-/// * [`Auto`](Self::Auto) — the historical heuristic: divert to the
-///   fused slab when the configuration allows it and the run is long
-///   enough to amortize the image build.
-/// * [`Interleaved`](Self::Interleaved) — the K-way multi-stream
-///   executor (`crate::interleave`, DESIGN.md §2.12): single-pipeline
-///   runs step one stream through it; `IndependentPipelines::
-///   train_batch_with` interleaves several pipelines' sample streams in
-///   one loop so their Q-row loads overlap. Eligibility mirrors the
-///   fused slab plus a ≤32-bit storage width (the packed transition
-///   image carries the reward in the upper lanes of a `u64` word).
-///
-/// `bench_scaling` measures the crossover; `IndependentPipelines::
-/// train_batch` picks a layout per shard from its table footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastLayout {
-    /// Divert to the fused slab when eligible and amortized (default).
-    Auto,
-    /// Force the fused interleaved slab whenever the config is eligible.
-    ActionMajor,
-    /// Force the general separate-column executor.
-    StateMajor,
-    /// Force the K-way interleaved multi-stream executor whenever the
-    /// config is eligible (falls back to the general executor, like a
-    /// forced `ActionMajor`, when it is not).
-    Interleaved,
+/// A table image the stall-free kernel runs over: where one sample's
+/// transition, reward and Q operands come from, and where its writeback
+/// lands. The kernel is written once over this trait and monomorphized
+/// per image.
+trait StallFreeImage<V> {
+    /// Stage-1 read of the `(s, a)` entry at `idx`: next state, terminal
+    /// flag, reward and Q(s, a).
+    fn load(&self, idx: usize) -> (State, bool, V, V);
+    /// Stage-2 read of the Q word at `idx`.
+    fn q(&self, idx: usize) -> V;
+    /// Stage-4 writeback of Eq. (3)'s result to `idx` through the
+    /// image's write port; returns the value stored.
+    fn store(&mut self, idx: usize, q_new: V) -> V;
 }
 
-/// A pipeline's architectural state checked out to the interleaved
-/// multi-stream executor (`crate::interleave`) for the duration of one
-/// group run, and checked back in at exit.
-///
-/// The Q and Qmax tables are *moved* out (the interleaved loop writes
-/// them directly under immediate-commit semantics — no column resync at
-/// entry or exit, unlike the fused slab), the RNG registers are copied,
-/// and the 3-slot forwarding address windows carry the in-flight write
-/// history exactly as `run_fast_forwarding_qmax` tracks it. The loop
-/// constants (`num_actions`, stage-1 derived multiplier values) ride
-/// along so the executor never needs the pipeline reference mid-run.
-pub(crate) struct FastLane<V> {
-    pub(crate) q: Vec<V>,
-    pub(crate) qmax: Vec<(V, Action)>,
-    pub(crate) start_rng: Lfsr32,
-    pub(crate) behavior_rng: Lfsr32,
-    pub(crate) update_rng: Lfsr32,
-    pub(crate) carry: Option<(State, Option<Action>)>,
-    /// Addresses of the 3 youngest in-flight Q writes ([0] = newest).
-    pub(crate) qw_addr: [usize; 3],
-    /// Addresses of the 3 youngest in-flight Qmax writes.
-    pub(crate) mw_addr: [usize; 3],
-    pub(crate) entry_c1: u64,
-    pub(crate) num_actions: usize,
-    pub(crate) one_minus_alpha: V,
-    pub(crate) alpha_v: V,
-    pub(crate) alpha_gamma: V,
+/// The 16-bit image: the fused [`FastCell`] slab, identity writeback.
+struct Fused<'a, V>(&'a mut [FastCell<V>]);
+
+impl<V: QValue> StallFreeImage<V> for Fused<'_, V> {
+    #[inline(always)]
+    fn load(&self, idx: usize) -> (State, bool, V, V) {
+        let c = self.0[idx];
+        (
+            c.next_packed & !TERMINAL_BIT,
+            c.next_packed & TERMINAL_BIT != 0,
+            c.reward,
+            c.q,
+        )
+    }
+
+    #[inline(always)]
+    fn q(&self, idx: usize) -> V {
+        self.0[idx].q
+    }
+
+    #[inline(always)]
+    fn store(&mut self, idx: usize, q_new: V) -> V {
+        self.0[idx].q = q_new;
+        q_new
+    }
+}
+
+/// The packed quantized image (DESIGN.md §2.14): an aligned `u32` per
+/// `(s, a)` packing the next state (low 22 bits), the terminal flag and
+/// the reward's stored code — half a [`FastCell`]'s 8 bytes — beside the
+/// committed `q_mem` itself, with the stochastic rounder on the write
+/// port. The Q column is read and written in place in the working
+/// format: by the on-grid invariant it only ever holds dequantized
+/// codes, so a read equals dequantize-after-load and the writeback
+/// rounder is the only quantizer on the dependency chain. The
+/// architectural stored image is still `stored_bits` wide —
+/// [`PackedQTable`] materialises it, the resource model prices it.
+struct Packed<'a, V> {
+    words: &'a [u32],
+    q: &'a mut [V],
+    policy: QuantPolicy,
+    dither: Lfsr32Unrolled,
+}
+
+impl<V: QValue> StallFreeImage<V> for Packed<'_, V> {
+    #[inline(always)]
+    fn load(&self, idx: usize) -> (State, bool, V, V) {
+        let w = self.words[idx];
+        (
+            w & PK_STATE_MASK,
+            w & PK_TERMINAL != 0,
+            self.policy.dequantize(u64::from(w >> PK_REWARD_SHIFT)),
+            self.q[idx],
+        )
+    }
+
+    #[inline(always)]
+    fn q(&self, idx: usize) -> V {
+        self.q[idx]
+    }
+
+    #[inline(always)]
+    fn store(&mut self, idx: usize, q_new: V) -> V {
+        let q = self.policy.apply(q_new, u64::from(self.dither.next_u32()));
+        self.q[idx] = q;
+        q
+    }
+}
+
+/// A policy unit pre-resolved for the stall-free kernel: the ε-greedy
+/// comparator threshold is hoisted out of the loop, the draw order is
+/// the cycle-accurate selectors'.
+#[derive(Clone, Copy)]
+enum FastPolicy {
+    Random,
+    Greedy,
+    Eps(u32),
+}
+
+impl FastPolicy {
+    /// Resolve the `role` unit's policy, rejecting Boltzmann exactly as
+    /// `behavior_select`/`update_select` do.
+    fn resolve(p: Policy, role: &str) -> Self {
+        match p {
+            Policy::Random => FastPolicy::Random,
+            Policy::Greedy => FastPolicy::Greedy,
+            Policy::EpsilonGreedy { epsilon } => FastPolicy::Eps(epsilon_to_q32(epsilon)),
+            Policy::Boltzmann { .. } => panic!(
+                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
+                 use the probability-table bandit engine (qtaccel_accel::bandit)"
+            ),
+        }
+    }
+
+    /// One selection's LFSR draw over `na` actions: `Some(action)` for a
+    /// random pick, `None` when the unit takes the greedy (Qmax) branch.
+    #[inline(always)]
+    fn draw(self, rng: &mut Lfsr32Unrolled, na: usize) -> Option<Action> {
+        match self {
+            FastPolicy::Random => Some(((u64::from(rng.next_u32()) * na as u64) >> 32) as Action),
+            FastPolicy::Greedy => None,
+            FastPolicy::Eps(thr) => {
+                let x = rng.next_u32();
+                (x < thr).then(|| ((u64::from(x) * na as u64) / u64::from(thr)) as Action)
+            }
+        }
+    }
+}
+
+/// The stall-free kernel's forwarding state. With every write landing
+/// exactly [`WRITE_OFFSET`] cycles after its iteration's stage 1, the
+/// forwarding network reduces to the addresses of the three youngest Q
+/// and Qmax writes (`[0]` = the previous iteration, [`NO_ADDR`] = an
+/// empty slot).
+struct Window {
+    q: [usize; 3],
+    qmax: [usize; 3],
+    /// Forwards counted since kernel entry.
+    forwards: u64,
+    /// Whether the last iteration's update policy read the Q BRAM
+    /// rather than the Qmax array; decides the exit Q-read horizon.
+    update_read_q: bool,
 }
 
 /// The pipeline core shared by the Q-Learning and SARSA engines (and, in
@@ -374,8 +417,8 @@ pub(crate) struct FastLane<V> {
 ///
 /// Generic over a [`TraceSink`] chosen at compile time. With the default
 /// [`NullSink`] every instrumentation site monomorphizes away and the
-/// specialized fast executors stay engaged — zero cost when telemetry is
-/// off. An instrumented sink maintains the [`CounterBank`] (and, for
+/// stall-free kernel stays engaged — zero cost when telemetry is off.
+/// An instrumented sink maintains the [`CounterBank`] (and, for
 /// event-bearing sinks, receives cycle-stamped [`Event`]s from the
 /// cycle-accurate engine; the fast path mirrors the counters but emits no
 /// events — see [`run_samples_fast`](Self::run_samples_fast)).
@@ -399,19 +442,14 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     q_mem: Vec<V>,
     qmax_mem: Vec<(V, Action)>,
     rewards: RewardTable<V>,
-    // Fused (transition, reward, Q) image for the window-register
-    // executor, built once on first use (see `run_fast_forwarding_qmax`).
+    // The stall-free kernel's two images (see `run_stall_free`), each
+    // built on first use: the 16-bit fused (transition, reward, Q) slab,
+    // and the packed (transition | terminal | reward code) words of a
+    // quantized table. Derived caches of the environment and reward ROM
+    // — never checkpointed, dropped whenever the rewards or stored codes
+    // change.
     fast_image: Option<Vec<FastCell<V>>>,
-    // Packed (transition, reward) words for the interleaved multi-stream
-    // executor, built once on first use and shared (`Arc`) across the
-    // streams of a group when their environments coincide (see
-    // `crate::interleave`). Like `fast_image`, a derived cache of
-    // immutable environment data — never checkpointed.
-    tr_image: Option<std::sync::Arc<Vec<u64>>>,
-    // Split (transition | terminal | reward code) + on-grid Q-column
-    // image for the packed quantized executor; built on first use,
-    // invalidated whenever the quantization policy changes.
-    packed_image: Option<PackedImage<V>>,
+    packed_image: Option<Vec<u32>>,
     // In-flight writes (queues are the source of truth; the indices are
     // O(1) newest-writer accelerators kept in sync on push/retire).
     pending_q: VecDeque<Pending<V>>,
@@ -436,12 +474,12 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     counters: CounterBank,
     sink: S,
     // Fault-tolerance runtime (None = fault-free: every hook compiles
-    // to one branch on a pointer-sized option, and the fused executor
+    // to one branch on a pointer-sized option, and the stall-free kernel
     // stays engaged).
     fault: Option<Box<FaultRt>>,
     // Quantized-storage runtime (None = full-width storage: the
-    // writeback hook is one branch on the option, and the unquantized
-    // fast paths stay engaged — DESIGN.md §2.14).
+    // writeback hook is one branch on the option, and the stall-free
+    // kernel runs its 16-bit image — DESIGN.md §2.14).
     quant: Option<QuantRt>,
     // Lease-fencing epoch (DESIGN.md §2.16): the cluster worker stamps
     // this before each durable save so a checkpoint names the
@@ -518,7 +556,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             qmax_mem,
             rewards: RewardTable::from_env(env),
             fast_image: None,
-            tr_image: None,
             packed_image: None,
             pending_q: VecDeque::new(),
             pending_qmax: VecDeque::new(),
@@ -565,7 +602,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
         // Derived caches embed rewards / Q codes: rebuild on next use.
         self.fast_image = None;
-        self.tr_image = None;
         self.packed_image = None;
         let seeds = SeedSequence::new(self.config.trainer.seed);
         let rng = Lfsr32::new(
@@ -638,16 +674,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// Number of actions the tables are sized for.
     pub fn num_actions(&self) -> usize {
         self.num_actions
-    }
-
-    /// Bytes of the fused fast-path slab ([`FastLayout::ActionMajor`]'s
-    /// working set): `|S|·|A|` interleaved transition/reward/Q cells.
-    /// The cache-blocking layout pick in `train_batch` compares this
-    /// against its per-shard cache budget.
-    pub fn fast_slab_bytes(&self) -> usize {
-        self.num_states
-            .saturating_mul(self.num_actions)
-            .saturating_mul(core::mem::size_of::<FastCell<V>>())
     }
 
     // ---- memory model -------------------------------------------------
@@ -1440,116 +1466,41 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
     }
 
-    /// Run `n` iterations through the fast-path executor: one sample per
-    /// loop iteration, closed-form cycle accounting, no per-cycle queue
+    /// Run `n` iterations through the fast path: one sample per loop
+    /// iteration, closed-form cycle accounting, no per-cycle queue
     /// bookkeeping — and bit-identical results.
     ///
-    /// The architectural trick: in `Forwarding` and `StallOnly` modes
-    /// every read returns the *newest* write to its address (via the
-    /// forwarding network, or because the front end stalled until the
-    /// write landed). So the fast path commits writes to memory
-    /// immediately and keeps only a [`FAST_RING`]-entry window of
-    /// `(address, commit cycle)` history to reproduce the forward counts
-    /// and stall delays the real pipeline reports. `Ignore` mode is the
-    /// one place stale values are architecturally visible, so there the
-    /// ring carries real delayed writes, drained per read — still O(1),
-    /// still allocation-free.
+    /// One dispatch rule picks the executor: an uninstrumented sink, no
+    /// fault runtime, `Forwarding` hazards with the Qmax array, and a
+    /// table the kernel's image can address run the stall-free kernel
+    /// (`run_stall_free`); anything else runs the general executor below.
+    ///
+    /// The general executor's trick: in `Forwarding` and `StallOnly`
+    /// modes every read returns the *newest* write to its address (via
+    /// the forwarding network, or because the front end stalled until the
+    /// write landed). So it commits writes to memory immediately and
+    /// keeps only a [`FAST_RING`]-entry window of `(address, commit
+    /// cycle)` history to reproduce the forward counts and stall delays
+    /// the real pipeline reports. `Ignore` mode is the one place stale
+    /// values are architecturally visible, so there the ring carries real
+    /// delayed writes, drained per read — still O(1), still
+    /// allocation-free.
     ///
     /// Entry/exit protocols convert between the cycle-accurate pending
-    /// queues and the ring so the two executors can be interleaved freely
-    /// on one pipeline: final Q-table, Qmax table, and [`CycleStats`] are
-    /// bit-identical to [`run_samples`](Self::run_samples) (enforced by
-    /// the `fast_path` equivalence tests). One observable caveat: the raw
-    /// *committed* BRAM image may lead the cycle-accurate formulation by
-    /// up to the pipeline depth at the moment of return, which matters
-    /// only to [`inject_q_bit_flip`](Self::inject_q_bit_flip) racing an
-    /// in-flight write.
+    /// queues and each executor's window so the executors can be
+    /// interleaved freely on one pipeline: final Q-table, Qmax table, and
+    /// [`CycleStats`] are bit-identical to [`run_samples`](Self::run_samples)
+    /// (enforced by the `fast_path` equivalence tests). One observable
+    /// caveat: the raw *committed* BRAM image may lead the cycle-accurate
+    /// formulation by up to the pipeline depth at the moment of return,
+    /// which matters only to [`inject_q_bit_flip`](Self::inject_q_bit_flip)
+    /// racing an in-flight write.
     pub fn run_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.run_samples_fast_planned(env, n, FastLayout::Auto)
-    }
-
-    /// [`run_samples_fast`](Self::run_samples_fast) with an explicit
-    /// Q-table traversal [`FastLayout`] — bit-identical results under
-    /// every layout, different cache behaviour (see [`FastLayout`]).
-    /// A forced [`FastLayout::ActionMajor`] falls back to the general
-    /// executor when the configuration is ineligible for the fused slab
-    /// (instrumented sink, non-forwarding hazard, exact-scan Qmax).
-    pub fn run_samples_fast_planned<E: Environment>(
-        &mut self,
-        env: &E,
-        n: u64,
-        layout: FastLayout,
-    ) -> CycleStats {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
 
-        // The default Forwarding + Qmax-array configuration never stalls,
-        // which collapses the visibility horizons to fixed sample
-        // distances: take the window-register executor. Its fused
-        // environment image costs O(|S|·|A|) to build, so `Auto` only
-        // diverts once a run is long enough to amortize the build —
-        // after which the cached image makes the executor worthwhile at
-        // any length. The executor is uninstrumented by design (its
-        // whole point is eliding per-access bookkeeping), so an
-        // instrumented sink takes the general fast path below, which
-        // mirrors every counter.
-        let fused_eligible = n > 0
-            && !S::COUNTERS
-            && !S::EVENTS
-            && !S::HEALTH
-            && self.fault.is_none()
-            && self.quant.is_none()
-            && self.config.hazard == HazardMode::Forwarding
-            && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states < (1usize << 31);
-        let take_fused = match layout {
-            FastLayout::ActionMajor => fused_eligible,
-            FastLayout::StateMajor | FastLayout::Interleaved => false,
-            FastLayout::Auto => {
-                fused_eligible
-                    && (self.fast_image.is_some()
-                        || n as u128 >= (self.num_states * self.num_actions) as u128)
-            }
-        };
-        if take_fused {
-            return self.run_fast_forwarding_qmax(env, n);
-        }
-        // Quantized counterpart of the fused executor: same predicate
-        // shape, but the table must fit the [`PackedImage`] lanes (|S| ≤
-        // 2^22, stored codes ≤ 8 bits). Ineligible quantized configs
-        // fall through to the general executor (or the cycle engine),
-        // which applies the identical writeback quantizer — results stay
-        // bit-exact in every hazard mode.
-        let packed_eligible = n > 0
-            && !S::COUNTERS
-            && !S::EVENTS
-            && !S::HEALTH
-            && self.fault.is_none()
-            && self.config.hazard == HazardMode::Forwarding
-            && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states <= (1usize << 22)
-            && self
-                .quant
-                .as_ref()
-                .is_some_and(|q| q.policy.stored_bits() <= 8);
-        let take_packed = match layout {
-            FastLayout::ActionMajor | FastLayout::Interleaved => packed_eligible,
-            FastLayout::StateMajor => false,
-            FastLayout::Auto => {
-                packed_eligible
-                    && (self.packed_image.is_some()
-                        || n as u128 >= (self.num_states * self.num_actions) as u128)
-            }
-        };
-        if take_packed {
-            return self.run_fast_forwarding_qmax_packed(env, n);
-        }
-        // A forced Interleaved layout runs the K-way executor as a group
-        // of one stream (the multi-pipeline grouping lives in
-        // `IndependentPipelines::train_batch_with`); ineligible configs
-        // fall through to the general executor below, bit-identically.
-        if layout == FastLayout::Interleaved && self.interleave_eligible(n) {
-            return crate::interleave::run_single(self, env, n);
+        if n > 0 && self.stall_free_eligible() {
+            return self.run_stall_free(env, n);
         }
 
         let immediate = self.config.hazard != HazardMode::Ignore;
@@ -1719,9 +1670,45 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.stats
     }
 
-    /// The window-register executor for `Forwarding` + `QmaxArray`.
+    /// Whether the stall-free kernel accepts this pipeline: no counters,
+    /// events, health probe or fault runtime (the kernel elides
+    /// per-access bookkeeping by design, so instrumented pipelines take
+    /// the general executor, which mirrors every counter), `Forwarding`
+    /// hazards with the Qmax array (the configuration that never
+    /// stalls), and a table the image can address — `|S| < 2^31` for the
+    /// 16-bit image; `|S| ≤ 2^22` and stored codes of at most 8 bits for
+    /// the packed image.
+    fn stall_free_eligible(&self) -> bool {
+        !S::COUNTERS
+            && !S::EVENTS
+            && !S::HEALTH
+            && self.fault.is_none()
+            && self.config.hazard == HazardMode::Forwarding
+            && self.config.trainer.max_mode == MaxMode::QmaxArray
+            && match &self.quant {
+                None => self.num_states < (1usize << 31),
+                Some(q) => self.num_states <= (1usize << 22) && q.policy.stored_bits() <= 8,
+            }
+    }
+
+    /// One word per `(s, a)`, row-major, built from `env`'s transitions
+    /// and the reward ROM: the environment half of both kernel images.
+    fn env_image<E: Environment, T>(&self, env: &E, word: impl Fn(State, bool, V) -> T) -> Vec<T> {
+        let mut words = Vec::with_capacity(self.num_states * self.num_actions);
+        for s in 0..self.num_states as State {
+            for a in 0..self.num_actions as Action {
+                let t = env.transition(s, a);
+                words.push(word(t, env.is_terminal(t), self.rewards.get(s, a)));
+            }
+        }
+        words
+    }
+
+    /// The stall-free kernel: the fast executor for `Forwarding` hazards
+    /// with the Qmax array, over the 16-bit image ([`Fused`]) or, with a
+    /// quantized table, the packed image ([`Packed`]).
     ///
-    /// In that configuration every read delay is zero, so stage-1 issues
+    /// In that configuration every read delay is zero, so stage 1 issues
     /// at consecutive cycles and every write lands exactly
     /// [`WRITE_OFFSET`] cycles after its iteration's stage 1. The
     /// drain-horizon visibility tests then collapse to *fixed sample
@@ -1736,104 +1723,169 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     ///   entry.
     ///
     /// So the whole forwarding network reduces to three address
-    /// registers rotated once per sample — no ring scans, no cycle
-    /// arithmetic in the loop. A dense `|S|·|A|` LUT of packed
-    /// `(next_state, terminal)` words replaces the per-sample transition
-    /// call, and the ε-greedy comparator thresholds are hoisted out of
-    /// the loop; the RNG draw sequence is unchanged, so results stay
-    /// bit-identical (the `fast_path` equivalence tests run this
-    /// executor wherever the config matches).
-    fn run_fast_forwarding_qmax<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
+    /// registers rotated once per sample ([`Window`]) — no ring scans, no
+    /// cycle arithmetic in the loop. The image replaces the per-sample
+    /// transition call with a dense `|S|·|A|` table built once on first
+    /// use, and the ε-greedy comparator thresholds are hoisted out of the
+    /// loop; the RNG draw order (behaviour → update → dither, per retired
+    /// sample) is unchanged, so results stay bit-identical (the
+    /// `fast_path` and `quant` equivalence suites run this kernel wherever
+    /// the config matches).
+    fn run_stall_free<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         debug_assert!(n > 0);
-        let na = self.num_actions;
+        let policies = [
+            FastPolicy::resolve(self.config.trainer.behavior, "behaviour"),
+            FastPolicy::resolve(self.config.trainer.update, "update"),
+        ];
         let entry_c1 = self.next_c1;
-
-        // Pre-resolved policy units (identical draw order to the
-        // cycle-accurate selectors; Boltzmann is rejected exactly as
-        // behavior_select/update_select would).
-        #[derive(Clone, Copy)]
-        enum FastPolicy {
-            Random,
-            Greedy,
-            Eps(u32),
-        }
-        let resolve = |p: Policy, role: &str| match p {
-            Policy::Random => FastPolicy::Random,
-            Policy::Greedy => FastPolicy::Greedy,
-            Policy::EpsilonGreedy { epsilon } => FastPolicy::Eps(epsilon_to_q32(epsilon)),
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        };
-        let behavior = resolve(self.config.trainer.behavior, "behaviour");
-        let update = resolve(self.config.trainer.update, "update");
-        let forward_action = self.config.trainer.forward_next_action;
 
         // Entry: commit every pending write (memory = newest image) and
         // load the window registers from the writes still visible to the
-        // forwarding network. Invalid window slots use an address no real
-        // write can carry.
-        // Only *addresses* are tracked in the windows: every read is
-        // served by the immediately-committed tables, and every consumer
-        // of the reconstructed pending queues (forwarding lookup, in-order
-        // commit, `q_table`) observes the newest write per address — so
-        // the exit protocol can recover each window value from the
-        // committed image instead of rotating values through the loop.
-        let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
+        // forwarding network. Only *addresses* are tracked in the
+        // windows: every read is served by the immediately-committed
+        // tables, and every consumer of the reconstructed pending queues
+        // (forwarding lookup, in-order commit, `q_table`) observes the
+        // newest write per address — so the exit protocol can recover
+        // each window value from the committed image instead of rotating
+        // values through the loop.
+        let mut win = Window {
+            q: [NO_ADDR; 3],
+            qmax: [NO_ADDR; 3],
+            forwards: 0,
+            update_read_q: false,
+        };
         while let Some(p) = self.pending_q.pop_front() {
             self.q_mem[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                qw_addr[slot] = p.addr;
+                win.q[(entry_c1 + 2 - p.commit_cycle) as usize] = p.addr;
             }
         }
-        let mut mw_addr = [NO_ADDR; 3];
         while let Some(p) = self.pending_qmax.pop_front() {
             self.qmax_mem[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                mw_addr[slot] = p.addr;
+                win.qmax[(entry_c1 + 2 - p.commit_cycle) as usize] = p.addr;
             }
         }
         self.fwd_q.clear();
         self.fwd_qmax.clear();
 
-        // Build the fused environment image on first use (see
-        // [`FastCell`]); afterwards only the Q column needs a linear
-        // resync from the freshly committed `q_mem`.
-        if self.fast_image.is_none() {
-            let mut cells = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    cells.push(FastCell {
-                        next_packed: t | if env.is_terminal(t) { TERMINAL_BIT } else { 0 },
-                        reward: self.rewards.get(s, a),
+        // The stored format picks the image; each is built once on first
+        // use and cached until the rewards or stored codes change.
+        let win = match self.quant.take() {
+            None => {
+                let mut cells = self.fast_image.take().unwrap_or_else(|| {
+                    self.env_image(env, |t, terminal, reward| FastCell {
+                        next_packed: t | if terminal { TERMINAL_BIT } else { 0 },
+                        reward,
                         q: V::zero(),
-                    });
+                    })
+                });
+                for (c, &q) in cells.iter_mut().zip(&self.q_mem) {
+                    c.q = q;
                 }
+                let win = self.stall_free_loop(env, n, policies, &mut Fused(&mut cells), win);
+                for (dst, c) in self.q_mem.iter_mut().zip(&cells) {
+                    *dst = c.q;
+                }
+                self.fast_image = Some(cells);
+                win
             }
-            self.fast_image = Some(cells);
-        }
-        let cells = self.fast_image.as_mut().expect("image just ensured");
-        for (c, &q) in cells.iter_mut().zip(self.q_mem.iter()) {
-            c.q = q;
-        }
-        let cells = &mut cells[..];
+            Some(mut quant) => {
+                let policy = quant.policy;
+                // On-grid invariant: with quantization active every
+                // committed Q word sits on the stored grid (writes are
+                // quantized, SEU strikes flip code-domain bits).
+                debug_assert!(
+                    self.q_mem.iter().all(|&q| policy.try_code(q).is_some()),
+                    "quantized q_mem is on-grid"
+                );
+                // Rewards were snapped to the stored grid by
+                // `enable_quant`, so their codes are exact.
+                let words = self.packed_image.take().unwrap_or_else(|| {
+                    self.env_image(env, |t, terminal, reward| {
+                        let code = policy
+                            .try_code(reward)
+                            .expect("quantized rewards are on-grid");
+                        (t & PK_STATE_MASK)
+                            | if terminal { PK_TERMINAL } else { 0 }
+                            | (code as u32) << PK_REWARD_SHIFT
+                    })
+                });
+                let mut q = core::mem::take(&mut self.q_mem);
+                let mut image = Packed {
+                    words: &words,
+                    q: &mut q,
+                    policy,
+                    dither: Lfsr32Unrolled::new(&quant.rng),
+                };
+                let win = self.stall_free_loop(env, n, policies, &mut image, win);
+                quant.rng = image.dither.into_lfsr();
+                self.q_mem = q;
+                self.packed_image = Some(words);
+                self.quant = Some(quant);
+                win
+            }
+        };
 
-        let mut carry = self.carry.take();
-        let mut forwards = 0u64;
-        // Did the final iteration's update policy read the Q BRAM (rather
-        // than the Qmax array)? Decides the exit Q-read horizon.
-        let mut last_update_read_q = false;
+        // Exit: closed-form cycle accounting and pending-queue
+        // reconstruction, so a subsequent cycle-accurate run (or the
+        // general executor) observes identical state.
+        let end_c1 = entry_c1 + n;
+        self.next_c1 = end_c1;
+        self.stats.samples += n;
+        self.stats.forwards += win.forwards;
+        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
+        self.drain_horizon_q = end_c1 - 1 + u64::from(win.update_read_q);
+        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
+        // Window values are recovered from the committed tables: if one
+        // address appears in two slots the older entry also gets the
+        // newest value, which is unobservable — forwarding and `q_table`
+        // read the newest writer per address, and in-order commit makes
+        // the newest value land last regardless.
+        for slot in (0..3).rev() {
+            let commit_cycle = end_c1 + 2 - slot as u64;
+            let addr = win.q[slot];
+            if addr != NO_ADDR {
+                let p = Pending {
+                    commit_cycle,
+                    addr,
+                    value: self.q_mem[addr],
+                };
+                self.pending_q.push_back(p);
+                self.fwd_q.push(p);
+            }
+            let addr = win.qmax[slot];
+            if addr != NO_ADDR {
+                let p = Pending {
+                    commit_cycle,
+                    addr,
+                    value: self.qmax_mem[addr],
+                };
+                self.pending_qmax.push_back(p);
+                self.fwd_qmax.push(p);
+            }
+        }
+        self.stats
+    }
 
-        let qmax = &mut self.qmax_mem[..];
+    /// The stall-free kernel's loop: `n` samples over `image`, starting
+    /// from the forwarding window `win`; returns the window at exit.
+    fn stall_free_loop<E: Environment, I: StallFreeImage<V>>(
+        &mut self,
+        env: &E,
+        n: u64,
+        [behavior, update]: [FastPolicy; 2],
+        image: &mut I,
+        mut win: Window,
+    ) -> Window {
+        let na = self.num_actions;
+        let forward_action = self.config.trainer.forward_next_action;
         let (one_minus_alpha, alpha_v, alpha_gamma) =
             (self.one_minus_alpha, self.alpha_v, self.alpha_gamma);
-
+        let mut carry = self.carry.take();
+        let qmax = &mut self.qmax_mem[..];
         // Two-ahead unrolled views of the policy RNGs (bit-identical
         // streams, half the serial leap latency per draw); collapsed back
         // into the registers at exit.
@@ -1846,569 +1898,66 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 None => (env.random_start(&mut self.start_rng), None),
                 Some((s, a)) => (s, a),
             };
-            let a = match carried_a {
+            let a = match carried_a.or_else(|| behavior.draw(&mut behavior_rng, na)) {
                 Some(a) => a,
-                None => match behavior {
-                    FastPolicy::Random => {
-                        ((behavior_rng.next_u32() as u64 * na as u64) >> 32) as u32
-                    }
-                    FastPolicy::Greedy => {
-                        forwards += u64::from(mw_addr[0] == s as usize);
-                        qmax[s as usize].1
-                    }
-                    FastPolicy::Eps(thr) => {
-                        let x = behavior_rng.next_u32();
-                        if x < thr {
-                            ((x as u64 * na as u64) / thr as u64) as u32
-                        } else {
-                            forwards += u64::from(mw_addr[0] == s as usize);
-                            qmax[s as usize].1
-                        }
-                    }
-                },
+                None => {
+                    win.forwards += u64::from(win.qmax[0] == s as usize);
+                    qmax[s as usize].1
+                }
             };
             let qaddr = s as usize * na + a as usize;
-            let cell = cells[qaddr];
-            let packed = cell.next_packed;
-            let s_next = packed & !TERMINAL_BIT;
-            forwards += u64::from(
-                qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2],
-            );
+            let (s_next, terminal, reward, q_sa) = image.load(qaddr);
+            win.forwards += u64::from(qaddr == win.q[0] || qaddr == win.q[1] || qaddr == win.q[2]);
 
             // Stage 2: update selection one cycle later, so only the two
             // youngest Q writes are still in flight.
-            let read_q2 = |rng: &mut Lfsr32Unrolled, x: Option<u32>, thr: u32| {
-                let an = match x {
-                    Some(x) => ((x as u64 * na as u64) / thr as u64) as u32,
-                    None => ((rng.next_u32() as u64 * na as u64) >> 32) as u32,
-                };
-                (an, sa_index(s_next, an, na))
-            };
-            let (a_next, q_next) = match update {
-                FastPolicy::Greedy => {
-                    last_update_read_q = false;
-                    forwards += u64::from(mw_addr[0] == s_next as usize);
+            let drawn = update.draw(&mut update_rng, na);
+            win.update_read_q = drawn.is_some();
+            let (a_next, q_next) = match drawn {
+                Some(an) => {
+                    let addr = sa_index(s_next, an, na);
+                    win.forwards += u64::from(addr == win.q[0] || addr == win.q[1]);
+                    (an, image.q(addr))
+                }
+                None => {
+                    win.forwards += u64::from(win.qmax[0] == s_next as usize);
                     let (v, an) = qmax[s_next as usize];
                     (an, v)
                 }
-                FastPolicy::Random => {
-                    let (an, addr) = read_q2(&mut update_rng, None, 0);
-                    last_update_read_q = true;
-                    forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                    (an, cells[addr].q)
-                }
-                FastPolicy::Eps(thr) => {
-                    let x = update_rng.next_u32();
-                    if x < thr {
-                        let (an, addr) = read_q2(&mut update_rng, Some(x), thr);
-                        last_update_read_q = true;
-                        forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                        (an, cells[addr].q)
-                    } else {
-                        last_update_read_q = false;
-                        forwards += u64::from(mw_addr[0] == s_next as usize);
-                        let (v, an) = qmax[s_next as usize];
-                        (an, v)
-                    }
-                }
             };
 
-            // Stage 3: Eq. (3).
-            let q_new = one_minus_alpha
-                .mul(cell.q)
-                .add(alpha_v.mul(cell.reward))
-                .add(alpha_gamma.mul(q_next));
-
-            // Stage 4: writeback + Qmax RMW, then age the address windows.
-            cells[qaddr].q = q_new;
-            qw_addr[2] = qw_addr[1];
-            qw_addr[1] = qw_addr[0];
-            qw_addr[0] = qaddr;
-
-            mw_addr[2] = mw_addr[1];
-            mw_addr[1] = mw_addr[0];
-            if q_new.vcmp(qmax[s as usize].0) == core::cmp::Ordering::Greater {
-                qmax[s as usize] = (q_new, a);
-                mw_addr[0] = s as usize;
-            } else {
-                mw_addr[0] = NO_ADDR;
-            }
-
-            carry = if packed & TERMINAL_BIT != 0 {
-                None
-            } else {
-                Some((s_next, if forward_action { Some(a_next) } else { None }))
-            };
-        }
-
-        // Write the live Q column back into the committed BRAM image and
-        // resynchronise the serial RNG registers.
-        for (dst, c) in self.q_mem.iter_mut().zip(cells.iter()) {
-            *dst = c.q;
-        }
-        self.behavior_rng = behavior_rng.into_lfsr();
-        self.update_rng = update_rng.into_lfsr();
-
-        // Exit: closed-form cycle accounting and pending-queue
-        // reconstruction, so a subsequent cycle-accurate run (or the
-        // general fast path) observes identical state.
-        self.carry = carry;
-        let end_c1 = entry_c1 + n;
-        self.next_c1 = end_c1;
-        self.stats.samples += n;
-        self.stats.forwards += forwards;
-        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
-        // Window values are recovered from the committed tables: if one
-        // address appears in two slots the older entry also gets the
-        // newest value, which is unobservable — forwarding and `q_table`
-        // read the newest writer per address, and in-order commit makes
-        // the newest value land last regardless.
-        for slot in (0..3).rev() {
-            if qw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: qw_addr[slot],
-                    value: self.q_mem[qw_addr[slot]],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-            if mw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: mw_addr[slot],
-                    value: self.qmax_mem[mw_addr[slot]],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
-        self.stats
-    }
-
-    /// The packed-table counterpart of
-    /// [`run_fast_forwarding_qmax`](Self::run_fast_forwarding_qmax):
-    /// same window-register forwarding collapse, but the environment
-    /// image is the split [`PackedImage`] (4-byte transition words plus
-    /// an on-grid working-format Q column) instead of 8-byte fused
-    /// cells, and every writeback runs the stochastic rounder inline
-    /// with a dedicated unrolled dither LFSR. Bit-exact against the
-    /// general fast path and the cycle-accurate engine (the `quant`
-    /// test suite pins this): because the column only ever holds
-    /// dequantized codes, reading it directly equals
-    /// dequantize-after-load, and the raw-domain writeback rounder
-    /// ([`QuantPolicy::apply`]) is exactly the hook the other executors
-    /// run; the RNG draw order (behaviour → update → dither, per
-    /// retired sample) is identical.
-    fn run_fast_forwarding_qmax_packed<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        debug_assert!(n > 0);
-        let na = self.num_actions;
-        let entry_c1 = self.next_c1;
-        let mut quant = self.quant.take().expect("packed executor requires quant");
-        let policy = quant.policy;
-
-        #[derive(Clone, Copy)]
-        enum FastPolicy {
-            Random,
-            Greedy,
-            Eps(u32),
-        }
-        let resolve = |p: Policy, role: &str| match p {
-            Policy::Random => FastPolicy::Random,
-            Policy::Greedy => FastPolicy::Greedy,
-            Policy::EpsilonGreedy { epsilon } => FastPolicy::Eps(epsilon_to_q32(epsilon)),
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        };
-        let behavior = resolve(self.config.trainer.behavior, "behaviour");
-        let update = resolve(self.config.trainer.update, "update");
-        let forward_action = self.config.trainer.forward_next_action;
-
-        // Entry protocol: identical to the fused executor.
-        let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
-        while let Some(p) = self.pending_q.pop_front() {
-            self.q_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                qw_addr[slot] = p.addr;
-            }
-        }
-        let mut mw_addr = [NO_ADDR; 3];
-        while let Some(p) = self.pending_qmax.pop_front() {
-            self.qmax_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                mw_addr[slot] = p.addr;
-            }
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-
-        // Build the packed environment image on first use. Rewards were
-        // snapped to the stored grid by `enable_quant`, so their codes
-        // are exact; the Q column is resynced below on every entry.
-        if self.packed_image.is_none() {
-            let mut nr = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    let rc = policy
-                        .try_code(self.rewards.get(s, a))
-                        .expect("quantized rewards are on-grid") as u32;
-                    nr.push(
-                        (t & PK_STATE_MASK)
-                            | if env.is_terminal(t) { PK_TERMINAL } else { 0 }
-                            | (rc << PK_REWARD_SHIFT),
-                    );
-                }
-            }
-            self.packed_image = Some(PackedImage {
-                nr,
-                q: self.q_mem.clone(),
-            });
-        }
-        let image = self.packed_image.as_mut().expect("image just ensured");
-        // On-grid invariant: with quantization active every committed Q
-        // word sits on the stored grid (writes are quantized, SEU
-        // strikes flip code-domain bits), so the working-format copy is
-        // exactly the dequantized stored image.
-        debug_assert!(
-            self.q_mem.iter().all(|&q| policy.try_code(q).is_some()),
-            "quantized q_mem is on-grid"
-        );
-        image.q.copy_from_slice(&self.q_mem);
-        let nr_tab = &image.nr[..];
-        let qcol = &mut image.q[..];
-
-        let mut carry = self.carry.take();
-        let mut forwards = 0u64;
-        let mut last_update_read_q = false;
-
-        let qmax = &mut self.qmax_mem[..];
-        let (one_minus_alpha, alpha_v, alpha_gamma) =
-            (self.one_minus_alpha, self.alpha_v, self.alpha_gamma);
-
-        let mut behavior_rng = Lfsr32Unrolled::new(&self.behavior_rng);
-        let mut update_rng = Lfsr32Unrolled::new(&self.update_rng);
-        let mut quant_rng = Lfsr32Unrolled::new(&quant.rng);
-
-        for _ in 0..n {
-            // Stage 1: state + behaviour action.
-            let (s, carried_a) = match carry.take() {
-                None => (env.random_start(&mut self.start_rng), None),
-                Some((s, a)) => (s, a),
-            };
-            let a = match carried_a {
-                Some(a) => a,
-                None => match behavior {
-                    FastPolicy::Random => {
-                        ((behavior_rng.next_u32() as u64 * na as u64) >> 32) as u32
-                    }
-                    FastPolicy::Greedy => {
-                        forwards += u64::from(mw_addr[0] == s as usize);
-                        qmax[s as usize].1
-                    }
-                    FastPolicy::Eps(thr) => {
-                        let x = behavior_rng.next_u32();
-                        if x < thr {
-                            ((x as u64 * na as u64) / thr as u64) as u32
-                        } else {
-                            forwards += u64::from(mw_addr[0] == s as usize);
-                            qmax[s as usize].1
-                        }
-                    }
-                },
-            };
-            let qaddr = s as usize * na + a as usize;
-            let packed = nr_tab[qaddr];
-            let q_sa = qcol[qaddr];
-            let s_next = packed & PK_STATE_MASK;
-            forwards += u64::from(
-                qaddr == qw_addr[0] || qaddr == qw_addr[1] || qaddr == qw_addr[2],
+            // Stage 3: Eq. (3), then the image's write port.
+            let q_new = image.store(
+                qaddr,
+                one_minus_alpha
+                    .mul(q_sa)
+                    .add(alpha_v.mul(reward))
+                    .add(alpha_gamma.mul(q_next)),
             );
 
-            // Stage 2: update selection one cycle later.
-            let read_q2 = |rng: &mut Lfsr32Unrolled, x: Option<u32>, thr: u32| {
-                let an = match x {
-                    Some(x) => ((x as u64 * na as u64) / thr as u64) as u32,
-                    None => ((rng.next_u32() as u64 * na as u64) >> 32) as u32,
-                };
-                (an, sa_index(s_next, an, na))
-            };
-            let (a_next, q_next) = match update {
-                FastPolicy::Greedy => {
-                    last_update_read_q = false;
-                    forwards += u64::from(mw_addr[0] == s_next as usize);
-                    let (v, an) = qmax[s_next as usize];
-                    (an, v)
-                }
-                FastPolicy::Random => {
-                    let (an, addr) = read_q2(&mut update_rng, None, 0);
-                    last_update_read_q = true;
-                    forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                    (an, qcol[addr])
-                }
-                FastPolicy::Eps(thr) => {
-                    let x = update_rng.next_u32();
-                    if x < thr {
-                        let (an, addr) = read_q2(&mut update_rng, Some(x), thr);
-                        last_update_read_q = true;
-                        forwards += u64::from(addr == qw_addr[0] || addr == qw_addr[1]);
-                        (an, qcol[addr])
-                    } else {
-                        last_update_read_q = false;
-                        forwards += u64::from(mw_addr[0] == s_next as usize);
-                        let (v, an) = qmax[s_next as usize];
-                        (an, v)
-                    }
-                }
-            };
-
-            // Stage 3: Eq. (3) in the working format (the column is
-            // already dequantized), then the stochastic rounder on the
-            // writeback path.
-            let reward = policy.dequantize::<V>(u64::from(packed >> PK_REWARD_SHIFT));
-            let q_raw = one_minus_alpha
-                .mul(q_sa)
-                .add(alpha_v.mul(reward))
-                .add(alpha_gamma.mul(q_next));
-            let q_new = policy.apply(q_raw, u64::from(quant_rng.next_u32()));
-
-            // Stage 4: writeback + Qmax RMW, then age the address windows.
-            qcol[qaddr] = q_new;
-            qw_addr[2] = qw_addr[1];
-            qw_addr[1] = qw_addr[0];
-            qw_addr[0] = qaddr;
-
-            mw_addr[2] = mw_addr[1];
-            mw_addr[1] = mw_addr[0];
-            if q_new.vcmp(qmax[s as usize].0) == core::cmp::Ordering::Greater {
+            // Stage 4: Qmax RMW, then age the address windows.
+            let improved = q_new.vcmp(qmax[s as usize].0) == core::cmp::Ordering::Greater;
+            if improved {
                 qmax[s as usize] = (q_new, a);
-                mw_addr[0] = s as usize;
-            } else {
-                mw_addr[0] = NO_ADDR;
             }
+            win.q = [qaddr, win.q[0], win.q[1]];
+            win.qmax = [
+                if improved { s as usize } else { NO_ADDR },
+                win.qmax[0],
+                win.qmax[1],
+            ];
 
-            carry = if packed & PK_TERMINAL != 0 {
+            carry = if terminal {
                 None
             } else {
                 Some((s_next, if forward_action { Some(a_next) } else { None }))
             };
         }
 
-        // Write the live Q column (already in the working format, still
-        // on-grid) back into the committed BRAM image and resynchronise
-        // the serial RNG registers.
-        self.q_mem.copy_from_slice(qcol);
+        self.carry = carry;
         self.behavior_rng = behavior_rng.into_lfsr();
         self.update_rng = update_rng.into_lfsr();
-        quant.rng = quant_rng.into_lfsr();
-        self.quant = Some(quant);
-
-        // Exit: closed-form cycle accounting and pending-queue
-        // reconstruction, line for line the fused executor's exit.
-        self.carry = carry;
-        let end_c1 = entry_c1 + n;
-        self.next_c1 = end_c1;
-        self.stats.samples += n;
-        self.stats.forwards += forwards;
-        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
-        for slot in (0..3).rev() {
-            if qw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: qw_addr[slot],
-                    value: self.q_mem[qw_addr[slot]],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-            if mw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: mw_addr[slot],
-                    value: self.qmax_mem[mw_addr[slot]],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
-        self.stats
-    }
-
-    /// Whether a run of `n` samples may take the interleaved
-    /// multi-stream executor: the fused-slab predicate (uninstrumented,
-    /// fault-free, forwarding hazards, Qmax-array maxima) plus a ≤32-bit
-    /// storage width, because the packed transition image carries the
-    /// reward word in the upper lanes of each 64-bit entry.
-    pub(crate) fn interleave_eligible(&self, n: u64) -> bool {
-        n > 0
-            && !S::COUNTERS
-            && !S::EVENTS
-            && !S::HEALTH
-            && self.fault.is_none()
-            && self.quant.is_none()
-            && self.config.hazard == HazardMode::Forwarding
-            && self.config.trainer.max_mode == MaxMode::QmaxArray
-            && self.num_states < (1usize << 31)
-            && V::storage_bits() <= 32
-    }
-
-    /// Packed `(transition, reward)` image for the interleaved executor:
-    /// word `s·|A| + a` holds the fused-style `next_packed` (next state
-    /// | [`TERMINAL_BIT`]) in the low 32 bits and the reward's storage
-    /// word in the lane starting at bit 32, so one 64-bit load serves
-    /// both stage-1 reads. Built on first use and cached, like
-    /// `fast_image`; the `Arc` lets a stream group share one copy (see
-    /// [`share_tr_image`](Self::share_tr_image)).
-    pub(crate) fn ensure_tr_image<E: Environment>(
-        &mut self,
-        env: &E,
-    ) -> std::sync::Arc<Vec<u64>> {
-        if self.tr_image.is_none() {
-            let na = self.num_actions;
-            let rew_lane = qtaccel_fixed::lanes::lanes_per_u64::<V>() / 2;
-            let mut words = Vec::with_capacity(self.num_states * na);
-            for s in 0..self.num_states as State {
-                for a in 0..na as Action {
-                    let t = env.transition(s, a);
-                    let packed = t | if env.is_terminal(t) { TERMINAL_BIT } else { 0 };
-                    words.push(qtaccel_fixed::lanes::insert_lane(
-                        packed as u64,
-                        rew_lane,
-                        self.rewards.get(s, a),
-                    ));
-                }
-            }
-            self.tr_image = Some(std::sync::Arc::new(words));
-        }
-        self.tr_image.clone().expect("image just ensured")
-    }
-
-    /// Deduplicate this pipeline's cached transition image against a
-    /// group leader's: if the contents coincide (same environment, same
-    /// rewards), drop the private copy and adopt the shared `Arc`, so a
-    /// K-stream group touches one image instead of K. Returns the image
-    /// this pipeline should stream from. The content compare runs once —
-    /// after adoption, `Arc::ptr_eq` short-circuits every later call.
-    pub(crate) fn share_tr_image(
-        &mut self,
-        shared: &std::sync::Arc<Vec<u64>>,
-    ) -> std::sync::Arc<Vec<u64>> {
-        let mine = self.tr_image.as_ref().expect("ensure_tr_image first");
-        if !std::sync::Arc::ptr_eq(mine, shared) && **mine == **shared {
-            self.tr_image = Some(shared.clone());
-        }
-        self.tr_image.clone().expect("image present")
-    }
-
-    /// Entry protocol of the interleaved executor: commit every pending
-    /// write, capture the forwarding window addresses, and move the
-    /// architectural state out into a [`FastLane`]. Identical to
-    /// [`run_fast_forwarding_qmax`]'s entry (same immediate-commit
-    /// semantics, same stall-free write bound), except the Q table
-    /// itself travels — there is no slab column to resync.
-    ///
-    /// [`run_fast_forwarding_qmax`]: Self::run_fast_forwarding_qmax
-    pub(crate) fn interleave_checkout(&mut self) -> FastLane<V> {
-        let entry_c1 = self.next_c1;
-        let mut qw_addr = [NO_ADDR; 3]; // [0] = previous iteration
-        while let Some(p) = self.pending_q.pop_front() {
-            self.q_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                qw_addr[slot] = p.addr;
-            }
-        }
-        let mut mw_addr = [NO_ADDR; 3];
-        while let Some(p) = self.pending_qmax.pop_front() {
-            self.qmax_mem[p.addr] = p.value;
-            debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
-            if p.commit_cycle >= entry_c1 {
-                let slot = (entry_c1 + 2 - p.commit_cycle) as usize;
-                mw_addr[slot] = p.addr;
-            }
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-        FastLane {
-            q: core::mem::take(&mut self.q_mem),
-            qmax: core::mem::take(&mut self.qmax_mem),
-            start_rng: self.start_rng.clone(),
-            behavior_rng: self.behavior_rng.clone(),
-            update_rng: self.update_rng.clone(),
-            carry: self.carry.take(),
-            qw_addr,
-            mw_addr,
-            entry_c1,
-            num_actions: self.num_actions,
-            one_minus_alpha: self.one_minus_alpha,
-            alpha_v: self.alpha_v,
-            alpha_gamma: self.alpha_gamma,
-        }
-    }
-
-    /// Exit protocol of the interleaved executor: move the tables back,
-    /// apply the closed-form cycle accounting, and reconstruct the
-    /// pending queues from the forwarding windows — line for line the
-    /// exit of [`run_fast_forwarding_qmax`], so a subsequent
-    /// cycle-accurate run (or any other executor) observes identical
-    /// state. `n` must be the lane's retired sample count (> 0).
-    ///
-    /// [`run_fast_forwarding_qmax`]: Self::run_fast_forwarding_qmax
-    pub(crate) fn interleave_checkin(
-        &mut self,
-        lane: FastLane<V>,
-        n: u64,
-        forwards: u64,
-        last_update_read_q: bool,
-    ) {
-        debug_assert!(n > 0, "zero-sample lanes must never be checked out");
-        self.q_mem = lane.q;
-        self.qmax_mem = lane.qmax;
-        self.start_rng = lane.start_rng;
-        self.behavior_rng = lane.behavior_rng;
-        self.update_rng = lane.update_rng;
-        self.carry = lane.carry;
-        let end_c1 = lane.entry_c1 + n;
-        self.next_c1 = end_c1;
-        self.stats.samples += n;
-        self.stats.forwards += forwards;
-        self.stats.cycles = end_c1 - 1 + WRITE_OFFSET + 1;
-        self.drain_horizon_q = end_c1 - 1 + u64::from(last_update_read_q);
-        self.drain_horizon_qmax = end_c1 - 1 + WRITE_OFFSET;
-        // Window values are recovered from the committed tables (same
-        // argument as the fused exit: forwarding and `q_table` only ever
-        // observe the newest writer per address).
-        for slot in (0..3).rev() {
-            if lane.qw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: lane.qw_addr[slot],
-                    value: self.q_mem[lane.qw_addr[slot]],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-            if lane.mw_addr[slot] != NO_ADDR {
-                let p = Pending {
-                    commit_cycle: end_c1 + 2 - slot as u64,
-                    addr: lane.mw_addr[slot],
-                    value: self.qmax_mem[lane.mw_addr[slot]],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
+        win
     }
 
     /// Inject a single-event upset: flip `bit` of the *committed* Q BRAM
@@ -2470,9 +2019,9 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// model, and the background Qmax scrubbing engine (see
     /// [`FaultConfig`] and the `crate::fault` module docs).
     ///
-    /// With a runtime attached the fused window-register executor is
-    /// ineligible (the general fast path and the cycle-accurate engine
-    /// both take the per-retired-sample fault hook); without one, every
+    /// With a runtime attached the stall-free kernel is ineligible (the
+    /// general fast path and the cycle-accurate engine both take the
+    /// per-retired-sample fault hook); without one, every
     /// execution path is bit-identical to a build without this feature.
     /// Replacing the runtime resets its counters and injector streams.
     pub fn enable_faults(&mut self, config: FaultConfig) {
@@ -2961,7 +2510,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.lease_epoch = lease_epoch;
         // Derived caches embed rewards / stored codes.
         self.fast_image = None;
-        self.tr_image = None;
         self.packed_image = None;
         if S::HEALTH {
             if let Some(slot) = self.sink.health_mut() {

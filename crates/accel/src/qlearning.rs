@@ -9,7 +9,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::config::AccelConfig;
 use crate::fault::{FaultConfig, FaultStats};
-use crate::pipeline::{AccelPipeline, FastLayout};
+use crate::pipeline::AccelPipeline;
 use crate::resources::{
     analyze_stored, with_health_probes, with_histogram_regfile, with_perf_regfile, with_secded,
     AccelResources, EngineKind,
@@ -90,19 +90,6 @@ impl<V: QValue, S: TraceSink> QLearningAccel<V, S> {
     /// throughput much higher (see `AccelPipeline::run_samples_fast`).
     pub fn train_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         self.pipe.run_samples_fast(env, n)
-    }
-
-    /// [`train_samples_fast`](Self::train_samples_fast) with an explicit
-    /// Q-table traversal layout — the cache-blocking knob batch training
-    /// tunes per shard (see [`FastLayout`]). Results are bit-identical
-    /// under every layout.
-    pub fn train_samples_fast_planned<E: Environment>(
-        &mut self,
-        env: &E,
-        n: u64,
-        layout: FastLayout,
-    ) -> CycleStats {
-        self.pipe.run_samples_fast_planned(env, n, layout)
     }
 
     /// One update, exposed for tracing.

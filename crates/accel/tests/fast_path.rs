@@ -13,7 +13,7 @@ use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::MaxMode;
 use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
-use qtaccel_fixed::{Q16_16, Q8_8};
+use qtaccel_fixed::{QuantPolicy, Q16_16, Q8_8};
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::RngSource;
@@ -178,6 +178,49 @@ fn executors_interleave_freely() {
         let (qm_p, qm_m) = (pure.qmax_table(), mixed.qmax_table());
         for st in 0..qm_p.len() as qtaccel_envs::State {
             assert_eq!(qm_p.get(st), qm_m.get(st), "{hazard:?}: Qmax diverged");
+        }
+    }
+}
+
+/// Calls of 1–3 samples leave the stall-free kernel's forwarding window
+/// partly filled at exit, and the next entry — into the kernel or the
+/// cycle-accurate engine — must rebuild it from the reconstructed
+/// pending queues. Such calls on an instance whose image already exists,
+/// alternated with cycle-accurate calls, must equal a pure
+/// cycle-accurate run on both images (16-bit and packed q8) and for
+/// both algorithms.
+#[test]
+fn tiny_kernel_calls_carry_a_partial_window() {
+    let g = GridWorld::builder(3, 3).goal(2, 2).build();
+    for quant in [None, Some(QuantPolicy::q8())] {
+        for sarsa in [false, true] {
+            let mut cfg = AccelConfig::default().with_seed(0x71);
+            if sarsa {
+                cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(0x71);
+            }
+            let mut pure = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+            let mut mixed = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+            if let Some(policy) = quant {
+                pure.enable_quant(policy);
+                mixed.enable_quant(policy);
+            }
+            // The first call builds the image.
+            mixed.run_samples_fast(&g, 64);
+            for k in 0..3_000u64 {
+                mixed.run_samples_fast(&g, 1 + k % 3);
+                if k % 2 == 1 {
+                    mixed.run_samples(&g, 1 + (k / 2) % 3);
+                }
+            }
+            let sm = mixed.stats();
+            let ss = pure.run_samples(&g, sm.samples);
+            let label = format!(
+                "{} {}",
+                quant.map_or("16-bit".to_string(), |p| p.format_name()),
+                if sarsa { "sarsa" } else { "q-learning" }
+            );
+            assert!(ss.forwards > 0, "{label}: a 9-state world must forward");
+            assert_identical(&pure, &mixed, ss, sm, &label);
         }
     }
 }

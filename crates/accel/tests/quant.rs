@@ -5,14 +5,13 @@
 //! and the zero-cost guarantee for unquantized configs.
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
-use qtaccel_accel::pipeline::FastLayout;
 use qtaccel_accel::qlearning::QLearningAccel;
 use qtaccel_accel::sarsa::SarsaAccel;
 use qtaccel_accel::FaultConfig;
 use qtaccel_core::trainer::{RefTrainer, TrainerConfig};
 use qtaccel_envs::{ActionSet, GridWorld};
 use qtaccel_fixed::{QuantPolicy, Q8_8};
-use qtaccel_telemetry::{HealthConfig, HealthSink};
+use qtaccel_telemetry::{CountersOnly, HealthConfig, HealthSink};
 use std::path::PathBuf;
 
 const HAZARDS: [HazardMode; 3] = [
@@ -59,8 +58,9 @@ fn assert_tables_equal<S1, S2>(
 
 /// The bit-exactness matrix: both algorithms × every hazard mode ×
 /// cycle-accurate vs fast executor, at each stored width. Under
-/// Forwarding the fast side routes to the packed executor; the other
-/// hazard modes take the general fast path with the quantize hook.
+/// Forwarding the fast side runs the stall-free kernel's packed image;
+/// the other hazard modes take the general fast path with the quantize
+/// hook.
 #[test]
 fn quantized_runs_are_bit_exact_q_learning() {
     let g = grid(8);
@@ -104,21 +104,21 @@ fn quantized_runs_are_bit_exact_sarsa() {
     }
 }
 
-/// The packed executor (ActionMajor/Interleaved route under quant)
-/// against the general fast executor on the same workload: forcing
-/// StateMajor keeps quantized training on the general path, so the two
-/// specialized loops check each other directly.
+/// The stall-free kernel's packed image against the general fast
+/// executor on the same workload: a `CountersOnly` sink keeps quantized
+/// training on the general executor (instrumented pipelines never take
+/// the stall-free kernel), so the two loops check each other directly.
 #[test]
 fn packed_executor_matches_general_fast_path() {
     let g = grid(9);
     for policy in formats() {
         let cfg = AccelConfig::default().with_seed(0x53);
         let mut packed = QLearningAccel::<Q8_8>::new(&g, cfg);
-        let mut general = QLearningAccel::<Q8_8>::new(&g, cfg);
+        let mut general = QLearningAccel::<Q8_8, CountersOnly>::with_sink(&g, cfg, CountersOnly);
         packed.enable_quant(policy);
         general.enable_quant(policy);
-        let sp = packed.train_samples_fast_planned(&g, 15_000, FastLayout::ActionMajor);
-        let sg = general.train_samples_fast_planned(&g, 15_000, FastLayout::StateMajor);
+        let sp = packed.train_samples_fast(&g, 15_000);
+        let sg = general.train_samples_fast(&g, 15_000);
         let label = policy.format_name();
         assert_eq!(sp, sg, "{label}: CycleStats diverged");
         assert_tables_equal(&packed, &general, &label);
@@ -126,8 +126,10 @@ fn packed_executor_matches_general_fast_path() {
 }
 
 /// Executors interleave freely mid-run under quantization: the packed
-/// executor's entry/exit protocol must hand the in-flight window and
-/// the dither stream back losslessly.
+/// image's entry/exit protocol must hand the in-flight window and the
+/// dither stream back losslessly. The last leg attaches a zero-rate
+/// fault runtime, which moves the fast path onto the general executor
+/// without striking anything.
 #[test]
 fn quantized_executors_interleave_freely() {
     let g = grid(7);
@@ -139,9 +141,10 @@ fn quantized_executors_interleave_freely() {
     mixed.enable_quant(policy);
     let stats_pure = pure.train_samples(&g, 9_000);
     mixed.train_samples(&g, 2_000);
-    mixed.train_samples_fast_planned(&g, 3_000, FastLayout::ActionMajor);
+    mixed.train_samples_fast(&g, 3_000);
     mixed.train_samples(&g, 1_000);
-    let stats_mixed = mixed.train_samples_fast_planned(&g, 3_000, FastLayout::StateMajor);
+    mixed.enable_faults(FaultConfig::default());
+    let stats_mixed = mixed.train_samples_fast(&g, 3_000);
     assert_eq!(stats_pure, stats_mixed, "CycleStats diverged");
     assert_tables_equal(&pure, &mixed, "mixed executors");
 }
@@ -306,8 +309,8 @@ fn health_rail_proximity_uses_stored_rails() {
 
 /// SEU strikes against a quantized table land in the code domain: a
 /// flipped stored bit moves the word to another grid point, never off
-/// the grid — so the packed executor's lossless resync always holds,
-/// even mid-campaign.
+/// the grid — so the packed image's in-place working-format reads stay
+/// lossless, even mid-campaign.
 #[test]
 fn fault_strikes_stay_in_the_code_domain() {
     let g = grid(8);

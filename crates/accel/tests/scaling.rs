@@ -167,30 +167,37 @@ fn instrumented_counters_merge_identically_in_parallel() {
 
 #[test]
 fn train_batch_is_worker_count_invariant() {
-    // An uneven total (not divisible by the bank count) exercises the
-    // deterministic remainder split; every worker count must produce
-    // the same tables, stats, and shard plan.
+    // Uneven totals (not divisible by the bank count) exercise the
+    // deterministic remainder split — including a total smaller than
+    // the bank count, which leaves the last bank idle; every worker
+    // count must produce the same tables, stats, and shard plan.
     let part = four_banks(47);
     let cfg = AccelConfig::default().with_seed(9);
-    let total = 10_003;
-    let pool1 = Arc::new(ShardedExecutor::new(1));
-    let mut first =
-        IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool1);
-    let plan = first.train_batch(part.partitions(), total);
-    assert_eq!(plan.workers, 1);
-    assert_eq!(plan.shards.iter().map(|s| s.samples).sum::<u64>(), total);
-    // Remainder goes to the lowest-indexed banks, one sample each.
-    assert_eq!(plan.shards[0].samples, total / 4 + 1);
-    assert_eq!(plan.shards[1].samples, total / 4 + 1);
-    assert_eq!(plan.shards[2].samples, total / 4 + 1);
-    assert_eq!(plan.shards[3].samples, total / 4);
-    for workers in worker_counts() {
-        let pool = Arc::new(ShardedExecutor::new(workers));
-        let mut other =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
-        let report = other.train_batch(part.partitions(), total);
-        assert_eq!(report.shards, plan.shards, "shard plan must not depend on workers");
-        assert_banks_identical(&first, &other, &format!("train_batch workers={workers}"));
+    for total in [10_003u64, 3] {
+        let pool1 = Arc::new(ShardedExecutor::new(1));
+        let mut first =
+            IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool1);
+        let plan = first.train_batch(part.partitions(), total);
+        assert_eq!(plan.workers, 1);
+        assert_eq!(plan.stats.samples, total);
+        assert_eq!(plan.shards.iter().map(|s| s.samples).sum::<u64>(), total);
+        // Remainder goes to the lowest-indexed banks, one sample each.
+        for (i, shard) in plan.shards.iter().enumerate() {
+            let extra = u64::from((i as u64) < total % 4);
+            assert_eq!(shard.samples, total / 4 + extra, "total {total} shard {i}");
+        }
+        for workers in worker_counts() {
+            let pool = Arc::new(ShardedExecutor::new(workers));
+            let mut other =
+                IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
+            let report = other.train_batch(part.partitions(), total);
+            assert_eq!(
+                report.shards, plan.shards,
+                "shard plan must not depend on workers"
+            );
+            let label = format!("train_batch total={total} workers={workers}");
+            assert_banks_identical(&first, &other, &label);
+        }
     }
 }
 
@@ -305,8 +312,9 @@ fn pool_survives_a_panicked_train_batch() {
     poisoned[2] = FlakyEnv::new(grid(8), 500);
 
     // StallOnly picks the general fast path, which consults the live
-    // environment every sample (the fused path snapshots transitions
-    // once), so the fuse burns down mid-batch on a worker thread.
+    // environment every sample (the stall-free kernel snapshots
+    // transitions once), so the fuse burns down mid-batch on a worker
+    // thread.
     let cfg = AccelConfig::default()
         .with_seed(67)
         .with_hazard(HazardMode::StallOnly);

@@ -5,10 +5,7 @@
 //! [`ShardedExecutor`] pinned to each worker count, and records for
 //! every point the aggregate host samples/sec, the speedup over the
 //! single-thread fast path at the same bank size, and the parallel
-//! efficiency (speedup / workers). A second sweep measures the fused
-//! action-major slab against the state-major column layout across bank
-//! sizes — the measurement behind `train_batch`'s cache-block crossover
-//! (DESIGN.md §2.9).
+//! efficiency (speedup / workers).
 //!
 //! `--quick` trims the sweep (keeping the gate point), lowers run
 //! counts, and writes `results/BENCH_scaling_quick.json` so the tracked
@@ -35,7 +32,7 @@
 //! block either way (DESIGN.md §2.10).
 
 use qtaccel_accel::executor::{host_parallelism, set_default_workers, ShardedExecutor};
-use qtaccel_accel::{AccelConfig, FastLayout, IndependentPipelines, QLearningAccel};
+use qtaccel_accel::{AccelConfig, IndependentPipelines, QLearningAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
 use qtaccel_bench::metrics::measure_latency;
@@ -78,8 +75,6 @@ struct ScaleRow {
     speedup_vs_fast_1t: f64,
     /// `speedup_vs_fast_1t / workers` — 1.0 is perfect scaling.
     parallel_efficiency: f64,
-    /// Layout `train_batch`'s cache-block pick selected for the shards.
-    layout: String,
 }
 impl_to_json!(ScaleRow {
     pipelines,
@@ -91,16 +86,7 @@ impl_to_json!(ScaleRow {
     ns_per_sample,
     speedup_vs_fast_1t,
     parallel_efficiency,
-    layout,
 });
-
-#[derive(Debug)]
-struct LayoutRow {
-    bank_states: usize,
-    layout: String,
-    samples_per_sec: f64,
-}
-impl_to_json!(LayoutRow { bank_states, layout, samples_per_sec });
 
 #[derive(Debug)]
 struct Report {
@@ -109,9 +95,6 @@ struct Report {
     runs: usize,
     baselines: Vec<BaselineRow>,
     rows: Vec<ScaleRow>,
-    /// Forced action-major vs state-major single-pipeline rates — the
-    /// measurement behind the cache-block layout crossover.
-    layout_rows: Vec<LayoutRow>,
     gate_pipelines: usize,
     gate_workers: usize,
     gate_bank_states: usize,
@@ -133,7 +116,6 @@ impl_to_json!(Report {
     runs,
     baselines,
     rows,
-    layout_rows,
     gate_pipelines,
     gate_workers,
     gate_bank_states,
@@ -182,7 +164,6 @@ fn measure_scale(
     let pool = Arc::new(ShardedExecutor::new(workers));
     let mut acc =
         IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default()).with_executor(pool);
-    let layout = format!("{:?}", acc.train_batch(&envs, samples).shards[0].layout);
     let r = bench(
         &format!("scale/p{pipes}/w{workers}/{bank_states}"),
         samples,
@@ -203,27 +184,6 @@ fn measure_scale(
         ns_per_sample: r.ns_per_element(),
         speedup_vs_fast_1t: speedup,
         parallel_efficiency: speedup / workers as f64,
-        layout,
-    }
-}
-
-/// Forced-layout single-pipeline rate (the cache-block crossover data).
-fn measure_layout(bank_states: usize, layout: FastLayout, samples: u64, runs: usize) -> LayoutRow {
-    let g = paper_grid(bank_states, ACTIONS);
-    let mut a = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default());
-    let r = bench(
-        &format!("layout/{bank_states}/{layout:?}"),
-        samples,
-        runs,
-        || {
-            a.train_samples_fast_planned(&g, samples, layout);
-        },
-    );
-    println!("{}", r.summary());
-    LayoutRow {
-        bank_states,
-        layout: format!("{layout:?}"),
-        samples_per_sec: r.elements_per_sec(),
     }
 }
 
@@ -279,8 +239,7 @@ fn main() {
     }
 
     let host = host_parallelism() as usize;
-    // Table I per-bank sizes; the full sweep spans the cache-block
-    // crossover (|S| = 65536 × 8 actions is a multi-MB slab).
+    // Table I per-bank sizes.
     let (bank_sizes, pipe_counts, runs): (Vec<usize>, Vec<usize>, usize) = if quick {
         (vec![1024, GATE_BANK_STATES], vec![1, GATE_PIPES], 2)
     } else {
@@ -339,21 +298,6 @@ fn main() {
         base_rate(GATE_BANK_STATES),
     );
 
-    let layout_sizes: &[usize] = if quick {
-        &[1024, 16_384]
-    } else {
-        &[1024, 4096, 16_384, 65_536]
-    };
-    let layout_rows: Vec<LayoutRow> = layout_sizes
-        .iter()
-        .flat_map(|&s| {
-            [FastLayout::ActionMajor, FastLayout::StateMajor]
-                .into_iter()
-                .map(move |l| (s, l))
-        })
-        .map(|(s, l)| measure_layout(s, l, samples_for(quick, 1), runs))
-        .collect();
-
     println!();
     for r in &rows {
         println!(
@@ -411,7 +355,6 @@ fn main() {
         runs,
         baselines,
         rows,
-        layout_rows,
         gate_pipelines: GATE_PIPES,
         gate_workers,
         gate_bank_states: GATE_BANK_STATES,

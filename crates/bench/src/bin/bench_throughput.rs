@@ -16,52 +16,25 @@
 //! and exits non-zero if this run's uninstrumented (NullSink) fast-path
 //! rate at the gate point fell more than 5 % below the recorded
 //! baseline — the guard `scripts/verify.sh` runs so telemetry can never
-//! silently tax the disabled-sink fast path. The same guard covers the
-//! K-way interleaved executor (DESIGN.md §2.12), anchored at the
-//! roof row (|S| = 262144, where the tables spill the cache hierarchy
-//! and memory-level parallelism is the design premise): the run fails
-//! if the best interleaved aggregate rate there regressed more than 5 %
-//! against the committed interleaved baseline, or fell below the
-//! single-stream fast-path rate at the same row beyond a noise floor
-//! (the interleaved path must not lose to the path it exists to beat,
-//! where it is designed to engage). Because host timings on a shared
-//! box swing one-shot readings by tens of percent, a below-floor sample
-//! triggers best-of-N re-measurement (up to 4 retries) before any guard
-//! fails — and the fast-vs-interleaved guard re-measures both sides
-//! back-to-back as a *paired* ratio, so a single stale reading from the
-//! earlier sweep can never fail the run on its own.
-//!
-//! `--layout <auto|action-major|state-major|interleaved>` forces the
-//! Q-table traversal layout of the scalar fast-path rows (default
-//! `auto`, the production heuristic) and `--streams K` pins the
-//! interleaved sweep to a single stream width instead of the default
-//! K ∈ {2, 4, 8}; both land in the report manifest.
+//! silently tax the disabled-sink fast path. Because host timings on a
+//! shared box swing one-shot readings by tens of percent, a below-floor
+//! sample triggers best-of-N re-measurement (up to 4 retries) before the
+//! guard fails.
 //!
 //! The sweep also measures the **packed quantized** fast path
 //! (DESIGN.md §2.14) at both anchor rows: `fast_q8` / `fast_q6` /
-//! `fast_q4` rows run the single-stream executor over 8/6/4-bit stored
-//! Q entries with the stochastic rounder on every writeback. The
-//! `packed_gate` block records the 8-bit row against this run's own
-//! 16-bit fast rate at the roof row with a 1.5x target — a
-//! bandwidth-bound claim that is *reported, not enforced*, on hosts
-//! whose last-level cache swallows the roof row's image (see the gate
-//! note); `--check-baseline` instead guards the roof-row `fast_q8` row
-//! against its committed baseline (no >5 % regression, best-of-N like
-//! the other guards, skipped loudly when the baseline predates the
-//! packed rows).
+//! `fast_q4` rows run the stall-free kernel's packed image over 8/6/4-bit
+//! stored Q entries with the stochastic rounder on every writeback.
+//! `--check-baseline` also guards the roof-row `fast_q8` row against its
+//! committed baseline (no >5 % regression, best-of-N like the NullSink
+//! guard, skipped loudly when the baseline predates the packed rows).
 //!
 //! Alongside the throughput rows the report carries a **roofline**
 //! section: a STREAM-triad probe measures the host's sustainable
 //! bandwidth, each row's architectural traffic (transition word + Q
 //! read/write + Qmax read-modify-write per sample) converts its rate to
 //! achieved bytes/sec, and percent-of-roof says how close each executor
-//! sits to the memory ceiling. The `interleaved_gate` block records the
-//! best interleaved aggregate rate against this run's own single-stream
-//! fast rate with a 2x target, at both the acceptance-gate row and the
-//! roof row — on hosts whose last-level cache swallows the gate row's
-//! working set the loop there is compute-bound and the ratio is
-//! reported rather than enforced; the roof row is where the guards
-//! bind.
+//! sits to the memory ceiling.
 //!
 //! The emitted report carries a telemetry block (the perf-counter dump
 //! of an instrumented re-run at the gate point plus the config that
@@ -78,16 +51,13 @@
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
-use qtaccel_accel::{
-    AccelConfig, FastLayout, IndependentPipelines, QLearningAccel, SarsaAccel,
-};
+use qtaccel_accel::{AccelConfig, QLearningAccel, SarsaAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
 use qtaccel_bench::metrics::{measure_latency, register_build_info};
 use qtaccel_bench::paper::TABLE1_STATES;
 use qtaccel_bench::report::{fmt_rate, results_dir};
 use qtaccel_bench::timing::{bench, stream_triad_bytes_per_sec};
-use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_fixed::{QuantPolicy, Q8_8};
 use qtaccel_telemetry::export::MetricsServer;
 use qtaccel_telemetry::{
@@ -101,9 +71,8 @@ const ACTIONS: usize = 8;
 /// The acceptance gate compares the two executors at this size.
 const GATE_STATES: usize = 16_384;
 /// The roofline row: the largest Table I size, whose tables spill the
-/// cache hierarchy on typical hosts — where the interleaved executor's
-/// memory-level parallelism is the design premise and the interleaved
-/// `--check-baseline` guards are anchored.
+/// cache hierarchy on typical hosts — where the packed `fast_q8`
+/// `--check-baseline` guard is anchored.
 const ROOF_STATES: usize = 262_144;
 
 #[derive(Debug)]
@@ -112,10 +81,6 @@ struct EngineRow {
     states: usize,
     actions: usize,
     engine: &'static str,
-    /// Sample streams driven per loop iteration: 1 for the scalar
-    /// executors, K for the interleaved rows (whose rates are the
-    /// aggregate over all K streams).
-    streams: u64,
     samples_per_run: u64,
     host_samples_per_sec: f64,
     ns_per_sample: f64,
@@ -126,7 +91,6 @@ impl_to_json!(EngineRow {
     states,
     actions,
     engine,
-    streams,
     samples_per_run,
     host_samples_per_sec,
     ns_per_sample,
@@ -148,7 +112,6 @@ struct RooflineRow {
     algorithm: &'static str,
     states: usize,
     engine: &'static str,
-    streams: u64,
     bytes_per_sample: f64,
     achieved_bytes_per_sec: f64,
     percent_of_roof: f64,
@@ -157,7 +120,6 @@ impl_to_json!(RooflineRow {
     algorithm,
     states,
     engine,
-    streams,
     bytes_per_sample,
     achieved_bytes_per_sec,
     percent_of_roof,
@@ -177,19 +139,8 @@ struct Report {
     gate_speedup: f64,
     gate_target: f64,
     gate_note: &'static str,
-    /// Host stream-bandwidth roof plus per-row achieved traffic
-    /// (DESIGN.md §2.12).
+    /// Host stream-bandwidth roof plus per-row achieved traffic.
     roofline: Json,
-    /// Best interleaved aggregate rate vs the committed single-stream
-    /// fast-path baseline (target 2x), at the acceptance-gate row
-    /// (reported) and the cache-spilling roof row (enforced by
-    /// `--check-baseline`).
-    interleaved_gate: Json,
-    /// Packed 8-bit fast path vs this run's 16-bit fast rate at the
-    /// roof row (target 1.5x — a bandwidth-bound claim, reported rather
-    /// than enforced where the host cache swallows the roof image; see
-    /// the embedded note). DESIGN.md §2.14.
-    packed_gate: Json,
     /// Perf-counter dump of an instrumented re-run at the gate point
     /// (DESIGN.md §2.6) plus the config that produced it.
     telemetry: Json,
@@ -215,8 +166,6 @@ impl_to_json!(Report {
     gate_target,
     gate_note,
     roofline,
-    interleaved_gate,
-    packed_gate,
     telemetry,
     health,
     latency,
@@ -229,7 +178,6 @@ fn measure(
     states: usize,
     samples: u64,
     runs: usize,
-    layout: FastLayout,
 ) -> EngineRow {
     let g = paper_grid(states, ACTIONS);
     let cfg = AccelConfig::default();
@@ -253,7 +201,7 @@ fn measure(
                 samples,
                 runs,
                 || {
-                    a.train_samples_fast_planned(&g, samples, layout);
+                    a.train_samples_fast(&g, samples);
                 },
             );
             (r, a.resources().throughput_msps)
@@ -277,7 +225,7 @@ fn measure(
                 samples,
                 runs,
                 || {
-                    a.train_samples_fast_planned(&g, samples, layout);
+                    a.train_samples_fast(&g, samples);
                 },
             );
             (r, a.resources().throughput_msps)
@@ -290,7 +238,6 @@ fn measure(
         states,
         actions: ACTIONS,
         engine,
-        streams: 1,
         samples_per_run: samples,
         host_samples_per_sec: result.elements_per_sec(),
         ns_per_sample: result.ns_per_element(),
@@ -298,63 +245,9 @@ fn measure(
     }
 }
 
-/// Measure the K-way interleaved executor at the gate size: K pipelines
-/// over K copies of the paper grid, all samples driven through one
-/// interleaved group (`train_batch_with`, DESIGN.md §2.12). The
-/// reported rate is the **aggregate** across the K streams — the number
-/// the 2x interleaved gate compares against the single-stream fast
-/// path.
-fn measure_interleaved(
-    algorithm: &'static str,
-    states: usize,
-    streams: usize,
-    samples: u64,
-    runs: usize,
-) -> EngineRow {
-    let mut cfg = AccelConfig::default();
-    if algorithm == "sarsa" {
-        cfg.trainer = TrainerConfig::sarsa(0.1).with_seed(cfg.trainer.seed);
-    }
-    let envs: Vec<_> = (0..streams).map(|_| paper_grid(states, ACTIONS)).collect();
-    // Modeled hardware throughput scales linearly with the bank count
-    // (§VII-A independent pipelines): K × the single-bank figure.
-    let per_bank_msps = if algorithm == "sarsa" {
-        SarsaAccel::<Q8_8>::new(&envs[0], cfg, 0.1)
-            .resources()
-            .throughput_msps
-    } else {
-        QLearningAccel::<Q8_8>::new(&envs[0], cfg)
-            .resources()
-            .throughput_msps
-    };
-    let modeled_msps = streams as f64 * per_bank_msps;
-    let mut pipes = IndependentPipelines::<Q8_8>::new(&envs, cfg);
-    let total = samples * streams as u64;
-    let result = bench(
-        &format!("{algorithm}/{states}/interleaved_x{streams}"),
-        total,
-        runs,
-        || {
-            pipes.train_batch_with(&envs, total, FastLayout::Interleaved, streams);
-        },
-    );
-    println!("{}", result.summary());
-    EngineRow {
-        algorithm,
-        states,
-        actions: ACTIONS,
-        engine: "interleaved",
-        streams: streams as u64,
-        samples_per_run: total,
-        host_samples_per_sec: result.elements_per_sec(),
-        ns_per_sample: result.ns_per_element(),
-        modeled_msps,
-    }
-}
-
-/// Measure the packed quantized fast path (DESIGN.md §2.14): the same
-/// single-stream executor over `policy.stored_bits()`-wide stored Q
-/// entries, with the stochastic rounder on every writeback. The modeled
+/// Measure the packed quantized fast path (DESIGN.md §2.14): the
+/// stall-free kernel's packed image over `policy.stored_bits()`-wide
+/// stored Q entries, with the stochastic rounder on every writeback. The modeled
 /// MS/s comes from the quant-aware resource model (the narrowed BRAM
 /// word raises the modeled fmax/banking headroom at BRAM-bound sizes).
 fn measure_quant(
@@ -403,7 +296,6 @@ fn measure_quant(
         states,
         actions: ACTIONS,
         engine,
-        streams: 1,
         samples_per_run: samples,
         host_samples_per_sec: result.elements_per_sec(),
         ns_per_sample: result.ns_per_element(),
@@ -497,37 +389,9 @@ fn baseline_fast_rate(path: &Path, states: usize) -> Result<f64, String> {
     Err(format!("no q_learning/{states}/fast row in baseline"))
 }
 
-/// The committed baseline's best interleaved aggregate rate at `states`
-/// (any stream width, q_learning). `Err` when the baseline predates the
-/// interleaved executor — the caller skips that guard with a note
-/// instead of failing.
-fn baseline_interleaved_rate(path: &Path, states: usize) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let v = json::parse(&text)?;
-    let rows = v
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("baseline JSON has no rows array")?;
-    let best = rows
-        .iter()
-        .filter(|r| {
-            r.get("algorithm").and_then(|x| x.as_str()) == Some("q_learning")
-                && r.get("engine").and_then(|x| x.as_str()) == Some("interleaved")
-                && r.get("states").and_then(|x| x.as_u64()) == Some(states as u64)
-        })
-        .filter_map(|r| r.get("host_samples_per_sec").and_then(|x| x.as_f64()))
-        .fold(f64::NEG_INFINITY, f64::max);
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err(format!("no q_learning/{states}/interleaved row in baseline"))
-    }
-}
-
 /// The committed baseline's packed 8-bit fast rate at `states`
 /// (q_learning, engine `fast_q8`). `Err` when the baseline predates the
-/// packed executor — the caller skips that guard with a note instead of
+/// packed rows — the caller skips that guard with a note instead of
 /// failing.
 fn baseline_packed_rate(path: &Path, states: usize) -> Result<f64, String> {
     let text = std::fs::read_to_string(path)
@@ -556,42 +420,11 @@ fn main() {
     let mut check_baseline = false;
     let mut threads: Option<usize> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut layout = FastLayout::Auto;
-    let mut layout_name = "auto".to_string();
-    let mut streams_arg: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--check-baseline" => check_baseline = true,
-            "--layout" => {
-                let v = args.next().unwrap_or_default();
-                layout = match v.as_str() {
-                    "auto" => FastLayout::Auto,
-                    "action-major" => FastLayout::ActionMajor,
-                    "state-major" => FastLayout::StateMajor,
-                    "interleaved" => FastLayout::Interleaved,
-                    other => {
-                        eprintln!(
-                            "error: --layout `{other}` \
-                             (supported: auto, action-major, state-major, interleaved)"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-                layout_name = v;
-            }
-            "--streams" => {
-                let k = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --streams needs a positive integer");
-                        std::process::exit(2);
-                    });
-                streams_arg = Some(k);
-            }
             "--threads" => {
                 let n = args
                     .next()
@@ -613,7 +446,7 @@ fn main() {
                 eprintln!(
                     "error: unknown argument `{other}` \
                      (supported: --quick, --check-baseline, --threads N, \
-                     --layout L, --streams K, --metrics-addr ADDR)"
+                     --metrics-addr ADDR)"
                 );
                 std::process::exit(2);
             }
@@ -630,14 +463,13 @@ fn main() {
         threads.unwrap_or_else(qtaccel_accel::executor::host_parallelism) as u64;
     // Per measured row, the sample count is floored at |S|·|A| (see
     // `row_samples`) so the fast path's one-time environment-image
-    // build is amortized at every size (and the specialized executor
-    // actually engages on the first call) — without the floor, quick
+    // build is amortized at every size — without the floor, quick
     // runs read the big rows tens of percent low and their absolutes
     // are not comparable with the full-run baselines the
     // `--check-baseline` guards parse.
     let (sizes, samples, runs): (Vec<usize>, u64, usize) = if quick {
         // Quick keeps both anchor rows: the acceptance-gate size and the
-        // roof size the interleaved guards compare against.
+        // roof size the fast_q8 guard reads.
         (vec![64, 1024, GATE_STATES, ROOF_STATES], 400_000, 3)
     } else {
         (TABLE1_STATES.to_vec(), 2_097_152, 5)
@@ -656,40 +488,14 @@ fn main() {
                     states,
                     row_samples(states),
                     runs,
-                    layout,
-                ));
-            }
-        }
-    }
-    // The interleaved executor is measured at two anchor rows: the gate
-    // size (where the 2x acceptance target is pinned — on hosts whose
-    // cache swallows that working set the loop is compute-bound there,
-    // so the ratio is recorded, not enforced) and the roof size, whose
-    // tables spill the cache hierarchy — the row where K-way
-    // memory-level parallelism is the design premise and the
-    // `--check-baseline` guards bind. `--streams K` pins one width; the
-    // default sweeps the lane-packing-friendly widths.
-    let stream_widths: Vec<usize> = match streams_arg {
-        Some(k) => vec![k],
-        None => vec![2, 4, 8],
-    };
-    for &states in &[GATE_STATES, ROOF_STATES] {
-        for &k in &stream_widths {
-            for algorithm in ["q_learning", "sarsa"] {
-                rows.push(measure_interleaved(
-                    algorithm,
-                    states,
-                    k,
-                    row_samples(states),
-                    runs,
                 ));
             }
         }
     }
     // Packed quantized rows (DESIGN.md §2.14): the 8/6/4-bit stored
-    // formats through the single-stream packed executor, at both anchor
-    // rows. These are the rows the `packed_gate` block and the
-    // `--check-baseline` packed guard read.
+    // formats through the stall-free kernel's packed image, at both
+    // anchor rows. The `--check-baseline` packed guard reads the roof
+    // row.
     for &states in &[GATE_STATES, ROOF_STATES] {
         for policy in [QuantPolicy::q8(), QuantPolicy::q6(), QuantPolicy::q4()] {
             rows.push(measure_quant(
@@ -741,25 +547,12 @@ fn main() {
     );
 
     let gate_fast_measured = rate("q_learning", "fast", GATE_STATES);
-    let roof_fast_measured = rate("q_learning", "fast", ROOF_STATES);
-    let best_inter_at = |states: usize| {
-        let r = rows
-            .iter()
-            .filter(|r| {
-                r.engine == "interleaved" && r.algorithm == "q_learning" && r.states == states
-            })
-            .max_by(|a, b| a.host_samples_per_sec.total_cmp(&b.host_samples_per_sec))
-            .expect("interleaved rows measured");
-        (r.host_samples_per_sec, r.streams as usize)
-    };
-    let (best_gate_rate, best_gate_streams) = best_inter_at(GATE_STATES);
-    let (best_roof_rate, best_roof_streams) = best_inter_at(ROOF_STATES);
+    let roof_q8_rate = rate("q_learning", "fast_q8", ROOF_STATES);
     let baseline_path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_throughput.json");
     // Read the committed baselines before they can be overwritten below.
     let committed_fast = baseline_fast_rate(&baseline_path, GATE_STATES);
-    let committed_interleaved = baseline_interleaved_rate(&baseline_path, ROOF_STATES);
     let committed_packed = baseline_packed_rate(&baseline_path, ROOF_STATES);
     let baseline = check_baseline.then(|| {
         committed_fast.clone().unwrap_or_else(|e| {
@@ -767,115 +560,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-
-    // The interleaved gate: best aggregate rate over the swept widths
-    // against this run's own single-stream fast rate at the same row —
-    // same-run measurements share the host's load, so the recorded
-    // ratio is noise-correlated where cross-run absolutes are not (the
-    // committed baselines feed only the --check-baseline guards below).
-    // Target 2x — the data-level-parallelism claim of DESIGN.md §2.12 —
-    // recorded at both anchor rows; enforcement binds at the roof row,
-    // where the tables spill the cache and interleaving is the design
-    // premise.
-    println!();
-    let gate_row_json = |states: usize,
-                         best_rate: f64,
-                         best_streams: usize,
-                         fast_measured: f64,
-                         enforced: bool| {
-        let speedup = best_rate / fast_measured;
-        println!(
-            "interleaved gate |S|={states}: best {} aggregate at K={} = {:.2}x \
-             this run's single-stream fast rate {} (target 2x; {})",
-            fmt_rate(best_rate),
-            best_streams,
-            speedup,
-            fmt_rate(fast_measured),
-            if enforced { "enforced" } else { "reported" },
-        );
-        Json::Obj(vec![
-            ("states", states.to_json()),
-            ("single_stream_samples_per_sec", fast_measured.to_json()),
-            ("baseline_source", "this_run".to_json()),
-            ("best_streams", best_streams.to_json()),
-            ("best_samples_per_sec", best_rate.to_json()),
-            ("speedup_over_single_stream", speedup.to_json()),
-            ("enforced", enforced.to_json()),
-        ])
-    };
-    let gate_row = gate_row_json(
-        GATE_STATES,
-        best_gate_rate,
-        best_gate_streams,
-        gate_fast_measured,
-        false,
-    );
-    let roof_row = gate_row_json(
-        ROOF_STATES,
-        best_roof_rate,
-        best_roof_streams,
-        roof_fast_measured,
-        true,
-    );
-    let interleaved_gate = Json::Obj(vec![
-        ("target", 2.0f64.to_json()),
-        ("gate_row", gate_row),
-        ("roof_row", roof_row),
-        (
-            "note",
-            "on hosts whose cache hierarchy swallows the gate row's \
-             working set the update loop there is compute-bound, so \
-             interleaving cannot beat the fused single-stream executor \
-             and the gate-row ratio is reported, not enforced; the roof \
-             row spills the cache, the transition-load carry chain \
-             dominates, and the K-way interleaved streams pipeline those \
-             loads — the check-baseline guards bind there"
-                .to_json(),
-        ),
-    ]);
-
-    // The packed gate: the 8-bit stored-format row against this run's
-    // own 16-bit fast rate at the roof row. The 1.5x target is a
-    // *bandwidth-bound* claim — halving the stored word halves the
-    // mutable Q-stream traffic, which pays off where the 16-bit image
-    // spills the cache hierarchy. Whether the roof row spills is a host
-    // property, so the ratio is recorded with the regime note and
-    // enforcement is left to the regression guard against the committed
-    // fast_q8 baseline below.
-    let roof_q8_rate = rate("q_learning", "fast_q8", ROOF_STATES);
-    let packed_speedup = roof_q8_rate / roof_fast_measured;
-    println!(
-        "packed gate |S|={ROOF_STATES}: fast_q8 {} = {:.2}x this run's 16-bit \
-         fast rate {} (target 1.5x; reported)",
-        fmt_rate(roof_q8_rate),
-        packed_speedup,
-        fmt_rate(roof_fast_measured),
-    );
-    let packed_gate = Json::Obj(vec![
-        ("target", 1.5f64.to_json()),
-        ("states", ROOF_STATES.to_json()),
-        ("fast16_samples_per_sec", roof_fast_measured.to_json()),
-        ("fast_q8_samples_per_sec", roof_q8_rate.to_json()),
-        ("speedup_over_fast16", packed_speedup.to_json()),
-        ("enforced", false.to_json()),
-        (
-            "note",
-            "the 1.5x target is a bandwidth-bound claim: halving the \
-             stored word halves the mutable Q-stream traffic, which pays \
-             off where the 16-bit image spills the cache hierarchy. On \
-             hosts whose last-level cache swallows the roof row's 16-MB \
-             image both paths are compute-bound, and the packed path \
-             pays its per-writeback stochastic rounder instead of \
-             earning the bandwidth win, so the measured ratio sits below \
-             1x; it is recorded, not enforced, and --check-baseline \
-             guards the packed row against its own committed baseline. \
-             The architectural stored-width claim is carried by the \
-             modeled MS/s/W Pareto in BENCH_formats.json, where the \
-             narrowed BRAM word raises modeled throughput-per-watt at \
-             the BRAM-bound largest case"
-                .to_json(),
-        ),
-    ]);
 
     // Roofline: host stream bandwidth (after the timed sweep, so the
     // probe's 48 MB working set cannot perturb the measurements above)
@@ -886,10 +570,9 @@ fn main() {
     let roof_rows: Vec<RooflineRow> = rows
         .iter()
         .map(|r| {
-            // The packed executor's split image reads a 4-byte
-            // transition word where the fused image reads 8 bytes (the
-            // Q column stays working-format on the host; DESIGN.md
-            // §2.14).
+            // The packed image reads a 4-byte transition word where the
+            // 16-bit image reads 8 bytes (the Q column stays
+            // working-format on the host; DESIGN.md §2.14).
             let bps = if r.engine.starts_with("fast_q") {
                 bytes_per_sample - 4.0
             } else {
@@ -900,7 +583,6 @@ fn main() {
                 algorithm: r.algorithm,
                 states: r.states,
                 engine: r.engine,
-                streams: r.streams,
                 bytes_per_sample: bps,
                 achieved_bytes_per_sec: achieved,
                 percent_of_roof: 100.0 * achieved / triad,
@@ -917,11 +599,10 @@ fn main() {
             && rr.algorithm == "q_learning"
     }) {
         println!(
-            "  {:<12} |S|={:<7} {:<12} K={:<2} {:>10}/s = {:>5.1}% of roof",
+            "  {:<12} |S|={:<7} {:<12} {:>10}/s = {:>5.1}% of roof",
             rr.algorithm,
             rr.states,
             rr.engine,
-            rr.streams,
             fmt_rate(rr.achieved_bytes_per_sec),
             rr.percent_of_roof,
         );
@@ -982,22 +663,10 @@ fn main() {
                     path sits ~1 ns/sample above the memory-latency floor \
                     of the update loop on this host)",
         roofline,
-        interleaved_gate,
-        packed_gate,
         telemetry: gate_counter_dump(samples),
         health: gate_health_dump(samples),
         latency: latency.to_json(),
-        manifest: match manifest::provenance_with_workers(worker_threads) {
-            Json::Obj(mut fields) => {
-                fields.push(("layout", Json::Str(layout_name)));
-                fields.push((
-                    "streams_swept",
-                    Json::Arr(stream_widths.iter().map(|&k| Json::UInt(k as u64)).collect()),
-                ));
-                Json::Obj(fields)
-            }
-            other => other,
-        },
+        manifest: manifest::provenance_with_workers(worker_threads),
     };
     // Quick runs land in results/ so the tracked workspace-root baseline
     // only ever records the full sweep.
@@ -1024,7 +693,7 @@ fn main() {
                 fmt_rate(measured),
                 fmt_rate(floor),
             );
-            let row = measure("q_learning", "fast", GATE_STATES, samples, runs, layout);
+            let row = measure("q_learning", "fast", GATE_STATES, samples, runs);
             measured = measured.max(row.host_samples_per_sec);
         }
         println!(
@@ -1043,110 +712,11 @@ fn main() {
     }
 
     if check_baseline {
-        // Interleaved guards (DESIGN.md §2.12), anchored at the roof row
-        // where the path engages by design. Best-of-N re-measurement
-        // absorbs shared-box noise, exactly like the fast-path guard.
-        let mut measured = best_roof_rate;
-        let remeasure = |measured: &mut f64, why: &str, bound: f64| {
-            let mut retries = 0;
-            while *measured < bound && retries < 4 {
-                retries += 1;
-                println!(
-                    "baseline check: interleaved {} below {why} {}, \
-                     re-measuring (retry {retries}/4)",
-                    fmt_rate(*measured),
-                    fmt_rate(bound),
-                );
-                let row = measure_interleaved(
-                    "q_learning",
-                    ROOF_STATES,
-                    best_roof_streams,
-                    row_samples(ROOF_STATES),
-                    runs,
-                );
-                *measured = measured.max(row.host_samples_per_sec);
-            }
-        };
-        // Guard: no >5% regression vs the committed interleaved baseline
-        // (skipped, loudly, when the baseline predates the executor).
-        match committed_interleaved {
-            Ok(base) => {
-                let floor = 0.95 * base;
-                remeasure(&mut measured, "floor", floor);
-                println!(
-                    "baseline check: interleaved {} vs recorded {} (floor {})",
-                    fmt_rate(measured),
-                    fmt_rate(base),
-                    fmt_rate(floor),
-                );
-                if measured < floor {
-                    eprintln!(
-                        "error: interleaved throughput regressed more than 5% \
-                         vs the recorded baseline"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => println!("baseline check: skipping interleaved floor ({e})"),
-        }
-        // Guard: at the roof row the interleaved path must hold its
-        // ground against the single-stream fast path it exists to
-        // beat. One-shot readings on this shared box swing by tens of
-        // percent (see the quick-start notes in README.md), so the
-        // check is a *paired* ratio — on a below-floor first reading
-        // both executors are re-measured back-to-back, correlating the
-        // host noise — against a noise floor rather than a strict 1.0.
-        // A genuine regression (the interleaved loop losing structural
-        // ground, not a scheduler hiccup) is systematic and fails every
-        // retry; transient noise does not survive a paired best-of-5.
-        const PAIRED_FLOOR: f64 = 0.7;
-        let mut best_ratio = measured / roof_fast_measured;
-        let mut retries = 0;
-        while best_ratio < PAIRED_FLOOR && retries < 4 {
-            retries += 1;
-            println!(
-                "baseline check: interleaved/fast ratio {best_ratio:.2} below \
-                 the {PAIRED_FLOOR} noise floor, re-measuring the pair \
-                 (retry {retries}/4)"
-            );
-            let inter = measure_interleaved(
-                "q_learning",
-                ROOF_STATES,
-                best_roof_streams,
-                row_samples(ROOF_STATES),
-                runs,
-            )
-            .host_samples_per_sec;
-            let fast = measure(
-                "q_learning",
-                "fast",
-                ROOF_STATES,
-                row_samples(ROOF_STATES),
-                runs,
-                layout,
-            )
-            .host_samples_per_sec;
-            best_ratio = best_ratio.max(inter / fast);
-        }
-        println!(
-            "baseline check: interleaved/fast paired ratio at |S|={ROOF_STATES}: \
-             {best_ratio:.2} (noise floor {PAIRED_FLOOR})"
-        );
-        if best_ratio < PAIRED_FLOOR {
-            eprintln!(
-                "error: interleaved aggregate throughput fell below the \
-                 single-stream fast path at the roof row (beyond the paired \
-                 noise floor)"
-            );
-            std::process::exit(1);
-        }
-
         // Packed quantized guard (DESIGN.md §2.14): no >5% regression
-        // vs the committed fast_q8 baseline at the roof row — the
-        // enforcement companion to the reported packed_gate ratio
-        // (skipped, loudly, when the baseline predates the packed
-        // rows). Best-of-N re-measurement absorbs shared-box noise,
-        // exactly like the other guards.
+        // vs the committed fast_q8 baseline at the roof row (skipped,
+        // loudly, when the baseline predates the packed rows). Best-of-N
+        // re-measurement absorbs shared-box noise, exactly like the
+        // NullSink guard.
         match committed_packed {
             Ok(base) => {
                 let floor = 0.95 * base;

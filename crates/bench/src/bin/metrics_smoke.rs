@@ -2,9 +2,9 @@
 //! §2.13) and the distributed observability plane (§2.15), runnable in
 //! seconds. Two legs:
 //!
-//! 1. **Single-process scrape**: run the latency probe and a K-way
-//!    interleaved health-probed batch (`--streams K`, default 4), serve
-//!    both on an ephemeral port, scrape them back over HTTP, and assert
+//! 1. **Single-process scrape**: run the latency probe and a
+//!    health-probed batch over `HEALTH_BANKS` banks, serve both on an
+//!    ephemeral port, scrape them back over HTTP, and assert
 //!    the acceptance payload — OpenMetrics-parseable text carrying the
 //!    perf-counter bank, the executor queue-depth gauge, at least three
 //!    histogram families with p50/p90/p99 companions, the
@@ -41,6 +41,8 @@ use std::time::Duration;
 const WIRE_WORKERS: u64 = 3;
 /// Samples each wire worker trains (split over two delta frames).
 const WIRE_SAMPLES: u64 = 60_000;
+/// Banks of the health-probed batch, one executor shard each.
+const HEALTH_BANKS: usize = 4;
 
 /// One wire worker: train two half-batches over two small banks with a
 /// span tracer attached, shipping a metrics *delta* frame after each
@@ -82,36 +84,20 @@ fn wire_worker(addr: SocketAddr, w: u64) -> MetricsRegistry {
 }
 
 fn main() {
-    let mut streams = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--streams" => {
-                streams = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --streams needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("error: unknown argument `{other}` (supported: --streams K)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unknown argument `{arg}` (metrics_smoke takes no arguments)");
+        std::process::exit(2);
     }
 
     // Small probes: 2 banks × |S|=256, 200k samples for the latency
-    // histograms, and a K-way interleaved health-instrumented batch —
-    // a couple hundred milliseconds, but enough chunks to populate
-    // every histogram and every health family.
+    // histograms, and a health-instrumented batch — a couple hundred
+    // milliseconds, but enough chunks to populate every histogram and
+    // every health family.
     let latency = measure_latency(256, 2, 200_000);
     const HEALTH_SAMPLES: u64 = 100_000;
-    let health = measure_health(256, streams, HEALTH_SAMPLES);
+    let health = measure_health(256, HEALTH_BANKS, HEALTH_SAMPLES);
     println!(
-        "metrics smoke: health probe saw {} samples across {streams} interleaved streams \
+        "metrics smoke: health probe saw {} samples across {HEALTH_BANKS} banks \
          ({} probed, {} states visited)",
         health.probe.samples_seen(),
         health.probe.samples_probed(),
@@ -157,8 +143,8 @@ fn main() {
             require(&format!("{hist}_{q} "));
         }
     }
-    // Training-health families (DESIGN.md §2.13) from the interleaved
-    // probed run, plus the provenance info gauge.
+    // Training-health families (DESIGN.md §2.13) from the probed
+    // batch, plus the provenance info gauge.
     require("# TYPE qtaccel_health_td_error_magnitude histogram\n");
     require(&format!(
         "qtaccel_health_samples_seen_total {HEALTH_SAMPLES}\n"

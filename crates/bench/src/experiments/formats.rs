@@ -98,8 +98,9 @@ fn run_format<V: QValue>(g: &GridWorld, samples: u64, reference: &[f64]) -> (f64
 
 /// One quantized row: the same workload and seed, with the stored table
 /// narrowed to `policy`'s grid and writebacks stochastically rounded.
-/// Runs through the fast path, which routes to the packed executor —
-/// the loop whose rate the throughput bench's packed rows record.
+/// Runs through the fast path, which takes the stall-free kernel's
+/// packed image — the loop whose rate the throughput bench's packed rows
+/// record.
 fn run_quantized(
     g: &GridWorld,
     samples: u64,

@@ -11,9 +11,7 @@
 
 use crate::grids::paper_grid;
 use qtaccel_accel::executor::ShardedExecutor;
-use qtaccel_accel::{
-    AccelConfig, FastLayout, HazardMode, IndependentPipelines, QLearningAccel,
-};
+use qtaccel_accel::{AccelConfig, HazardMode, IndependentPipelines, QLearningAccel};
 use qtaccel_fixed::{QValue, Q8_8};
 use qtaccel_telemetry::{
     stall_run_lengths, CounterBank, CountersOnly, HealthConfig, HealthProbe, HealthSink,
@@ -195,17 +193,17 @@ pub fn measure_latency(bank_states: usize, pipes: usize, samples: u64) -> Latenc
 }
 
 /// Training-health evidence for one bench run: the merged probe of a
-/// K-way interleaved health-instrumented batch plus the watchdog that
-/// judged it (DESIGN.md §2.13). Serializes as the `health` block the
+/// health-instrumented batch plus the watchdog that judged it (DESIGN.md
+/// §2.13). Serializes as the `health` block the
 /// bench reports embed and publishes the `qtaccel_health_*` families
 /// into a [`MetricsRegistry`] for the scrape endpoint.
 #[derive(Debug, Clone)]
 pub struct HealthReport {
-    /// Interleaved stream width the probed batch ran with.
-    pub streams: usize,
-    /// Samples trained across all streams.
+    /// Banks the probed batch trained, one shard each.
+    pub banks: usize,
+    /// Samples trained across all banks.
     pub samples: u64,
-    /// The merged probe across the per-stream probes.
+    /// The merged probe across the per-bank probes.
     pub probe: HealthProbe,
     /// The watchdog after its final check over the merged probe.
     pub watchdog: Watchdog,
@@ -216,7 +214,7 @@ impl HealthReport {
     /// the watchdog verdict (alert list and bookkeeping counters).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("streams", Json::UInt(self.streams as u64)),
+            ("banks", Json::UInt(self.banks as u64)),
             ("samples", Json::UInt(self.samples)),
             ("snapshot", self.probe.snapshot().to_json()),
             (
@@ -236,25 +234,27 @@ impl HealthReport {
     }
 }
 
-/// Run the health probe: a K-way interleaved `train_batch_with` of
-/// `samples` over `streams` health-instrumented pipelines of
-/// `bank_states` states (the probe forces the general executor — see
+/// Run the health probe: a `train_batch` of `samples` over `banks`
+/// health-instrumented pipelines of `bank_states` states, one shard per
+/// bank on the executor (the probe forces the general executor — see
 /// DESIGN.md §2.13 — so this is also the scrape-time proof that the
-/// instrumented path works under interleaved grouping), then one
-/// watchdog pass over the merged probe. Fully deterministic.
-pub fn measure_health(bank_states: usize, streams: usize, samples: u64) -> HealthReport {
-    let envs: Vec<_> = (0..streams).map(|_| paper_grid(bank_states, ACTIONS)).collect();
-    let mut banks = IndependentPipelines::<Q8_8, HealthSink>::with_sinks(
+/// instrumented path works under sharding), then one watchdog pass over
+/// the merged probe. Fully deterministic.
+pub fn measure_health(bank_states: usize, banks: usize, samples: u64) -> HealthReport {
+    let envs: Vec<_> = (0..banks)
+        .map(|_| paper_grid(bank_states, ACTIONS))
+        .collect();
+    let mut pipes = IndependentPipelines::<Q8_8, HealthSink>::with_sinks(
         &envs,
         AccelConfig::default(),
-        vec![HealthSink::new(HealthConfig::default()); streams],
+        vec![HealthSink::new(HealthConfig::default()); banks],
     );
-    banks.train_batch_with(&envs, samples, FastLayout::Interleaved, streams);
-    let probe = banks.merged_health().expect("health sinks attached");
+    pipes.train_batch(&envs, samples);
+    let probe = pipes.merged_health().expect("health sinks attached");
     let mut watchdog = Watchdog::new(WatchdogConfig::default());
     watchdog.check(&probe, 0);
     HealthReport {
-        streams,
+        banks,
         samples,
         probe,
         watchdog,
@@ -329,7 +329,7 @@ mod tests {
         assert_eq!(measure_health(64, 2, 40_000).probe, r.probe);
 
         let p = parse(&r.to_json().pretty()).expect("health JSON parses");
-        assert_eq!(p.get("streams").unwrap().as_u64(), Some(2));
+        assert_eq!(p.get("banks").unwrap().as_u64(), Some(2));
         assert!(p.get("snapshot").unwrap().get("td").unwrap().get("p99").is_some());
 
         let mut reg = MetricsRegistry::new();

@@ -29,7 +29,6 @@
 //! hardware-format simulations from one code path.
 
 mod fixed;
-pub mod lanes;
 pub mod quant;
 mod storage;
 mod value;

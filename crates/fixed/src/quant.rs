@@ -31,11 +31,10 @@
 //!   so comparing codes and comparing dequantized values (the Qmax
 //!   comparator) give the same answer.
 //!
-//! Packing reuses the lane convention of [`crate::lanes`]: code `k` of a
-//! word occupies bits `[k·b, (k+1)·b)`. Unlike the [`QValue`] lane
-//! helpers, `stored_bits` need not divide 64 — a 6-bit code packs 10 per
-//! word with 4 spare (zero) bits on top, matching how a hardware packer
-//! concatenates narrow BRAM words onto a 64-bit bus.
+//! Packing is lane-major: code `k` of a word occupies bits
+//! `[k·b, (k+1)·b)`. `stored_bits` need not divide 64 — a 6-bit code
+//! packs 10 per word with 4 spare (zero) bits on top, matching how a
+//! hardware packer concatenates narrow BRAM words onto a 64-bit bus.
 //!
 //! [`SeedSequence`]: https://docs.rs/ (the `qtaccel-hdl` RNG seeding type)
 
@@ -198,7 +197,7 @@ impl QuantPolicy {
     /// zeros. Bit-identical to `dequantize_raw(quantize_raw(..))` — the
     /// clamped code is in range, so the mask-and-sign-extend round trip
     /// is the identity — with one shift fewer on the writeback's
-    /// dependency chain (the packed executor's hot path).
+    /// dependency chain (the fast path's packed-image hot loop).
     #[inline(always)]
     pub fn apply_raw(&self, raw: i64, rnd: u64) -> i64 {
         let mask = (1u64 << self.shift) - 1;
@@ -533,8 +532,8 @@ mod tests {
     fn apply_raw_matches_the_code_space_round_trip() {
         // The raw-domain writeback shortcut is bit-identical to
         // dequantize(quantize(..)) for every policy, dither phase, and
-        // a raw sweep past both rails (the form the packed executor
-        // relies on).
+        // a raw sweep past both rails (the form the fast path's packed
+        // image relies on).
         for p in [QuantPolicy::q4(), QuantPolicy::q6(), QuantPolicy::q8()] {
             let span = (p.max_code() + 4) << p.shift();
             let mut raw = -span;

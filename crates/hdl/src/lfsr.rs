@@ -138,11 +138,6 @@ leap_table!(build_leap32, LEAP32, u32, Lfsr32::TAPS, 32, 4);
 leap_table!(build_leap64, LEAP64, u64, Lfsr64::TAPS, 32, 8);
 // Double leap (two words = 64 shifts) for the unrolled generator below.
 leap_table!(build_leap32x2, LEAP32X2, u32, Lfsr32::TAPS, 64, 4);
-// K-word leaps (K·32 shifts) for the batched K-lane generator below:
-// each lane refills directly from its own previous output, K draws
-// ahead, so the K lanes form independent dependency chains.
-leap_table!(build_leap32x4, LEAP32X4, u32, Lfsr32::TAPS, 128, 4);
-leap_table!(build_leap32x8, LEAP32X8, u32, Lfsr32::TAPS, 256, 4);
 
 #[inline(always)]
 fn leap16(s: u16) -> u16 {
@@ -175,44 +170,6 @@ fn leap32x2(s: u32) -> u32 {
         ^ LEAP32X2[1][(s >> 8 & 0xFF) as usize]
         ^ LEAP32X2[2][(s >> 16 & 0xFF) as usize]
         ^ LEAP32X2[3][(s >> 24) as usize]
-}
-
-#[inline(always)]
-fn leap32x4(s: u32) -> u32 {
-    LEAP32X4[0][(s & 0xFF) as usize]
-        ^ LEAP32X4[1][(s >> 8 & 0xFF) as usize]
-        ^ LEAP32X4[2][(s >> 16 & 0xFF) as usize]
-        ^ LEAP32X4[3][(s >> 24) as usize]
-}
-
-#[inline(always)]
-fn leap32x8(s: u32) -> u32 {
-    LEAP32X8[0][(s & 0xFF) as usize]
-        ^ LEAP32X8[1][(s >> 8 & 0xFF) as usize]
-        ^ LEAP32X8[2][(s >> 16 & 0xFF) as usize]
-        ^ LEAP32X8[3][(s >> 24) as usize]
-}
-
-/// `M^(32·K)` — advance the register `K` full draws in one XOR network.
-/// Tabled for the power-of-two lane counts the interleaved executor
-/// uses; any other `K` folds single-draw leaps (still O(K) but exact).
-#[inline(always)]
-fn leap32xk<const K: usize>(s: u32) -> u32 {
-    match K {
-        1 => leap32(s),
-        2 => leap32x2(s),
-        4 => leap32x4(s),
-        8 => leap32x8(s),
-        _ => {
-            let mut v = s;
-            let mut i = 0;
-            while i < K {
-                v = leap32(v);
-                i += 1;
-            }
-            v
-        }
-    }
 }
 
 /// Two-ahead software unrolling of [`Lfsr32`].
@@ -268,81 +225,6 @@ impl RngSource for Lfsr32Unrolled {
     #[inline(always)]
     fn next_u32(&mut self) -> u32 {
         Lfsr32Unrolled::next_u32(self)
-    }
-}
-
-/// K-lane batched software unrolling of [`Lfsr32`].
-///
-/// Generalizes [`Lfsr32Unrolled`] from two chains to `K`: the generator
-/// holds the next `K` outputs and refills the lane it just emitted with a
-/// `32·K`-shift leap, so lane `k` depends only on the word `K` draws
-/// back. The emitted word stream is identical to `RngSource::next_u32`
-/// on the source register — [`next_batch`](Self::next_batch) is exactly
-/// `K` sequential draws — but the `K` dependency chains are independent,
-/// which lets the interleaved fast-path executor overlap the table-load
-/// latency of `K` sample streams. Host-side throughput device only; the
-/// modeled hardware remains the single 32-shift leap network of
-/// [`Lfsr32`].
-#[derive(Debug, Clone)]
-pub struct Lfsr32Batched<const K: usize> {
-    pending: [u32; K],
-    idx: usize,
-    last: u32,
-}
-
-impl<const K: usize> Lfsr32Batched<K> {
-    /// Continue the stream of `src` (which is left untouched).
-    #[inline]
-    pub fn new(src: &Lfsr32) -> Self {
-        assert!(K >= 1, "batched LFSR needs at least one lane");
-        // Chain-seed the lanes: pending[i] is the (i+1)-th upcoming draw.
-        let mut pending = [0u32; K];
-        let mut s = src.peek();
-        for lane in &mut pending {
-            s = leap32(s);
-            *lane = s;
-        }
-        Self {
-            pending,
-            idx: 0,
-            last: src.peek(),
-        }
-    }
-
-    /// Identical to `RngSource::next_u32` on the underlying register.
-    #[inline(always)]
-    pub fn next_u32(&mut self) -> u32 {
-        let out = self.pending[self.idx];
-        self.pending[self.idx] = leap32xk::<K>(out);
-        self.idx = if self.idx + 1 == K { 0 } else { self.idx + 1 };
-        self.last = out;
-        out
-    }
-
-    /// The next `K` draws at once — bit-identical to `K` sequential
-    /// `next_u32` calls on the underlying register.
-    #[inline(always)]
-    pub fn next_batch(&mut self) -> [u32; K] {
-        let mut out = [0u32; K];
-        for o in &mut out {
-            *o = self.next_u32();
-        }
-        out
-    }
-
-    /// Collapse back to a plain register positioned exactly where the
-    /// serial generator would be after the same number of draws (same
-    /// soundness argument as [`Lfsr32Unrolled::into_lfsr`]).
-    #[inline]
-    pub fn into_lfsr(self) -> Lfsr32 {
-        Lfsr32::new(self.last)
-    }
-}
-
-impl<const K: usize> RngSource for Lfsr32Batched<K> {
-    #[inline(always)]
-    fn next_u32(&mut self) -> u32 {
-        Lfsr32Batched::next_u32(self)
     }
 }
 
@@ -578,41 +460,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_lfsr32_matches_serial_stream_and_resyncs() {
-        fn check<const K: usize>() {
-            for seed in [1u32, 0xACE1, 0xDEAD_BEEF, u32::MAX] {
-                let mut serial = Lfsr32::new(seed);
-                let mut batched = Lfsr32Batched::<K>::new(&serial);
-                // Batched draws equal K-at-a-time serial draws...
-                for _ in 0..(4_000 / K) {
-                    let batch = batched.next_batch();
-                    for (lane, &w) in batch.iter().enumerate() {
-                        assert_eq!(w, serial.next_u32(), "K={K} lane {lane}");
-                    }
-                }
-                // ...and single draws stay in lockstep from any phase.
-                for i in 0..(3 * K + 1) {
-                    assert_eq!(batched.next_u32(), serial.next_u32(), "K={K} draw {i}");
-                }
-                // Collapsing back must land on the serial register's state,
-                // even mid-batch...
-                assert_eq!(batched.clone().into_lfsr(), serial);
-                // ...and a zero-draw collapse must be the identity.
-                assert_eq!(Lfsr32Batched::<K>::new(&serial).into_lfsr(), serial);
-            }
-        }
-        check::<2>();
-        check::<4>();
-        check::<8>();
-    }
-
     /// The exact words the 0x8020_0003 Galois register emits, pinned as
     /// constants (independently computed by serial bit-stepping): guards
-    /// the LEAP32X4/LEAP32X8 tables and the lane-refill wiring against
-    /// silent drift, not just against the in-process serial model.
+    /// the LEAP32X2 table and the two-ahead refill wiring against silent
+    /// drift, not just against the in-process serial model.
     #[test]
-    fn batched_lfsr32_pinned_golden_words() {
+    fn unrolled_lfsr32_pinned_golden_words() {
         const GOLD_1: [u32; 8] = [
             0x8A0F_3DB5, 0x90BD_2FA6, 0x44C3_8D95, 0x9725_42A4,
             0xCAE5_AE48, 0x743C_EA61, 0xD57C_C71C, 0x875E_9ED7,
@@ -625,19 +478,14 @@ mod tests {
             0x96DC_5A83, 0x39E7_D287, 0x45F0_53CA, 0x0210_9929,
             0x0547_B9D9, 0x1333_280A, 0x2EED_DAF6, 0xA43D_4058,
         ];
-        fn check<const K: usize>(seed: u32, gold: &[u32; 8]) {
-            let mut b = Lfsr32Batched::<K>::new(&Lfsr32::new(seed));
-            let got: Vec<u32> = (0..8).map(|_| b.next_u32()).collect();
-            assert_eq!(got.as_slice(), gold, "K={K} seed {seed:#X}");
-        }
         for (seed, gold) in [
             (1u32, &GOLD_1),
             (0xACE1, &GOLD_ACE1),
             (0xDEAD_BEEF, &GOLD_BEEF),
         ] {
-            check::<2>(seed, gold);
-            check::<4>(seed, gold);
-            check::<8>(seed, gold);
+            let mut u = Lfsr32Unrolled::new(&Lfsr32::new(seed));
+            let got: Vec<u32> = (0..8).map(|_| u.next_u32()).collect();
+            assert_eq!(got.as_slice(), gold, "seed {seed:#X}");
         }
     }
 

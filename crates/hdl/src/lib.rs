@@ -43,7 +43,7 @@ pub use bram::{Bram, BramPort, WriteCollisionPolicy};
 pub use dsp::dsp_slices_for_mul;
 pub use explut::ExpLut;
 pub use fault::{FaultInjector, Secded, SecdedResult};
-pub use lfsr::{Lfsr16, Lfsr32, Lfsr32Batched, Lfsr64, NormalLfsr};
+pub use lfsr::{Lfsr16, Lfsr32, Lfsr64, NormalLfsr};
 pub use pipeline::CycleStats;
 pub use regfile::PerfRegFile;
 pub use resource::{Device, FmaxModel, PowerModel, ResourceReport, Utilization};

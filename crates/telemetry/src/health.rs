@@ -504,10 +504,9 @@ impl HealthProbe {
 /// The health-probing sink: no event stream, live perf counters, and a
 /// carried [`HealthProbe`] the pipelines feed per retired sample.
 ///
-/// Attaching it makes the fused/interleaved specializations ineligible
-/// (the general fast path and the cycle-accurate engine both take the
-/// probe hook, bit-identically); a [`crate::NullSink`] build is
-/// untouched.
+/// Attaching it makes the stall-free fast-path kernel ineligible (the
+/// general fast path and the cycle-accurate engine both take the probe
+/// hook, bit-identically); a [`crate::NullSink`] build is untouched.
 #[derive(Debug, Clone)]
 pub struct HealthSink {
     probe: HealthProbe,

@@ -4,12 +4,10 @@
 # scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
 # (unprotected degrades permanently, ECC corrects, ECC+scrub recovers
-# to >=95% of fault-free optimality), the K-way interleaved-executor
-# bit-exactness suite (both algorithms x every hazard mode at
-# K in {2,4,8}, plus fault-runtime / instrumented-sink fallbacks), and
-# the training-health suite (health-off bit-identity, engine-exact
-# probes, checkpointed probe state, the ECC-off divergence watchdog
-# proof, crash-dump JSONL round-trip), the quantized stored-format
+# to >=95% of fault-free optimality), the training-health suite
+# (health-off bit-identity, engine-exact probes, checkpointed probe
+# state, the ECC-off divergence watchdog proof, crash-dump JSONL
+# round-trip), the quantized stored-format
 # suite (4/6/8-bit bit-exactness across executors x hazard modes,
 # golden-reference transitivity, on-grid invariants under faults,
 # checkpoint adoption, stored-rail health probes), the distributed
@@ -32,14 +30,10 @@
 # executor's aggregate rate regressed >5% against the tracked
 # BENCH_throughput.json / BENCH_scaling.json baselines — (a) holds with
 # the health layer compiled in but disabled, keeping probes free when
-# off. The throughput
-# bench also emits the roofline fields (stream-triad roof, per-row
-# achieved bytes/sec) and enforces the interleaved guards at the roof
-# row: >5% regression vs the committed interleaved baseline fails, as
-# does a paired interleaved/fast ratio (both sides re-measured
-# back-to-back, retried, so host noise correlates out) below the
-# documented noise floor, and guards the packed fast_q8 row against its
-# committed baseline. The format sweep's --check run enforces the 8-bit
+# off. The throughput bench also emits the roofline fields
+# (stream-triad roof, per-row achieved bytes/sec) and guards the packed fast_q8 row at the roof row
+# against its committed baseline (>5% regression fails, best-of-N
+# re-measured). The format sweep's --check run enforces the 8-bit
 # stored-format quality gate (q8s2 >= 99% of the 16-bit greedy-policy
 # quality at the horizon-covered anchor).
 # Quick runs write results/BENCH_*_quick.json; the tracked root
@@ -100,7 +94,7 @@ gate 600 "span determinism + collector round-trip suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test spans
 
 gate 600 "metrics smoke: serve, scrape, validate + multi-worker collector gate" \
-  cargo run --release --offline -p qtaccel-bench --bin metrics_smoke -- --streams 4
+  cargo run --release --offline -p qtaccel-bench --bin metrics_smoke
 test -s results/collector_trace.json || { echo "collector trace export missing"; exit 1; }
 
 gate 600 "training-health suite (release)" \
@@ -111,9 +105,6 @@ gate 600 "fault-injection suite (release)" \
 
 gate 600 "checkpoint/restore suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test checkpoint
-
-gate 600 "interleaved-executor bit-exactness suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test interleave
 
 gate 600 "quantized stored-format suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test quant
