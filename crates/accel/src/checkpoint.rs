@@ -12,7 +12,8 @@
 //!
 //! ## Format
 //!
-//! A checkpoint is a sequence of little-endian `u64` words:
+//! A checkpoint is a `qtaccel_telemetry::frame` container, the same
+//! word container the QTACWIRE frames use:
 //!
 //! ```text
 //! word 0       magic  "QTACCKPT"
@@ -20,6 +21,10 @@
 //! word 2..n    payload (pipeline-defined)
 //! word n       CRC-32/ISO-HDLC of words 0..n, zero-extended to 64 bits
 //! ```
+//!
+//! This module adds only the checkpoint's header words, its container
+//! check ([`CheckpointError`] precedence: shape, CRC, magic, version)
+//! and the mapping of the shared reader's errors onto that enum.
 //!
 //! ## Durability
 //!
@@ -35,6 +40,7 @@
 //! [`AccelPipeline::checkpoint_bytes`]: crate::AccelPipeline::checkpoint_bytes
 //! [`AccelPipeline::restore_checkpoint_bytes`]: crate::AccelPipeline::restore_checkpoint_bytes
 
+use qtaccel_telemetry::frame::{self, ReadError, WordReader, COUNTER_LIMIT};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,7 +70,9 @@ pub enum CheckpointError {
     /// corruption.
     BadCrc,
     /// The checkpoint is internally valid but was taken from a pipeline
-    /// whose shape/format differs from the one restoring it.
+    /// whose shape/format differs from the one restoring it, or holds a
+    /// value that pipeline cannot take (an index past its shape, a
+    /// counter past `frame::COUNTER_LIMIT`).
     Mismatch {
         /// Which field disagreed (e.g. `"num_states"`, `"format"`).
         field: &'static str,
@@ -115,151 +123,81 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), one nibble per
-/// table step — small table, no dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
-    }
-    !crc
-}
-
-/// Accumulates checkpoint payload words and seals them with the header
-/// and CRC footer.
-#[derive(Debug, Default)]
-pub(crate) struct WordWriter {
-    words: Vec<u64>,
-}
-
-impl WordWriter {
-    /// A writer with the magic + version header already emitted.
-    pub(crate) fn with_header() -> Self {
-        let mut w = Self { words: Vec::new() };
-        w.push(MAGIC);
-        w.push(VERSION);
-        w
-    }
-
-    pub(crate) fn push(&mut self, word: u64) {
-        self.words.push(word);
-    }
-
-    pub(crate) fn push_f64(&mut self, x: f64) {
-        self.push(x.to_bits());
-    }
-
-    /// Append a length-prefixed UTF-8 string, padded to whole words.
-    pub(crate) fn push_str(&mut self, s: &str) {
-        let bytes = s.as_bytes();
-        self.push(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.push(u64::from_le_bytes(word));
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            // Restore reads trailing sections as optional and never
+            // calls `finish`, so `Trailing` cannot arise; a count or
+            // string length the payload cannot hold is a short file.
+            ReadError::Short | ReadError::Trailing => CheckpointError::Truncated,
+            // A non-UTF-8 string in a CRC-valid file is damage the CRC
+            // missed.
+            ReadError::NotUtf8 => CheckpointError::BadCrc,
         }
-    }
-
-    /// Seal: serialize all words little-endian and append the CRC word.
-    pub(crate) fn finish(self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity((self.words.len() + 1) * 8);
-        for w in &self.words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let crc = crc32(&bytes) as u64;
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
     }
 }
 
-/// Cursor over a verified checkpoint payload.
-#[derive(Debug)]
-pub(crate) struct WordReader {
-    words: Vec<u64>,
-    pos: usize,
+/// Verify container integrity (shape, CRC, magic, version) and return a
+/// reader positioned on the first payload word.
+pub(crate) fn open(bytes: &[u8]) -> Result<WordReader<'_>, CheckpointError> {
+    // Header (2 words) + CRC footer (1 word) is the minimum file.
+    if !bytes.len().is_multiple_of(8) || bytes.len() < 24 {
+        return Err(CheckpointError::Truncated);
+    }
+    if !frame::crc_ok(bytes) {
+        return Err(CheckpointError::BadCrc);
+    }
+    if frame::word(bytes, 0) != MAGIC {
+        return Err(CheckpointError::BadMagic);
+    }
+    let version = frame::word(bytes, 1);
+    if version != VERSION {
+        return Err(CheckpointError::BadVersion { found: version });
+    }
+    Ok(WordReader::new(&bytes[16..bytes.len() - 8]))
 }
 
-impl WordReader {
-    /// Verify container integrity (shape, CRC, magic, version) and
-    /// position the cursor on the first payload word.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        // Header (2 words) + CRC footer (1 word) is the minimum file.
-        if !bytes.len().is_multiple_of(8) || bytes.len() < 24 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (content, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        if stored != crc32(content) as u64 {
-            return Err(CheckpointError::BadCrc);
-        }
-        let words: Vec<u64> = content
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
-            .collect();
-        if words[0] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if words[1] != VERSION {
-            return Err(CheckpointError::BadVersion { found: words[1] });
-        }
-        Ok(Self { words, pos: 2 })
+/// A restored word, refused with [`CheckpointError::Mismatch`] unless it
+/// is below `bound`.
+pub(crate) fn below(field: &'static str, value: u64, bound: u64) -> Result<u64, CheckpointError> {
+    if value < bound {
+        Ok(value)
+    } else {
+        Err(CheckpointError::Mismatch {
+            field,
+            expected: format!("a value below {bound}"),
+            found: value.to_string(),
+        })
     }
+}
 
-    pub(crate) fn next(&mut self) -> Result<u64, CheckpointError> {
-        let w = self
-            .words
-            .get(self.pos)
-            .copied()
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos += 1;
-        Ok(w)
-    }
+/// A restored index, checked against the restoring pipeline's shape: a
+/// forged or foreign index must not reach a memory image.
+pub(crate) fn index(
+    field: &'static str,
+    value: u64,
+    bound: usize,
+) -> Result<usize, CheckpointError> {
+    below(field, value, bound as u64).map(|i| i as usize)
+}
 
-    pub(crate) fn next_f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.next()?))
-    }
+/// A restored event counter or clock, checked against
+/// [`COUNTER_LIMIT`]: a forged value must not overflow the engine's
+/// increments.
+pub(crate) fn counter(field: &'static str, value: u64) -> Result<u64, CheckpointError> {
+    below(field, value, COUNTER_LIMIT)
+}
 
-    /// Payload words still unread. Lets decoders treat a trailing
-    /// optional section (added by a later writer) as absent when reading
-    /// an older checkpoint, instead of erroring on `Truncated`.
-    pub(crate) fn remaining(&self) -> usize {
-        self.words.len().saturating_sub(self.pos)
-    }
-
-    /// Read a length-prefixed string written by [`WordWriter::push_str`].
-    pub(crate) fn next_str(&mut self) -> Result<String, CheckpointError> {
-        let len = self.next()? as usize;
-        // A declared length beyond the remaining payload is corruption
-        // the CRC missed only if someone forged it — still refuse.
-        if len > (self.words.len() - self.pos) * 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut bytes = Vec::with_capacity(len);
-        while bytes.len() < len {
-            let word = self.next()?.to_le_bytes();
-            let take = (len - bytes.len()).min(8);
-            bytes.extend_from_slice(&word[..take]);
-        }
-        String::from_utf8(bytes).map_err(|_| CheckpointError::BadCrc)
+/// A restored probability (an SEU rate), checked to lie in `[0, 1]`.
+pub(crate) fn probability(field: &'static str, value: f64) -> Result<f64, CheckpointError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(CheckpointError::Mismatch {
+            field,
+            expected: "a probability in [0, 1]".to_string(),
+            found: value.to_string(),
+        })
     }
 }
 
@@ -325,69 +263,41 @@ pub fn clean_stale_tmp(dir: &Path) -> Result<u64, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn writer_reader_round_trip() {
-        let mut w = WordWriter::with_header();
-        w.push(7);
-        w.push_f64(0.125);
-        w.push_str("Q8.8");
-        w.push_str("a longer string spanning words");
-        let bytes = w.finish();
-        let mut r = WordReader::parse(&bytes).expect("valid container");
-        assert_eq!(r.next().unwrap(), 7);
-        assert_eq!(r.next_f64().unwrap(), 0.125);
-        assert_eq!(r.next_str().unwrap(), "Q8.8");
-        assert_eq!(r.next_str().unwrap(), "a longer string spanning words");
-        assert!(matches!(r.next(), Err(CheckpointError::Truncated)));
-    }
+    use qtaccel_telemetry::frame::WordWriter;
 
     #[test]
     fn truncated_and_corrupt_containers_are_refused() {
-        let mut w = WordWriter::with_header();
+        let mut w = WordWriter::new(MAGIC, VERSION);
         w.push(1);
-        let bytes = w.finish();
+        let bytes = w.seal();
         assert!(matches!(
-            WordReader::parse(&bytes[..bytes.len() - 8]),
+            open(&bytes[..bytes.len() - 8]),
             Err(CheckpointError::BadCrc) | Err(CheckpointError::Truncated)
         ));
-        assert!(matches!(
-            WordReader::parse(&bytes[..7]),
-            Err(CheckpointError::Truncated)
-        ));
+        assert!(matches!(open(&bytes[..7]), Err(CheckpointError::Truncated)));
         let mut flipped = bytes.clone();
         flipped[16] ^= 1;
+        assert!(matches!(open(&flipped), Err(CheckpointError::BadCrc)));
+        // A CRC-valid container whose payload runs short.
+        let mut r = open(&bytes).expect("valid container");
+        assert_eq!(r.take().unwrap(), 1);
         assert!(matches!(
-            WordReader::parse(&flipped),
-            Err(CheckpointError::BadCrc)
+            r.take().map_err(CheckpointError::from),
+            Err(CheckpointError::Truncated)
         ));
     }
 
     #[test]
     fn wrong_magic_and_version_are_typed_errors() {
         // Not a checkpoint at all (but CRC-consistent).
-        let mut w = WordWriter::default();
-        w.push(0xDEAD_BEEF);
-        w.push(VERSION);
+        let mut w = WordWriter::new(0xDEAD_BEEF, VERSION);
         w.push(0);
-        assert!(matches!(
-            WordReader::parse(&w.finish()),
-            Err(CheckpointError::BadMagic)
-        ));
+        assert!(matches!(open(&w.seal()), Err(CheckpointError::BadMagic)));
         // A future version.
-        let mut w = WordWriter::default();
-        w.push(MAGIC);
-        w.push(VERSION + 9);
+        let mut w = WordWriter::new(MAGIC, VERSION + 9);
         w.push(0);
         assert!(matches!(
-            WordReader::parse(&w.finish()),
+            open(&w.seal()),
             Err(CheckpointError::BadVersion { found }) if found == VERSION + 9
         ));
     }

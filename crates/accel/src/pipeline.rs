@@ -44,7 +44,7 @@
 use std::collections::VecDeque;
 use std::path::Path;
 
-use crate::checkpoint::{self, CheckpointError, WordReader, WordWriter};
+use crate::checkpoint::{self, below, counter, index, probability, CheckpointError};
 use crate::config::{AccelConfig, HazardMode};
 use crate::fault::{strike_word, FaultConfig, FaultRt, FaultStats, LatentError};
 use qtaccel_core::policy::Policy;
@@ -55,6 +55,7 @@ use qtaccel_fixed::{QValue, QuantPolicy};
 use qtaccel_hdl::lfsr::{Lfsr32, Lfsr32Unrolled};
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::{epsilon_greedy_draw, epsilon_to_q32, RngSource, SeedSequence};
+use qtaccel_telemetry::frame::WordWriter;
 use qtaccel_telemetry::{CounterBank, CounterId, Event, MemKind, NullSink, TraceSink};
 
 /// Stage-4 offset from stage 1.
@@ -2155,7 +2156,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// resumed run probes exactly the samples the unbroken run would
     /// (the stride cursor is part of the sampling plan).
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut w = WordWriter::with_header();
+        let mut w = WordWriter::new(checkpoint::MAGIC, checkpoint::VERSION);
         w.push_str(&V::format_name());
         w.push(V::storage_bits() as u64);
         w.push(self.num_states as u64);
@@ -2271,7 +2272,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             w.push(1);
             w.push(self.lease_epoch);
         }
-        w.finish()
+        w.seal()
     }
 
     /// Restore state captured by [`checkpoint_bytes`](Self::checkpoint_bytes)
@@ -2284,8 +2285,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     ///
     /// All-or-nothing: on any error the pipeline is left untouched.
     pub fn restore_checkpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let mut r = WordReader::parse(bytes)?;
-        let found = r.next_str()?;
+        let mut r = checkpoint::open(bytes)?;
+        let found = r.take_str()?;
         let expected = V::format_name();
         if found != expected {
             return Err(CheckpointError::Mismatch {
@@ -2294,7 +2295,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 found,
             });
         }
-        let bits = r.next()?;
+        let bits = r.take()?;
         if bits != V::storage_bits() as u64 {
             return Err(CheckpointError::Mismatch {
                 field: "storage bits",
@@ -2302,7 +2303,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 found: bits.to_string(),
             });
         }
-        let ns = r.next()?;
+        let ns = r.take()?;
         if ns != self.num_states as u64 {
             return Err(CheckpointError::Mismatch {
                 field: "num_states",
@@ -2310,7 +2311,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 found: ns.to_string(),
             });
         }
-        let na = r.next()?;
+        let na = r.take()?;
         if na != self.num_actions as u64 {
             return Err(CheckpointError::Mismatch {
                 field: "num_actions",
@@ -2319,89 +2320,103 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             });
         }
         // Decode everything into temporaries first so a short payload
-        // cannot leave the pipeline half-restored.
+        // cannot leave the pipeline half-restored. Nothing restored is
+        // trusted: every count is read bounded by the words left, every
+        // index is checked against this pipeline's shape, and every
+        // counter and clock against the counter limit, here, before the
+        // commit phase — a forged word is refused instead of panicking
+        // the next training call.
+        let (ns, na, nq_words) = (self.num_states, self.num_actions, self.q_mem.len());
         let stats = CycleStats {
-            cycles: r.next()?,
-            samples: r.next()?,
-            stalls: r.next()?,
-            fill_bubbles: r.next()?,
-            forwards: r.next()?,
+            cycles: counter("cycles", r.take()?)?,
+            samples: counter("samples", r.take()?)?,
+            stalls: counter("stalls", r.take()?)?,
+            fill_bubbles: counter("fill bubbles", r.take()?)?,
+            forwards: counter("forwards", r.take()?)?,
         };
-        let start_rng = Lfsr32::new(r.next()? as u32);
-        let behavior_rng = Lfsr32::new(r.next()? as u32);
-        let update_rng = Lfsr32::new(r.next()? as u32);
-        let (tag, cs, ca) = (r.next()?, r.next()? as State, r.next()? as Action);
+        let start_rng = Lfsr32::new(r.take()? as u32);
+        let behavior_rng = Lfsr32::new(r.take()? as u32);
+        let update_rng = Lfsr32::new(r.take()? as u32);
+        let (tag, cs, ca) = (r.take()?, r.take()?, r.take()?);
         let carry = match tag {
             0 => None,
-            1 => Some((cs, None)),
-            _ => Some((cs, Some(ca))),
+            1 => Some((index("carry state", cs, ns)? as State, None)),
+            _ => Some((
+                index("carry state", cs, ns)? as State,
+                Some(index("carry action", ca, na)? as Action),
+            )),
         };
-        let next_c1 = r.next()?;
-        let drain_horizon_q = r.next()?;
-        let drain_horizon_qmax = r.next()?;
-        let mut q_mem = Vec::with_capacity(self.q_mem.len());
-        for _ in 0..self.q_mem.len() {
-            q_mem.push(V::from_bits(r.next()?));
+        let next_c1 = counter("next issue cycle", r.take()?)?;
+        let drain_horizon_q = counter("Q drain horizon", r.take()?)?;
+        let drain_horizon_qmax = counter("Qmax drain horizon", r.take()?)?;
+        // An in-flight write commits at most one write offset past the
+        // last issued sample (the stall-free kernel indexes its window
+        // by that distance).
+        let commit_bound = next_c1 + WRITE_OFFSET;
+        let mut q_mem = Vec::with_capacity(nq_words);
+        for _ in 0..nq_words {
+            q_mem.push(V::from_bits(r.take()?));
         }
-        let mut qmax_mem = Vec::with_capacity(self.qmax_mem.len());
-        for _ in 0..self.qmax_mem.len() {
-            let v = V::from_bits(r.next()?);
-            qmax_mem.push((v, r.next()? as Action));
+        let mut qmax_mem = Vec::with_capacity(ns);
+        for _ in 0..ns {
+            let v = V::from_bits(r.take()?);
+            qmax_mem.push((v, index("Qmax action", r.take()?, na)? as Action));
         }
-        let nq = r.next()? as usize;
+        let nq = r.take_count(3)?;
         let mut pending_q = VecDeque::with_capacity(nq);
         for _ in 0..nq {
             pending_q.push_back(Pending {
-                commit_cycle: r.next()?,
-                addr: r.next()? as usize,
-                value: V::from_bits(r.next()?),
+                commit_cycle: below("pending Q commit cycle", r.take()?, commit_bound)?,
+                addr: index("pending Q address", r.take()?, nq_words)?,
+                value: V::from_bits(r.take()?),
             });
         }
-        let nm = r.next()? as usize;
+        let nm = r.take_count(4)?;
         let mut pending_qmax = VecDeque::with_capacity(nm);
         for _ in 0..nm {
             pending_qmax.push_back(Pending {
-                commit_cycle: r.next()?,
-                addr: r.next()? as usize,
+                commit_cycle: below("pending Qmax commit cycle", r.take()?, commit_bound)?,
+                addr: index("pending Qmax address", r.take()?, ns)?,
                 value: {
-                    let v = V::from_bits(r.next()?);
-                    (v, r.next()? as Action)
+                    let v = V::from_bits(r.take()?);
+                    (v, index("pending Qmax action", r.take()?, na)? as Action)
                 },
             });
         }
-        let fault = if r.next()? == 0 {
+        let fault = if r.take()? == 0 {
             None
         } else {
             let config = FaultConfig {
-                seed: r.next()?,
-                q_seu_rate: r.next_f64()?,
-                qmax_seu_rate: r.next_f64()?,
-                ecc: r.next()? != 0,
-                scrub_period: r.next()?,
+                seed: r.take()?,
+                q_seu_rate: probability("Q SEU rate", r.take_f64()?)?,
+                qmax_seu_rate: probability("Qmax SEU rate", r.take_f64()?)?,
+                ecc: r.take()? != 0,
+                scrub_period: r.take()?,
             };
             let mut f = FaultRt::new(config);
-            let (qs, qi) = (r.next()? as u32, r.next()?);
+            let (qs, qi) = (r.take()? as u32, counter("Q strikes", r.take()?)?);
             f.q_inj.restore(qs, qi);
-            let (ms, mi) = (r.next()? as u32, r.next()?);
+            let (ms, mi) = (r.take()? as u32, counter("Qmax strikes", r.take()?)?);
             f.qmax_inj.restore(ms, mi);
-            f.scrub_cursor = r.next()? as usize;
-            f.samples_since_scrub = r.next()?;
+            f.scrub_cursor = index("scrub cursor", r.take()?, ns)?;
+            f.samples_since_scrub = counter("samples since scrub", r.take()?)?;
             f.stats = FaultStats {
-                injected_q: r.next()?,
-                injected_qmax: r.next()?,
-                corrected: r.next()?,
-                detected_uncorrectable: r.next()?,
-                scrub_entries: r.next()?,
-                scrub_rounds: r.next()?,
-                scrub_repairs: r.next()?,
+                injected_q: counter("fault stats", r.take()?)?,
+                injected_qmax: counter("fault stats", r.take()?)?,
+                corrected: counter("fault stats", r.take()?)?,
+                detected_uncorrectable: counter("fault stats", r.take()?)?,
+                scrub_entries: counter("fault stats", r.take()?)?,
+                scrub_rounds: counter("fault stats", r.take()?)?,
+                scrub_repairs: counter("fault stats", r.take()?)?,
             };
-            for latents in [&mut f.q_latent, &mut f.qmax_latent] {
-                let n = r.next()? as usize;
+            for (latents, bound) in [(&mut f.q_latent, nq_words), (&mut f.qmax_latent, ns)] {
+                let n = r.take_count(3)?;
                 for _ in 0..n {
                     latents.push(LatentError {
-                        addr: r.next()? as usize,
-                        bit: r.next()? as u32,
-                        snapshot: r.next()?,
+                        addr: index("latent error address", r.take()?, bound)?,
+                        bit: index("latent error bit", r.take()?, V::storage_bits() as usize)?
+                            as u32,
+                        snapshot: r.take()?,
                     });
                 }
             }
@@ -2411,13 +2426,13 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // instrumentation existed simply end here — treat that exactly
         // like a health-absent checkpoint. Decoded (and validated)
         // before the commit phase, like everything else.
-        let health = if r.remaining() == 0 || r.next()? == 0 {
+        let health = if r.remaining() == 0 || r.take()? == 0 {
             None
         } else {
-            let nwords = r.next()? as usize;
+            let nwords = r.take_count(1)?;
             let mut words = Vec::with_capacity(nwords);
             for _ in 0..nwords {
-                words.push(r.next()?);
+                words.push(r.take()?);
             }
             let mut probe = qtaccel_telemetry::HealthProbe::new(
                 qtaccel_telemetry::HealthConfig::default(),
@@ -2441,11 +2456,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // Quantized-storage section. Checkpoints written before
         // quantization existed end here — treat that as quant-absent.
         // Validated manually (typed error, not a panic) before commit.
-        let quant = if r.remaining() == 0 || r.next()? == 0 {
+        let quant = if r.remaining() == 0 || r.take()? == 0 {
             None
         } else {
-            let stored_bits = r.next()? as u32;
-            let shift = r.next()? as u32;
+            let stored_bits = r.take()? as u32;
+            let shift = r.take()? as u32;
             let w = V::storage_bits();
             let valid = (2..=32).contains(&stored_bits)
                 && shift < 32
@@ -2458,18 +2473,30 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     found: format!("stored_bits {stored_bits}, shift {shift}"),
                 });
             }
-            let rng = Lfsr32::new(r.next()? as u32);
-            Some(QuantRt {
-                policy: QuantPolicy::new(stored_bits, shift),
-                rng,
-            })
+            let rng = Lfsr32::new(r.take()? as u32);
+            let policy = QuantPolicy::new(stored_bits, shift);
+            // The packed kernel relies on every stored word sitting on
+            // the quantized grid.
+            let on_grid = |v: V| policy.try_code(v).is_some();
+            let all_on_grid = q_mem.iter().all(|&v| on_grid(v))
+                && qmax_mem.iter().all(|&(v, _)| on_grid(v))
+                && pending_q.iter().all(|p| on_grid(p.value))
+                && pending_qmax.iter().all(|p| on_grid(p.value.0));
+            if !all_on_grid {
+                return Err(CheckpointError::Mismatch {
+                    field: "quantized Q value",
+                    expected: format!("values on the {stored_bits}-bit stored grid"),
+                    found: "an off-grid value".to_string(),
+                });
+            }
+            Some(QuantRt { policy, rng })
         };
         // Lease-epoch section. Absent (older or non-cluster checkpoint)
         // means epoch 0.
-        let lease_epoch = if r.remaining() == 0 || r.next()? == 0 {
+        let lease_epoch = if r.remaining() == 0 || r.take()? == 0 {
             0
         } else {
-            r.next()?
+            r.take()?
         };
 
         // Commit.

@@ -5,13 +5,14 @@
 //! mismatched checkpoint files must be refused with a typed error that
 //! leaves the engine untouched.
 
-use qtaccel_accel::checkpoint::{crc32, CheckpointError};
+use qtaccel_accel::checkpoint::CheckpointError;
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::qlearning::QLearningAccel;
 use qtaccel_accel::sarsa::SarsaAccel;
 use qtaccel_core::qtable::MaxMode;
 use qtaccel_envs::{ActionSet, GridWorld};
 use qtaccel_fixed::{Q16_16, Q8_8};
+use qtaccel_telemetry::frame::crc32;
 use std::path::PathBuf;
 
 const HAZARDS: [HazardMode; 3] = [
@@ -358,4 +359,149 @@ fn shard_lease_resumes_after_cooperative_abandon_bit_exactly() {
     assert_eq!(w2.q_table(0), reference.q_table(0), "takeover is bit-exact");
     assert_eq!(w2.qmax_table(0), reference.qmax_table(0));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Byte-identical encoding, and restores of forged words.
+
+/// The length in words and the CRC trailer word of a saved checkpoint.
+/// The trailer checksums every byte before it, so it pins the encoding.
+fn trailer(path: &std::path::Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).expect("read checkpoint");
+    let crc = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    (bytes.len() / 8, crc)
+}
+
+#[test]
+fn checkpoints_encode_to_their_pinned_bytes() {
+    use qtaccel_accel::FaultConfig;
+    use qtaccel_fixed::QuantPolicy;
+    use qtaccel_telemetry::{HealthConfig, HealthSink};
+    let g = grid();
+    let path = tmp("pins");
+
+    let mut ql = QLearningAccel::<Q8_8, HealthSink>::with_sink(
+        &g,
+        AccelConfig::default().with_seed(0xC0DE),
+        HealthSink::new(HealthConfig::default()),
+    );
+    ql.enable_faults(
+        FaultConfig::default()
+            .with_seed(7)
+            .with_seu_rate(2e-3)
+            .with_ecc(true)
+            .with_scrub_period(64),
+    );
+    ql.train_samples(&g, 2_500);
+    ql.save_checkpoint(&path).expect("save");
+    assert_eq!(
+        trailer(&path),
+        (567, 0x2FE5_891F),
+        "Q-learning, faults, health"
+    );
+
+    let mut sarsa = SarsaAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(0x5A55), 0.2);
+    sarsa.train_samples_fast(&g, 3_001);
+    sarsa.save_checkpoint(&path).expect("save");
+    assert_eq!(trailer(&path), (428, 0x92E6_F470), "SARSA");
+
+    let mut q8 = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(0x0808));
+    q8.enable_quant(QuantPolicy::q8());
+    q8.train_samples_fast(&g, 4_000);
+    q8.save_checkpoint(&path).expect("save");
+    assert_eq!(trailer(&path), (423, 0x795C_B0B8), "q8 table");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Overwrite each payload word of `engine`'s checkpoint with a forged
+/// count or index and restamp the CRC. Restoring into a fresh engine
+/// must never panic; a refusal must leave the engine untouched; an
+/// accepted restore must then train on both executors. The sweep must
+/// see both outcomes.
+fn restore_every_forged_word<S: qtaccel_telemetry::TraceSink + Clone>(
+    engine: &qtaccel_accel::AccelPipeline<Q8_8, S>,
+    fresh: impl Fn() -> qtaccel_accel::AccelPipeline<Q8_8, S>,
+) {
+    let g = grid();
+    let good = engine.checkpoint_bytes();
+    let untouched = fresh().checkpoint_bytes();
+    let (mut refused, mut accepted) = (0, 0);
+    // Words 0 and 1 are the header; the last word is the CRC.
+    for w in 2..good.len() / 8 - 1 {
+        for forged in [1_000u64, (1 << 63) - 1, u64::MAX] {
+            let mut bytes = good.clone();
+            bytes[w * 8..w * 8 + 8].copy_from_slice(&forged.to_le_bytes());
+            fix_crc(&mut bytes);
+            let mut target = fresh();
+            match target.restore_checkpoint_bytes(&bytes) {
+                Err(_) => {
+                    refused += 1;
+                    assert!(
+                        target.checkpoint_bytes() == untouched,
+                        "word {w} = {forged}: refused restore touched the engine"
+                    );
+                }
+                Ok(()) => {
+                    accepted += 1;
+                    let mut fast = target.clone();
+                    target.run_samples(&g, 100);
+                    fast.run_samples_fast(&g, 100);
+                }
+            }
+        }
+    }
+    assert!(
+        refused > 0 && accepted > 0,
+        "{refused} refused, {accepted} accepted"
+    );
+}
+
+#[test]
+fn forged_words_never_panic_restore_or_the_next_training_call() {
+    use qtaccel_accel::{AccelPipeline, FaultConfig};
+    use qtaccel_telemetry::{HealthConfig, HealthSink};
+    let g = grid();
+    let cfg = AccelConfig::default().with_seed(0xF0_96ED);
+
+    // A 16-bit engine on the stall-free kernel, mid-flight: the
+    // cycle-accurate executor leaves writes in the pending queues.
+    let mut plain = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+    plain.run_samples(&g, 1_000);
+    restore_every_forged_word(&plain, || AccelPipeline::new(&g, cfg, 0));
+
+    // A health-probed engine with an ECC fault runtime: covers the
+    // health section, the scrub cursor and the latent-error records.
+    let health = || {
+        AccelPipeline::<Q8_8, HealthSink>::with_sink(
+            &g,
+            cfg,
+            0,
+            HealthSink::new(HealthConfig::default()),
+        )
+    };
+    let mut probed = health();
+    probed.enable_faults(
+        FaultConfig::default()
+            .with_seed(3)
+            .with_seu_rate(5e-3)
+            .with_ecc(true)
+            .with_scrub_period(16),
+    );
+    probed.run_samples(&g, 1_000);
+    assert!(
+        probed.fault_stats().is_some_and(|f| f.corrected > 0),
+        "the checkpoint carries latent errors"
+    );
+    restore_every_forged_word(&probed, health);
+
+    // A q8 table on the packed kernel: a forged Q word must stay on the
+    // stored grid the kernel reads.
+    let quantized = || {
+        let mut p = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+        p.enable_quant(qtaccel_fixed::QuantPolicy::q8());
+        p
+    };
+    let mut q8 = quantized();
+    q8.run_samples(&g, 1_000);
+    restore_every_forged_word(&q8, quantized);
 }

@@ -13,10 +13,10 @@ use qtaccel_accel::QLearningAccel;
 use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
 use qtaccel_fixed::Q8_8;
 use qtaccel_hdl::lfsr::Lfsr32;
-use qtaccel_telemetry::export::{check_openmetrics, chrome_trace, scrape, MetricsServer};
+use qtaccel_telemetry::export::{check_openmetrics, chrome_trace, scrape};
 use qtaccel_telemetry::json::parse;
 use qtaccel_telemetry::{
-    stall_run_lengths, CountersOnly, Event, MetricsRegistry, NullSink, RingSink, ToJson,
+    stall_run_lengths, Collector, CountersOnly, Event, MetricsRegistry, NullSink, RingSink, ToJson,
 };
 use std::sync::Arc;
 
@@ -134,7 +134,7 @@ fn scrape_endpoint_serves_the_acceptance_payload() {
     stall_probe.train_samples(&g, 1_500);
     let stall_hist = stall_run_lengths(stall_probe.sink().events());
 
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral port");
+    let server = Collector::serve("127.0.0.1:0").expect("bind ephemeral port");
     server.update(|reg| {
         reg.record_counter_bank(&pipes.merged_counters());
         pool.metrics().unwrap().register_into(reg);

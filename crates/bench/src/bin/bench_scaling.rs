@@ -39,8 +39,7 @@ use qtaccel_bench::metrics::measure_latency;
 use qtaccel_bench::report::{fmt_rate, results_dir};
 use qtaccel_bench::timing::bench;
 use qtaccel_fixed::Q8_8;
-use qtaccel_telemetry::export::MetricsServer;
-use qtaccel_telemetry::{json, manifest, Json, ToJson};
+use qtaccel_telemetry::{json, manifest, Collector, Json, ToJson};
 use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -340,7 +339,7 @@ fn main() {
     // Opt-in OpenMetrics endpoint; the server lives to the end of main
     // so `curl http://ADDR/metrics` works while the report is written.
     let _metrics_server = metrics_addr.map(|addr| {
-        let server = MetricsServer::serve(&addr).unwrap_or_else(|e| {
+        let server = Collector::serve(&addr).unwrap_or_else(|e| {
             eprintln!("error: --metrics-addr {addr}: {e}");
             std::process::exit(2);
         });

@@ -59,9 +59,8 @@ use qtaccel_bench::paper::TABLE1_STATES;
 use qtaccel_bench::report::{fmt_rate, results_dir};
 use qtaccel_bench::timing::{bench, stream_triad_bytes_per_sec};
 use qtaccel_fixed::{QuantPolicy, Q8_8};
-use qtaccel_telemetry::export::MetricsServer;
 use qtaccel_telemetry::{
-    json, manifest, CountersOnly, HealthConfig, HealthSink, Json, ToJson, Watchdog,
+    json, manifest, Collector, CountersOnly, HealthConfig, HealthSink, Json, ToJson, Watchdog,
     WatchdogConfig,
 };
 use std::path::Path;
@@ -634,7 +633,7 @@ fn main() {
     // Opt-in OpenMetrics endpoint; the server lives to the end of main
     // so `curl http://ADDR/metrics` works while the report is written.
     let _metrics_server = metrics_addr.map(|addr| {
-        let server = MetricsServer::serve(&addr).unwrap_or_else(|e| {
+        let server = Collector::serve(&addr).unwrap_or_else(|e| {
             eprintln!("error: --metrics-addr {addr}: {e}");
             std::process::exit(2);
         });

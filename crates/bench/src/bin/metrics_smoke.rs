@@ -27,7 +27,7 @@ use qtaccel_accel::{AccelConfig, IndependentPipelines};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::metrics::{measure_health, measure_latency, register_build_info};
 use qtaccel_fixed::Q8_8;
-use qtaccel_telemetry::export::{check_openmetrics, scrape, MetricsServer};
+use qtaccel_telemetry::export::{check_openmetrics, scrape};
 use qtaccel_telemetry::json::parse;
 use qtaccel_telemetry::wire::registry_delta;
 use qtaccel_telemetry::{
@@ -104,7 +104,7 @@ fn main() {
         health.probe.states_visited(),
     );
 
-    let server = MetricsServer::serve("127.0.0.1:0").unwrap_or_else(|e| {
+    let server = Collector::serve("127.0.0.1:0").unwrap_or_else(|e| {
         eprintln!("metrics smoke: FAILED to bind ephemeral port: {e}");
         std::process::exit(1);
     });

@@ -8,7 +8,6 @@
 /// forwarding enabled, and the stall counter quantifies what the
 /// forwarding network saves (the `ablation_forwarding` experiment).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleStats {
     /// Clock cycles simulated.
     pub cycles: u64,

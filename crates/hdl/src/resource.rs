@@ -7,7 +7,6 @@
 
 /// Static description of an FPGA device's resource pools.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Device {
     /// Marketing/part name.
     pub name: &'static str,
@@ -75,7 +74,6 @@ impl Device {
 
 /// Absolute resource consumption of a design instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceReport {
     /// DSP slices (multipliers).
     pub dsp: u64,
@@ -261,7 +259,6 @@ pub fn secded_report(data_bits: u32) -> ResourceReport {
 
 /// Resource utilization as percentages of a device's pools.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Utilization {
     /// DSP slice utilization, percent.
     pub dsp_pct: f64,
@@ -297,7 +294,6 @@ pub struct Utilization {
 /// which is why the model keys on address width rather than on BRAM
 /// percentage directly; the two coincide on the 8-action sweep).
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FmaxModel {
     /// Address width (log2 states) where degradation begins.
     pub knee_log2_states: f64,
@@ -349,7 +345,6 @@ impl FmaxModel {
 /// utilization increases accordingly") lands visibly higher, matching the
 /// relative heights in the paper's figures.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerModel {
     /// Static leakage attributed to the design, mW.
     pub static_mw: f64,

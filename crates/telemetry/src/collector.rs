@@ -1,18 +1,25 @@
-//! The merging telemetry collector (DESIGN.md §2.15).
+//! The merging telemetry collector (DESIGN.md §2.15) — the crate's one
+//! HTTP scrape endpoint.
 //!
 //! One [`Collector`] terminates N concurrent worker connections. A
 //! connection speaks either protocol on the same port — the first eight
 //! bytes are peeked and dispatched on the wire [`MAGIC`] word:
 //!
 //! * **Wire connections** stream [`Frame`]s (hello / metric deltas /
-//!   span batches / alerts) through an incremental [`FrameReader`].
+//!   span batches / alerts), read through [`WireClient::recv_timeout`],
+//!   the endpoint every framed socket in the workspace goes through.
 //!   Every accepted frame merges atomically into the collector state; a
 //!   frame that fails to decode is a *typed refusal* — the connection is
 //!   dropped, `decode_errors` increments, and nothing from the bad
 //!   frame is surfaced (no silent partial merge).
-//! * **HTTP connections** get the merged registry as OpenMetrics text,
-//!   with the same hardening as `MetricsServer` (per-socket deadlines,
-//!   request-head size cap → `431`).
+//! * **HTTP connections** get the merged registry as OpenMetrics text.
+//!   Reads and writes carry an [`IO_TIMEOUT`] deadline, and a request
+//!   head larger than [`MAX_REQUEST_BYTES`] is answered with `431`
+//!   instead of being buffered without bound.
+//!
+//! A collector with no upstreams is a plain scrape endpoint: the owning
+//! process publishes its own numbers through [`Collector::update`], and
+//! every scrape serves them.
 //!
 //! Merging is associative: counters add, histograms bucket-merge,
 //! gauges and info are last-write-wins, and spans/alerts are tagged by
@@ -28,12 +35,11 @@
 //! watchdog instant track — so a distributed batch reads like a single
 //! timeline at <https://ui.perfetto.dev>.
 
-use crate::export::{
-    encode_openmetrics, lock_unpoisoned, read_request_head, RequestHead, IO_TIMEOUT,
-};
+use crate::export::{encode_openmetrics, instant, slice, trace_document, track_name};
 use crate::health::Alert;
 use crate::histogram::MetricsRegistry;
 use crate::json::Json;
+use crate::lock_unpoisoned;
 use crate::span::Span;
 use crate::wire::{Frame, FramePayload, FrameReader, WireError, MAGIC};
 use std::io::{Read, Write};
@@ -47,6 +53,14 @@ use std::time::Duration;
 /// cheaply, short enough that shutdown (and a stop-flag check) is never
 /// more than one interval away.
 const WIRE_POLL: Duration = Duration::from_millis(200);
+
+/// Per-connection socket deadline for HTTP scrapes, on both the request
+/// read and the response write.
+pub const IO_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Largest request head a scrape may send before it is answered `431` —
+/// scrape requests are one line plus a few headers.
+pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Everything the collector has accepted from one worker, tagged by the
 /// worker id the frames carried.
@@ -175,6 +189,15 @@ impl std::fmt::Debug for Collector {
     }
 }
 
+/// Join and drop the handles of connection threads that have exited. A
+/// finished thread that is never joined keeps its stack mapped, so a
+/// long-lived collector reaps on every accept.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    for done in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = done.join();
+    }
+}
+
 impl Collector {
     /// Bind `addr` (use `"127.0.0.1:0"` for an ephemeral port) and start
     /// accepting worker and scrape connections.
@@ -198,8 +221,10 @@ impl Collector {
                     let handle = std::thread::Builder::new()
                         .name("qtaccel-collector-conn".into())
                         .spawn(move || serve_connection(stream, state_c, stop_c));
+                    let mut handles = lock_unpoisoned(&handles_t);
+                    reap_finished(&mut handles);
                     if let Ok(h) = handle {
-                        lock_unpoisoned(&handles_t).push(h);
+                        handles.push(h);
                     }
                 }
             })?;
@@ -247,6 +272,13 @@ impl Collector {
         lock_unpoisoned(&self.state).registry.clone()
     }
 
+    /// Mutate the merged registry under the collector lock: how the
+    /// owning process publishes its own metrics. Scrapes between updates
+    /// see the previous snapshot.
+    pub fn update<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
+        f(&mut lock_unpoisoned(&self.state).registry)
+    }
+
     /// Render every worker's spans and alerts as one multi-process
     /// Chrome trace document (Perfetto-loadable).
     ///
@@ -270,88 +302,42 @@ impl Collector {
             } else {
                 view.label.clone()
             };
-            events.push(Json::Obj(vec![
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::UInt(pid)),
-                ("tid", Json::UInt(0)),
-                ("name", Json::Str("process_name".into())),
-                ("args", Json::Obj(vec![("name", Json::Str(label))])),
-            ]));
+            events.push(track_name("process_name", pid, 0, label));
             let mut lanes: Vec<u64> = view.spans.iter().map(|s| s.lane as u64).collect();
             lanes.sort_unstable();
             lanes.dedup();
-            for lane in &lanes {
-                events.push(Json::Obj(vec![
-                    ("ph", Json::Str("M".into())),
-                    ("pid", Json::UInt(pid)),
-                    ("tid", Json::UInt(*lane)),
-                    ("name", Json::Str("thread_name".into())),
-                    (
-                        "args",
-                        Json::Obj(vec![("name", Json::Str(format!("lane-{lane}")))]),
-                    ),
-                ]));
+            for lane in lanes {
+                events.push(track_name("thread_name", pid, lane, format!("lane-{lane}")));
             }
             if !view.alerts.is_empty() {
-                events.push(Json::Obj(vec![
-                    ("ph", Json::Str("M".into())),
-                    ("pid", Json::UInt(pid)),
-                    ("tid", Json::UInt(WATCHDOG_TID)),
-                    ("name", Json::Str("thread_name".into())),
-                    (
-                        "args",
-                        Json::Obj(vec![("name", Json::Str("watchdog".into()))]),
-                    ),
-                ]));
+                let watchdog = "watchdog".to_string();
+                events.push(track_name("thread_name", pid, WATCHDOG_TID, watchdog));
             }
             let mut spans = view.spans.clone();
             spans.sort_by_key(|s| (s.lane, s.start_ns, s.ordinal));
             for s in &spans {
-                events.push(Json::Obj(vec![
-                    ("ph", Json::Str("X".into())),
-                    ("name", Json::Str(s.name.clone())),
-                    ("cat", Json::Str("span".into())),
-                    ("pid", Json::UInt(pid)),
-                    ("tid", Json::UInt(s.lane as u64)),
-                    ("ts", Json::UInt(s.start_ns)),
-                    ("dur", Json::UInt(s.duration_ns())),
-                    (
-                        "args",
-                        Json::Obj(vec![
-                            ("trace", Json::UInt(s.trace.0)),
-                            ("span", Json::UInt(s.id.0)),
-                            ("parent", Json::UInt(s.parent.map_or(0, |p| p.0))),
-                            ("ordinal", Json::UInt(s.ordinal)),
-                        ]),
-                    ),
-                ]));
+                let args = vec![
+                    ("trace", Json::UInt(s.trace.0)),
+                    ("span", Json::UInt(s.id.0)),
+                    ("parent", Json::UInt(s.parent.map_or(0, |p| p.0))),
+                    ("ordinal", Json::UInt(s.ordinal)),
+                ];
+                let (lane, start, dur) = (s.lane as u64, s.start_ns, s.duration_ns());
+                events.push(slice(pid, lane, start, dur, s.name.clone(), "span", args));
             }
             let mut alerts = view.alerts.clone();
             alerts.sort_by_key(|a| a.cycle);
             for a in &alerts {
-                events.push(Json::Obj(vec![
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("name", Json::Str(format!("watchdog_{}", a.rule.name()))),
-                    ("cat", Json::Str("alert".into())),
-                    ("pid", Json::UInt(pid)),
-                    ("tid", Json::UInt(WATCHDOG_TID)),
-                    ("ts", Json::UInt(a.cycle)),
-                    (
-                        "args",
-                        Json::Obj(vec![
-                            ("sample", Json::UInt(a.sample)),
-                            ("value", Json::Num(a.value)),
-                            ("threshold", Json::Num(a.threshold)),
-                        ]),
-                    ),
-                ]));
+                let args = vec![
+                    ("sample", Json::UInt(a.sample)),
+                    ("value", Json::Num(a.value)),
+                    ("threshold", Json::Num(a.threshold)),
+                ];
+                let name = format!("watchdog_{}", a.rule.name());
+                events.push(instant(pid, WATCHDOG_TID, a.cycle, name, "alert", args));
             }
         }
-        Json::Obj(vec![
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::Str("ms".into())),
-        ])
+        trace_document(events)
     }
 }
 
@@ -378,7 +364,6 @@ fn serve_connection(
     stop: Arc<AtomicBool>,
 ) {
     let _ = stream.set_read_timeout(Some(WIRE_POLL));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut first = [0u8; 8];
     // peek() does not consume, so the dispatched handler reads the full
     // stream from its first byte. Short peeks retry until eight bytes
@@ -408,67 +393,79 @@ fn serve_connection(
             Err(_) => return,
         }
     }
-    if is_wire {
-        serve_wire(stream, &state, &stop);
-    } else {
+    if !is_wire {
         serve_http(stream, &state);
+        return;
     }
-}
-
-/// Drain one worker's frame stream until EOF, shutdown, or a refusal.
-fn serve_wire(mut stream: TcpStream, state: &Mutex<CollectorState>, stop: &AtomicBool) {
-    let mut reader = FrameReader::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Clean EOF must land on a frame boundary; a residue is
-                // a peer that died mid-frame.
-                if !reader.is_empty() {
-                    lock_unpoisoned(state).decode_errors += 1;
+    // Drain one worker's frame stream until EOF, shutdown, or a refusal.
+    let Ok(mut wire) = WireClient::from_stream(stream, 0) else {
+        return;
+    };
+    while !stop.load(Ordering::SeqCst) {
+        match wire.recv_timeout(WIRE_POLL) {
+            Ok(Some(frame)) => {
+                let mut st = lock_unpoisoned(&state);
+                if st.merge_frame(frame).is_err() {
+                    st.decode_errors += 1;
+                    return; // refuse the rest of the stream
                 }
+            }
+            Ok(None) => {}
+            // EOF on a frame boundary, or a socket failure: the stream
+            // ended without a bad frame.
+            Err(WireError::Io(_)) => return,
+            // A decode refusal, or EOF mid-frame (a peer that died
+            // mid-write): count it, drop the connection, merge nothing
+            // from the frame.
+            Err(_) => {
+                lock_unpoisoned(&state).decode_errors += 1;
                 return;
             }
-            Ok(n) => {
-                reader.push(&chunk[..n]);
-                loop {
-                    match reader.next_frame() {
-                        Ok(Some(frame)) => {
-                            let mut st = lock_unpoisoned(state);
-                            if st.merge_frame(frame).is_err() {
-                                st.decode_errors += 1;
-                                return; // refuse the rest of the stream
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Typed refusal: count it, drop the
-                            // connection, merge nothing from the frame.
-                            lock_unpoisoned(state).decode_errors += 1;
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => return,
         }
     }
 }
 
-/// Answer one HTTP scrape with the merged registry, `MetricsServer`
-/// style (size cap → 431, deadline-bounded best effort otherwise).
+/// How draining one request head went.
+enum RequestHead {
+    /// The blank line arrived: a complete (enough) HTTP request.
+    Complete,
+    /// The client streamed past [`MAX_REQUEST_BYTES`] without one.
+    TooLarge,
+    /// The client stalled ([`IO_TIMEOUT`]) or hung up first.
+    Stalled,
+}
+
+/// Drain the request head until its terminating blank line, the size
+/// cap, or the socket deadline — whichever comes first.
+fn read_request_head(stream: &mut TcpStream) -> RequestHead {
+    let mut head = Vec::with_capacity(256);
+    let mut chunk = [0u8; 1024];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return RequestHead::Stalled,
+            Ok(n) => {
+                head.extend_from_slice(&chunk[..n]);
+                if head.windows(4).any(|w| w == b"\r\n\r\n") {
+                    return RequestHead::Complete;
+                }
+                if head.len() > MAX_REQUEST_BYTES {
+                    return RequestHead::TooLarge;
+                }
+            }
+            // EINTR is a retry, not a stalled client.
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return RequestHead::Stalled,
+        }
+    }
+}
+
+/// Answer one HTTP scrape with the merged registry: a head over the size
+/// cap gets `431`; every other request gets the document, stalled ones
+/// best-effort — there is only one resource, and the write deadline
+/// bounds the time a dead peer can cost.
 fn serve_http(mut stream: TcpStream, state: &Mutex<CollectorState>) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match read_request_head(&mut stream) {
         RequestHead::TooLarge => {
             let msg = "request head too large\n";
@@ -526,6 +523,10 @@ impl WireClient {
     /// socket) without sending a hello. `worker` stamps outbound frames.
     pub fn from_stream(stream: TcpStream, worker: u64) -> Result<Self, WireError> {
         stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+        // Frames are small and latency-bound: without this, a frame
+        // written while the previous one is unacknowledged waits out the
+        // peer's delayed ACK (~40 ms on Linux).
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             reader: FrameReader::new(),
@@ -609,6 +610,7 @@ impl WireClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{CounterBank, CounterId};
     use crate::export::{check_openmetrics, scrape};
     use crate::histogram::MetricValue;
     use crate::json::parse;
@@ -753,6 +755,10 @@ mod tests {
         let dialed = dial.join().expect("dial thread");
         let mut coord = WireClient::from_stream(accepted, 0).expect("coord side");
         let mut worker = WireClient::from_stream(dialed, 7).expect("worker side");
+        // Both ends send without Nagle: a small frame must not wait out
+        // the peer's delayed ACK.
+        assert!(coord.stream.nodelay().expect("coord nodelay"));
+        assert!(worker.stream.nodelay().expect("worker nodelay"));
         // Quiet peer: timeout elapses, no error.
         assert!(matches!(
             coord.recv_timeout(Duration::from_millis(20)),
@@ -788,6 +794,73 @@ mod tests {
             coord.recv_timeout(Duration::from_millis(500)),
             Err(WireError::Truncated)
         ));
+    }
+
+    #[test]
+    fn server_serves_scrapes_and_shuts_down() {
+        let server = Collector::serve("127.0.0.1:0").expect("bind ephemeral");
+        server.update(|reg| {
+            let mut bank = CounterBank::new();
+            bank.add(CounterId::SamplesRetired, 9);
+            reg.record_counter_bank(&bank);
+        });
+        let body = scrape(server.addr()).expect("scrape");
+        check_openmetrics(&body).expect("valid exposition");
+        assert!(body.contains("qtaccel_samples_total 9\n"));
+        // Second scrape sees an updated snapshot.
+        server.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
+        let body2 = scrape(server.addr()).expect("second scrape");
+        assert!(body2.contains("qtaccel_live 1\n"));
+        drop(server); // joins the serving threads, closes the port
+    }
+
+    #[test]
+    fn slow_and_oversized_clients_cannot_wedge_the_server() {
+        let server = Collector::serve("127.0.0.1:0").expect("bind ephemeral");
+        server.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
+
+        // A slow-loris client: partial request head, then silence. The
+        // read deadline abandons it within IO_TIMEOUT.
+        let mut loris = TcpStream::connect(server.addr()).expect("connect");
+        loris.write_all(b"GET /metrics HTTP/1.1\r\nHost: qt").expect("partial head");
+
+        // A client streaming an unbounded "request": the size cap answers
+        // 431 instead of buffering it all.
+        let mut hog = TcpStream::connect(server.addr()).expect("connect");
+        hog.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let junk = [b'x'; 1024];
+        let mut sent = 0;
+        while sent <= MAX_REQUEST_BYTES {
+            hog.write_all(&junk).expect("stream junk");
+            sent += junk.len();
+        }
+        let mut status = String::new();
+        hog.read_to_string(&mut status).expect("read 431");
+        assert!(
+            status.starts_with("HTTP/1.1 431 "),
+            "oversized head must be refused: {status:?}"
+        );
+
+        // Behind both of them, a well-behaved scraper is still served
+        // promptly (scrape's own 5 s deadline is the proof).
+        let body = scrape(server.addr()).expect("scrape behind bad clients");
+        check_openmetrics(&body).expect("valid exposition");
+        assert!(body.contains("qtaccel_live 1\n"));
+        drop(loris);
+    }
+
+    #[test]
+    fn finished_connection_threads_are_joined_on_accept() {
+        let collector = Collector::serve("127.0.0.1:0").expect("bind ephemeral");
+        collector.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
+        for _ in 0..50 {
+            let body = scrape(collector.addr()).expect("scrape");
+            assert!(body.contains("qtaccel_live 1\n"));
+        }
+        // Every accept reaps the threads that have exited, so only the
+        // last few connections can still hold a handle.
+        let live = lock_unpoisoned(&collector.conn_handles).len();
+        assert!(live <= 10, "{live} handles kept after 50 scrapes");
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! collects, both dependency-free:
 //!
 //! * **OpenMetrics / Prometheus text format.** [`encode_openmetrics`]
-//!   renders a [`MetricsRegistry`] snapshot; [`MetricsServer`] serves it
-//!   over a minimal std-only HTTP listener so a `curl` or a Prometheus
-//!   scraper can read live counters, gauges and latency histograms
-//!   (`MetricsServer::serve("127.0.0.1:0")` binds an ephemeral port).
-//!   [`check_openmetrics`] is the strict validator the smoke tests run
-//!   against every scrape.
+//!   renders a [`MetricsRegistry`] snapshot. The one HTTP endpoint that
+//!   serves it is the [`Collector`](crate::Collector): a process with
+//!   no upstream workers binds one (`Collector::serve("127.0.0.1:0")`
+//!   takes an ephemeral port) and publishes its own registry through
+//!   `Collector::update`, so a `curl` or a Prometheus scraper reads live
+//!   counters, gauges and latency histograms. [`scrape`] is the client
+//!   half, and [`check_openmetrics`] is the strict validator the smoke
+//!   tests run against every scrape.
 //! * **Chrome trace-event JSON (Perfetto-loadable).** [`chrome_trace`]
 //!   converts typed [`Event`] streams — straight from a `RingSink`, or
 //!   read back from a `JsonlSink` file via [`events_from_jsonl`] — into
@@ -24,15 +26,8 @@ use crate::histogram::{MetricValue, MetricsRegistry};
 use crate::json::{parse, Json, Parsed};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Render a float the OpenMetrics way (plain decimal; integral values
 /// drop the fraction).
@@ -214,159 +209,8 @@ pub fn check_openmetrics(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A minimal std-only scrape endpoint serving [`encode_openmetrics`]
-/// over HTTP.
-///
-/// Lifecycle: [`serve`](Self::serve) binds the listener and spawns one
-/// serving thread; the caller updates the shared registry through
-/// [`update`](Self::update) whenever new numbers are available (scrapes
-/// between updates see the previous snapshot); dropping the server stops
-/// the thread and closes the port. Every request, whatever the path,
-/// receives the full exposition — there is exactly one document to
-/// serve.
-///
-/// The loop is single-threaded, so one misbehaving client must not
-/// wedge every scraper behind it: reads *and* writes carry an
-/// [`IO_TIMEOUT`] deadline (a stalled or unread connection is abandoned,
-/// not waited on), and a request head larger than [`MAX_REQUEST_BYTES`]
-/// is answered with `431` instead of being buffered without bound.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    registry: Arc<Mutex<MetricsRegistry>>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Per-connection socket deadline for the scrape endpoint, on both the
-/// request read and the response write.
-pub const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Largest request head the scrape endpoint will buffer before
-/// answering `431` — scrape requests are one line plus a few headers.
-pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
-
-/// How draining one request head went.
-pub(crate) enum RequestHead {
-    /// The blank line arrived: a complete (enough) HTTP request.
-    Complete,
-    /// The client streamed past [`MAX_REQUEST_BYTES`] without one.
-    TooLarge,
-    /// The client stalled ([`IO_TIMEOUT`]) or hung up first.
-    Stalled,
-}
-
-/// Drain the request head until its terminating blank line, the size
-/// cap, or the socket deadline — whichever comes first.
-pub(crate) fn read_request_head(stream: &mut TcpStream) -> RequestHead {
-    let mut head = Vec::with_capacity(256);
-    let mut chunk = [0u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return RequestHead::Stalled,
-            Ok(n) => {
-                head.extend_from_slice(&chunk[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                    return RequestHead::Complete;
-                }
-                if head.len() > MAX_REQUEST_BYTES {
-                    return RequestHead::TooLarge;
-                }
-            }
-            // EINTR is a retry, not a stalled client.
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return RequestHead::Stalled,
-        }
-    }
-}
-
-impl MetricsServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start serving an initially empty registry.
-    pub fn serve(addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let registry = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (reg_thread, stop_thread) = (Arc::clone(&registry), Arc::clone(&stop));
-        let handle = std::thread::Builder::new()
-            .name("qtaccel-metrics".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_thread.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                    let response = match read_request_head(&mut stream) {
-                        RequestHead::TooLarge => {
-                            let msg = "request head too large\n";
-                            format!(
-                                "HTTP/1.1 431 Request Header Fields Too Large\r\n\
-                                 Content-Type: text/plain; charset=utf-8\r\n\
-                                 Content-Length: {}\r\n\
-                                 Connection: close\r\n\r\n{msg}",
-                                msg.len()
-                            )
-                        }
-                        // Complete requests get the document; so do
-                        // stalled ones, best-effort — there is only one
-                        // resource, and the write deadline bounds the
-                        // time a dead peer can cost.
-                        RequestHead::Complete | RequestHead::Stalled => {
-                            let body = encode_openmetrics(&lock_unpoisoned(&reg_thread));
-                            format!(
-                                "HTTP/1.1 200 OK\r\n\
-                                 Content-Type: application/openmetrics-text; version=1.0.0; charset=utf-8\r\n\
-                                 Content-Length: {}\r\n\
-                                 Connection: close\r\n\r\n{body}",
-                                body.len()
-                            )
-                        }
-                    };
-                    let _ = stream.write_all(response.as_bytes());
-                }
-            })?;
-        Ok(Self {
-            addr: local,
-            registry,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (read the ephemeral port from here).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Mutate the served registry under the endpoint lock.
-    pub fn update<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut lock_unpoisoned(&self.registry))
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Scrape `addr` once over plain HTTP and return the response body —
-/// the client half the smoke tests pair with [`MetricsServer`].
+/// the client half the smoke tests pair with [`Collector`](crate::Collector).
 pub fn scrape(addr: impl ToSocketAddrs) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -460,42 +304,66 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
-fn instant_json(tid: u64, ts: u64, name: &'static str, mem: MemKind, addr: u64) -> Json {
+/// A Chrome trace metadata event naming a track: `kind` is
+/// `"process_name"` or `"thread_name"`.
+pub(crate) fn track_name(kind: &str, pid: u64, tid: u64, name: String) -> Json {
     Json::Obj(vec![
-        ("ph", Json::Str("i".into())),
-        ("s", Json::Str("t".into())),
-        ("name", Json::Str(name.into())),
-        ("cat", Json::Str(name.into())),
-        ("pid", Json::UInt(1)),
+        ("ph", Json::Str("M".into())),
+        ("pid", Json::UInt(pid)),
         ("tid", Json::UInt(tid)),
-        ("ts", Json::UInt(ts)),
-        (
-            "args",
-            Json::Obj(vec![
-                ("mem", Json::Str(mem.name().into())),
-                ("addr", Json::UInt(addr)),
-            ]),
-        ),
+        ("name", Json::Str(kind.into())),
+        ("args", Json::Obj(vec![("name", Json::Str(name))])),
     ])
 }
 
-fn span_json(
+/// A thread-scoped instant (`ph: "i"`) event.
+pub(crate) fn instant(
+    pid: u64,
+    tid: u64,
+    ts: u64,
+    name: String,
+    cat: &str,
+    args: Vec<(&'static str, Json)>,
+) -> Json {
+    Json::Obj(vec![
+        ("ph", Json::Str("i".into())),
+        ("s", Json::Str("t".into())),
+        ("name", Json::Str(name)),
+        ("cat", Json::Str(cat.into())),
+        ("pid", Json::UInt(pid)),
+        ("tid", Json::UInt(tid)),
+        ("ts", Json::UInt(ts)),
+        ("args", Json::Obj(args)),
+    ])
+}
+
+/// A complete (`ph: "X"`) slice.
+pub(crate) fn slice(
+    pid: u64,
     tid: u64,
     ts: u64,
     dur: u64,
     name: String,
-    cat: &'static str,
+    cat: &str,
     args: Vec<(&'static str, Json)>,
 ) -> Json {
     Json::Obj(vec![
         ("ph", Json::Str("X".into())),
         ("name", Json::Str(name)),
         ("cat", Json::Str(cat.into())),
-        ("pid", Json::UInt(1)),
+        ("pid", Json::UInt(pid)),
         ("tid", Json::UInt(tid)),
         ("ts", Json::UInt(ts)),
         ("dur", Json::UInt(dur)),
         ("args", Json::Obj(args)),
+    ])
+}
+
+/// The document Perfetto loads: every event, displayed in milliseconds.
+pub(crate) fn trace_document(events: Vec<Json>) -> Json {
+    Json::Obj(vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::Str("ms".into())),
     ])
 }
 
@@ -510,22 +378,24 @@ fn span_json(
 /// sorted non-decreasing within every track (stall spans are emitted at
 /// their begin cycle, which can precede events recorded mid-stall).
 pub fn chrome_trace(tracks: &[(String, Vec<Event>)]) -> Json {
+    let at = |mem: MemKind, addr: u64| {
+        vec![
+            ("mem", Json::Str(mem.name().into())),
+            ("addr", Json::UInt(addr)),
+        ]
+    };
     let mut trace_events: Vec<Json> = Vec::new();
-    for (tid, (track_name, events)) in tracks.iter().enumerate() {
+    for (tid, (name, events)) in tracks.iter().enumerate() {
         let tid = tid as u64;
-        trace_events.push(Json::Obj(vec![
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(tid)),
-            ("name", Json::Str("thread_name".into())),
-            (
-                "args",
-                Json::Obj(vec![("name", Json::Str(track_name.clone()))]),
-            ),
-        ]));
+        trace_events.push(track_name("thread_name", 1, tid, name.clone()));
         let mut emitted: Vec<(u64, Json)> = Vec::new();
         let mut open_stall: Option<(u64, MemKind, u64)> = None;
         let mut last_cycle = 0u64;
+        let stall = |begin: u64, end: u64, mem, addr| {
+            let dur = end.saturating_sub(begin);
+            let span = slice(1, tid, begin, dur, "stall".into(), "stall", at(mem, addr));
+            (begin, span)
+        };
         for ev in events {
             last_cycle = last_cycle.max(ev.cycle());
             match *ev {
@@ -533,84 +403,42 @@ pub fn chrome_trace(tracks: &[(String, Vec<Event>)]) -> Json {
                     cycle,
                     stage,
                     iteration,
-                } => emitted.push((
-                    cycle,
-                    span_json(
-                        tid,
-                        cycle,
-                        1,
-                        format!("stage{stage}"),
-                        "stage",
-                        vec![("iteration", Json::UInt(iteration))],
-                    ),
-                )),
+                } => {
+                    let args = vec![("iteration", Json::UInt(iteration))];
+                    let stage = slice(1, tid, cycle, 1, format!("stage{stage}"), "stage", args);
+                    emitted.push((cycle, stage));
+                }
                 Event::Hazard { cycle, mem, addr } => {
-                    emitted.push((cycle, instant_json(tid, cycle, "hazard", mem, addr)));
+                    let hazard = instant(1, tid, cycle, "hazard".into(), "hazard", at(mem, addr));
+                    emitted.push((cycle, hazard));
                 }
                 Event::Forward { cycle, mem, addr } => {
-                    emitted.push((cycle, instant_json(tid, cycle, "forward", mem, addr)));
+                    let forward =
+                        instant(1, tid, cycle, "forward".into(), "forward", at(mem, addr));
+                    emitted.push((cycle, forward));
                 }
-                Event::Commit { cycle, mem, addr } => emitted.push((
-                    cycle,
-                    span_json(
-                        tid,
-                        cycle,
-                        1,
-                        "commit".into(),
-                        "commit",
-                        vec![
-                            ("mem", Json::Str(mem.name().into())),
-                            ("addr", Json::UInt(addr)),
-                        ],
-                    ),
-                )),
+                Event::Commit { cycle, mem, addr } => {
+                    let commit = slice(1, tid, cycle, 1, "commit".into(), "commit", at(mem, addr));
+                    emitted.push((cycle, commit));
+                }
                 Event::StallBegin { cycle, mem, addr } => open_stall = Some((cycle, mem, addr)),
                 Event::StallEnd { cycle } => {
                     if let Some((begin, mem, addr)) = open_stall.take() {
-                        emitted.push((
-                            begin,
-                            span_json(
-                                tid,
-                                begin,
-                                cycle.saturating_sub(begin),
-                                "stall".into(),
-                                "stall",
-                                vec![
-                                    ("mem", Json::Str(mem.name().into())),
-                                    ("addr", Json::UInt(addr)),
-                                ],
-                            ),
-                        ));
+                        emitted.push(stall(begin, cycle, mem, addr));
                     }
                 }
             }
         }
         // A trace cut mid-stall still shows the open interval.
         if let Some((begin, mem, addr)) = open_stall {
-            emitted.push((
-                begin,
-                span_json(
-                    tid,
-                    begin,
-                    last_cycle.saturating_sub(begin),
-                    "stall".into(),
-                    "stall",
-                    vec![
-                        ("mem", Json::Str(mem.name().into())),
-                        ("addr", Json::UInt(addr)),
-                    ],
-                ),
-            ));
+            emitted.push(stall(begin, last_cycle, mem, addr));
         }
         // Stall spans surface at their begin cycle, so restore the
         // per-track monotonic ts order Perfetto expects.
         emitted.sort_by_key(|&(ts, _)| ts);
         trace_events.extend(emitted.into_iter().map(|(_, j)| j));
     }
-    Json::Obj(vec![
-        ("traceEvents", Json::Arr(trace_events)),
-        ("displayTimeUnit", Json::Str("ms".into())),
-    ])
+    trace_document(trace_events)
 }
 
 /// Render a training-health snapshot series as Chrome trace counter
@@ -750,59 +578,6 @@ mod tests {
         }
         let good = "# TYPE qtaccel_x gauge\nqtaccel_x 1.5\n# EOF\n";
         check_openmetrics(good).unwrap();
-    }
-
-    #[test]
-    fn server_serves_scrapes_and_shuts_down() {
-        let server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral");
-        server.update(|reg| {
-            let mut bank = CounterBank::new();
-            bank.add(CounterId::SamplesRetired, 9);
-            reg.record_counter_bank(&bank);
-        });
-        let body = scrape(server.addr()).expect("scrape");
-        check_openmetrics(&body).expect("valid exposition");
-        assert!(body.contains("qtaccel_samples_total 9\n"));
-        // Second scrape sees an updated snapshot.
-        server.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
-        let body2 = scrape(server.addr()).expect("second scrape");
-        assert!(body2.contains("qtaccel_live 1\n"));
-        drop(server); // joins the serving thread, closes the port
-    }
-
-    #[test]
-    fn slow_and_oversized_clients_cannot_wedge_the_server() {
-        let server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral");
-        server.update(|reg| reg.set_gauge("qtaccel_live", "live", 1.0));
-
-        // A slow-loris client: partial request head, then silence. The
-        // read deadline abandons it within IO_TIMEOUT.
-        let mut loris = TcpStream::connect(server.addr()).expect("connect");
-        loris.write_all(b"GET /metrics HTTP/1.1\r\nHost: qt").expect("partial head");
-
-        // A client streaming an unbounded "request": the size cap answers
-        // 431 instead of buffering it all.
-        let mut hog = TcpStream::connect(server.addr()).expect("connect");
-        hog.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let junk = [b'x'; 1024];
-        let mut sent = 0;
-        while sent <= MAX_REQUEST_BYTES {
-            hog.write_all(&junk).expect("stream junk");
-            sent += junk.len();
-        }
-        let mut status = String::new();
-        hog.read_to_string(&mut status).expect("read 431");
-        assert!(
-            status.starts_with("HTTP/1.1 431 "),
-            "oversized head must be refused: {status:?}"
-        );
-
-        // Behind both of them, a well-behaved scraper is still served
-        // promptly (scrape's own 5 s deadline is the proof).
-        let body = scrape(server.addr()).expect("scrape behind bad clients");
-        check_openmetrics(&body).expect("valid exposition");
-        assert!(body.contains("qtaccel_live 1\n"));
-        drop(loris);
     }
 
     fn stall_stream() -> Vec<Event> {

@@ -36,6 +36,7 @@
 //! (`qtaccel_hdl::resource::health_probe_report`).
 
 use crate::event::Event;
+use crate::frame::COUNTER_LIMIT;
 use crate::histogram::{Histogram, HistogramSummary, MetricsRegistry};
 use crate::impl_to_json;
 use crate::json::{Json, ToJson};
@@ -453,8 +454,14 @@ impl HealthProbe {
         let visited_count = next("visited_count")?;
         let num_states = next("num_states")?;
         let last_cycle = next("last_cycle")?;
-        let nwords = next("visited length")? as usize;
-        let mut visited = Vec::with_capacity(nwords);
+        let nwords = next("visited length")?;
+        // Bound the length by the section size before allocating from it.
+        if nwords > words.len() as u64 {
+            return Err(format!(
+                "visited length {nwords} overruns the probe section"
+            ));
+        }
+        let mut visited = Vec::with_capacity(nwords as usize);
         for _ in 0..nwords {
             visited.push(next("visited word")?);
         }
@@ -477,11 +484,24 @@ impl HealthProbe {
                 "visited popcount {popcount} != recorded {visited_count}"
             ));
         }
-        let bucket_sum: u64 = buckets.iter().sum();
-        if bucket_sum != td_count {
+        let bucket_sum = buckets.iter().try_fold(0u64, |acc, &b| acc.checked_add(b));
+        if bucket_sum != Some(td_count) {
             return Err(format!(
-                "td bucket sum {bucket_sum} != recorded count {td_count}"
+                "td bucket sum {bucket_sum:?} != recorded count {td_count}"
             ));
+        }
+        // The probe's event counters only grow by one per sample: a value
+        // past the counter limit is forged and would overflow.
+        let counters = [
+            samples_seen,
+            samples_probed,
+            churn,
+            near_rail_q,
+            near_rail_qmax,
+            td_count,
+        ];
+        if let Some(c) = counters.iter().find(|&&c| c >= COUNTER_LIMIT) {
+            return Err(format!("probe counter {c} is past the counter limit"));
         }
         self.config = HealthConfig {
             stride,
@@ -1133,6 +1153,10 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 0;
         assert!(q.restore_from_words(&bad).is_err());
+        // A forged visited length is refused before anything allocates.
+        let mut bad = good.clone();
+        bad[visited_word - 1] = u64::MAX;
+        assert!(q.restore_from_words(&bad).unwrap_err().contains("overruns"));
         // The probe is untouched by failed restores.
         assert_eq!(q, HealthProbe::new(HealthConfig::default()));
         // The original section still restores.

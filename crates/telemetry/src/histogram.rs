@@ -11,7 +11,7 @@
 //! [`MetricsRegistry`] is the naming layer above both: a flat list of
 //! named counters, gauges and histograms under the stable `qtaccel_*`
 //! register-map-style scheme that the OpenMetrics scrape endpoint
-//! (`export::MetricsServer`) serves. Names are part of the telemetry
+//! (the [`Collector`](crate::Collector)) serves. Names are part of the telemetry
 //! contract, like counter addresses: they never change meaning, and new
 //! metrics append. DESIGN.md §2.10 documents the scheme.
 
@@ -285,16 +285,20 @@ pub struct MetricsRegistry {
     metrics: Vec<Metric>,
 }
 
+/// Whether `s` is non-empty snake_case ASCII (`[a-z0-9_]+`): the rule for
+/// metric names and info label keys, shared with the wire decoder.
+pub(crate) fn snake_case(s: &str) -> bool {
+    !s.is_empty()
+        && s.bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+}
+
 fn validate_name(name: &str, is_counter: bool) {
     assert!(
         name.starts_with("qtaccel_"),
         "metric `{name}` must use the qtaccel_* naming scheme"
     );
-    assert!(
-        name.bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
-        "metric `{name}` must be snake_case ascii"
-    );
+    assert!(snake_case(name), "metric `{name}` must be snake_case ascii");
     if is_counter {
         assert!(
             name.ends_with("_total"),
@@ -390,9 +394,7 @@ impl MetricsRegistry {
     pub fn set_info(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) {
         for (k, _) in labels {
             assert!(
-                !k.is_empty()
-                    && k.bytes()
-                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
+                snake_case(k),
                 "info label key `{k}` must be snake_case ascii"
             );
         }

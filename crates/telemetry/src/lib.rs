@@ -26,8 +26,9 @@
 //!   [`MetricsRegistry`] of named `qtaccel_*` counters, gauges, and
 //!   histograms that the scrape endpoint serves.
 //! * [`export`] — the ways out of the process: an OpenMetrics text
-//!   encoder with a std-only scrape endpoint ([`MetricsServer`]), and a
-//!   Chrome trace-event (Perfetto-loadable) converter for event streams
+//!   encoder, validator and [`scrape`] client (the endpoint that serves
+//!   it is the [`Collector`]), and a Chrome trace-event
+//!   (Perfetto-loadable) converter for event streams
 //!   ([`export::chrome_trace`]) plus health counter tracks
 //!   ([`export::chrome_trace_with_health`]).
 //! * [`health`] — training-health observability: per-pipeline
@@ -39,15 +40,21 @@
 //!   [`SpanId`]s derived from sample ordinals (never wall-clock), a
 //!   bounded [`SpanTracer`] ring with drop accounting, and contexts
 //!   that cross executor worker threads so one trace covers a batch.
+//! * [`frame`] — the word container every byte format shares:
+//!   little-endian `u64` words, magic + version header, CRC-32 trailer,
+//!   one writer and one bounded, borrowing reader. Checkpoints
+//!   (`accel::checkpoint`) and wire frames are both built on it.
 //! * [`wire`] — the framed telemetry wire protocol: versioned,
 //!   CRC-32'd [`wire::Frame`]s carrying metric deltas, span batches,
 //!   and alerts, with a strict incremental decoder
 //!   ([`wire::FrameReader`]) that refuses damage with typed errors.
-//! * [`collector`] — the merging TCP [`Collector`]: N concurrent
-//!   worker wire streams in, associatively merged registry over
+//! * [`collector`] — the merging TCP [`Collector`], the crate's one
+//!   HTTP scrape endpoint: N concurrent worker wire streams in (none,
+//!   for a process publishing its own registry through
+//!   [`Collector::update`]), associatively merged registry over
 //!   OpenMetrics and a multi-process Perfetto trace out
-//!   ([`Collector::perfetto_trace`]); [`WireClient`] is the sending
-//!   half. DESIGN.md §2.15 documents all three layers.
+//!   ([`Collector::perfetto_trace`]); [`WireClient`] is the one framed
+//!   socket endpoint. DESIGN.md §2.15 documents these layers.
 //!
 //! The cost contract: telemetry is **disabled by default and free when
 //! disabled**. Pipelines are generic over the sink; with [`NullSink`]
@@ -60,6 +67,7 @@ pub mod collector;
 pub mod counters;
 pub mod event;
 pub mod export;
+pub mod frame;
 pub mod health;
 pub mod histogram;
 pub mod json;
@@ -72,7 +80,7 @@ pub use counters::{CounterBank, CounterId};
 pub use event::{Event, MemKind};
 pub use export::{
     check_openmetrics, chrome_trace, chrome_trace_with_health, encode_openmetrics,
-    events_from_jsonl, health_counter_tracks, scrape, MetricsServer,
+    events_from_jsonl, health_counter_tracks, scrape,
 };
 pub use health::{
     Alert, FlightEntry, FlightRecorder, HealthConfig, HealthProbe, HealthSink, HealthSnapshot,
@@ -84,3 +92,8 @@ pub use json::{Json, ToJson};
 pub use sink::{CountersOnly, JsonlSink, NullSink, RingSink, TraceSink};
 pub use span::{monotonic_ns, ActiveSpan, Span, SpanContext, SpanId, SpanTracer, TraceId};
 pub use wire::{registry_delta, Frame, FramePayload, FrameReader, WireError};
+
+/// Lock `m`, recovering the data if a panicking holder poisoned it.
+pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

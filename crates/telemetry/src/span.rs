@@ -39,14 +39,11 @@
 //! [`ShardedExecutor`]: https://docs.rs/qtaccel-accel (crate `qtaccel-accel`, `executor` module)
 
 use crate::health::Alert;
+use crate::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Monotonic nanoseconds since the first call in this process — the
 /// timestamp base every span uses. Purely informational: identity never

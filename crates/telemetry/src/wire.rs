@@ -2,12 +2,14 @@
 //!
 //! Workers ship telemetry to a collector as a stream of self-delimiting
 //! binary **frames** carrying metric *deltas* (counters/gauges/
-//! histograms), span batches, and watchdog alerts. The container
-//! follows the same conventions as the `accel::checkpoint` format —
+//! histograms), span batches, and watchdog alerts. A frame is a
+//! [`crate::frame`] container, the one `accel::checkpoint` also uses:
 //! little-endian `u64` words, a magic word, a version word, and a
-//! CRC-32/ISO-HDLC trailer — so the same failure taxonomy applies and
-//! the same damage matrix tests it (`qtaccel-telemetry/tests/wire.rs`
-//! mirrors `qtaccel-accel/tests/checkpoint.rs`).
+//! CRC-32/ISO-HDLC trailer, written and read by the shared
+//! [`WordWriter`]/[`WordReader`]. This module keeps only the frame's
+//! header words, its payload layouts and [`WireError`]; the same damage
+//! matrix tests both formats (`qtaccel-telemetry/tests/wire.rs` mirrors
+//! `qtaccel-accel/tests/checkpoint.rs`).
 //!
 //! ## Frame layout
 //!
@@ -37,12 +39,11 @@
 //! contribution as a registry delta) when the lease seals. Either side
 //! closes with [`FramePayload::Goodbye`].
 //!
-//! Strings are a length word followed by the bytes zero-padded to a
-//! word boundary. Floats travel as IEEE-754 bit patterns
-//! (`f64::to_bits`). Histograms travel whole (65 bucket words + count +
-//! sum + max) — bucket-wise subtraction makes the *delta* of two
-//! histograms another histogram, so deltas and totals share one
-//! encoding.
+//! Strings and floats use the shared container encoding (a length word
+//! then zero-padded bytes; IEEE-754 bit patterns). Histograms travel
+//! whole (65 bucket words + count + sum + max) — bucket-wise
+//! subtraction makes the *delta* of two histograms another histogram,
+//! so deltas and totals share one encoding.
 //!
 //! ## Strictness
 //!
@@ -55,8 +56,9 @@
 //! arrive (partial writes interleave safely — a frame only decodes once
 //! every one of its bytes is in) and pull complete frames out.
 
+use crate::frame::{self, ReadError, WordReader, WordWriter};
 use crate::health::{Alert, WatchdogRule};
-use crate::histogram::{Histogram, MetricValue, MetricsRegistry};
+use crate::histogram::{snake_case, Histogram, MetricValue, MetricsRegistry};
 use crate::span::{Span, SpanId, TraceId};
 
 /// `"QTACWIRE"` in ASCII — the first word of every frame.
@@ -73,37 +75,6 @@ pub const HEADER_WORDS: usize = 6;
 /// bigger declarations *before* buffering them, so a corrupt length
 /// word cannot make a receiver allocate without bound.
 pub const MAX_PAYLOAD_WORDS: u64 = 1 << 20;
-
-/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), one nibble per
-/// table step — the same algorithm and table as the checkpoint
-/// container, reimplemented here because `qtaccel-accel` depends on
-/// this crate, not the other way around.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
-    }
-    !crc
-}
 
 /// Why a frame could not be encoded, decoded, or transported.
 #[derive(Debug)]
@@ -172,6 +143,19 @@ impl std::error::Error for WireError {
             WireError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        WireError::BadPayload(
+            match e {
+                ReadError::Short => "payload shorter than declared",
+                ReadError::NotUtf8 => "string is not UTF-8",
+                ReadError::Trailing => "trailing payload words",
+            }
+            .into(),
+        )
     }
 }
 
@@ -302,26 +286,18 @@ pub struct Frame {
 }
 
 // ---------------------------------------------------------------------
-// Word-level encode helpers.
+// Payload encode.
 
-fn push_str(words: &mut Vec<u64>, s: &str) {
-    let bytes = s.as_bytes();
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(w));
+fn push_histogram(w: &mut WordWriter, h: &Histogram) {
+    for &b in h.bucket_counts() {
+        w.push(b);
     }
+    w.push(h.count());
+    w.push(h.sum());
+    w.push(h.max());
 }
 
-fn push_histogram(words: &mut Vec<u64>, h: &Histogram) {
-    words.extend_from_slice(h.bucket_counts());
-    words.push(h.count());
-    words.push(h.sum());
-    words.push(h.max());
-}
-
-fn push_registry(w: &mut Vec<u64>, reg: &MetricsRegistry) {
+fn push_registry(w: &mut WordWriter, reg: &MetricsRegistry) {
     w.push(reg.len() as u64);
     for (name, help, value) in reg.iter() {
         let tag = match value {
@@ -331,28 +307,27 @@ fn push_registry(w: &mut Vec<u64>, reg: &MetricsRegistry) {
             MetricValue::Info(_) => 3,
         };
         w.push(tag);
-        push_str(w, name);
-        push_str(w, help);
+        w.push_str(name);
+        w.push_str(help);
         match value {
             MetricValue::Counter(v) => w.push(*v),
-            MetricValue::Gauge(v) => w.push(v.to_bits()),
+            MetricValue::Gauge(v) => w.push_f64(*v),
             MetricValue::Histogram(h) => push_histogram(w, h),
             MetricValue::Info(labels) => {
                 w.push(labels.len() as u64);
                 for (k, v) in labels {
-                    push_str(w, k);
-                    push_str(w, v);
+                    w.push_str(k);
+                    w.push_str(v);
                 }
             }
         }
     }
 }
 
-fn encode_payload(payload: &FramePayload) -> Vec<u64> {
-    let mut w = Vec::new();
+fn push_payload(w: &mut WordWriter, payload: &FramePayload) {
     match payload {
-        FramePayload::Hello { label } => push_str(&mut w, label),
-        FramePayload::Metrics(reg) => push_registry(&mut w, reg),
+        FramePayload::Hello { label } => w.push_str(label),
+        FramePayload::Metrics(reg) => push_registry(w, reg),
         FramePayload::HelloAck {
             capabilities,
             spec_hash,
@@ -390,7 +365,7 @@ fn encode_payload(payload: &FramePayload) -> Vec<u64> {
             w.push(*lease);
             w.push(*epoch);
             w.push(*samples);
-            push_registry(&mut w, delta);
+            push_registry(w, delta);
         }
         FramePayload::Goodbye { reason } => w.push(*reason),
         FramePayload::Spans(spans) => {
@@ -399,7 +374,7 @@ fn encode_payload(payload: &FramePayload) -> Vec<u64> {
                 w.push(s.trace.0);
                 w.push(s.id.0);
                 w.push(s.parent.map_or(0, |p| p.0));
-                push_str(&mut w, &s.name);
+                w.push_str(&s.name);
                 w.push(s.lane as u64);
                 w.push(s.ordinal);
                 w.push(s.start_ns);
@@ -412,12 +387,11 @@ fn encode_payload(payload: &FramePayload) -> Vec<u64> {
                 w.push(a.rule.code());
                 w.push(a.cycle);
                 w.push(a.sample);
-                w.push(a.value.to_bits());
-                w.push(a.threshold.to_bits());
+                w.push_f64(a.value);
+                w.push_f64(a.threshold);
             }
         }
     }
-    w
 }
 
 impl Frame {
@@ -429,27 +403,19 @@ impl Frame {
     /// their batches; a registry or span drain that large indicates a
     /// caller bug, not a transport condition.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = encode_payload(&self.payload);
+        let mut w = WordWriter::new(MAGIC, VERSION);
+        w.push(self.payload.kind());
+        w.push(self.worker);
+        w.push(self.seq);
+        w.push(0); // payload length, set once the payload is written
+        push_payload(&mut w, &self.payload);
+        let payload_words = (w.words() - HEADER_WORDS) as u64;
         assert!(
-            (payload.len() as u64) <= MAX_PAYLOAD_WORDS,
-            "wire payload of {} words exceeds the {MAX_PAYLOAD_WORDS}-word cap",
-            payload.len()
+            payload_words <= MAX_PAYLOAD_WORDS,
+            "wire payload of {payload_words} words exceeds the {MAX_PAYLOAD_WORDS}-word cap"
         );
-        let mut words = Vec::with_capacity(HEADER_WORDS + payload.len() + 1);
-        words.push(MAGIC);
-        words.push(VERSION);
-        words.push(self.payload.kind());
-        words.push(self.worker);
-        words.push(self.seq);
-        words.push(payload.len() as u64);
-        words.extend_from_slice(&payload);
-        let mut bytes = Vec::with_capacity(words.len() * 8 + 8);
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let crc = crc32(&bytes) as u64;
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        w.set(HEADER_WORDS - 1, payload_words);
+        w.seal()
     }
 
     /// Decode exactly one frame from `bytes`, refusing trailing bytes.
@@ -466,78 +432,35 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------
-// Word-level decode helpers.
+// Payload decode.
 
-struct PayloadReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn take(&mut self) -> Result<u64, WireError> {
-        let w = self
-            .words
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| WireError::BadPayload("payload shorter than declared".into()))?;
-        self.pos += 1;
-        Ok(w)
+fn take_histogram(r: &mut WordReader<'_>) -> Result<Histogram, WireError> {
+    let mut buckets = [0u64; Histogram::BUCKETS];
+    for b in &mut buckets {
+        *b = r.take()?;
     }
-
-    fn take_str(&mut self) -> Result<String, WireError> {
-        let len = self.take()? as usize;
-        if len > MAX_PAYLOAD_WORDS as usize * 8 {
-            return Err(WireError::BadPayload("string length exceeds frame".into()));
-        }
-        let words = len.div_ceil(8);
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..words {
-            bytes.extend_from_slice(&self.take()?.to_le_bytes());
-        }
-        bytes.truncate(len);
-        String::from_utf8(bytes).map_err(|_| WireError::BadPayload("string is not UTF-8".into()))
+    let (count, sum, max) = (r.take()?, r.take()?, r.take()?);
+    let bucket_total: u64 = buckets
+        .iter()
+        .try_fold(0u64, |acc, &b| acc.checked_add(b))
+        .ok_or_else(|| WireError::BadPayload("histogram bucket overflow".into()))?;
+    if bucket_total != count {
+        return Err(WireError::BadPayload(
+            "histogram count disagrees with its buckets".into(),
+        ));
     }
-
-    fn take_histogram(&mut self) -> Result<Histogram, WireError> {
-        let mut buckets = [0u64; Histogram::BUCKETS];
-        for b in &mut buckets {
-            *b = self.take()?;
-        }
-        let (count, sum, max) = (self.take()?, self.take()?, self.take()?);
-        let bucket_total: u64 = buckets
-            .iter()
-            .try_fold(0u64, |acc, &b| acc.checked_add(b))
-            .ok_or_else(|| WireError::BadPayload("histogram bucket overflow".into()))?;
-        if bucket_total != count {
-            return Err(WireError::BadPayload(
-                "histogram count disagrees with its buckets".into(),
-            ));
-        }
-        Ok(Histogram::from_parts(buckets, count, sum, max))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.words.len() {
-            Ok(())
-        } else {
-            Err(WireError::BadPayload("trailing payload words".into()))
-        }
-    }
+    Ok(Histogram::from_parts(buckets, count, sum, max))
 }
 
 /// Pre-validate a metric name against the registry's `qtaccel_*`
 /// contract so a hostile frame surfaces as a typed refusal instead of a
 /// registry assertion panic.
 fn valid_metric_name(name: &str, is_counter: bool) -> bool {
-    name.starts_with("qtaccel_")
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        && (!is_counter || name.ends_with("_total"))
+    name.starts_with("qtaccel_") && snake_case(name) && (!is_counter || name.ends_with("_total"))
 }
 
-fn take_registry(r: &mut PayloadReader<'_>) -> Result<MetricsRegistry, WireError> {
-    let count = r.take()?;
+fn take_registry(r: &mut WordReader<'_>) -> Result<MetricsRegistry, WireError> {
+    let count = r.take_count(1)?;
     let mut reg = MetricsRegistry::new();
     for _ in 0..count {
         let tag = r.take()?;
@@ -550,22 +473,18 @@ fn take_registry(r: &mut PayloadReader<'_>) -> Result<MetricsRegistry, WireError
         }
         match tag {
             0 => reg.set_counter(&name, &help, r.take()?),
-            1 => reg.set_gauge(&name, &help, f64::from_bits(r.take()?)),
+            1 => reg.set_gauge(&name, &help, r.take_f64()?),
             2 => {
-                let h = r.take_histogram()?;
+                let h = take_histogram(r)?;
                 reg.set_histogram(&name, &help, &h);
             }
             3 => {
-                let pairs = r.take()?;
+                let pairs = r.take_count(2)?;
                 let mut labels = Vec::new();
                 for _ in 0..pairs {
                     let k = r.take_str()?;
                     let v = r.take_str()?;
-                    if k.is_empty()
-                        || !k
-                            .bytes()
-                            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-                    {
+                    if !snake_case(&k) {
                         return Err(WireError::BadPayload(format!(
                             "info label key `{k}` is not snake_case"
                         )));
@@ -588,15 +507,15 @@ fn take_registry(r: &mut PayloadReader<'_>) -> Result<MetricsRegistry, WireError
     Ok(reg)
 }
 
-fn decode_payload(kind: u64, words: &[u64]) -> Result<FramePayload, WireError> {
-    let mut r = PayloadReader { words, pos: 0 };
+fn decode_payload(kind: u64, payload: &[u8]) -> Result<FramePayload, WireError> {
+    let mut r = WordReader::new(payload);
     let payload = match kind {
         1 => FramePayload::Hello {
             label: r.take_str()?,
         },
         2 => FramePayload::Metrics(take_registry(&mut r)?),
         3 => {
-            let count = r.take()?;
+            let count = r.take_count(1)?;
             let mut spans = Vec::new();
             for _ in 0..count {
                 let trace = TraceId(r.take()?);
@@ -629,7 +548,7 @@ fn decode_payload(kind: u64, words: &[u64]) -> Result<FramePayload, WireError> {
             FramePayload::Spans(spans)
         }
         4 => {
-            let count = r.take()?;
+            let count = r.take_count(1)?;
             let mut alerts = Vec::new();
             for _ in 0..count {
                 let code = r.take()?;
@@ -639,8 +558,8 @@ fn decode_payload(kind: u64, words: &[u64]) -> Result<FramePayload, WireError> {
                     rule,
                     cycle: r.take()?,
                     sample: r.take()?,
-                    value: f64::from_bits(r.take()?),
-                    threshold: f64::from_bits(r.take()?),
+                    value: r.take_f64()?,
+                    threshold: r.take_f64()?,
                 });
             }
             FramePayload::Alerts(alerts)
@@ -711,35 +630,27 @@ impl FrameReader {
         self.buf.is_empty()
     }
 
-    fn word(&self, i: usize) -> u64 {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(&self.buf[i * 8..i * 8 + 8]);
-        u64::from_le_bytes(w)
-    }
-
     /// Decode the next complete frame, if the buffer holds one.
     /// `Ok(None)` means "need more bytes". An error is a refusal of the
     /// stream — the caller should drop the connection; nothing from the
     /// bad frame has been surfaced.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let word = |i: usize| frame::word(&self.buf, i);
         // Validate header words as soon as each arrives.
-        if self.buf.len() >= 8 && self.word(0) != MAGIC {
+        let have = self.buf.len() / 8;
+        if have >= 1 && word(0) != MAGIC {
             return Err(WireError::BadMagic);
         }
-        if self.buf.len() >= 16 && self.word(1) != VERSION {
-            return Err(WireError::BadVersion {
-                found: self.word(1),
-            });
+        if have >= 2 && word(1) != VERSION {
+            return Err(WireError::BadVersion { found: word(1) });
         }
-        if self.buf.len() >= 24 && !(1..=10).contains(&self.word(2)) {
-            return Err(WireError::BadKind {
-                found: self.word(2),
-            });
+        if have >= 3 && !(1..=10).contains(&word(2)) {
+            return Err(WireError::BadKind { found: word(2) });
         }
-        if self.buf.len() < HEADER_WORDS * 8 {
+        if have < HEADER_WORDS {
             return Ok(None);
         }
-        let payload_words = self.word(5);
+        let payload_words = word(5);
         if payload_words == 0 {
             return Err(WireError::EmptyPayload);
         }
@@ -752,18 +663,13 @@ impl FrameReader {
         if self.buf.len() < total {
             return Ok(None);
         }
-        let crc_declared = self.word(HEADER_WORDS + payload_words as usize);
-        let crc_actual = crc32(&self.buf[..total - 8]) as u64;
-        if crc_declared != crc_actual {
+        if !frame::crc_ok(&self.buf[..total]) {
             return Err(WireError::BadCrc);
         }
-        let words: Vec<u64> = (HEADER_WORDS..HEADER_WORDS + payload_words as usize)
-            .map(|i| self.word(i))
-            .collect();
         let frame = Frame {
-            worker: self.word(3),
-            seq: self.word(4),
-            payload: decode_payload(self.word(2), &words)?,
+            worker: word(3),
+            seq: word(4),
+            payload: decode_payload(word(2), &self.buf[HEADER_WORDS * 8..total - 8])?,
         };
         self.buf.drain(..total);
         Ok(Some(frame))
@@ -857,14 +763,17 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn crc_matches_the_container_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "CRC-32/ISO-HDLC");
+    /// Rewrite a tampered frame's CRC word, so a check past the CRC is
+    /// reached.
+    fn restamp(bytes: &mut [u8]) {
+        let tail = bytes.len() - 8;
+        let crc = frame::crc32(&bytes[..tail]) as u64;
+        bytes[tail..].copy_from_slice(&crc.to_le_bytes());
     }
 
-    #[test]
-    fn every_payload_kind_round_trips() {
-        let payloads = [
+    /// One payload of every kind, in kind order (1 through 10).
+    fn one_payload_per_kind() -> Vec<FramePayload> {
+        vec![
             FramePayload::Hello {
                 label: "worker-3".into(),
             },
@@ -877,21 +786,6 @@ mod tests {
                 value: 14.5,
                 threshold: 13.0,
             }]),
-        ];
-        for (i, payload) in payloads.into_iter().enumerate() {
-            let frame = Frame {
-                worker: 7,
-                seq: i as u64,
-                payload,
-            };
-            let decoded = Frame::decode(&frame.encode()).expect("round trip");
-            assert_eq!(decoded, frame, "payload {i}");
-        }
-    }
-
-    #[test]
-    fn every_cluster_control_kind_round_trips() {
-        let payloads = [
             FramePayload::HelloAck {
                 capabilities: CAP_LEASE_V1,
                 spec_hash: 0xDEAD_BEEF_CAFE_F00D,
@@ -917,8 +811,25 @@ mod tests {
             FramePayload::Goodbye {
                 reason: goodbye_reason::REFUSED,
             },
-        ];
-        for (i, payload) in payloads.into_iter().enumerate() {
+        ]
+    }
+
+    #[test]
+    fn every_payload_kind_round_trips() {
+        for (i, payload) in one_payload_per_kind().into_iter().take(4).enumerate() {
+            let frame = Frame {
+                worker: 7,
+                seq: i as u64,
+                payload,
+            };
+            let decoded = Frame::decode(&frame.encode()).expect("round trip");
+            assert_eq!(decoded, frame, "payload {i}");
+        }
+    }
+
+    #[test]
+    fn every_cluster_control_kind_round_trips() {
+        for (i, payload) in one_payload_per_kind().into_iter().skip(4).enumerate() {
             let kind = payload.kind();
             assert_eq!(kind, 5 + i as u64, "kind words stay contiguous");
             let frame = Frame {
@@ -928,6 +839,64 @@ mod tests {
             };
             let decoded = Frame::decode(&frame.encode()).expect("round trip");
             assert_eq!(decoded, frame, "cluster kind {kind}");
+        }
+    }
+
+    #[test]
+    fn every_kind_encodes_to_its_pinned_bytes() {
+        // (words, CRC trailer word) of each kind's frame, as the format's
+        // first encoder wrote them: the trailer checksums every byte
+        // before it, so a match pins the whole encoding.
+        const PINS: [(usize, u64); 10] = [
+            (9, 0x11C0_F4CC),
+            (118, 0xB315_D8EB),
+            (27, 0xE87C_F0C5),
+            (13, 0x898A_E7D3),
+            (9, 0xB4BA_85B5),
+            (11, 0x43BE_127E),
+            (10, 0x5066_75B1),
+            (8, 0x9C2D_3B12),
+            (121, 0x742E_8D0B),
+            (8, 0xEA7D_AC31),
+        ];
+        for (payload, pin) in one_payload_per_kind().into_iter().zip(PINS) {
+            let kind = payload.kind();
+            let bytes = Frame {
+                worker: 5,
+                seq: kind,
+                payload,
+            }
+            .encode();
+            let crc = frame::word(&bytes, bytes.len() / 8 - 1);
+            assert_eq!((bytes.len() / 8, crc), pin, "kind {kind}");
+        }
+    }
+
+    #[test]
+    fn forged_payload_words_never_panic_the_decoder() {
+        // Overwrite each payload word of one frame of every kind with a
+        // forged count, length or index and restamp the CRC: the
+        // decoder returns a frame or a typed payload refusal, never a
+        // panic.
+        for payload in one_payload_per_kind() {
+            let kind = payload.kind();
+            let good = Frame {
+                worker: 1,
+                seq: 0,
+                payload,
+            }
+            .encode();
+            for w in HEADER_WORDS..good.len() / 8 - 1 {
+                for forged in [1_000u64, (1 << 63) - 1, u64::MAX] {
+                    let mut bad = good.clone();
+                    bad[w * 8..w * 8 + 8].copy_from_slice(&forged.to_le_bytes());
+                    restamp(&mut bad);
+                    match Frame::decode(&bad) {
+                        Ok(_) | Err(WireError::BadPayload(_)) => {}
+                        Err(e) => panic!("kind {kind}, word {w} = {forged}: {e:?}"),
+                    }
+                }
+            }
         }
     }
 
@@ -944,9 +913,7 @@ mod tests {
         // Overwrite the single payload word with a reason nobody speaks,
         // then restamp the CRC so only the payload check can refuse it.
         bytes[HEADER_WORDS * 8..HEADER_WORDS * 8 + 8].copy_from_slice(&99u64.to_le_bytes());
-        let crc = crc32(&bytes[..bytes.len() - 8]) as u64;
-        let tail = bytes.len() - 8;
-        bytes[tail..].copy_from_slice(&crc.to_le_bytes());
+        restamp(&mut bytes);
         match Frame::decode(&bytes) {
             Err(WireError::BadPayload(what)) => assert!(what.contains("goodbye reason")),
             other => panic!("expected BadPayload, got {other:?}"),
@@ -972,9 +939,7 @@ mod tests {
         // after lease/epoch/samples + registry count + tag + name length).
         let name_offset = (HEADER_WORDS + 3 + 1 + 1 + 1) * 8;
         bytes[name_offset] = b'z';
-        let crc = crc32(&bytes[..bytes.len() - 8]) as u64;
-        let tail = bytes.len() - 8;
-        bytes[tail..].copy_from_slice(&crc.to_le_bytes());
+        restamp(&mut bytes);
         match Frame::decode(&bytes) {
             Err(WireError::BadPayload(what)) => assert!(what.contains("qtaccel_")),
             other => panic!("expected BadPayload, got {other:?}"),

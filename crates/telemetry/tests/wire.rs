@@ -8,9 +8,9 @@
 //! byte-at-a-time reassembly) is pinned alongside so the refusals are
 //! provably about the damage, not the encoding.
 
+use qtaccel_telemetry::frame::crc32;
 use qtaccel_telemetry::wire::{
-    crc32, registry_delta, Frame, FramePayload, FrameReader, WireError, HEADER_WORDS,
-    MAX_PAYLOAD_WORDS,
+    registry_delta, Frame, FramePayload, FrameReader, WireError, HEADER_WORDS, MAX_PAYLOAD_WORDS,
 };
 use qtaccel_telemetry::{Alert, MetricsRegistry, Span, SpanId, TraceId, WatchdogRule};
 

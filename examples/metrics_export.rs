@@ -17,7 +17,8 @@
 use qtaccel::accel::{AccelConfig, HazardMode, QLearningAccel};
 use qtaccel::envs::GridWorld;
 use qtaccel::fixed::Q8_8;
-use qtaccel::telemetry::export::{chrome_trace, scrape, MetricsServer};
+use qtaccel::telemetry::export::{chrome_trace, scrape};
+use qtaccel::telemetry::Collector;
 use qtaccel::telemetry::{stall_run_lengths, Event, MetricsRegistry, RingSink};
 
 fn main() {
@@ -59,7 +60,7 @@ fn main() {
     println!("\nwrote {trace_path} — load it at https://ui.perfetto.dev\n");
 
     // Scrape endpoint: ephemeral port, self-scrape, print the payload.
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind ephemeral port");
+    let server = Collector::serve("127.0.0.1:0").expect("bind ephemeral port");
     server.update(|reg| reg.merge(&registry));
     println!("serving OpenMetrics on http://{}/metrics — scraping it back:\n", server.addr());
     let body = scrape(server.addr()).expect("self-scrape");

@@ -37,7 +37,9 @@
 # stored-format quality gate (q8s2 >= 99% of the 16-bit greedy-policy
 # quality at the horizon-covered anchor).
 # Quick runs write results/BENCH_*_quick.json; the tracked root
-# baselines are only refreshed by full (no --quick) runs.
+# baselines are only refreshed by full (no --quick) runs. The last gate
+# builds the benchmark package (crates/bench/src/bin/qtbench, its own
+# lockfile) and smoke-runs every workload.
 #
 # Hardening: every gate runs under a hard timeout so a hung socket or a
 # deadlocked supervisor fails the script instead of wedging CI, and an
@@ -47,10 +49,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Reap any children this script's gates left behind: cluster worker
-# processes re-exec'd by bench_distributed, and anything else still
-# parented to this shell. Never fails the script itself.
+# processes re-exec'd by bench_distributed or qtbench, and anything else
+# still parented to this shell. Never fails the script itself.
 cleanup() {
   pkill -f 'bench_distributed.*--worker' 2>/dev/null || true
+  pkill -f 'qtbench.*--worker' 2>/dev/null || true
   local kids
   kids=$(jobs -p 2>/dev/null || true)
   [ -n "$kids" ] && kill $kids 2>/dev/null || true
@@ -132,5 +135,15 @@ gate 600 "format_sweep --quick --check (8-bit quality gate)" \
 
 gate 600 "bench_distributed --quick --chaos (kill/partition/corruption gate)" \
   cargo run --release --offline -p qtaccel-bench --bin bench_distributed -- --quick --chaos
+
+# The benchmark (BENCHMARK.json) is its own package with its own lockfile:
+# build it exactly as the benchmark runner does, so a change to a name it
+# imports fails here. --locked refuses lockfile drift instead of rewriting
+# a file under the benchmark's directory, and the target dir keeps build
+# output out of it. The smoke run exits 1 if any workload's bit-exactness
+# or op checks fail; --trace also runs the checkpoint and wire probes.
+gate 900 "qtbench --smoke --trace (benchmark build + smoke run)" \
+  cargo run --release --offline --locked --manifest-path crates/bench/src/bin/qtbench/Cargo.toml \
+    --target-dir target/qtbench-build -- --smoke --trace --runs 1
 
 echo "verify: OK"
