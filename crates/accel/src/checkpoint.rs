@@ -225,41 +225,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Remove orphaned `*.tmp` staging files under `dir` (non-recursive)
-/// and return how many were deleted.
-///
-/// A process killed between [`atomic_write`]'s create and rename leaves
-/// the staging file behind. The real checkpoint (old or new) is intact
-/// by construction, so the orphan is pure garbage — but it must not be
-/// mistaken for a checkpoint, and it must not accumulate across crash
-/// loops. Restore paths call this before scanning the directory.
-pub fn clean_stale_tmp(dir: &Path) -> Result<u64, CheckpointError> {
-    let mut removed = 0u64;
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        // A directory that does not exist yet has nothing stale in it.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e.into()),
-    };
-    for entry in entries {
-        let path = entry?.path();
-        let is_tmp = path
-            .extension()
-            .is_some_and(|ext| ext.eq_ignore_ascii_case("tmp"));
-        if is_tmp && path.is_file() {
-            // A concurrent saver may legitimately rename its staging
-            // file away between our scan and the unlink; that is not an
-            // error.
-            match fs::remove_file(&path) {
-                Ok(()) => removed += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    Ok(removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,24 +280,6 @@ mod tests {
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists(), "staging file must be gone");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clean_stale_tmp_removes_orphans_and_spares_checkpoints() {
-        let dir = std::env::temp_dir().join("qtaccel-ckpt-tmpclean");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        atomic_write(&dir.join("shard0.ckpt"), b"real").unwrap();
-        fs::write(dir.join("shard1.ckpt.tmp"), b"torn").unwrap();
-        fs::write(dir.join("other.tmp"), b"junk").unwrap();
-        assert_eq!(clean_stale_tmp(&dir).unwrap(), 2);
-        assert!(dir.join("shard0.ckpt").exists(), "real checkpoint spared");
-        assert!(!dir.join("shard1.ckpt.tmp").exists());
-        assert!(!dir.join("other.tmp").exists());
-        // Idempotent, and a missing directory is simply empty.
-        assert_eq!(clean_stale_tmp(&dir).unwrap(), 0);
-        let _ = fs::remove_dir_all(&dir);
-        assert_eq!(clean_stale_tmp(&dir).unwrap(), 0);
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub use config::{AccelConfig, HazardMode};
 pub use fault::{FaultConfig, FaultStats};
 pub use executor::{ExecutorMetrics, ShardedExecutor, WorkerSnapshot};
 pub use multi::{
-    shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines, LeaseError,
-    ShardRun,
+    shard_budgets, shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines,
+    LeaseError, ShardRun,
 };
 pub use pipeline::AccelPipeline;
 pub use prob_engine::{ProbPolicyAccel, WeightRule};

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use crate::config::{AccelConfig, HazardMode};
 use crate::executor::{chunk_samples, ShardJob, ShardedExecutor};
 use crate::fault::FaultConfig;
@@ -523,6 +523,134 @@ pub fn shard_checkpoint_path(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard{i}.ckpt"))
 }
 
+/// The deterministic split of a `total`-sample batch over `shards`
+/// shards: shard `i` gets `total/P`, plus one of the `total % P`
+/// remainder samples for `i < total % P`. Every batch path and the
+/// cluster's lease budgets use this one rule, so their totals compose
+/// bit-exactly.
+pub fn shard_budgets(total: u64, shards: usize) -> Vec<u64> {
+    let p = shards as u64;
+    let (base, extra) = (total / p, total % p);
+    (0..p).map(|i| base + u64::from(i < extra)).collect()
+}
+
+/// Where a durable restore or save records its span: the tracer and the
+/// parent context, or `None` for an untraced lease.
+type SpanParent<'a> = Option<(&'a SpanTracer, SpanContext)>;
+
+/// Run `f` inside a span named `name` (lane = shard) under `parent`.
+fn in_span<T>(
+    parent: SpanParent<'_>,
+    name: &'static str,
+    shard: usize,
+    ordinal: u64,
+    f: impl FnOnce() -> T,
+) -> T {
+    let Some((tracer, ctx)) = parent else { return f() };
+    let span = tracer.begin(ctx.trace, Some(ctx.span), name, shard as u32, ordinal);
+    let out = f();
+    tracer.end(span);
+    out
+}
+
+/// One durable shard lease: open (restore, fence, sweep), advance
+/// (train, save on cadence), seal. The one driver behind
+/// `train_shard_durable` (one lease under the caller's epoch, on the
+/// calling thread) and `train_batch_durable` (P leases at epoch 0,
+/// advanced on the executor).
+struct ShardLease {
+    shard: usize,
+    path: PathBuf,
+    checkpoint_every: u64,
+}
+
+impl ShardLease {
+    /// Take shard `shard` of `dir` under `epoch`: restore its checkpoint
+    /// if one exists (its progress counts against the target), refuse if
+    /// that checkpoint was sealed under a newer epoch, and sweep this
+    /// shard's staging orphan.
+    fn open<V: QValue, S: TraceSink>(
+        pipe: &mut AccelPipeline<V, S>,
+        dir: &Path,
+        shard: usize,
+        epoch: u64,
+        checkpoint_every: u64,
+        span: SpanParent<'_>,
+    ) -> Result<Self, LeaseError> {
+        assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
+        std::fs::create_dir_all(dir).map_err(CheckpointError::from)?;
+        let path = shard_checkpoint_path(dir, shard);
+        match in_span(span, "checkpoint_restore", shard, 0, || pipe.restore_checkpoint(&path)) {
+            Ok(()) => {}
+            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        // Fencing: a checkpoint stamped by a newer assignment means this
+        // lease was reassigned out from under the caller.
+        if pipe.lease_epoch() > epoch {
+            return Err(LeaseError::FencedEpoch {
+                held: epoch,
+                found: pipe.lease_epoch(),
+            });
+        }
+        pipe.set_lease_epoch(epoch);
+        // Crash hygiene, lease-scoped: sweep only *this shard's* staging
+        // file, and only after the fence check. Sibling shards (other
+        // workers, or the other shards of a batch) may be
+        // mid-`atomic_write` in the same directory; deleting *their*
+        // staging files would fail their renames. The lease gives us
+        // unique live ownership of this shard, so the only
+        // `shard<N>.ckpt.tmp` we can meet is a dead predecessor's orphan.
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        match std::fs::remove_file(&tmp) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(CheckpointError::from(e).into()),
+        }
+        Ok(Self {
+            shard,
+            path,
+            checkpoint_every,
+        })
+    }
+
+    /// Train `take` more samples, saving whenever the retired count
+    /// crosses a multiple of the cadence (the save span's ordinal), and
+    /// return the retired count.
+    fn advance<V: QValue, S: TraceSink, E: Environment>(
+        &self,
+        pipe: &mut AccelPipeline<V, S>,
+        env: &E,
+        take: u64,
+        span: SpanParent<'_>,
+    ) -> Result<u64, CheckpointError> {
+        let every = self.checkpoint_every;
+        let before = pipe.stats().samples;
+        pipe.run_samples_fast(env, take);
+        let after = pipe.stats().samples;
+        if before / every != after / every {
+            in_span(span, "checkpoint_save", self.shard, after / every, || {
+                pipe.save_checkpoint(&self.path)
+            })?;
+        }
+        Ok(after)
+    }
+
+    /// Seal: make the shard's final state durable under the lease's
+    /// epoch, and return the retired count.
+    fn seal<V: QValue, S: TraceSink>(
+        &self,
+        pipe: &AccelPipeline<V, S>,
+        span: SpanParent<'_>,
+    ) -> Result<u64, CheckpointError> {
+        let samples = pipe.stats().samples;
+        let ordinal = samples / self.checkpoint_every + 1;
+        in_span(span, "checkpoint_save", self.shard, ordinal, || pipe.save_checkpoint(&self.path))?;
+        Ok(samples)
+    }
+}
+
 /// Why a lease-granular durable run ([`train_shard_durable`]) was
 /// refused.
 ///
@@ -878,13 +1006,11 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// samples a shard has already retired (restored checkpoint progress)
     /// count against its target.
     fn batch_plan(&self, total_samples: u64, resume: bool) -> Vec<ShardRun> {
-        let p = self.pipes.len() as u64;
-        let (base, extra) = (total_samples / p, total_samples % p);
         self.pipes
             .iter()
+            .zip(shard_budgets(total_samples, self.pipes.len()))
             .enumerate()
-            .map(|(i, pipe)| {
-                let target = base + u64::from((i as u64) < extra);
+            .map(|(i, (pipe, target))| {
                 let samples = if resume {
                     target.saturating_sub(pipe.stats().samples)
                 } else {
@@ -945,6 +1071,13 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// uninterrupted run — per-shard sample streams are sequential and
     /// deterministic, so progress composes.
     ///
+    /// A durable batch is P shard leases at epoch 0, run by the driver
+    /// behind [`train_shard_durable`](Self::train_shard_durable): each
+    /// shard restores, fence-checks and sweeps its own staging orphan,
+    /// advances on the executor, and seals. A checkpoint sealed
+    /// under a cluster epoch is refused like any zombie's, as
+    /// [`CheckpointError::Mismatch`] on `"lease epoch"`.
+    ///
     /// `checkpoint_every` is a per-shard sample cadence (a checkpoint is
     /// written whenever a shard's retired-sample count crosses a
     /// multiple of it); every shard writes one final checkpoint when the
@@ -960,84 +1093,40 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         S: Send,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
-        std::fs::create_dir_all(dir)?;
-        // A previous run killed between atomic_write's create and rename
-        // leaves a `*.tmp` staging orphan next to the (intact) real
-        // checkpoints; sweep them before scanning so they neither
-        // accumulate across crash loops nor get mistaken for state.
-        checkpoint::clean_stale_tmp(dir)?;
         let root = self.begin_batch_root("train_batch_durable", total_samples);
         let ctx = root.as_ref().map(|(_, active)| active.context());
-        let tracing = self.tracer.clone().zip(ctx);
-        // Resume: pick up whatever a previous (possibly killed) run left.
-        for (i, pipe) in self.pipes.iter_mut().enumerate() {
-            let span = tracing.as_ref().map(|(tracer, root)| {
-                tracer.begin(root.trace, Some(root.span), "checkpoint_restore", i as u32, 0)
-            });
-            let restored = pipe.restore_checkpoint(&shard_checkpoint_path(dir, i));
-            if let (Some((tracer, _)), Some(active)) = (&tracing, span) {
-                tracer.end(active);
-            }
-            match restored {
-                Ok(()) => {}
-                Err(CheckpointError::Io(e))
-                    if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let tracer = self.tracer.clone();
+        let under_root = tracer.as_deref().zip(ctx);
+        let leases = self
+            .pipes
+            .iter_mut()
+            .enumerate()
+            .map(|(i, pipe)| ShardLease::open(pipe, dir, i, 0, checkpoint_every, under_root))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| match e {
+                LeaseError::Checkpoint(e) => e,
+                LeaseError::FencedEpoch { held, found } => CheckpointError::Mismatch {
+                    field: "lease epoch",
+                    expected: held.to_string(),
+                    found: found.to_string(),
+                },
+            })?;
         let shards = self.batch_plan(total_samples, true);
         let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
         // Shards run on pool workers and cannot return errors; the first
         // checkpoint failure is parked here and re-raised after the join.
         let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let failed_ref = &failed;
-        let save_tracer = self.tracer.clone();
         let stats = self.drive(envs, &budgets, ctx, |i, pipe, env, n, chunk_ctx| {
-            let before = pipe.stats().samples;
-            pipe.run_samples_fast(env, n);
-            let after = pipe.stats().samples;
-            if before / checkpoint_every != after / checkpoint_every {
-                // Nest the periodic save under the chunk that crossed
-                // the cadence boundary; the ordinal is the cadence
-                // multiple reached, so the span identity is a function
-                // of training progress alone.
-                let span = save_tracer.as_ref().zip(chunk_ctx).map(|(tracer, c)| {
-                    tracer.begin(
-                        c.trace,
-                        Some(c.span),
-                        "checkpoint_save",
-                        i as u32,
-                        after / checkpoint_every,
-                    )
-                });
-                if let Err(e) = pipe.save_checkpoint(&shard_checkpoint_path(dir, i)) {
-                    failed_ref.lock().unwrap().get_or_insert(e);
-                }
-                if let (Some(tracer), Some(active)) = (&save_tracer, span) {
-                    tracer.end(active);
-                }
+            // Cadence saves nest under the chunk that crossed the boundary.
+            if let Err(e) = leases[i].advance(pipe, env, n, tracer.as_deref().zip(chunk_ctx)) {
+                failed.lock().expect("no shard panics holding the slot").get_or_insert(e);
             }
         });
         if let Some(e) = failed.into_inner().unwrap() {
             return Err(e);
         }
-        // Seal the batch: the final state of every shard is durable.
-        for (i, pipe) in self.pipes.iter().enumerate() {
-            let span = tracing.as_ref().map(|(tracer, root)| {
-                tracer.begin(
-                    root.trace,
-                    Some(root.span),
-                    "checkpoint_save",
-                    i as u32,
-                    pipe.stats().samples / checkpoint_every + 1,
-                )
-            });
-            let sealed = pipe.save_checkpoint(&shard_checkpoint_path(dir, i));
-            if let (Some((tracer, _)), Some(active)) = (&tracing, span) {
-                tracer.end(active);
-            }
-            sealed?;
+        for (lease, pipe) in leases.iter().zip(&self.pipes) {
+            lease.seal(pipe, under_root)?;
         }
         // Health-instrumented batches leave a flight recording next to
         // the sealed checkpoints: one probe snapshot per shard plus the
@@ -1078,14 +1167,14 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// `dir/shard{i}.ckpt` every `checkpoint_every` samples under the
     /// caller's fencing `epoch`.
     ///
-    /// On entry any existing shard checkpoint is restored (stale `*.tmp`
-    /// staging orphans are swept first) and its progress counts against
-    /// the target — a worker picking up a dead peer's lease resumes
-    /// where the last durable save left off and finishes bit-identical
-    /// to an uninterrupted run. If the checkpoint on disk was sealed
-    /// under a **newer** epoch than `held`, the caller is a superseded
-    /// zombie and is refused with [`LeaseError::FencedEpoch`] before it
-    /// can train or write anything.
+    /// On entry any existing shard checkpoint is restored (this shard's
+    /// stale `*.tmp` staging orphan is swept) and its progress counts
+    /// against the target — a worker picking up a dead peer's lease
+    /// resumes where the last durable save left off and finishes
+    /// bit-identical to an uninterrupted run. If the checkpoint on disk
+    /// was sealed under a **newer** epoch than `epoch`, the caller is a
+    /// superseded zombie and is refused with [`LeaseError::FencedEpoch`]
+    /// before it can train or write anything.
     ///
     /// `progress` is called after every chunk with the shard's total
     /// retired-sample count (a natural heartbeat cadence: chunks are the
@@ -1105,41 +1194,8 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         checkpoint_every: u64,
         mut progress: impl FnMut(u64) -> bool,
     ) -> Result<u64, LeaseError> {
-        assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
-        std::fs::create_dir_all(dir).map_err(CheckpointError::from)?;
-        let path = shard_checkpoint_path(dir, shard);
         let pipe = &mut self.pipes[shard];
-        match pipe.restore_checkpoint(&path) {
-            Ok(()) => {}
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Lease fencing: a checkpoint stamped by a newer assignment means
-        // this lease was reassigned out from under the caller.
-        if pipe.lease_epoch() > epoch {
-            return Err(LeaseError::FencedEpoch {
-                held: epoch,
-                found: pipe.lease_epoch(),
-            });
-        }
-        pipe.set_lease_epoch(epoch);
-        // Crash hygiene, lease-scoped: sweep only *this shard's* staging
-        // file, and only after the fence check. Unlike the whole-dir
-        // sweep in `train_batch_durable` (a single-process entry point),
-        // this runs while sibling workers may be mid-`atomic_write` in
-        // the same directory — deleting *their* staging files would fail
-        // their renames. The lease gives us unique live ownership of
-        // this shard, so the only `shard<N>.ckpt.tmp` we can meet is a
-        // dead predecessor's orphan.
-        {
-            let mut tmp = path.as_os_str().to_os_string();
-            tmp.push(".tmp");
-            match std::fs::remove_file(std::path::Path::new(&tmp)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(CheckpointError::from(e).into()),
-            }
-        }
+        let lease = ShardLease::open(pipe, dir, shard, epoch, checkpoint_every, None)?;
         // Lease chunks are the deterministic executor chunk, but never
         // coarser than the checkpoint cadence — otherwise a small lease
         // would run whole between durable saves and the progress
@@ -1152,20 +1208,13 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         .min(checkpoint_every)
         .max(1);
         while pipe.stats().samples < target_samples {
-            let before = pipe.stats().samples;
-            let take = chunk.min(target_samples - before);
-            pipe.run_samples_fast(env, take);
-            let after = pipe.stats().samples;
-            if before / checkpoint_every != after / checkpoint_every {
-                pipe.save_checkpoint(&path)?;
-            }
+            let take = chunk.min(target_samples - pipe.stats().samples);
+            let after = lease.advance(pipe, env, take, None)?;
             if !progress(after) {
                 return Ok(after);
             }
         }
-        // Seal: the lease's final state is durable under this epoch.
-        pipe.save_checkpoint(&path)?;
-        Ok(pipe.stats().samples)
+        Ok(lease.seal(pipe, None)?)
     }
 
     /// Cumulative iterations dropped by the attached sinks, summed
@@ -1461,6 +1510,33 @@ mod tests {
         for i in 0..4 {
             assert_eq!(leg2.q_table(i), full.q_table(i), "bank {i} q");
             assert_eq!(leg2.qmax_table(i), full.qmax_table(i), "bank {i} qmax");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_batch_is_fenced_by_a_cluster_epoch() {
+        let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(8);
+        let part = PartitionedGrid::new(16, 8, 2, 1, 0, ActionSet::Four, &mut rng);
+        let dir = std::env::temp_dir().join(format!(
+            "qtaccel-durable-fenced-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A cluster lease seals shard 1 under epoch 3.
+        let mut worker =
+            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        worker
+            .train_shard_durable(1, part.partition(1), 5_000, 3, &dir, 1_024, |_| true)
+            .expect("cluster lease");
+        // A durable batch holds epoch 0 on every shard: it is the zombie.
+        let mut batch =
+            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        match batch.train_batch_durable(part.partitions(), 10_000, &dir, 1_024) {
+            Err(CheckpointError::Mismatch { field, expected, found }) => {
+                assert_eq!((field, expected.as_str(), found.as_str()), ("lease epoch", "0", "3"));
+            }
+            other => panic!("expected a lease-epoch mismatch, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

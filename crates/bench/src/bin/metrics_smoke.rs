@@ -228,7 +228,9 @@ fn main() {
     // workers' final local registries in one process.
     let mut reference = MetricsRegistry::new();
     for local in &locals {
-        reference.merge(local);
+        reference
+            .merge(local)
+            .expect("the workers' local registries share kinds and fit u64");
     }
     if collector.merged_registry() != reference {
         eprintln!("metrics smoke: FAILED — collector merge differs from local merge");

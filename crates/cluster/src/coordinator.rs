@@ -1,40 +1,31 @@
 //! The supervising coordinator.
 //!
-//! One listener, one connection thread per worker session, one
-//! supervisor thread. The coordinator owns the *lease table*: every
-//! shard of the spec is one lease with a budget, a fencing epoch and an
-//! assignment state. Connection threads hand out free leases, account
-//! progress, and merge exactly one `LeaseDone` delta per lease; the
-//! supervisor enforces heartbeat deadlines on a monotonic clock and
-//! releases the leases of workers that went quiet.
-//!
-//! ## Fencing invariant
-//!
-//! The epoch counter of a lease bumps on every transition — assignment
-//! *and* death-release — so an epoch number uniquely identifies one
-//! live assignment. A frame carrying any other epoch (a zombie replay,
-//! a late completion from a presumed-dead worker) is refused with
-//! `Goodbye{REFUSED}` and merged **zero** times. Because every accepted
-//! `LeaseDone` delta carries the lease's whole contribution from shard
-//! birth and a lease is marked `Done` on first accept, the merged
-//! registry's `qtaccel_samples_total` equals the spec budget exactly —
-//! no matter how many workers died on the way.
+//! An accept thread and one thread per worker session, all thin adapters
+//! over the crate's pure lease table (`lease.rs`, which states the
+//! fencing and exactly-once rules). A session's thread feeds the table
+//! its frames, polls its socket every [`POLL`] and on each quiet tick
+//! expires overdue leases, and on its one exit path releases whatever
+//! the session still holds. So every held lease has a live thread
+//! watching its deadline. Because
+//! each accepted `LeaseDone` delta is the lease's whole contribution
+//! and merges once, the merged `qtaccel_samples_total` equals the spec
+//! budget exactly, however many workers died on the way.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
 use qtaccel_telemetry::{FramePayload, MetricsRegistry, WireClient, WireError};
 
+use crate::lease::{Handout, LeaseTable, Reply};
 use crate::spec::ClusterSpec;
 
-/// How often connection threads poll their socket and the shared state.
+/// How often connection threads poll their socket, and so how often a
+/// quiet session's thread checks lease deadlines.
 const POLL: Duration = Duration::from_millis(20);
-/// How often the supervisor scans for expired heartbeat deadlines.
-const SCAN: Duration = Duration::from_millis(15);
 
 /// Supervision knobs. Defaults suit an interactive localhost cluster;
 /// tests shrink the timeout to force the deadline path quickly.
@@ -61,65 +52,8 @@ impl Default for CoordinatorConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Assignment {
-    /// Unassigned: hand to the next idle session.
-    Free,
-    /// Held by connection `conn`; quiet past `deadline` means dead.
-    Assigned { conn: u64, deadline: Instant },
-    /// Completed and merged. Terminal.
-    Done,
-}
-
-#[derive(Debug, Clone)]
-struct LeaseState {
-    budget: u64,
-    /// Fencing epoch: bumps on every assignment and every
-    /// death-release, so one epoch value = one live assignment.
-    epoch: u64,
-    /// Latest progress report (informational; `Done` is authoritative).
-    samples: u64,
-    assignment: Assignment,
-    reassignments: u64,
-    /// Set at death-detection; cleared by the first accepted frame of
-    /// the replacement assignment (recovery-latency measurement).
-    pending_since: Option<Instant>,
-}
-
-struct CoordState {
-    leases: Vec<LeaseState>,
-    merged: MetricsRegistry,
-    done: usize,
-    failed: bool,
-    workers_connected: u64,
-    workers_presumed_dead: u64,
-    deadline_expirations: u64,
-    leases_reassigned: u64,
-    refused_frames: u64,
-    decode_errors: u64,
-    recovery_ms: Vec<f64>,
-}
-
-impl CoordState {
-    /// Release `lease` back to the free pool because its holder died.
-    /// The epoch bump here is the fence: anything the dead holder sends
-    /// later carries a stale epoch and is refused.
-    fn release_dead(&mut self, lease: usize, max_reassignments: u64, now: Instant) {
-        let ls = &mut self.leases[lease];
-        ls.epoch += 1;
-        ls.assignment = Assignment::Free;
-        ls.pending_since = Some(now);
-        ls.reassignments += 1;
-        self.leases_reassigned += 1;
-        self.workers_presumed_dead += 1;
-        if ls.reassignments > max_reassignments {
-            self.failed = true;
-        }
-    }
-}
-
 /// A point-in-time public view of the run (cloned out of the lock).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterStatus {
     /// Per-lease `(epoch, latest progress, done?)`.
     pub leases: Vec<(u64, u64, bool)>,
@@ -131,13 +65,16 @@ pub struct ClusterStatus {
     pub failed: bool,
     /// Sessions that got past the handshake.
     pub workers_connected: u64,
-    /// Death events (deadline expiry or mid-lease disconnect).
+    /// Death events (deadline expiry, or a session that ended while
+    /// holding a lease).
     pub workers_presumed_dead: u64,
     /// Deaths detected specifically by heartbeat-deadline expiry.
     pub deadline_expirations: u64,
     /// Leases released for reassignment after a death.
     pub leases_reassigned: u64,
-    /// Frames refused by epoch fencing or protocol violation.
+    /// Frames refused: not from the lease's holder at its epoch, a
+    /// completion short of the budget or whose delta cannot merge, or a
+    /// protocol violation.
     pub refused_frames: u64,
     /// Wire decode failures (torn frames, bad CRC, garbage).
     pub decode_errors: u64,
@@ -145,56 +82,34 @@ pub struct ClusterStatus {
     pub recovery_ms: Vec<f64>,
 }
 
-/// The supervising coordinator: owns the listener, the lease table and
-/// the supervisor thread. Dropping it stops every thread.
+/// The supervising coordinator: owns the listener and the lease table.
+/// Dropping it stops every thread.
 pub struct Coordinator {
     addr: SocketAddr,
-    state: Arc<Mutex<CoordState>>,
+    table: Arc<Mutex<LeaseTable>>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+}
+
+/// Lock the table. Every table call does its only fallible arithmetic
+/// (deadline = now + timeout) before it mutates anything, so even a
+/// poisoned lock's data is consistent.
+fn lock(table: &Mutex<LeaseTable>) -> MutexGuard<'_, LeaseTable> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Coordinator {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start supervising the
     /// spec's leases. Workers may connect immediately.
-    pub fn serve(
-        spec: &ClusterSpec,
-        cfg: CoordinatorConfig,
-        addr: &str,
-    ) -> std::io::Result<Self> {
+    pub fn serve(spec: &ClusterSpec, cfg: CoordinatorConfig, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let state = Arc::new(Mutex::new(CoordState {
-            leases: spec
-                .budgets()
-                .into_iter()
-                .map(|budget| LeaseState {
-                    budget,
-                    epoch: 0,
-                    samples: 0,
-                    assignment: Assignment::Free,
-                    reassignments: 0,
-                    pending_since: None,
-                })
-                .collect(),
-            merged: MetricsRegistry::new(),
-            done: 0,
-            failed: false,
-            workers_connected: 0,
-            workers_presumed_dead: 0,
-            deadline_expirations: 0,
-            leases_reassigned: 0,
-            refused_frames: 0,
-            decode_errors: 0,
-            recovery_ms: Vec::new(),
-        }));
+        let table = Arc::new(Mutex::new(LeaseTable::new(spec.budgets(), cfg)));
         let stop = Arc::new(AtomicBool::new(false));
-        let spec_hash = spec.hash();
-        let checkpoint_every = spec.checkpoint_every;
+        let spec = *spec;
 
         let accept = {
-            let state = Arc::clone(&state);
+            let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut next_conn: u64 = 1;
@@ -209,46 +124,25 @@ impl Coordinator {
                     };
                     let conn = next_conn;
                     next_conn += 1;
-                    let state = Arc::clone(&state);
+                    let table = Arc::clone(&table);
                     let stop = Arc::clone(&stop);
                     std::thread::spawn(move || {
-                        serve_conn(stream, conn, state, stop, cfg, spec_hash, checkpoint_every);
+                        if let Ok(mut session) = WireClient::from_stream(stream, 0) {
+                            serve_session(&mut session, conn, &table, &stop, cfg, &spec);
+                        }
+                        // The one exit path: whatever the session still
+                        // holds goes back to the pool, epoch bumped.
+                        lock(&table).exit(conn, Instant::now());
                     });
-                }
-            })
-        };
-
-        let supervisor = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(SCAN);
-                    let now = Instant::now();
-                    let mut st = state.lock().expect("coordinator state poisoned");
-                    let expired: Vec<usize> = st
-                        .leases
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, ls)| match ls.assignment {
-                            Assignment::Assigned { deadline, .. } if now > deadline => Some(i),
-                            _ => None,
-                        })
-                        .collect();
-                    for i in expired {
-                        st.deadline_expirations += 1;
-                        st.release_dead(i, cfg.max_reassignments, now);
-                    }
                 }
             })
         };
 
         Ok(Self {
             addr: local,
-            state,
+            table,
             stop,
             accept: Some(accept),
-            supervisor: Some(supervisor),
         })
     }
 
@@ -259,24 +153,7 @@ impl Coordinator {
 
     /// Current run status (cloned snapshot).
     pub fn status(&self) -> ClusterStatus {
-        let st = self.state.lock().expect("coordinator state poisoned");
-        ClusterStatus {
-            leases: st
-                .leases
-                .iter()
-                .map(|l| (l.epoch, l.samples, l.assignment == Assignment::Done))
-                .collect(),
-            done: st.done,
-            complete: st.done == st.leases.len(),
-            failed: st.failed,
-            workers_connected: st.workers_connected,
-            workers_presumed_dead: st.workers_presumed_dead,
-            deadline_expirations: st.deadline_expirations,
-            leases_reassigned: st.leases_reassigned,
-            refused_frames: st.refused_frames,
-            decode_errors: st.decode_errors,
-            recovery_ms: st.recovery_ms.clone(),
-        }
+        lock(&self.table).status()
     }
 
     /// Block until every lease is done (true) or `timeout` elapses or
@@ -284,17 +161,12 @@ impl Coordinator {
     pub fn wait_complete(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            {
-                let st = self.state.lock().expect("coordinator state poisoned");
-                if st.done == st.leases.len() {
-                    return true;
-                }
-                if st.failed {
-                    return false;
-                }
-            }
-            if Instant::now() > deadline {
-                return false;
+            let (complete, failed) = {
+                let table = lock(&self.table);
+                (table.complete(), table.counts.failed)
+            };
+            if complete || failed || Instant::now() > deadline {
+                return complete;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -302,11 +174,7 @@ impl Coordinator {
 
     /// The exactly-once merged registry across every accepted lease.
     pub fn merged_registry(&self) -> MetricsRegistry {
-        self.state
-            .lock()
-            .expect("coordinator state poisoned")
-            .merged
-            .clone()
+        lock(&self.table).merged.clone()
     }
 }
 
@@ -318,330 +186,94 @@ impl Drop for Coordinator {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
         // Connection threads observe `stop` within one POLL tick and
         // exit on their own; they hold only Arc clones.
     }
 }
 
-/// What the idle-session lease scan decided.
-enum Handout {
-    Assign { lease: u64, epoch: u64, budget: u64 },
-    Wait,
-    Complete,
-    Failed,
-}
-
-fn try_assign(st: &mut CoordState, conn: u64, heartbeat_timeout: Duration) -> Handout {
-    if st.failed {
-        return Handout::Failed;
-    }
-    if st.done == st.leases.len() {
-        return Handout::Complete;
-    }
-    for (i, ls) in st.leases.iter_mut().enumerate() {
-        if ls.assignment == Assignment::Free {
-            ls.epoch += 1;
-            ls.assignment = Assignment::Assigned {
-                conn,
-                deadline: Instant::now() + heartbeat_timeout,
-            };
-            return Handout::Assign {
-                lease: i as u64,
-                epoch: ls.epoch,
-                budget: ls.budget,
-            };
-        }
-    }
-    Handout::Wait
-}
-
-/// One worker session. Returns when the peer disconnects, violates the
-/// protocol, the run completes, or the coordinator stops.
-fn serve_conn(
-    stream: TcpStream,
+/// Serve session `conn` until the peer disconnects, violates the
+/// protocol, the run ends, or the coordinator stops.
+fn serve_session(
+    session: &mut WireClient,
     conn: u64,
-    state: Arc<Mutex<CoordState>>,
-    stop: Arc<AtomicBool>,
+    table: &Mutex<LeaseTable>,
+    stop: &AtomicBool,
     cfg: CoordinatorConfig,
-    spec_hash: u64,
-    checkpoint_every: u64,
+    spec: &ClusterSpec,
 ) {
-    let mut session = match WireClient::from_stream(stream, 0) {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-
     // Handshake: the first frame must be Hello.
     let hello_deadline = Instant::now() + cfg.handshake_timeout;
     loop {
         match session.recv_timeout(POLL) {
-            Ok(Some(frame)) => match frame.payload {
-                FramePayload::Hello { .. } => break,
-                _ => {
-                    let mut st = state.lock().expect("coordinator state poisoned");
-                    st.refused_frames += 1;
-                    drop(st);
-                    let _ = session.send(FramePayload::Goodbye {
-                        reason: goodbye_reason::REFUSED,
-                    });
-                    return;
-                }
-            },
+            Ok(Some(frame)) if matches!(frame.payload, FramePayload::Hello { .. }) => break,
+            Ok(Some(_)) => {
+                lock(table).counts.refused_frames += 1;
+                return goodbye(session, goodbye_reason::REFUSED);
+            }
             Ok(None) => {
                 if stop.load(Ordering::SeqCst) || Instant::now() > hello_deadline {
                     return;
                 }
             }
-            Err(e) => {
-                count_decode_error(&state, &e);
-                return;
-            }
+            Err(e) => return count_wire_error(table, &e),
         }
     }
-    state
-        .lock()
-        .expect("coordinator state poisoned")
-        .workers_connected += 1;
-    if session
-        .send(FramePayload::HelloAck {
-            capabilities: CAP_LEASE_V1,
-            spec_hash,
-        })
-        .is_err()
-    {
+    lock(table).counts.workers_connected += 1;
+    let ack = FramePayload::HelloAck {
+        capabilities: CAP_LEASE_V1,
+        spec_hash: spec.hash(),
+    };
+    if session.send(ack).is_err() {
         return;
     }
 
-    // (lease index, epoch we assigned it under) currently held by this
-    // session — used to release on disconnect, and *only* if the lease
-    // is still ours (the supervisor may have reassigned it already).
-    let mut held: Option<(usize, u64)> = None;
-
     loop {
         if stop.load(Ordering::SeqCst) {
-            let _ = session.send(FramePayload::Goodbye {
-                reason: goodbye_reason::SHUTDOWN,
-            });
-            return;
+            return goodbye(session, goodbye_reason::SHUTDOWN);
         }
-
-        if held.is_none() {
-            let decision = {
-                let mut st = state.lock().expect("coordinator state poisoned");
-                try_assign(&mut st, conn, cfg.heartbeat_timeout)
-            };
-            match decision {
-                Handout::Assign {
+        let handout = lock(table).assign(conn, Instant::now());
+        match handout {
+            Handout::Assign {
+                lease,
+                epoch,
+                budget,
+            } => {
+                let frame = FramePayload::Lease {
                     lease,
                     epoch,
                     budget,
-                } => {
-                    held = Some((lease as usize, epoch));
-                    if session
-                        .send(FramePayload::Lease {
-                            lease,
-                            epoch,
-                            budget,
-                            checkpoint_every,
-                        })
-                        .is_err()
-                    {
-                        release_if_mine(&state, held.take(), conn, cfg.max_reassignments);
-                        return;
-                    }
-                }
-                Handout::Complete => {
-                    let _ = session.send(FramePayload::Goodbye {
-                        reason: goodbye_reason::COMPLETE,
-                    });
+                    checkpoint_every: spec.checkpoint_every,
+                };
+                if session.send(frame).is_err() {
                     return;
                 }
-                Handout::Failed => {
-                    let _ = session.send(FramePayload::Goodbye {
-                        reason: goodbye_reason::SHUTDOWN,
-                    });
-                    return;
-                }
-                Handout::Wait => {}
             }
+            Handout::Complete => return goodbye(session, goodbye_reason::COMPLETE),
+            Handout::Failed => return goodbye(session, goodbye_reason::SHUTDOWN),
+            Handout::Wait => {}
         }
-
         match session.recv_timeout(POLL) {
-            Ok(Some(frame)) => {
-                if !handle_frame(frame.payload, &mut session, &state, conn, &mut held, &cfg) {
-                    return;
-                }
-            }
-            Ok(None) => {
-                // The supervisor may have taken our lease away while the
-                // peer was quiet; forget it so the next loop iteration
-                // can hand out fresh work if the peer speaks again.
-                if let Some((lease, epoch)) = held {
-                    let st = state.lock().expect("coordinator state poisoned");
-                    let ls = &st.leases[lease];
-                    let still_mine = ls.epoch == epoch
-                        && matches!(ls.assignment, Assignment::Assigned { conn: c, .. } if c == conn);
-                    if !still_mine {
-                        held = None;
-                    }
-                }
-            }
-            Err(e) => {
-                count_decode_error(&state, &e);
-                release_if_mine(&state, held.take(), conn, cfg.max_reassignments);
-                return;
-            }
+            Ok(Some(frame)) => match lock(table).on_frame(conn, frame.payload, Instant::now()) {
+                Reply::Continue => {}
+                Reply::Refuse => return goodbye(session, goodbye_reason::REFUSED),
+                Reply::Close => return,
+            },
+            Ok(None) => lock(table).expire(Instant::now()),
+            Err(e) => return count_wire_error(table, &e),
         }
     }
 }
 
-fn count_decode_error(state: &Arc<Mutex<CoordState>>, e: &WireError) {
+fn count_wire_error(table: &Mutex<LeaseTable>, e: &WireError) {
     // A clean close at a frame boundary is a disconnect, not a decode
     // failure; everything else (torn frame, bad CRC, garbage) counts.
     let clean_eof =
         matches!(e, WireError::Io(io) if io.kind() == std::io::ErrorKind::UnexpectedEof);
     if !clean_eof {
-        state
-            .lock()
-            .expect("coordinator state poisoned")
-            .decode_errors += 1;
+        lock(table).counts.decode_errors += 1;
     }
 }
 
-/// Release `held` back to the free pool iff this connection still owns
-/// it under the epoch it was assigned (death-by-disconnect path).
-fn release_if_mine(
-    state: &Arc<Mutex<CoordState>>,
-    held: Option<(usize, u64)>,
-    conn: u64,
-    max_reassignments: u64,
-) {
-    let Some((lease, epoch)) = held else { return };
-    let mut st = state.lock().expect("coordinator state poisoned");
-    let ls = &st.leases[lease];
-    let still_mine = ls.epoch == epoch
-        && matches!(ls.assignment, Assignment::Assigned { conn: c, .. } if c == conn);
-    if still_mine {
-        st.release_dead(lease, max_reassignments, Instant::now());
-    }
-}
-
-/// Process one inbound frame. Returns false when the session must end.
-fn handle_frame(
-    payload: FramePayload,
-    session: &mut WireClient,
-    state: &Arc<Mutex<CoordState>>,
-    conn: u64,
-    held: &mut Option<(usize, u64)>,
-    cfg: &CoordinatorConfig,
-) -> bool {
-    match payload {
-        FramePayload::Progress {
-            lease,
-            epoch,
-            samples,
-        } => {
-            let lease = lease as usize;
-            let mut st = state.lock().expect("coordinator state poisoned");
-            let ok = st.leases.get(lease).is_some_and(|ls| {
-                ls.epoch == epoch
-                    && matches!(ls.assignment, Assignment::Assigned { conn: c, .. } if c == conn)
-            });
-            if !ok {
-                st.refused_frames += 1;
-                drop(st);
-                let _ = session.send(FramePayload::Goodbye {
-                    reason: goodbye_reason::REFUSED,
-                });
-                return false;
-            }
-            let ls = &mut st.leases[lease];
-            ls.samples = samples;
-            ls.assignment = Assignment::Assigned {
-                conn,
-                deadline: Instant::now() + cfg.heartbeat_timeout,
-            };
-            if let Some(since) = ls.pending_since.take() {
-                let ms = since.elapsed().as_secs_f64() * 1_000.0;
-                st.recovery_ms.push(ms);
-            }
-            true
-        }
-        FramePayload::Heartbeat { .. } => {
-            if let Some((lease, epoch)) = *held {
-                let mut st = state.lock().expect("coordinator state poisoned");
-                let ls = &mut st.leases[lease];
-                if ls.epoch == epoch {
-                    if let Assignment::Assigned { conn: c, .. } = ls.assignment {
-                        if c == conn {
-                            ls.assignment = Assignment::Assigned {
-                                conn,
-                                deadline: Instant::now() + cfg.heartbeat_timeout,
-                            };
-                        }
-                    }
-                }
-            }
-            true
-        }
-        FramePayload::LeaseDone {
-            lease,
-            epoch,
-            samples,
-            delta,
-        } => {
-            let lease_idx = lease as usize;
-            let mut st = state.lock().expect("coordinator state poisoned");
-            let accept = st
-                .leases
-                .get(lease_idx)
-                .is_some_and(|ls| ls.epoch == epoch && ls.assignment != Assignment::Done);
-            if !accept {
-                // Zombie replay or double-completion: refuse, merge
-                // nothing, end the session. Exactly-once holds.
-                st.refused_frames += 1;
-                drop(st);
-                let _ = session.send(FramePayload::Goodbye {
-                    reason: goodbye_reason::REFUSED,
-                });
-                return false;
-            }
-            st.merged.merge(&delta);
-            st.done += 1;
-            let ls = &mut st.leases[lease_idx];
-            ls.assignment = Assignment::Done;
-            ls.samples = samples;
-            if let Some(since) = ls.pending_since.take() {
-                let ms = since.elapsed().as_secs_f64() * 1_000.0;
-                st.recovery_ms.push(ms);
-            }
-            if *held == Some((lease_idx, epoch)) {
-                *held = None;
-            }
-            true
-        }
-        FramePayload::Goodbye { .. } => {
-            // Cooperative exit: a lease the worker still held goes back
-            // to the pool (epoch-bumped, so nothing it sent later could
-            // merge anyway — but it said goodbye, it won't).
-            release_if_mine(state, held.take(), conn, cfg.max_reassignments);
-            false
-        }
-        // Everything else is a protocol violation from a worker
-        // (coordinator-direction frames, duplicate hello, raw metrics on
-        // the control port): refuse and drop the session.
-        _ => {
-            state
-                .lock()
-                .expect("coordinator state poisoned")
-                .refused_frames += 1;
-            let _ = session.send(FramePayload::Goodbye {
-                reason: goodbye_reason::REFUSED,
-            });
-            false
-        }
-    }
+fn goodbye(session: &mut WireClient, reason: u64) {
+    let _ = session.send(FramePayload::Goodbye { reason });
 }

@@ -10,13 +10,15 @@
 //! deterministic split the single-process path uses, hands them to
 //! worker processes over the QTACWIRE control-frame extension
 //! (`qtaccel_telemetry::wire` kinds 5–10), and supervises them with
-//! monotonic heartbeat deadlines:
+//! monotonic heartbeat deadlines. Every lease transition lives in one
+//! pure lease table; the coordinator's connection threads are thin
+//! adapters over it that check deadlines on their poll tick:
 //!
 //! ```text
 //!                        ┌─────────────────────────────┐
 //!                        │         Coordinator          │
 //!                        │  lease table · epoch fences  │
-//!                        │  supervisor (deadline scan)  │
+//!                        │  one thread per session      │
 //!                        └──┬─────────┬─────────────┬──┘
 //!             Lease/HelloAck│         │             │Goodbye
 //!        Progress/LeaseDone │         │             │
@@ -37,11 +39,12 @@
 //!   `IndependentPipelines::train_shard_durable`: chunked training with
 //!   atomic checkpoints, so a successor resumes a dead worker's shard
 //!   from its last checkpoint and replays the identical sample stream.
-//! * **Epoch fencing** — every lease (re)assignment and death-release
-//!   bumps the lease's epoch. A zombie (a presumed-dead worker that
-//!   wakes up) carries a stale epoch: the coordinator refuses its
-//!   frames (`Goodbye{REFUSED}`, merged zero times) and the checkpoint
-//!   layer refuses its writes (`LeaseError::FencedEpoch`).
+//! * **Epoch fencing** — every lease (re)assignment and release bumps
+//!   the lease's epoch. A zombie (a presumed-dead worker that wakes up)
+//!   carries a stale epoch: the coordinator refuses its frames, like any
+//!   frame from a session that does not hold the lease at that epoch
+//!   (`Goodbye{REFUSED}`, merged zero times), and the checkpoint layer
+//!   refuses its writes (`LeaseError::FencedEpoch`).
 //! * **Whole-lease deltas** — a `LeaseDone` delta is the lease's entire
 //!   metric contribution from shard birth, merged exactly once, so
 //!   partial predecessors never double-count.
@@ -50,6 +53,7 @@
 
 pub mod coordinator;
 pub mod error;
+mod lease;
 pub mod spec;
 pub mod worker;
 

@@ -11,7 +11,9 @@
 
 use std::path::Path;
 
-use qtaccel_accel::{shard_checkpoint_path, AccelConfig, CheckpointError, IndependentPipelines};
+use qtaccel_accel::{
+    shard_budgets, shard_checkpoint_path, AccelConfig, CheckpointError, IndependentPipelines,
+};
 use qtaccel_core::qtable::{QTable, QmaxTable};
 use qtaccel_envs::{ActionSet, PartitionedGrid};
 use qtaccel_fixed::Q8_8;
@@ -25,7 +27,7 @@ pub type ShardTables = Vec<(QTable<Q8_8>, QmaxTable<Q8_8>)>;
 /// Both sides build the same [`PartitionedGrid`] terrain (seeded by
 /// `seed`), the same `tiles_x × tiles_y` shard decomposition, and the
 /// same per-shard sample budgets via the deterministic split
-/// (`total/P + (i < total%P)` — the same rule `train_batch` uses), so a
+/// ([`shard_budgets`], the rule `train_batch` uses), so a
 /// cluster run is bit-identical to a single-process
 /// `IndependentPipelines::train_batch` of the same spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,13 +112,10 @@ impl ClusterSpec {
     }
 
     /// Per-shard sample budgets: the deterministic split `train_batch`
-    /// uses, so cluster totals compose bit-exactly with the
-    /// single-process reference.
+    /// uses ([`shard_budgets`]), so cluster totals compose bit-exactly
+    /// with the single-process reference.
     pub fn budgets(&self) -> Vec<u64> {
-        let p = self.shards() as u64;
-        let base = self.total_samples / p;
-        let extra = self.total_samples % p;
-        (0..p).map(|i| base + u64::from(i < extra)).collect()
+        shard_budgets(self.total_samples, self.shards())
     }
 
     /// Single-process reference: train the whole budget in one process

@@ -99,7 +99,8 @@ pub struct WorkerConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
-    /// Total connection attempts before giving up.
+    /// Connection attempts per outage before giving up (the count
+    /// restarts after each verified hello-ack).
     pub max_attempts: u32,
     /// Failure injection.
     pub chaos: ChaosMode,
@@ -121,11 +122,13 @@ impl WorkerConfig {
     }
 }
 
-/// The whole-lease metric contribution reported in a `LeaseDone`.
-/// Counters only, and always the lease's totals from shard birth — the
-/// coordinator merges each lease exactly once, so the cluster-wide
-/// `qtaccel_samples_total` sums to the spec budget exactly.
-fn lease_delta(samples: u64) -> MetricsRegistry {
+/// The whole-lease metric contribution reported in a `LeaseDone` (one
+/// lease: `leases == 1`). Counters only, and always the lease's totals
+/// from shard birth — the coordinator merges each lease exactly once, so
+/// the cluster-wide `qtaccel_samples_total` sums to the spec budget
+/// exactly. The coordinator's merged registry starts as
+/// `lease_delta(0, 0)`, which fixes both counters' kind.
+pub(crate) fn lease_delta(samples: u64, leases: u64) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     reg.set_counter(
         "qtaccel_samples_total",
@@ -135,7 +138,7 @@ fn lease_delta(samples: u64) -> MetricsRegistry {
     reg.set_counter(
         "qtaccel_lease_completions_total",
         "leases sealed and reported by this worker",
-        1,
+        leases,
     );
     reg
 }
@@ -167,6 +170,10 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
     let mut sessions: u32 = 0;
 
     'session: loop {
+        // Every `continue 'session` is a torn session: back off, redial.
+        if sessions > 0 {
+            std::thread::sleep(backoff(cfg, &mut jitter, attempts));
+        }
         // Connect with bounded, jittered exponential backoff.
         let mut session = loop {
             attempts += 1;
@@ -209,6 +216,9 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                             theirs: spec_hash,
                         });
                     }
+                    // A verified session ends the outage: the retry
+                    // budget and the backoff exponent start over.
+                    attempts = 0;
                 }
                 FramePayload::Goodbye { reason } => {
                     report.close = close_for(reason);
@@ -216,15 +226,8 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                 }
                 _ => return Err(ClusterError::Protocol("expected hello-ack")),
             },
-            Ok(None) => {
-                // Coordinator silent through the handshake: retry.
-                std::thread::sleep(backoff(cfg, &mut jitter, attempts));
-                continue 'session;
-            }
-            Err(_) => {
-                std::thread::sleep(backoff(cfg, &mut jitter, attempts));
-                continue 'session;
-            }
+            // Coordinator silent through the handshake, or gone: retry.
+            Ok(None) | Err(_) => continue 'session,
         }
 
         let mut nonce: u64 = 0;
@@ -233,7 +236,6 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                 Ok(None) => {
                     nonce += 1;
                     if session.send(FramePayload::Heartbeat { nonce }).is_err() {
-                        std::thread::sleep(backoff(cfg, &mut jitter, attempts));
                         continue 'session;
                     }
                 }
@@ -262,7 +264,7 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                                         lease,
                                         epoch,
                                         samples: budget,
-                                        delta: lease_delta(budget),
+                                        delta: lease_delta(budget, 1),
                                     });
                                     report.close = await_goodbye(&mut session);
                                     return Ok(report);
@@ -313,11 +315,10 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                                         lease,
                                         epoch,
                                         samples,
-                                        delta: lease_delta(samples),
+                                        delta: lease_delta(samples, 1),
                                     })
                                     .is_err()
                                 {
-                                    std::thread::sleep(backoff(cfg, &mut jitter, attempts));
                                     continue 'session;
                                 }
                             }
@@ -332,7 +333,6 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                                 // will come back (to someone) with a new
                                 // epoch and resume from our checkpoint.
                                 debug_assert!(send_failed);
-                                std::thread::sleep(backoff(cfg, &mut jitter, attempts));
                                 continue 'session;
                             }
                             Err(LeaseError::FencedEpoch { held, found }) => {
@@ -358,11 +358,8 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                     // Duplicate hello-ack or stray frames: ignore.
                     _ => {}
                 },
-                Err(_) => {
-                    // Session torn (coordinator died / socket reset).
-                    std::thread::sleep(backoff(cfg, &mut jitter, attempts));
-                    continue 'session;
-                }
+                // Session torn (coordinator died / socket reset).
+                Err(_) => continue 'session,
             }
         }
     }

@@ -18,8 +18,8 @@ use qtaccel_cluster::{
     run_worker, ChaosMode, ClusterError, ClusterSpec, Coordinator, CoordinatorConfig, WorkerClose,
     WorkerConfig,
 };
-use qtaccel_telemetry::wire::goodbye_reason;
-use qtaccel_telemetry::{FramePayload, MetricValue, WireClient};
+use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
+use qtaccel_telemetry::{FramePayload, MetricValue, MetricsRegistry, WireClient};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -376,4 +376,241 @@ fn coordinator_refuses_metrics_frames_on_the_control_port() {
         }
     }
     assert!(coord.status().refused_frames >= 1);
+}
+
+// ---------------------------------------------------------------------
+// Lease-table holes, probed with raw wire sessions.
+
+/// A raw session past its handshake.
+fn raw_session(addr: std::net::SocketAddr, id: u64) -> WireClient {
+    let mut session = WireClient::connect(addr, id, "probe").expect("hello");
+    match session.recv_timeout(Duration::from_secs(5)) {
+        Ok(Some(f)) => assert!(matches!(f.payload, FramePayload::HelloAck { .. })),
+        other => panic!("expected hello-ack, got {other:?}"),
+    }
+    session
+}
+
+/// Read until the coordinator hands out a lease: `[lease, epoch, budget]`.
+fn next_lease(session: &mut WireClient) -> [u64; 3] {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while std::time::Instant::now() < deadline {
+        if let Ok(Some(f)) = session.recv_timeout(Duration::from_millis(50)) {
+            if let FramePayload::Lease {
+                lease,
+                epoch,
+                budget,
+                ..
+            } = f.payload
+            {
+                return [lease, epoch, budget];
+            }
+        }
+    }
+    panic!("no lease arrived");
+}
+
+/// Read until the coordinator says `Goodbye{REFUSED}`.
+fn assert_refused(session: &mut WireClient) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while std::time::Instant::now() < deadline {
+        match session.recv_timeout(Duration::from_millis(50)) {
+            Ok(Some(f)) => match f.payload {
+                FramePayload::Goodbye { reason } => {
+                    assert_eq!(reason, goodbye_reason::REFUSED);
+                    return;
+                }
+                _ => continue,
+            },
+            Ok(None) => continue,
+            Err(e) => panic!("session ended without a refusal: {e}"),
+        }
+    }
+    panic!("no refusal arrived");
+}
+
+/// The delta an honest worker sends for a lease of `samples` samples.
+fn lease_delta(samples: u64) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    reg.set_counter("qtaccel_samples_total", "samples", samples);
+    reg.set_counter("qtaccel_lease_completions_total", "leases", 1);
+    reg
+}
+
+#[test]
+fn a_session_cannot_complete_a_lease_it_does_not_hold() {
+    let s = spec();
+    let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
+    let mut a = raw_session(coord.addr(), 1);
+    assert_eq!(next_lease(&mut a)[..2], [0, 1], "A holds lease 0 at epoch 1");
+    let mut b = raw_session(coord.addr(), 2);
+    assert_eq!(next_lease(&mut b)[..2], [1, 1], "B holds lease 1 at epoch 1");
+
+    // B completes A's lease, at A's epoch, with a 5-sample delta.
+    b.send(FramePayload::LeaseDone {
+        lease: 0,
+        epoch: 1,
+        samples: 5,
+        delta: lease_delta(5),
+    })
+    .expect("send");
+    assert_refused(&mut b);
+
+    let status = coord.status();
+    assert_eq!(status.refused_frames, 1, "{status:?}");
+    assert_eq!(status.leases[0], (1, 0, false), "A still holds lease 0");
+    assert_eq!(status.done, 0);
+    assert_eq!(samples_total(&coord.merged_registry()), 0, "nothing merged");
+}
+
+#[test]
+fn a_refused_session_gives_its_lease_back_at_once() {
+    let s = spec();
+    // A deadline far beyond the test: only the session's exit can
+    // release the lease.
+    let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
+    let mut probe = raw_session(coord.addr(), 3);
+    assert_eq!(next_lease(&mut probe)[..2], [0, 1]);
+    probe
+        .send(FramePayload::Metrics(MetricsRegistry::new()))
+        .expect("send metrics");
+    let sent = std::time::Instant::now();
+    while coord.status().leases[0].0 != 2 {
+        assert!(
+            sent.elapsed() < Duration::from_millis(200),
+            "the refused session still holds lease 0: {:?}",
+            coord.status()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let status = coord.status();
+    assert_eq!(status.refused_frames, 1);
+    assert_eq!(status.leases_reassigned, 1);
+}
+
+#[test]
+fn an_expired_session_gets_no_lease_until_it_speaks() {
+    let s = spec();
+    let cfg = CoordinatorConfig {
+        heartbeat_timeout: Duration::from_millis(100),
+        handshake_timeout: Duration::from_secs(5),
+        max_reassignments: 3,
+    };
+    let coord = Coordinator::serve(&s, cfg, "127.0.0.1:0").expect("serve");
+    // The session takes lease 0, then never reads or writes again.
+    let mut silent = raw_session(coord.addr(), 4);
+    assert_eq!(next_lease(&mut silent)[..2], [0, 1]);
+    std::thread::sleep(Duration::from_secs(1));
+
+    let status = coord.status();
+    assert_eq!(status.deadline_expirations, 1, "{status:?}");
+    assert!(!status.failed, "{status:?}");
+    assert_eq!(status.leases[0].0, 2, "one assignment, one expiry: {status:?}");
+    assert!(
+        status.leases[1..].iter().all(|&(epoch, _, _)| epoch == 0),
+        "the silent session was handed nothing else: {status:?}"
+    );
+    drop(silent);
+}
+
+#[test]
+fn a_mistyped_completion_is_refused_and_the_run_still_completes() {
+    let s = spec();
+    let dir = tmp("mistyped");
+    let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
+    let addr = coord.addr();
+
+    // One honest completion, trained for real so the sealed images stay
+    // comparable with the reference.
+    let mut probe = raw_session(addr, 5);
+    let [lease, epoch, budget] = next_lease(&mut probe);
+    let envs = s.environment();
+    let trained = s
+        .pipelines()
+        .train_shard_durable(
+            lease as usize,
+            envs.partition(lease as usize),
+            budget,
+            epoch,
+            &dir,
+            s.checkpoint_every,
+            |_| true,
+        )
+        .expect("honest lease");
+    probe
+        .send(FramePayload::LeaseDone {
+            lease,
+            epoch,
+            samples: trained,
+            delta: lease_delta(trained),
+        })
+        .expect("honest completion");
+
+    // The next completion carries the completions counter as a gauge.
+    let [lease, epoch, budget] = next_lease(&mut probe);
+    let mut mistyped = MetricsRegistry::new();
+    mistyped.set_counter("qtaccel_samples_total", "samples", budget);
+    mistyped.set_gauge("qtaccel_lease_completions_total", "leases", 1.0);
+    probe
+        .send(FramePayload::LeaseDone {
+            lease,
+            epoch,
+            samples: budget,
+            delta: mistyped,
+        })
+        .expect("mistyped completion");
+    assert_refused(&mut probe);
+
+    let status = coord.status();
+    assert_eq!((status.done, status.refused_frames), (1, 1), "{status:?}");
+    assert_eq!(samples_total(&coord.merged_registry()), trained);
+
+    let worker = {
+        let cfg = WorkerConfig::new(addr.to_string(), 6, dir.clone());
+        std::thread::spawn(move || run_worker(&s, &cfg))
+    };
+    assert!(coord.wait_complete(Duration::from_secs(30)), "run stalled");
+    let r = worker.join().expect("thread").expect("worker ok");
+    assert_eq!(r.close, WorkerClose::RunComplete);
+    assert_eq!(samples_total(&coord.merged_registry()), s.total_samples);
+    assert_bit_exact(&s, &dir);
+}
+
+#[test]
+fn the_reconnect_budget_restarts_after_each_verified_session() {
+    let s = spec();
+    // A fake coordinator: five sessions that handshake and drop, then
+    // one that ends the run.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fake = std::thread::spawn(move || {
+        for round in 0..6 {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut session = WireClient::from_stream(stream, 0).expect("session");
+            match session.recv_timeout(Duration::from_secs(5)) {
+                Ok(Some(f)) => assert!(matches!(f.payload, FramePayload::Hello { .. })),
+                other => panic!("expected hello, got {other:?}"),
+            }
+            let reply = if round < 5 {
+                FramePayload::HelloAck {
+                    capabilities: CAP_LEASE_V1,
+                    spec_hash: s.hash(),
+                }
+            } else {
+                FramePayload::Goodbye {
+                    reason: goodbye_reason::COMPLETE,
+                }
+            };
+            session.send(reply).expect("reply");
+        }
+    });
+
+    let mut cfg = WorkerConfig::new(addr.to_string(), 7, tmp("redial"));
+    cfg.max_attempts = 3;
+    cfg.backoff_base = Duration::from_millis(5);
+    cfg.backoff_max = Duration::from_millis(20);
+    let report = run_worker(&s, &cfg).expect("each outage gets its own budget");
+    assert_eq!(report.close, WorkerClose::RunComplete);
+    assert_eq!(report.reconnects, 5);
+    fake.join().expect("fake coordinator");
 }

@@ -37,7 +37,7 @@
 
 use crate::export::{encode_openmetrics, instant, slice, trace_document, track_name};
 use crate::health::Alert;
-use crate::histogram::MetricsRegistry;
+use crate::histogram::{MergeError, MetricsRegistry};
 use crate::json::Json;
 use crate::lock_unpoisoned;
 use crate::span::Span;
@@ -105,20 +105,12 @@ impl CollectorState {
         self.workers.last_mut().expect("just pushed")
     }
 
-    /// Fold one decoded frame in. All-or-nothing: the metric kind
-    /// pre-check runs over the whole delta before anything merges, so a
-    /// mismatched frame changes no collector state at all.
-    fn merge_frame(&mut self, frame: Frame) -> Result<(), WireError> {
+    /// Fold one decoded frame in. All-or-nothing: a metrics delta that
+    /// changes a metric's kind or overflows a count is refused by the
+    /// registry merge before any collector state changes.
+    fn merge_frame(&mut self, frame: Frame) -> Result<(), MergeError> {
         if let FramePayload::Metrics(delta) = &frame.payload {
-            for (name, _, value) in delta.iter() {
-                if let Some(existing) = self.registry.get(name) {
-                    if std::mem::discriminant(existing) != std::mem::discriminant(value) {
-                        return Err(WireError::BadPayload(format!(
-                            "metric `{name}` changed kind across frames"
-                        )));
-                    }
-                }
-            }
+            self.registry.merge(delta)?;
         }
         let worker = self.worker_mut(frame.worker);
         worker.frames += 1;
@@ -127,7 +119,8 @@ impl CollectorState {
             FramePayload::Hello { label } => worker.label = label,
             FramePayload::Spans(mut spans) => worker.spans.append(&mut spans),
             FramePayload::Alerts(mut alerts) => worker.alerts.append(&mut alerts),
-            FramePayload::Metrics(delta) => self.registry.merge(&delta),
+            // Merged above.
+            FramePayload::Metrics(_) => {}
             // Cluster control frames (kinds 5–10) are coordinator/worker
             // session state, not collector telemetry: a collector that
             // receives one accepts and accounts it (the stream stays
@@ -710,6 +703,40 @@ mod tests {
             collector.merged_registry().get("qtaccel_samples_total"),
             Some(&MetricValue::Counter(10)),
             "nothing from the corrupt frame merged"
+        );
+    }
+
+    #[test]
+    fn an_overflowing_delta_is_refused_like_a_bad_crc() {
+        let collector = Collector::serve("127.0.0.1:0").expect("bind");
+        let mut client = WireClient::connect(collector.addr(), 5, "forger").expect("connect");
+        let mut huge = MetricsRegistry::new();
+        huge.set_counter("qtaccel_samples_total", "samples", u64::MAX - 5);
+        client.send(FramePayload::Metrics(huge)).expect("first delta");
+        wait_until(&collector, 2);
+        // A metric that fits, then the counter that overflows.
+        let mut overflowing = MetricsRegistry::new();
+        overflowing.observe("qtaccel_executor_chunk_service_ns", "svc", 8);
+        overflowing.set_counter("qtaccel_samples_total", "samples", 10);
+        client
+            .send(FramePayload::Metrics(overflowing))
+            .expect("overflowing delta");
+        for _ in 0..200 {
+            if collector.decode_errors() > 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(collector.decode_errors(), 1, "refusal is counted");
+        assert_eq!(collector.frames_total(), 2, "the refused frame is not accepted");
+        assert_eq!(
+            collector.merged_registry().get("qtaccel_samples_total"),
+            Some(&MetricValue::Counter(u64::MAX - 5)),
+            "nothing from the overflowing frame merged"
+        );
+        assert!(
+            collector.merged_registry().get("qtaccel_executor_chunk_service_ns").is_none(),
+            "not even the metric that fit"
         );
     }
 

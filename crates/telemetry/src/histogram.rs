@@ -140,14 +140,24 @@ impl Histogram {
     /// scale-out aggregation primitive, mirroring [`CounterBank::merge`]:
     /// every shard observes into its own histogram lock-free and the
     /// submitter merges after the join. Merging is associative and
-    /// commutative (pinned by a property test).
+    /// commutative (pinned by a property test). Panics if a bucket or the
+    /// count would pass `u64::MAX`; [`MetricsRegistry::merge`] refuses
+    /// such a histogram instead.
     pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
+        *self = self.checked_merge(other).expect("histogram merge overflows u64");
+    }
+
+    /// `self ⊕ other`, or `None` if a bucket or the count would pass
+    /// `u64::MAX`.
+    fn checked_merge(&self, other: &Histogram) -> Option<Histogram> {
+        let mut out = self.clone();
+        for (b, o) in out.buckets.iter_mut().zip(&other.buckets) {
+            *b = b.checked_add(*o)?;
         }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
+        out.count = out.count.checked_add(other.count)?;
+        out.sum = out.sum.saturating_add(other.sum);
+        out.max = out.max.max(other.max);
+        Some(out)
     }
 
     /// The `q`-quantile (0 < q ≤ 1) as the inclusive upper bound of the
@@ -420,8 +430,11 @@ impl MetricsRegistry {
 
     /// Fold another registry into this one: counters add, gauges take the
     /// other's value, histograms merge. Metrics unique to either side are
-    /// kept.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    /// kept. All or nothing: if a metric changes kind, or a counter,
+    /// histogram bucket or histogram count would pass `u64::MAX`, nothing
+    /// is applied and the error names the metric.
+    pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), MergeError> {
+        let mut merged = self.clone();
         for m in &other.metrics {
             // Seed absent metrics with a neutral element so the fold
             // below applies exactly once.
@@ -431,20 +444,47 @@ impl MetricsRegistry {
                 MetricValue::Histogram(_) => MetricValue::Histogram(Histogram::new()),
                 MetricValue::Info(labels) => MetricValue::Info(labels.clone()),
             };
-            match (&m.value, self.upsert(&m.name, &m.help, neutral)) {
-                (MetricValue::Counter(v), MetricValue::Counter(mine)) => *mine += v,
+            let overflow = || MergeError::Overflow(m.name.clone());
+            match (&m.value, merged.upsert(&m.name, &m.help, neutral)) {
+                (MetricValue::Counter(v), MetricValue::Counter(mine)) => {
+                    *mine = mine.checked_add(*v).ok_or_else(overflow)?;
+                }
                 (MetricValue::Gauge(v), MetricValue::Gauge(mine)) => *mine = *v,
-                (MetricValue::Histogram(h), MetricValue::Histogram(mine)) => mine.merge(h),
+                (MetricValue::Histogram(h), MetricValue::Histogram(mine)) => {
+                    *mine = mine.checked_merge(h).ok_or_else(overflow)?;
+                }
                 (MetricValue::Info(labels), MetricValue::Info(mine)) => {
                     mine.clone_from(labels);
                 }
-                (theirs, mine) => {
-                    panic!("metric `{}` kind mismatch: {mine:?} vs {theirs:?}", m.name)
-                }
+                _ => return Err(MergeError::KindMismatch(m.name.clone())),
             }
+        }
+        *self = merged;
+        Ok(())
+    }
+}
+
+/// Why [`MetricsRegistry::merge`] refused a registry. Each variant names
+/// the offending metric.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MergeError {
+    /// The metric is registered under another kind.
+    KindMismatch(String),
+    /// A counter, histogram bucket or histogram count would pass
+    /// `u64::MAX`.
+    Overflow(String),
+}
+
+impl std::fmt::Display for MergeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MergeError::KindMismatch(name) => write!(f, "metric `{name}` changed kind"),
+            MergeError::Overflow(name) => write!(f, "metric `{name}` would overflow u64"),
         }
     }
 }
+
+impl std::error::Error for MergeError {}
 
 impl ToJson for MetricsRegistry {
     /// An array of `{name, value}` records in registration order
@@ -655,7 +695,7 @@ mod tests {
         other.set_gauge("qtaccel_executor_queue_depth", "depth", 9.0);
         other.observe("qtaccel_executor_chunk_service_ns", "svc", 200);
         other.set_counter("qtaccel_lfsr_draws_total", "draws", 1);
-        r.merge(&other);
+        r.merge(&other).expect("kinds match and nothing overflows");
         assert_eq!(
             r.get("qtaccel_samples_total"),
             Some(&MetricValue::Counter(17))
@@ -669,6 +709,59 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn an_overflowing_merge_applies_nothing() {
+        let mut r = MetricsRegistry::new();
+        r.set_counter("qtaccel_samples_total", "samples", u64::MAX - 5);
+        r.observe("qtaccel_executor_chunk_service_ns", "svc", 7);
+        let before = r.clone();
+
+        // The counter fits and comes first; the one after it overflows.
+        let mut counter = MetricsRegistry::new();
+        counter.set_counter("qtaccel_lfsr_draws_total", "draws", 3);
+        counter.set_counter("qtaccel_samples_total", "samples", 10);
+        assert_eq!(
+            r.merge(&counter),
+            Err(MergeError::Overflow("qtaccel_samples_total".into()))
+        );
+        assert_eq!(r, before, "a refused merge changes nothing");
+
+        // A histogram whose bucket and count would pass u64::MAX.
+        let mut full = Histogram::new();
+        full.buckets[Histogram::bucket_index(7)] = u64::MAX;
+        full.count = u64::MAX;
+        let mut hist = MetricsRegistry::new();
+        hist.set_histogram("qtaccel_executor_chunk_service_ns", "svc", &full);
+        assert_eq!(
+            r.merge(&hist),
+            Err(MergeError::Overflow("qtaccel_executor_chunk_service_ns".into()))
+        );
+        assert_eq!(r, before);
+
+        // Up to the limit still merges.
+        let mut fits = MetricsRegistry::new();
+        fits.set_counter("qtaccel_samples_total", "samples", 5);
+        r.merge(&fits).expect("u64::MAX itself fits");
+        assert_eq!(r.get("qtaccel_samples_total"), Some(&MetricValue::Counter(u64::MAX)));
+    }
+
+    #[test]
+    fn a_kind_mismatched_merge_applies_nothing() {
+        let mut r = MetricsRegistry::new();
+        r.set_counter("qtaccel_samples_total", "samples", 4);
+        r.set_counter("qtaccel_lease_completions_total", "leases", 1);
+        let before = r.clone();
+        let mut delta = MetricsRegistry::new();
+        delta.set_counter("qtaccel_samples_total", "samples", 6);
+        delta.set_gauge("qtaccel_lease_completions_total", "leases", 1.0);
+        assert_eq!(
+            r.merge(&delta),
+            Err(MergeError::KindMismatch("qtaccel_lease_completions_total".into()))
+        );
+        assert_eq!(r, before, "the counter before the mismatch did not apply");
+        assert!(MergeError::KindMismatch("x".into()).to_string().contains("changed kind"));
     }
 
     #[test]

@@ -346,13 +346,19 @@ impl Parsed {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so this bounds its stack; the deepest tracked report
+/// nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Strict on structure (this is a verification
-/// tool, not a lenient reader): trailing garbage, unterminated tokens and
-/// malformed escapes are errors with a byte offset.
+/// tool, not a lenient reader): trailing garbage, unterminated tokens,
+/// malformed escapes and nesting deeper than [`MAX_DEPTH`] are errors
+/// with a byte offset.
 pub fn parse(src: &str) -> Result<Parsed, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -375,8 +381,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Parsed, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Parsed, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Parsed::Null),
@@ -392,7 +402,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Parsed, String> {
                 return Ok(Parsed::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -417,7 +427,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Parsed, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -619,6 +629,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_exhausting_the_stack() {
+        let hostile = "[".repeat(200_000);
+        let err = parse(&hostile).expect_err("200 000 open brackets");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok(), "128 levels parse");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok(), "128 object levels parse");
+        let one_more = format!("[{deepest}]");
+        assert!(parse(&one_more).is_err(), "129 levels do not");
     }
 
     #[test]

@@ -86,7 +86,9 @@ pub use health::{
     Alert, FlightEntry, FlightRecorder, HealthConfig, HealthProbe, HealthSink, HealthSnapshot,
     Watchdog, WatchdogConfig, WatchdogRule,
 };
-pub use histogram::{stall_run_lengths, Histogram, HistogramSummary, MetricValue, MetricsRegistry};
+pub use histogram::{
+    stall_run_lengths, Histogram, HistogramSummary, MergeError, MetricValue, MetricsRegistry,
+};
 pub use collector::{Collector, WireClient, WorkerView};
 pub use json::{Json, ToJson};
 pub use sink::{CountersOnly, JsonlSink, NullSink, RingSink, TraceSink};

@@ -964,7 +964,7 @@ mod tests {
         );
         // prev ⊕ delta == cur for the additive kinds.
         let mut rebuilt = prev.clone();
-        rebuilt.merge(&delta);
+        rebuilt.merge(&delta).expect("a delta merges back onto its base");
         assert_eq!(
             rebuilt.get("qtaccel_samples_total"),
             cur.get("qtaccel_samples_total")

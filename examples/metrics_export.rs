@@ -61,7 +61,9 @@ fn main() {
 
     // Scrape endpoint: ephemeral port, self-scrape, print the payload.
     let server = Collector::serve("127.0.0.1:0").expect("bind ephemeral port");
-    server.update(|reg| reg.merge(&registry));
+    server
+        .update(|reg| reg.merge(&registry))
+        .expect("a fresh scrape registry takes every metric");
     println!("serving OpenMetrics on http://{}/metrics — scraping it back:\n", server.addr());
     let body = scrape(server.addr()).expect("self-scrape");
     print!("{body}");

@@ -18,10 +18,15 @@
 # collector; the merged scrape must sum bit-exactly and the exported
 # multi-process Perfetto trace must re-parse strictly with per-track
 # monotonic timestamps and zero decode errors), the distributed
-# training-cluster suite (DESIGN.md §2.16: kill-tolerant epoch-fenced
-# lease reassignment, heartbeat-deadline partitions, zombie fencing,
-# spec-hash refusal — every failure mode must end bit-identical to the
-# single-process reference) plus its process-level chaos harness
+# training-cluster suite (DESIGN.md §2.16: the lease-table properties —
+# epochs bump on every assignment and release, stale/foreign/malformed
+# frames change nothing but refused_frames, each lease merges at most
+# once, no exited session holds a lease, expired sessions wait until
+# they speak, and drained tables merge exactly the budget — plus
+# kill-tolerant epoch-fenced lease reassignment, heartbeat-deadline
+# partitions, zombie fencing, spec-hash refusal — every failure mode
+# must end bit-identical to the single-process reference) plus its
+# process-level chaos harness
 # (bench_distributed --quick --chaos: real SIGKILLs against worker
 # processes, a forced heartbeat-deadline partition, wire corruption;
 # gates on exact merged sample totals and bit-identical Q/Qmax images),
@@ -112,7 +117,7 @@ gate 600 "checkpoint/restore suite (release)" \
 gate 600 "quantized stored-format suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test quant
 
-gate 600 "distributed training-cluster suite (release)" \
+gate 600 "distributed training-cluster suite + lease-table properties (release)" \
   cargo test -q --release --offline -p qtaccel-cluster
 
 gate 900 "cargo clippy (offline, deny warnings)" \
