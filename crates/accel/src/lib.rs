@@ -19,7 +19,7 @@
 //!   uninstrumented, fault-free `Forwarding` + Qmax-array configuration
 //!   runs the **stall-free kernel** — one loop, generic over its table
 //!   image (the fused 16-bit slab, or the packed words of a quantized
-//!   table) — and anything else runs the general executor.
+//!   table) — and anything else runs the cycle-accurate engine itself.
 //! * [`qlearning`] / [`sarsa`] — the two §V engine customizations:
 //!   Q-Learning (random behaviour, greedy update via the Qmax array) and
 //!   SARSA (ε-greedy, on-policy action forwarding from stage 2 to

@@ -20,7 +20,7 @@ use crate::config::{AccelConfig, HazardMode};
 use crate::executor::{chunk_samples, ShardJob, ShardedExecutor};
 use crate::fault::FaultConfig;
 use crate::pipeline::AccelPipeline;
-use crate::resources::{analyze, resource_report, AccelResources, EngineKind};
+use crate::resources::{analyze, engine_kind, resource_report, AccelResources};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
 use qtaccel_core::trainer::{seed_unit, Transition};
@@ -448,11 +448,7 @@ impl<V: QValue> DualPipelineShared<V> {
     /// paper's point that dual-port BRAM gives the second pipeline for
     /// free memory-wise.
     pub fn resources(&self) -> AccelResources {
-        let kind = if self.config.trainer.forward_next_action {
-            EngineKind::Sarsa
-        } else {
-            EngineKind::QLearning
-        };
+        let kind = engine_kind(&self.config);
         let single = resource_report(self.num_states, self.num_actions, V::storage_bits(), kind);
         let mut r = analyze(
             self.num_states,
@@ -498,10 +494,11 @@ pub struct BatchReport {
     pub shards: Vec<ShardRun>,
     /// Cumulative iterations whose events the attached sinks have had to
     /// drop, summed across banks as of batch completion (bounded sinks
-    /// like `RingSink` evict; the fast path itself emits no events, so
-    /// nonzero values originate from cycle-accurate runs on the same
-    /// sinks). Zero for unbounded and no-op sinks — a nonzero value
-    /// flags that the retained trace is *not* the complete run.
+    /// like `RingSink` evict; an event-bearing sink makes every entry
+    /// point, `train_batch` included, run the cycle-accurate engine,
+    /// which emits every event). Zero for unbounded and no-op sinks — a
+    /// nonzero value flags that the retained trace is *not* the complete
+    /// run.
     pub dropped_iterations: u64,
     /// Spans evicted from the attached [`SpanTracer`]'s bounded ring as
     /// of batch completion (cumulative, like `dropped_iterations`).
@@ -1289,16 +1286,11 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     pub fn resources(&self) -> qtaccel_hdl::resource::ResourceReport {
         let mut total = qtaccel_hdl::resource::ResourceReport::default();
         for p in &self.pipes {
-            let kind = if p.config().trainer.forward_next_action {
-                EngineKind::Sarsa
-            } else {
-                EngineKind::QLearning
-            };
             total = total.combine(resource_report(
                 p.num_states(),
                 p.num_actions(),
                 V::storage_bits(),
-                kind,
+                engine_kind(p.config()),
             ));
         }
         total
@@ -1308,6 +1300,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::EngineKind;
     use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
     use qtaccel_fixed::Q8_8;
 

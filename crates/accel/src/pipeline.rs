@@ -38,8 +38,10 @@
 //! cycle against the read cycle, so cycle/stall/forward/bubble counters
 //! are bit-identical to the scan-per-read formulation (pinned by the
 //! `hazard_mode_cycle_stats_are_pinned` regression test). This is the
-//! cycle-accurate engine; [`AccelPipeline::run_samples_fast`] is the
-//! bit-exact fast path that skips the per-cycle bookkeeping entirely.
+//! cycle-accurate engine. [`AccelPipeline::run_samples_fast`] is the
+//! bit-exact fast path with one dispatch rule: the stall-free kernel,
+//! which skips the per-cycle bookkeeping entirely, for the
+//! configurations it accepts, and this engine for every other.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -154,80 +156,6 @@ impl<T: Copy> FwdIndex<T> {
     fn clear(&mut self) {
         self.counts = [0; FWD_SLOTS];
         self.slots = [None; FWD_SLOTS];
-    }
-}
-
-/// Capacity of the fast path's in-flight write window. Writes land
-/// `WRITE_OFFSET` cycles after issue and stage-1 cycles advance by at
-/// least one per sample, so at most `WRITE_OFFSET + 1` writes can be
-/// in flight around any read — the hardware's forwarding window.
-const FAST_RING: usize = 4;
-
-/// Fixed-capacity ordered window of the most recent writes, the fast
-/// path's replacement for a pending queue: no allocation, no per-cycle
-/// draining, at most [`FAST_RING`] entries scanned per lookup.
-#[derive(Debug, Clone)]
-struct WriteRing<T> {
-    buf: [Option<Pending<T>>; FAST_RING],
-    head: usize,
-    len: usize,
-}
-
-impl<T: Copy> WriteRing<T> {
-    fn new() -> Self {
-        Self {
-            buf: [None; FAST_RING],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Append the newest write, evicting the oldest when full. Eviction
-    /// is only legal when the ring mirrors writes already materialized
-    /// in memory (the immediate-commit modes); the delayed-commit user
-    /// never fills past capacity by the in-flight bound above.
-    #[inline(always)]
-    fn push(&mut self, p: Pending<T>) {
-        if self.len == FAST_RING {
-            self.head = (self.head + 1) % FAST_RING;
-            self.len -= 1;
-        }
-        self.buf[(self.head + self.len) % FAST_RING] = Some(p);
-        self.len += 1;
-    }
-
-    /// Commit cycle of the newest entry for `addr`, if any.
-    #[inline(always)]
-    fn newest_cc(&self, addr: usize) -> Option<u64> {
-        for i in (0..self.len).rev() {
-            if let Some(p) = self.buf[(self.head + i) % FAST_RING] {
-                if p.addr == addr {
-                    return Some(p.commit_cycle);
-                }
-            }
-        }
-        None
-    }
-
-    /// Apply every write due strictly before `cycle` to `mem`, oldest
-    /// first (the delayed-commit drain).
-    #[inline(always)]
-    fn retire_due<M: FnMut(usize, T)>(&mut self, cycle: u64, mut apply: M) {
-        while self.len > 0 {
-            let p = self.buf[self.head].expect("ring slot within len");
-            if p.commit_cycle >= cycle {
-                break;
-            }
-            apply(p.addr, p.value);
-            self.buf[self.head] = None;
-            self.head = (self.head + 1) % FAST_RING;
-            self.len -= 1;
-        }
-    }
-
-    /// Entries oldest → newest.
-    fn iter(&self) -> impl Iterator<Item = Pending<T>> + '_ {
-        (0..self.len).filter_map(move |i| self.buf[(self.head + i) % FAST_RING])
     }
 }
 
@@ -420,9 +348,10 @@ struct Window {
 /// [`NullSink`] every instrumentation site monomorphizes away and the
 /// stall-free kernel stays engaged — zero cost when telemetry is off.
 /// An instrumented sink maintains the [`CounterBank`] (and, for
-/// event-bearing sinks, receives cycle-stamped [`Event`]s from the
-/// cycle-accurate engine; the fast path mirrors the counters but emits no
-/// events — see [`run_samples_fast`](Self::run_samples_fast)).
+/// event-bearing sinks, receives cycle-stamped [`Event`]s). Instrumented
+/// pipelines always run the cycle-accurate engine, so
+/// [`run_samples_fast`](Self::run_samples_fast) feeds a sink exactly what
+/// [`run_samples`](Self::run_samples) does.
 #[derive(Debug, Clone)]
 pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     num_states: usize,
@@ -583,7 +512,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// writeback is stochastically rounded using the dedicated
     /// `seed_unit::QUANT` dither LFSR, and the reward ROM is snapped to
     /// the same grid — so the reference trainer, the cycle-accurate
-    /// engine and every fast executor compute bit-identical updates.
+    /// engine and the stall-free kernel compute bit-identical updates.
     /// Must be called before training starts (mid-run adoption happens
     /// only through checkpoint restore).
     pub fn enable_quant(&mut self, policy: QuantPolicy) {
@@ -990,10 +919,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Feed one retired sample to the sink's health probe (no-op unless
     /// `S::HEALTH`; call sites are additionally gated on the const so the
-    /// `NullSink` build monomorphizes this away entirely). Both engines
-    /// call this once per retired sample, in retirement order, with
-    /// identical arguments — the probe strides internally, so its state
-    /// is bit-exact across executors at any stride.
+    /// `NullSink` build monomorphizes this away entirely). The
+    /// cycle-accurate engine calls this once per retired sample, in
+    /// retirement order; the probe strides internally, and a probed
+    /// pipeline never runs the stall-free kernel, so its state is
+    /// bit-exact across entry points at any stride.
     #[inline]
     fn health_tick(
         &mut self,
@@ -1256,429 +1186,40 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     // ---- fast path ------------------------------------------------------
 
-    /// Fast read of Q(s, a) at `cycle`. In the immediate-commit modes
-    /// (`Forwarding`/`StallOnly`) `q_mem` already holds the newest value
-    /// for every address — exactly what the forwarding network or the
-    /// post-stall read would return — so the ring is consulted only for
-    /// the commit cycle (forward counting / stall delay). In `Ignore`
-    /// mode the ring carries genuinely uncommitted values and is drained
-    /// to the read cycle first, reproducing the stale BRAM image.
-    #[inline(always)]
-    fn fast_read_q(&mut self, qring: &mut WriteRing<V>, idx: usize, cycle: u64) -> (V, u64) {
-        if S::COUNTERS {
-            self.counters.inc(CounterId::QReads);
-        }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                if matches!(qring.newest_cc(idx), Some(cc) if cc >= h) {
-                    self.stats.forwards += 1;
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::FwdQHit);
-                    }
-                } else if S::COUNTERS {
-                    self.counters.inc(CounterId::FwdMiss);
-                }
-                (self.q_mem[idx], 0)
-            }
-            HazardMode::Ignore => {
-                let mem = &mut self.q_mem;
-                qring.retire_due(cycle, |a, v| mem[a] = v);
-                (self.q_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_q.max(cycle);
-                self.drain_horizon_q = h;
-                let d = match qring.newest_cc(idx) {
-                    Some(cc) if cc >= h => cc + 1 - cycle,
-                    _ => 0,
-                };
-                (self.q_mem[idx], d)
-            }
-        }
-    }
-
-    /// Fast read of the Qmax entry for `s` at `cycle`.
-    #[inline(always)]
-    fn fast_read_qmax(
-        &mut self,
-        mring: &mut WriteRing<(V, Action)>,
-        idx: usize,
-        cycle: u64,
-    ) -> ((V, Action), u64) {
-        if S::COUNTERS {
-            self.counters.inc(CounterId::QmaxReads);
-        }
-        match self.config.hazard {
-            HazardMode::Forwarding => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                if matches!(mring.newest_cc(idx), Some(cc) if cc >= h) {
-                    self.stats.forwards += 1;
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::FwdQmaxHit);
-                    }
-                } else if S::COUNTERS {
-                    self.counters.inc(CounterId::FwdMiss);
-                }
-                (self.qmax_mem[idx], 0)
-            }
-            HazardMode::Ignore => {
-                let mem = &mut self.qmax_mem;
-                mring.retire_due(cycle, |a, v| mem[a] = v);
-                (self.qmax_mem[idx], 0)
-            }
-            HazardMode::StallOnly => {
-                let h = self.drain_horizon_qmax.max(cycle);
-                self.drain_horizon_qmax = h;
-                let d = match mring.newest_cc(idx) {
-                    Some(cc) if cc >= h => cc + 1 - cycle,
-                    _ => 0,
-                };
-                (self.qmax_mem[idx], d)
-            }
-        }
-    }
-
-    /// Fast-path mirror of [`read_max`](Self::read_max).
-    #[inline(always)]
-    fn fast_read_max(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s: State,
-        cycle: u64,
-    ) -> (V, Action, u64) {
-        match self.config.trainer.max_mode {
-            MaxMode::QmaxArray => {
-                let ((v, a), d) = self.fast_read_qmax(mring, s as usize, cycle);
-                (v, a, d)
-            }
-            MaxMode::ExactScan => {
-                let mut delay = 0u64;
-                let (mut best_v, mut best_a) = {
-                    let (v, d) = self.fast_read_q(qring, sa_index(s, 0, self.num_actions), cycle);
-                    delay = delay.max(d);
-                    (v, 0u32)
-                };
-                for a in 1..self.num_actions as Action {
-                    let (v, d) = self.fast_read_q(
-                        qring,
-                        sa_index(s, a, self.num_actions),
-                        cycle + a as u64,
-                    );
-                    delay = delay.max(d);
-                    if v.vcmp(best_v) == core::cmp::Ordering::Greater {
-                        best_v = v;
-                        best_a = a;
-                    }
-                }
-                (best_v, best_a, delay + self.num_actions as u64 - 1)
-            }
-        }
-    }
-
-    /// Fast-path mirror of [`behavior_select`](Self::behavior_select):
-    /// identical policy dispatch and RNG draw order.
-    #[inline(always)]
-    fn fast_behavior_select(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s: State,
-        cycle: u64,
-    ) -> (Action, u64) {
-        let n = self.num_actions as u32;
-        match self.config.trainer.behavior {
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                (self.behavior_rng.below(n), 0)
-            }
-            Policy::Greedy => {
-                let (_, a, d) = self.fast_read_max(qring, mring, s, cycle);
-                (a, d)
-            }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.behavior_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => (a, 0),
-                    None => {
-                        let (_, a, d) = self.fast_read_max(qring, mring, s, cycle);
-                        (a, d)
-                    }
-                }
-            }
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann behaviour policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        }
-    }
-
-    /// Fast-path mirror of [`update_select`](Self::update_select).
-    #[inline(always)]
-    fn fast_update_select(
-        &mut self,
-        qring: &mut WriteRing<V>,
-        mring: &mut WriteRing<(V, Action)>,
-        s_next: State,
-        cycle: u64,
-    ) -> (Action, V, u64) {
-        let n = self.num_actions as u32;
-        match self.config.trainer.update {
-            Policy::Greedy => {
-                let (v, a, d) = self.fast_read_max(qring, mring, s_next, cycle);
-                (a, v, d)
-            }
-            Policy::Random => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                let a = self.update_rng.below(n);
-                let (v, d) =
-                    self.fast_read_q(qring, sa_index(s_next, a, self.num_actions), cycle);
-                (a, v, d)
-            }
-            Policy::EpsilonGreedy { epsilon } => {
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::LfsrDraws);
-                }
-                match epsilon_greedy_draw(&mut self.update_rng, epsilon_to_q32(epsilon), n) {
-                    Some(a) => {
-                        let (v, d) =
-                            self.fast_read_q(qring, sa_index(s_next, a, self.num_actions), cycle);
-                        (a, v, d)
-                    }
-                    None => {
-                        let (v, a, d) = self.fast_read_max(qring, mring, s_next, cycle);
-                        (a, v, d)
-                    }
-                }
-            }
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann update policy is not synthesizable on the QRL engine; \
-                 use the probability-table bandit engine (qtaccel_accel::bandit)"
-            ),
-        }
-    }
-
-    /// Run `n` iterations through the fast path: one sample per loop
-    /// iteration, closed-form cycle accounting, no per-cycle queue
-    /// bookkeeping — and bit-identical results.
+    /// Run `n` iterations through the fast path, bit-identical to
+    /// [`run_samples`](Self::run_samples).
     ///
-    /// One dispatch rule picks the executor: an uninstrumented sink, no
-    /// fault runtime, `Forwarding` hazards with the Qmax array, and a
-    /// table the kernel's image can address run the stall-free kernel
-    /// (`run_stall_free`); anything else runs the general executor below.
+    /// One dispatch rule picks the executor: when `stall_free_eligible`
+    /// holds, the stall-free kernel runs (`run_stall_free`); otherwise
+    /// this *is* `run_samples`, the cycle-accurate engine, so a
+    /// configuration the kernel refuses gets the reference's tables,
+    /// counters, events, health probe and fault campaign by construction.
     ///
-    /// The general executor's trick: in `Forwarding` and `StallOnly`
-    /// modes every read returns the *newest* write to its address (via
-    /// the forwarding network, or because the front end stalled until the
-    /// write landed). So it commits writes to memory immediately and
-    /// keeps only a [`FAST_RING`]-entry window of `(address, commit
-    /// cycle)` history to reproduce the forward counts and stall delays
-    /// the real pipeline reports. `Ignore` mode is the one place stale
-    /// values are architecturally visible, so there the ring carries real
-    /// delayed writes, drained per read — still O(1), still
-    /// allocation-free.
-    ///
-    /// Entry/exit protocols convert between the cycle-accurate pending
-    /// queues and each executor's window so the executors can be
-    /// interleaved freely on one pipeline: final Q-table, Qmax table, and
-    /// [`CycleStats`] are bit-identical to [`run_samples`](Self::run_samples)
-    /// (enforced by the `fast_path` equivalence tests). One observable
-    /// caveat: the raw *committed* BRAM image may lead the cycle-accurate
-    /// formulation by up to the pipeline depth at the moment of return,
-    /// which matters only to [`inject_q_bit_flip`](Self::inject_q_bit_flip)
-    /// racing an in-flight write.
+    /// The kernel's entry/exit protocol converts between the engine's
+    /// pending queues and its forwarding window, so the two executors
+    /// interleave freely on one pipeline: final Q-table, Qmax table and
+    /// [`CycleStats`] are bit-identical to `run_samples` (enforced by the
+    /// `fast_path` equivalence tests). One observable caveat: when the
+    /// kernel returns, the raw *committed* BRAM image already holds the
+    /// writes still in flight (up to the pipeline depth), which only code
+    /// reading committed words directly can see — checkpoint bytes, or
+    /// [`inject_q_bit_flip`](Self::inject_q_bit_flip) racing an in-flight
+    /// write.
     pub fn run_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
-        debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
-
         if n > 0 && self.stall_free_eligible() {
-            return self.run_stall_free(env, n);
+            self.run_stall_free(env, n)
+        } else {
+            self.run_samples(env, n)
         }
-
-        let immediate = self.config.hazard != HazardMode::Ignore;
-
-        // Entry: fold the pending queues into the ring window. In the
-        // immediate-commit modes the values land in memory right away
-        // (memory = newest image); in Ignore mode they stay in flight.
-        let mut qring = WriteRing::<V>::new();
-        let mut mring = WriteRing::<(V, Action)>::new();
-        while let Some(p) = self.pending_q.pop_front() {
-            if immediate {
-                self.q_mem[p.addr] = p.value;
-            }
-            qring.push(p);
-        }
-        while let Some(p) = self.pending_qmax.pop_front() {
-            if immediate {
-                self.qmax_mem[p.addr] = p.value;
-            }
-            mring.push(p);
-        }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
-
-        for _ in 0..n {
-            let c1 = self.next_c1;
-            if !immediate {
-                // Delayed-commit drain, same point as the cycle-accurate
-                // engine's per-step commit.
-                let qmem = &mut self.q_mem;
-                qring.retire_due(c1, |a, v| qmem[a] = v);
-                let mmem = &mut self.qmax_mem;
-                mring.retire_due(c1, |a, v| mmem[a] = v);
-            }
-
-            // Stage 1.
-            let (s, a, d1) = match self.carry.take() {
-                None => {
-                    if S::COUNTERS {
-                        self.counters.inc(CounterId::LfsrDraws);
-                    }
-                    let s = env.random_start(&mut self.start_rng);
-                    let (a, d) = self.fast_behavior_select(&mut qring, &mut mring, s, c1);
-                    (s, a, d)
-                }
-                Some((s, Some(a))) => (s, a, 0),
-                Some((s, None)) => {
-                    let (a, d) = self.fast_behavior_select(&mut qring, &mut mring, s, c1);
-                    (s, a, d)
-                }
-            };
-            let s_next = env.transition(s, a);
-            let r = self.rewards.get(s, a);
-            let (q_sa, dq) =
-                self.fast_read_q(&mut qring, sa_index(s, a, self.num_actions), c1 + d1);
-            let d1 = d1 + dq;
-
-            // Stage 2.
-            let c2 = c1 + d1 + 1;
-            let (a_next, q_next, d2) = self.fast_update_select(&mut qring, &mut mring, s_next, c2);
-
-            // Stage 3, then the quantizer on the writeback path.
-            let q_new = self
-                .one_minus_alpha
-                .mul(q_sa)
-                .add(self.alpha_v.mul(r))
-                .add(self.alpha_gamma.mul(q_next));
-            let q_new = self.quantize_writeback(q_new);
-
-            // Stage 4.
-            let stalls = d1 + d2;
-            let write_cycle = c1 + stalls + WRITE_OFFSET;
-            let qaddr = sa_index(s, a, self.num_actions);
-            if immediate {
-                self.q_mem[qaddr] = q_new;
-            }
-            qring.push(Pending {
-                commit_cycle: write_cycle,
-                addr: qaddr,
-                value: q_new,
-            });
-            if S::COUNTERS {
-                self.counters.inc(CounterId::QWrites);
-                // The stage-4 RMW's read half (the cycle engine counts
-                // it inside qmax_writeback).
-                self.counters.inc(CounterId::QmaxReads);
-            }
-
-            // Qmax read-modify-write. In the immediate-commit modes
-            // memory already holds the newest image, so the stored pair
-            // read here is exactly what the cycle engine's forwarding
-            // lookup would return — the greedy-flip signal matches.
-            let midx = s as usize;
-            let (current, current_a) = if immediate {
-                self.drain_horizon_qmax = self.drain_horizon_qmax.max(write_cycle);
-                self.qmax_mem[midx]
-            } else {
-                let mmem = &mut self.qmax_mem;
-                mring.retire_due(write_cycle, |a, v| mmem[a] = v);
-                self.qmax_mem[midx]
-            };
-            let mut qmax_wrote = false;
-            if q_new.vcmp(current) == core::cmp::Ordering::Greater {
-                qmax_wrote = true;
-                if S::COUNTERS {
-                    self.counters.inc(CounterId::QmaxWrites);
-                }
-                if immediate {
-                    self.qmax_mem[midx] = (q_new, a);
-                }
-                debug_assert!(immediate || mring.len < FAST_RING, "qmax window overflow");
-                mring.push(Pending {
-                    commit_cycle: write_cycle,
-                    addr: midx,
-                    value: (q_new, a),
-                });
-            }
-            if S::HEALTH {
-                let flip = qmax_wrote && a != current_a;
-                self.health_tick(write_cycle, s, q_sa, q_new, qmax_wrote, flip);
-            }
-
-            self.stats.samples += 1;
-            self.stats.stalls += stalls;
-            self.stats.cycles = write_cycle + 1;
-            self.next_c1 = c1 + stalls + 1;
-            if S::COUNTERS {
-                self.counters.inc(CounterId::SamplesRetired);
-                self.counters.add(CounterId::StallStage1, d1);
-                self.counters.add(CounterId::StallStage2, d2);
-            }
-
-            self.carry = if env.is_terminal(s_next) {
-                None
-            } else {
-                Some((
-                    s_next,
-                    if self.config.trainer.forward_next_action {
-                        Some(a_next)
-                    } else {
-                        None
-                    },
-                ))
-            };
-
-            self.fault_tick();
-        }
-
-        // Exit: reconstruct the pending queues so a subsequent
-        // cycle-accurate run observes the same forwarding behaviour. In
-        // the immediate-commit modes only writes still in flight relative
-        // to the next stage-1 cycle matter (older ring history is already
-        // architecturally committed); in Ignore mode every ring entry is
-        // a real uncommitted write.
-        for p in qring.iter() {
-            if !immediate || p.commit_cycle >= self.next_c1 {
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
-            }
-        }
-        for p in mring.iter() {
-            if !immediate || p.commit_cycle >= self.next_c1 {
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
-            }
-        }
-        self.stats
     }
 
     /// Whether the stall-free kernel accepts this pipeline: no counters,
     /// events, health probe or fault runtime (the kernel elides
-    /// per-access bookkeeping by design, so instrumented pipelines take
-    /// the general executor, which mirrors every counter), `Forwarding`
-    /// hazards with the Qmax array (the configuration that never
-    /// stalls), and a table the image can address — `|S| < 2^31` for the
-    /// 16-bit image; `|S| ≤ 2^22` and stored codes of at most 8 bits for
-    /// the packed image.
+    /// per-access bookkeeping by design), `Forwarding` hazards with the
+    /// Qmax array (the configuration that never stalls), and a table the
+    /// image can address — `|S| < 2^31` for the 16-bit image; `|S| ≤
+    /// 2^22` and stored codes of at most 8 bits for the packed image.
+    /// Every other configuration runs the cycle-accurate engine.
     fn stall_free_eligible(&self) -> bool {
         !S::COUNTERS
             && !S::EVENTS
@@ -1734,6 +1275,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// the config matches).
     fn run_stall_free<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         debug_assert!(n > 0);
+        debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
+        debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
         let policies = [
             FastPolicy::resolve(self.config.trainer.behavior, "behaviour"),
             FastPolicy::resolve(self.config.trainer.update, "update"),
@@ -1831,8 +1374,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         };
 
         // Exit: closed-form cycle accounting and pending-queue
-        // reconstruction, so a subsequent cycle-accurate run (or the
-        // general executor) observes identical state.
+        // reconstruction, so a subsequent cycle-accurate run observes
+        // identical state.
         let end_c1 = entry_c1 + n;
         self.next_c1 = end_c1;
         self.stats.samples += n;
@@ -2020,10 +1563,10 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// model, and the background Qmax scrubbing engine (see
     /// [`FaultConfig`] and the `crate::fault` module docs).
     ///
-    /// With a runtime attached the stall-free kernel is ineligible (the
-    /// general fast path and the cycle-accurate engine both take the
-    /// per-retired-sample fault hook); without one, every
-    /// execution path is bit-identical to a build without this feature.
+    /// With a runtime attached the stall-free kernel is ineligible, so
+    /// both entry points run the cycle-accurate engine and its
+    /// per-retired-sample fault hook; without one, every execution path
+    /// is bit-identical to a build without this feature.
     /// Replacing the runtime resets its counters and injector streams.
     pub fn enable_faults(&mut self, config: FaultConfig) {
         self.fault = Some(Box::new(FaultRt::new(config)));

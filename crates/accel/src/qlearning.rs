@@ -10,10 +10,7 @@ use crate::checkpoint::CheckpointError;
 use crate::config::AccelConfig;
 use crate::fault::{FaultConfig, FaultStats};
 use crate::pipeline::AccelPipeline;
-use crate::resources::{
-    analyze_stored, with_health_probes, with_histogram_regfile, with_perf_regfile, with_secded,
-    AccelResources, EngineKind,
-};
+use crate::resources::AccelResources;
 use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{PackedQTable, QTable, QmaxTable};
 use qtaccel_core::trainer::Transition;
@@ -173,64 +170,9 @@ impl<V: QValue, S: TraceSink> QLearningAccel<V, S> {
     }
 
     /// Structural resources, modeled fmax/throughput/power for this
-    /// instance (Figs. 3, 4, 6). When a counter-bearing sink is attached
-    /// the perf-counter bank's fabric cost is included (see
-    /// [`with_perf_regfile`]); an event-emitting sink additionally folds
-    /// in the stall-run-length histogram monitor
-    /// ([`with_histogram_regfile`] — the monitor is fed from the stall
-    /// event stream, so it only exists when that stream does); with
-    /// telemetry off the report is the uninstrumented baseline.
+    /// instance (see `AccelPipeline::resources`).
     pub fn resources(&self) -> AccelResources {
-        // A quantized table narrows the stored word everywhere the
-        // model prices memory: the base tables, the health probe's rail
-        // comparators, and the SECDED codewords all see `stored_bits`.
-        let stored_bits = self
-            .pipe
-            .quant()
-            .map_or(V::storage_bits(), |p| p.stored_bits());
-        let res = analyze_stored(
-            self.pipe.num_states(),
-            self.pipe.num_actions(),
-            V::storage_bits(),
-            stored_bits,
-            EngineKind::QLearning,
-            self.pipe.config(),
-            self.pipe.stats().samples_per_cycle().max(
-                // Before any sample retires, report the design rate.
-                if self.pipe.stats().samples == 0 { 1.0 } else { 0.0 },
-            ),
-        );
-        let mut res = if S::COUNTERS {
-            with_perf_regfile(res, self.pipe.config())
-        } else {
-            res
-        };
-        if S::EVENTS {
-            res = with_histogram_regfile(res, self.pipe.config());
-        }
-        // A health-probing sink brings the probe block (TD monitor,
-        // rail comparators, coverage bitset — [`with_health_probes`]).
-        if S::HEALTH {
-            res = with_health_probes(
-                res,
-                self.pipe.config(),
-                self.pipe.num_states(),
-                stored_bits,
-            );
-        }
-        // ECC-protected memories carry their codecs and widened words
-        // (over the stored width — narrow payloads pay proportionally
-        // more check bits; see the resources test suite).
-        if self.pipe.fault_config().is_some_and(|c| c.ecc) {
-            res = with_secded(
-                res,
-                self.pipe.config(),
-                self.pipe.num_states(),
-                self.pipe.num_actions(),
-                stored_bits,
-            );
-        }
-        res
+        self.pipe.resources()
     }
 }
 

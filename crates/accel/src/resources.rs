@@ -18,9 +18,12 @@
 //!   records them against each figure.
 
 use crate::config::AccelConfig;
+use crate::pipeline::AccelPipeline;
+use qtaccel_fixed::QValue;
 use qtaccel_hdl::bram::blocks_for;
 use qtaccel_hdl::dsp::dsp_slices_for_mul;
 use qtaccel_hdl::resource::{ResourceReport, Utilization};
+use qtaccel_telemetry::TraceSink;
 
 /// Which engine the resource estimate is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +34,16 @@ pub enum EngineKind {
     Sarsa,
     /// Single-state bandit engine with LFSR reward sampling.
     Bandit,
+}
+
+/// The engine a pipeline configuration builds: on-policy action
+/// forwarding is SARSA's datapath, its absence Q-learning's.
+pub(crate) fn engine_kind(config: &AccelConfig) -> EngineKind {
+    if config.trainer.forward_next_action {
+        EngineKind::Sarsa
+    } else {
+        EngineKind::QLearning
+    }
 }
 
 /// Number of bits to address one of `n` items.
@@ -298,6 +311,52 @@ pub fn analyze_stored(
         fmax_mhz,
         throughput_msps: fmax_mhz * samples_per_cycle,
         power_mw: config.power.power_mw(&report, fmax_mhz),
+    }
+}
+
+impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
+    /// Structural resources, modeled fmax/throughput/power for this
+    /// pipeline (Figs. 3–6), at its measured issue rate (the design
+    /// rate before any sample retires). The instance's options each add
+    /// their fabric: a counter-bearing sink the perf-counter bank
+    /// ([`with_perf_regfile`]); an event-emitting sink the
+    /// stall-run-length histogram monitor ([`with_histogram_regfile`] —
+    /// it is fed from the stall event stream, so it only exists when
+    /// that stream does); a health-probing sink the probe block
+    /// ([`with_health_probes`]); and an ECC fault config the SECDED
+    /// codecs and widened words ([`with_secded`]). With none of them the
+    /// report is the uninstrumented baseline.
+    pub fn resources(&self) -> AccelResources {
+        // A quantized table narrows the stored word everywhere the
+        // model prices memory: the base tables, the health probe's rail
+        // comparators, and the SECDED codewords all see `stored_bits`
+        // (narrow payloads pay proportionally more check bits).
+        let stored_bits = self.quant().map_or(V::storage_bits(), |p| p.stored_bits());
+        let (config, stats) = (self.config(), self.stats());
+        let (ns, na) = (self.num_states(), self.num_actions());
+        let design_rate = if stats.samples == 0 { 1.0 } else { 0.0 };
+        let mut res = analyze_stored(
+            ns,
+            na,
+            V::storage_bits(),
+            stored_bits,
+            engine_kind(config),
+            config,
+            stats.samples_per_cycle().max(design_rate),
+        );
+        if S::COUNTERS {
+            res = with_perf_regfile(res, config);
+        }
+        if S::EVENTS {
+            res = with_histogram_regfile(res, config);
+        }
+        if S::HEALTH {
+            res = with_health_probes(res, config, ns, stored_bits);
+        }
+        if self.fault_config().is_some_and(|c| c.ecc) {
+            res = with_secded(res, config, ns, na, stored_bits);
+        }
+        res
     }
 }
 

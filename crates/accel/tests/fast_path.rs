@@ -1,8 +1,11 @@
-//! Bit-exactness of the fast-path executor against the cycle-accurate
+//! Bit-exactness of `run_samples_fast` against the cycle-accurate
 //! engine: same Q-table, same Qmax table, same CycleStats, across both
 //! algorithms, every hazard mode, both Qmax semantics, and randomized
-//! grid shapes — plus free interleaving of the two executors on one
-//! pipeline instance.
+//! grid shapes — plus free interleaving of the stall-free kernel and the
+//! cycle-accurate engine on one pipeline instance. The kernel is the
+//! only fast executor: configurations it accepts test it, and every
+//! other configuration runs the cycle-accurate engine from the fast
+//! entry point too.
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
 use qtaccel_accel::multi::IndependentPipelines;

@@ -148,23 +148,36 @@ fn scrub_unlatches_qmax_corruption() {
 fn campaigns_are_deterministic_per_engine() {
     let g = grid(8);
     let cfg = AccelConfig::default().with_seed(0xF4);
-    let fc = FaultConfig::default().with_seu_rate(1e-3).with_ecc(true);
-    let run = |fast: bool| {
-        let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
-        a.enable_faults(fc);
-        if fast {
-            a.train_samples_fast(&g, 40_000);
-        } else {
-            a.train_samples(&g, 40_000);
-        }
-        (
-            a.q_table().as_slice().to_vec(),
-            a.qmax_table(),
-            a.fault_stats().unwrap(),
-        )
-    };
-    assert_eq!(run(true), run(true), "fast-path campaign must replay");
-    assert_eq!(run(false), run(false), "cycle-accurate campaign must replay");
+    let ecc = FaultConfig::default().with_seu_rate(1e-3).with_ecc(true);
+    for fc in [ecc, ecc.with_scrub_period(4)] {
+        let run = |fast: bool| {
+            let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
+            a.enable_faults(fc);
+            if fast {
+                a.train_samples_fast(&g, 40_000);
+            } else {
+                a.train_samples(&g, 40_000);
+            }
+            (
+                a.q_table().as_slice().to_vec(),
+                a.qmax_table(),
+                a.fault_stats().unwrap(),
+            )
+        };
+        assert_eq!(run(true), run(true), "fast-path campaign must replay");
+        assert_eq!(
+            run(false),
+            run(false),
+            "cycle-accurate campaign must replay"
+        );
+        // Strikes land only in committed BRAM, and the scrubber reads
+        // only committed words, whichever entry point trains.
+        assert_eq!(
+            run(true),
+            run(false),
+            "{fc:?}: both entry points, one campaign"
+        );
+    }
 }
 
 #[test]

@@ -59,8 +59,8 @@ fn assert_tables_equal<S1, S2>(
 /// The bit-exactness matrix: both algorithms × every hazard mode ×
 /// cycle-accurate vs fast executor, at each stored width. Under
 /// Forwarding the fast side runs the stall-free kernel's packed image;
-/// the other hazard modes take the general fast path with the quantize
-/// hook.
+/// the other hazard modes run the cycle-accurate engine from both entry
+/// points.
 #[test]
 fn quantized_runs_are_bit_exact_q_learning() {
     let g = grid(8);
@@ -104,10 +104,11 @@ fn quantized_runs_are_bit_exact_sarsa() {
     }
 }
 
-/// The stall-free kernel's packed image against the general fast
-/// executor on the same workload: a `CountersOnly` sink keeps quantized
-/// training on the general executor (instrumented pipelines never take
-/// the stall-free kernel), so the two loops check each other directly.
+/// The stall-free kernel's packed image against the cycle-accurate
+/// engine on the same workload: a `CountersOnly` sink keeps quantized
+/// training off the stall-free kernel (instrumented pipelines never take
+/// it), so both legs call `train_samples_fast` and check each other
+/// directly.
 #[test]
 fn packed_executor_matches_general_fast_path() {
     let g = grid(9);
@@ -128,8 +129,8 @@ fn packed_executor_matches_general_fast_path() {
 /// Executors interleave freely mid-run under quantization: the packed
 /// image's entry/exit protocol must hand the in-flight window and the
 /// dither stream back losslessly. The last leg attaches a zero-rate
-/// fault runtime, which moves the fast path onto the general executor
-/// without striking anything.
+/// fault runtime, which moves the fast path onto the cycle-accurate
+/// engine without striking anything.
 #[test]
 fn quantized_executors_interleave_freely() {
     let g = grid(7);

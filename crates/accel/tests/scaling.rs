@@ -311,7 +311,7 @@ fn pool_survives_a_panicked_train_batch() {
         (0..4).map(|_| FlakyEnv::new(grid(8), u64::MAX)).collect();
     poisoned[2] = FlakyEnv::new(grid(8), 500);
 
-    // StallOnly picks the general fast path, which consults the live
+    // StallOnly runs the cycle-accurate engine, which consults the live
     // environment every sample (the stall-free kernel snapshots
     // transitions once), so the fuse burns down mid-batch on a worker
     // thread.

@@ -4,8 +4,9 @@
 //!   single architectural bit — Q table, Qmax table and cycle counters
 //!   are compared against the uninstrumented engine across both
 //!   algorithms, every hazard mode and both executors.
-//! * **Counter parity**: the fast-path executor mirrors every counter
-//!   the cycle-accurate path maintains.
+//! * **Counter parity**: an instrumented engine runs the cycle-accurate
+//!   path from `train_samples_fast` too, so every counter and event
+//!   matches.
 //! * **Pinned golden**: the Table-I |S|=64 design point's full counter
 //!   dump is pinned, so any change to counter attribution is loud.
 //! * **Round-trip**: the JSONL event stream and the counter dump parse
@@ -41,6 +42,7 @@ const HAZARDS: [HazardMode; 3] = [
 fn q_learning_is_bit_identical_with_telemetry_attached() {
     for hazard in HAZARDS {
         let cfg = AccelConfig::default().with_seed(11).with_hazard(hazard);
+        let mut rings = Vec::new();
         for fast in [false, true] {
             let g = grid();
             let mut plain = QLearningAccel::<Q8_8>::new(&g, cfg);
@@ -61,7 +63,11 @@ fn q_learning_is_bit_identical_with_telemetry_attached() {
                 traced.qmax_table(),
                 "{hazard:?} fast={fast}"
             );
+            rings.push(traced.sink().events().copied().collect::<Vec<_>>());
         }
+        // An event-bearing sink runs the cycle-accurate engine from
+        // either entry point, so both legs hold the same events.
+        assert_eq!(rings[0], rings[1], "{hazard:?}: fast leg's events");
     }
 }
 
@@ -69,6 +75,7 @@ fn q_learning_is_bit_identical_with_telemetry_attached() {
 fn sarsa_is_bit_identical_with_telemetry_attached() {
     for hazard in HAZARDS {
         let cfg = AccelConfig::default().with_seed(23).with_hazard(hazard);
+        let mut rings = Vec::new();
         for fast in [false, true] {
             let g = grid();
             let mut plain = SarsaAccel::<Q8_8>::new(&g, cfg, 0.2);
@@ -89,7 +96,11 @@ fn sarsa_is_bit_identical_with_telemetry_attached() {
                 traced.qmax_table(),
                 "{hazard:?} fast={fast}"
             );
+            rings.push(traced.sink().events().copied().collect::<Vec<_>>());
         }
+        // An event-bearing sink runs the cycle-accurate engine from
+        // either entry point, so both legs hold the same events.
+        assert_eq!(rings[0], rings[1], "{hazard:?}: fast leg's events");
     }
 }
 

@@ -336,9 +336,9 @@ fn gate_counter_dump(samples: u64) -> Json {
 
 /// Health-probed (HealthSink) re-run at the gate point: probe snapshot
 /// plus one watchdog pass over it, for the report's `health` block
-/// (DESIGN.md §2.13). An attached probe forces the general executor, so
-/// this runs off the timed sweep and never touches the gated NullSink
-/// measurements.
+/// (DESIGN.md §2.13). An attached probe forces the cycle-accurate
+/// engine, so this runs off the timed sweep and never touches the gated
+/// NullSink measurements.
 fn gate_health_dump(samples: u64) -> Json {
     let g = paper_grid(GATE_STATES, ACTIONS);
     let cfg = AccelConfig::default();

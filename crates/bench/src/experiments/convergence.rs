@@ -101,8 +101,8 @@ fn curve_dual(g: &GridWorld, cfg: AccelConfig, checkpoints: &[u64]) -> Curve {
 
 /// The instrumented leg: the same Q-Learning configuration with a
 /// health probe attached, snapshotted at every checkpoint. The probe
-/// taxes only this leg (it forces the general executor) — the measured
-/// curves above stay uninstrumented.
+/// taxes only this leg (it forces the cycle-accurate engine) — the
+/// measured curves above stay uninstrumented.
 fn health_leg(g: &GridWorld, cfg: AccelConfig, checkpoints: &[u64]) -> Vec<HealthSnapshot> {
     let mut a = QLearningAccel::<qtaccel_fixed::Q8_8, HealthSink>::with_sink(
         g,

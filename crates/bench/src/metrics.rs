@@ -148,7 +148,8 @@ impl LatencyReport {
 /// histogram. Deterministic apart from the wall-clock quantities the
 /// histograms exist to measure.
 pub fn measure_latency(bank_states: usize, pipes: usize, samples: u64) -> LatencyReport {
-    // Instrumented batch: counters live, fast path engaged.
+    // Instrumented batch: counters live, so the shards run the
+    // cycle-accurate engine.
     let pool = Arc::new(ShardedExecutor::new_instrumented(
         qtaccel_accel::executor::host_parallelism().min(pipes.max(2)),
     ));
@@ -236,8 +237,8 @@ impl HealthReport {
 
 /// Run the health probe: a `train_batch` of `samples` over `banks`
 /// health-instrumented pipelines of `bank_states` states, one shard per
-/// bank on the executor (the probe forces the general executor — see
-/// DESIGN.md §2.13 — so this is also the scrape-time proof that the
+/// bank on the executor (the probe forces the cycle-accurate engine —
+/// see DESIGN.md §2.13 — so this is also the scrape-time proof that the
 /// instrumented path works under sharding), then one watchdog pass over
 /// the merged probe. Fully deterministic.
 pub fn measure_health(bank_states: usize, banks: usize, samples: u64) -> HealthReport {

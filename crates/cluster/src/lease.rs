@@ -9,21 +9,20 @@
 //! * **Epochs bump on every assignment and every release** (expiry or
 //!   session exit), so one epoch value names one live assignment.
 //! * **Whole-lease deltas merge exactly once.** A `LeaseDone` carries the
-//!   lease budget as `samples` and as its `qtaccel_samples_total` counter,
-//!   and its delta must merge (no kind change, no overflow).
+//!   lease budget as `samples`, and its delta must be exactly an honest
+//!   worker's: the budget as `qtaccel_samples_total`, one completion, and
+//!   nothing else. Any other counter value could overflow later honest
+//!   merges and stall the run.
 //! * **Expired sessions wait until they speak**: no lease until their
 //!   next accepted frame, so a silent peer costs one expiry, not one per
 //!   lease.
 
 use std::time::{Duration, Instant};
 
-use qtaccel_telemetry::{FramePayload, MetricValue, MetricsRegistry};
+use qtaccel_telemetry::{FramePayload, MetricsRegistry};
 
 use crate::coordinator::{ClusterStatus, CoordinatorConfig};
 use crate::worker::lease_delta;
-
-/// The counter a `LeaseDone` delta must carry, equal to the lease budget.
-const SAMPLES: &str = "qtaccel_samples_total";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Assignment {
@@ -211,7 +210,7 @@ impl LeaseTable {
                 // rule holds, and applies nothing when it fails.
                 Some(i)
                     if samples == self.leases[i].budget
-                        && delta.get(SAMPLES) == Some(&MetricValue::Counter(samples))
+                        && is_lease_delta(&delta, samples)
                         && self.merged.merge(&delta).is_ok() =>
                 {
                     self.heard_from(i, held, now);
@@ -222,7 +221,8 @@ impl LeaseTable {
                     Reply::Continue
                 }
                 // A foreign, stale or short completion, or a delta that
-                // cannot merge: nothing merged, exactly-once holds.
+                // is not the honest one: nothing merged, exactly-once
+                // holds.
                 _ => Reply::Refuse,
             },
             // The exit that follows releases whatever the peer held.
@@ -285,10 +285,25 @@ impl LeaseTable {
     }
 }
 
+/// Whether `delta` holds exactly the metrics and values of
+/// `lease_delta(budget, 1)`. Help text is not compared: the merged
+/// registry keeps its own.
+fn is_lease_delta(delta: &MetricsRegistry, budget: u64) -> bool {
+    let honest = lease_delta(budget, 1);
+    delta.len() == honest.len()
+        && honest
+            .iter()
+            .all(|(name, _, value)| delta.get(name) == Some(value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qtaccel_telemetry::MetricValue;
+
+    /// The merged counter of lease budgets.
+    const SAMPLES: &str = "qtaccel_samples_total";
 
     const BUDGETS: [u64; 5] = [300, 300, 299, 299, 299];
     const SESSIONS: usize = 3;
@@ -334,7 +349,7 @@ mod tests {
                 0..SESSIONS,
                 0..BUDGETS.len() + 3,
                 0u8..4,
-                0u8..6,
+                0u8..7,
                 0u64..250,
             ),
             1..160,
@@ -463,10 +478,20 @@ mod tests {
                             (budget, d)
                         }
                         // Mistyped: completions as a gauge.
-                        _ => {
+                        5 => {
                             let mut d = MetricsRegistry::new();
                             d.set_counter(SAMPLES, "samples", budget);
                             d.set_gauge("qtaccel_lease_completions_total", "leases", 1.0);
+                            (budget, d)
+                        }
+                        // Inflated: merges now, overflows later merges.
+                        _ => {
+                            let mut d = honest(budget);
+                            d.set_counter(
+                                "qtaccel_lease_completions_total",
+                                "leases",
+                                u64::MAX - 1,
+                            );
                             (budget, d)
                         }
                     };
@@ -633,6 +658,57 @@ mod tests {
         assert_eq!(t.counts.refused_frames, 1);
         t.counts.refused_frames = 0;
         assert_eq!(t, before, "nothing merged, the lease still held");
+    }
+
+    #[test]
+    fn lease_table_refuses_an_inflated_completion_and_still_completes() {
+        let mut t = table(u64::MAX);
+        let now = Instant::now();
+        let Handout::Assign {
+            lease,
+            epoch,
+            budget,
+        } = t.assign(1, now)
+        else {
+            panic!("a fresh table hands out lease 0");
+        };
+        // Honest samples, but a completions counter one merge away from
+        // u64::MAX: accepted, it would make every later honest merge
+        // but one overflow.
+        let mut inflated = honest(budget);
+        inflated.set_counter("qtaccel_lease_completions_total", "leases", u64::MAX - 1);
+        let done = FramePayload::LeaseDone {
+            lease,
+            epoch,
+            samples: budget,
+            delta: inflated,
+        };
+        if t.on_frame(1, done, now) == Reply::Refuse {
+            t.exit(1, now);
+        }
+        // Honest sessions finish the run; a refused one exits, as its
+        // connection thread would.
+        for conn in 2..12 {
+            while let Handout::Assign {
+                lease,
+                epoch,
+                budget,
+            } = t.assign(conn, now)
+            {
+                let done = FramePayload::LeaseDone {
+                    lease,
+                    epoch,
+                    samples: budget,
+                    delta: honest(budget),
+                };
+                if t.on_frame(conn, done, now) == Reply::Refuse {
+                    t.exit(conn, now);
+                    break;
+                }
+            }
+        }
+        assert!(t.complete(), "{:?}", t.status());
+        assert_eq!(merged_samples(&t), BUDGETS.iter().sum::<u64>());
     }
 
     #[test]

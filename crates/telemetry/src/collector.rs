@@ -710,10 +710,16 @@ mod tests {
     fn an_overflowing_delta_is_refused_like_a_bad_crc() {
         let collector = Collector::serve("127.0.0.1:0").expect("bind");
         let mut client = WireClient::connect(collector.addr(), 5, "forger").expect("connect");
-        let mut huge = MetricsRegistry::new();
-        huge.set_counter("qtaccel_samples_total", "samples", u64::MAX - 5);
-        client.send(FramePayload::Metrics(huge)).expect("first delta");
-        wait_until(&collector, 2);
+        // One frame may carry at most COUNTER_LIMIT - 1, so two frames
+        // bring the merged counter to u64::MAX - 5.
+        for v in [(1 << 63) - 1, (1 << 63) - 5] {
+            let mut huge = MetricsRegistry::new();
+            huge.set_counter("qtaccel_samples_total", "samples", v);
+            client
+                .send(FramePayload::Metrics(huge))
+                .expect("huge delta");
+        }
+        wait_until(&collector, 3);
         // A metric that fits, then the counter that overflows.
         let mut overflowing = MetricsRegistry::new();
         overflowing.observe("qtaccel_executor_chunk_service_ns", "svc", 8);
@@ -728,7 +734,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(collector.decode_errors(), 1, "refusal is counted");
-        assert_eq!(collector.frames_total(), 2, "the refused frame is not accepted");
+        assert_eq!(collector.frames_total(), 3, "the refused frame is not accepted");
         assert_eq!(
             collector.merged_registry().get("qtaccel_samples_total"),
             Some(&MetricValue::Counter(u64::MAX - 5)),

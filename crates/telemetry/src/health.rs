@@ -15,8 +15,9 @@
 //!   saturation-proximity counters (Q/Qmax words within `2^k` raw units
 //!   of the format's rails), and a state-visit coverage bitset. Sampling
 //!   is strided ([`HealthConfig::stride`]) on the retired-sample ordinal,
-//!   so the cycle-accurate and fast executors probe the *same* samples
-//!   and the probe state is bit-identical across engines.
+//!   and a probed pipeline runs the cycle-accurate engine from either
+//!   entry point, so both probe the *same* samples and the probe state
+//!   is bit-identical across them.
 //! * [`Watchdog`] — a windowed rule engine over probe deltas raising
 //!   structured, cycle-stamped [`Alert`]s: `divergence` (windowed
 //!   TD-error p99 crosses a log2 threshold), `saturation` (near-rail
@@ -524,9 +525,9 @@ impl HealthProbe {
 /// The health-probing sink: no event stream, live perf counters, and a
 /// carried [`HealthProbe`] the pipelines feed per retired sample.
 ///
-/// Attaching it makes the stall-free fast-path kernel ineligible (the
-/// general fast path and the cycle-accurate engine both take the probe
-/// hook, bit-identically); a [`crate::NullSink`] build is untouched.
+/// Attaching it makes the stall-free fast-path kernel ineligible, so
+/// both entry points run the cycle-accurate engine and its probe hook;
+/// a [`crate::NullSink`] build is untouched.
 #[derive(Debug, Clone)]
 pub struct HealthSink {
     probe: HealthProbe,

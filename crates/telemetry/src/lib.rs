@@ -59,7 +59,7 @@
 //! The cost contract: telemetry is **disabled by default and free when
 //! disabled**. Pipelines are generic over the sink; with [`NullSink`]
 //! every instrumentation site monomorphizes to nothing and the
-//! specialized fast-path executors remain engaged. DESIGN.md §2.6
+//! stall-free fast-path kernel remains engaged. DESIGN.md §2.6
 //! documents the register map, the JSONL event schema, and this policy;
 //! §2.10 documents the metrics service built on top.
 

@@ -6,7 +6,7 @@
 //! * `EVENTS` — when `false`, every `sink.record(..)` call site sits
 //!   inside `if S::EVENTS { .. }` and monomorphizes away entirely.
 //! * `COUNTERS` — when `false`, the pipeline's counter-bank updates
-//!   vanish the same way, *and* the specialized fast executors stay
+//!   vanish the same way, *and* the stall-free fast-path kernel stays
 //!   eligible.
 //!
 //! [`NullSink`] (both consts `false`) is the default; a pipeline built
@@ -35,7 +35,7 @@ pub trait TraceSink {
     const COUNTERS: bool;
     /// Whether the pipeline should feed per-sample training-health
     /// probes (see [`crate::health`]). Defaults to `false` so existing
-    /// sinks are untouched and the specialized fast executors stay
+    /// sinks are untouched and the stall-free fast-path kernel stays
     /// eligible; [`crate::health::HealthSink`] opts in.
     const HEALTH: bool = false;
 

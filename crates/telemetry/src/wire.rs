@@ -439,7 +439,7 @@ fn take_histogram(r: &mut WordReader<'_>) -> Result<Histogram, WireError> {
     for b in &mut buckets {
         *b = r.take()?;
     }
-    let (count, sum, max) = (r.take()?, r.take()?, r.take()?);
+    let (count, sum, max) = (bounded_count(r.take()?)?, r.take()?, r.take()?);
     let bucket_total: u64 = buckets
         .iter()
         .try_fold(0u64, |acc, &b| acc.checked_add(b))
@@ -459,6 +459,19 @@ fn valid_metric_name(name: &str, is_counter: bool) -> bool {
     name.starts_with("qtaccel_") && snake_case(name) && (!is_counter || name.ends_with("_total"))
 }
 
+/// A decoded counter or histogram count, refused at or past
+/// [`frame::COUNTER_LIMIT`] as checkpoints refuse it: no honest run
+/// reaches it, and a forged one would overflow the next merge.
+fn bounded_count(v: u64) -> Result<u64, WireError> {
+    if v < frame::COUNTER_LIMIT {
+        Ok(v)
+    } else {
+        Err(WireError::BadPayload(format!(
+            "count {v} at or past the counter limit"
+        )))
+    }
+}
+
 fn take_registry(r: &mut WordReader<'_>) -> Result<MetricsRegistry, WireError> {
     let count = r.take_count(1)?;
     let mut reg = MetricsRegistry::new();
@@ -472,7 +485,7 @@ fn take_registry(r: &mut WordReader<'_>) -> Result<MetricsRegistry, WireError> {
             )));
         }
         match tag {
-            0 => reg.set_counter(&name, &help, r.take()?),
+            0 => reg.set_counter(&name, &help, bounded_count(r.take()?)?),
             1 => reg.set_gauge(&name, &help, r.take_f64()?),
             2 => {
                 let h = take_histogram(r)?;
@@ -869,6 +882,41 @@ mod tests {
             .encode();
             let crc = frame::word(&bytes, bytes.len() / 8 - 1);
             assert_eq!((bytes.len() / 8, crc), pin, "kind {kind}");
+        }
+    }
+
+    #[test]
+    fn counters_and_histogram_counts_stop_below_the_counter_limit() {
+        // CRC-valid metrics frames: only the payload bound can refuse.
+        let decode = |reg: &MetricsRegistry| {
+            let frame = Frame {
+                worker: 2,
+                seq: 0,
+                payload: FramePayload::Metrics(reg.clone()),
+            };
+            Frame::decode(&frame.encode()).map(|f| f.payload)
+        };
+        let limit = frame::COUNTER_LIMIT;
+        for v in [limit - 1, limit] {
+            let mut counter = MetricsRegistry::new();
+            counter.set_counter("qtaccel_samples_total", "samples", v);
+            let mut buckets = [0u64; Histogram::BUCKETS];
+            buckets[3] = v;
+            let mut histogram = MetricsRegistry::new();
+            histogram.set_histogram(
+                "qtaccel_executor_chunk_service_ns",
+                "svc",
+                &Histogram::from_parts(buckets, v, 0, 5),
+            );
+            for reg in [counter, histogram] {
+                match decode(&reg) {
+                    Ok(FramePayload::Metrics(got)) if v < limit => assert_eq!(got, reg),
+                    Err(WireError::BadPayload(what)) if v == limit => {
+                        assert!(what.contains("counter limit"), "{what}")
+                    }
+                    other => panic!("{v}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -10,7 +10,11 @@
 # round-trip), the quantized stored-format
 # suite (4/6/8-bit bit-exactness across executors x hazard modes,
 # golden-reference transitivity, on-grid invariants under faults,
-# checkpoint adoption, stored-rail health probes), the distributed
+# checkpoint adoption, stored-rail health probes), the fast-path
+# equivalence suite in release (the stall-free kernel is the only fast
+# executor, and release builds compile out its debug_asserts, so its
+# bit-exactness against the cycle-accurate engine is checked as
+# shipped), the distributed
 # observability suites (wire-protocol damage matrix, span-tree
 # determinism across worker counts, the durable-batch trace round-trip
 # through a live collector) with the multi-worker collector smoke gate
@@ -116,6 +120,9 @@ gate 600 "checkpoint/restore suite (release)" \
 
 gate 600 "quantized stored-format suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test quant
+
+gate 600 "fast-path equivalence suite (release)" \
+  cargo test -q --release --offline -p qtaccel-accel --test fast_path
 
 gate 600 "distributed training-cluster suite + lease-table properties (release)" \
   cargo test -q --release --offline -p qtaccel-cluster
