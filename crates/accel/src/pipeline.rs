@@ -31,19 +31,24 @@
 //! ## Host-side cost of the forwarding network
 //!
 //! The queues are drained once per step (the per-step commit point at the
-//! top of [`AccelPipeline::step`]) instead of before every read, and each
-//! read resolves its newest in-flight writer through [`FwdIndex`] — an
-//! O(1) direct-mapped last-writer map — instead of a linear queue scan.
-//! Reads that race a write committing mid-step compare the entry's commit
-//! cycle against the read cycle, so cycle/stall/forward/bubble counters
-//! are bit-identical to the scan-per-read formulation (pinned by the
-//! `hazard_mode_cycle_stats_are_pinned` regression test). This is the
+//! top of [`AccelPipeline::step`]) instead of before every read. A write
+//! commits [`WRITE_OFFSET`] cycles after its stage 1, so after that drain
+//! at most three older writes per memory are still in flight, and the
+//! step adds one: each queue is a fixed ring of [`PIPE_DEPTH`] = 4 slots
+//! ([`InFlight`]), and a read finds its newest in-flight writer in at
+//! most four compares, newest first. Reads that race a write committing
+//! mid-step compare the entry's commit cycle against the read cycle, so
+//! cycle/stall/forward/bubble counters are bit-identical to the
+//! scan-per-read formulation (pinned by the
+//! `hazard_mode_cycle_stats_are_pinned` regression test). The step and
+//! every helper on its path are `#[inline(always)]`, so
+//! [`AccelPipeline::run_samples`] is one loop with no call per sample
+//! except the attached fault runtime's hook. This is the
 //! cycle-accurate engine. [`AccelPipeline::run_samples_fast`] is the
 //! bit-exact fast path with one dispatch rule: the stall-free kernel,
 //! which skips the per-cycle bookkeeping entirely, for the
 //! configurations it accepts, and this engine for every other.
 
-use std::collections::VecDeque;
 use std::path::Path;
 
 use crate::checkpoint::{self, below, counter, index, probability, CheckpointError};
@@ -73,89 +78,109 @@ struct Pending<T> {
     value: T,
 }
 
-/// Number of slots in the direct-mapped forwarding index. Must be a power
-/// of two; 64 keeps the whole index in one cache line pair while making
-/// address aliasing rare even on large grids.
-const FWD_SLOTS: usize = 64;
+/// Capacity of an in-flight write ring: the pipe depth. A write commits
+/// [`WRITE_OFFSET`] cycles after its iteration's stage 1, and the
+/// per-step commit point retires every write due before the next stage
+/// 1, so at most this many writes to one memory are in flight at a step
+/// boundary.
+const PIPE_DEPTH: usize = WRITE_OFFSET as usize + 1;
 
-/// Result of an O(1) last-writer lookup.
-enum FwdHit<T> {
-    /// No in-flight write maps to the address's slot: a definite miss.
-    Miss,
-    /// The newest in-flight write to this exact address.
-    Newest(Pending<T>),
-    /// The slot is occupied by a different address (hash aliasing): the
-    /// queue itself must be consulted.
-    Aliased,
-}
-
-/// Direct-mapped map from BRAM address to the *newest* in-flight write,
-/// maintained alongside a pending queue on every push and retirement.
-///
-/// Soundness relies on two queue invariants: pushes carry strictly
-/// increasing commit cycles (each slot therefore always holds the newest
-/// write hashing to it), and retirements pop oldest-first (so the slot's
-/// entry can only be retired once every same-slot entry is, at which
-/// point the slot count reaches zero). A zero count is thus a definite
-/// miss, a slot hit on the exact address is the newest matching writer,
-/// and only hash aliasing falls back to a linear scan.
+/// The writes in flight to one memory, oldest first, in a fixed ring of
+/// [`PIPE_DEPTH`] slots. Pushes carry strictly increasing commit cycles
+/// and commits retire from the front, so ring order is commit order and
+/// the newest writer to an address is its last match.
 #[derive(Debug, Clone)]
-struct FwdIndex<T> {
-    /// In-flight writes hashing to each slot (exact count).
-    counts: [u32; FWD_SLOTS],
-    /// Newest in-flight write hashing to each slot.
-    slots: [Option<Pending<T>>; FWD_SLOTS],
+struct InFlight<T> {
+    slots: [Pending<T>; PIPE_DEPTH],
+    /// Slot of the oldest write.
+    head: usize,
+    len: usize,
 }
 
-impl<T: Copy> FwdIndex<T> {
-    fn new() -> Self {
+impl<T: Copy> InFlight<T> {
+    /// An empty ring; `fill` only initialises the unused slots.
+    fn new(fill: T) -> Self {
         Self {
-            counts: [0; FWD_SLOTS],
-            slots: [None; FWD_SLOTS],
+            slots: [Pending {
+                commit_cycle: 0,
+                addr: NO_ADDR,
+                value: fill,
+            }; PIPE_DEPTH],
+            head: 0,
+            len: 0,
         }
     }
 
+    /// The `i`-th oldest write in flight (`i < len`).
     #[inline(always)]
-    fn slot_of(addr: usize) -> usize {
-        addr & (FWD_SLOTS - 1)
+    fn get(&self, i: usize) -> Pending<T> {
+        self.slots[(self.head + i) % PIPE_DEPTH]
     }
 
-    /// Record a write pushed onto the companion queue.
+    /// Queue a write behind every write in flight. The pipe never holds
+    /// more than its depth; a restored checkpoint is checked against the
+    /// same bound by [`try_push`](Self::try_push).
     #[inline(always)]
     fn push(&mut self, p: Pending<T>) {
-        let h = Self::slot_of(p.addr);
-        self.counts[h] += 1;
-        self.slots[h] = Some(p);
+        assert!(
+            self.len < PIPE_DEPTH,
+            "more writes in flight than the pipe is deep"
+        );
+        self.slots[(self.head + self.len) % PIPE_DEPTH] = p;
+        self.len += 1;
     }
 
-    /// Record the retirement (commit) of the queue's front entry.
+    /// Queue a write decoded from a checkpoint, refusing a queue no pipe
+    /// can hold: more than [`PIPE_DEPTH`] writes, or commit cycles that
+    /// do not strictly increase.
+    fn try_push(&mut self, field: &'static str, p: Pending<T>) -> Result<(), CheckpointError> {
+        if self.len == PIPE_DEPTH
+            || self.len > 0 && p.commit_cycle <= self.get(self.len - 1).commit_cycle
+        {
+            return Err(CheckpointError::Mismatch {
+                field,
+                expected: format!("at most {PIPE_DEPTH} writes, commit cycles strictly increasing"),
+                found: format!(
+                    "write {} committing at cycle {}",
+                    self.len + 1,
+                    p.commit_cycle
+                ),
+            });
+        }
+        self.push(p);
+        Ok(())
+    }
+
+    /// Retire the oldest write if it commits before `cycle`.
     #[inline(always)]
-    fn retire(&mut self, addr: usize) {
-        let h = Self::slot_of(addr);
-        debug_assert!(self.counts[h] > 0, "retire without matching push");
-        self.counts[h] -= 1;
-        if self.counts[h] == 0 {
-            self.slots[h] = None;
+    fn pop_due(&mut self, cycle: u64) -> Option<Pending<T>> {
+        let p = self.slots[self.head];
+        if self.len > 0 && p.commit_cycle < cycle {
+            self.head = (self.head + 1) % PIPE_DEPTH;
+            self.len -= 1;
+            Some(p)
+        } else {
+            None
         }
     }
 
-    /// O(1) newest-writer lookup for `addr`.
+    /// The newest in-flight write to `addr`: at most [`PIPE_DEPTH`]
+    /// compares, newest first.
     #[inline(always)]
-    fn newest(&self, addr: usize) -> FwdHit<T> {
-        let h = Self::slot_of(addr);
-        if self.counts[h] == 0 {
-            return FwdHit::Miss;
-        }
-        match self.slots[h] {
-            Some(p) if p.addr == addr => FwdHit::Newest(p),
-            _ => FwdHit::Aliased,
-        }
+    fn newest(&self, addr: usize) -> Option<Pending<T>> {
+        (0..self.len)
+            .rev()
+            .map(|i| self.get(i))
+            .find(|p| p.addr == addr)
     }
 
-    /// Forget everything (companion queue was emptied wholesale).
-    fn clear(&mut self) {
-        self.counts = [0; FWD_SLOTS];
-        self.slots = [None; FWD_SLOTS];
+    /// The writes in flight, oldest first.
+    fn iter(&self) -> impl Iterator<Item = Pending<T>> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -380,12 +405,9 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     // change.
     fast_image: Option<Vec<FastCell<V>>>,
     packed_image: Option<Vec<u32>>,
-    // In-flight writes (queues are the source of truth; the indices are
-    // O(1) newest-writer accelerators kept in sync on push/retire).
-    pending_q: VecDeque<Pending<V>>,
-    pending_qmax: VecDeque<Pending<(V, Action)>>,
-    fwd_q: FwdIndex<V>,
-    fwd_qmax: FwdIndex<(V, Action)>,
+    // In-flight writes, one pipe-deep ring per memory.
+    pending_q: InFlight<V>,
+    pending_qmax: InFlight<(V, Action)>,
     // Forwarding-network visibility horizons. The BRAM controller
     // retires every write due before the highest cycle it has serviced
     // so far — notably the stage-4 read-modify-write at `c1 + 3`, which
@@ -487,10 +509,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             rewards: RewardTable::from_env(env),
             fast_image: None,
             packed_image: None,
-            pending_q: VecDeque::new(),
-            pending_qmax: VecDeque::new(),
-            fwd_q: FwdIndex::new(),
-            fwd_qmax: FwdIndex::new(),
+            pending_q: InFlight::new(V::zero()),
+            pending_qmax: InFlight::new((V::zero(), 0)),
             drain_horizon_q: 0,
             drain_horizon_qmax: 0,
             carry: None,
@@ -608,67 +628,31 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     // ---- memory model -------------------------------------------------
 
+    #[inline(always)]
     fn commit_q_until(&mut self, cycle: u64) {
-        while let Some(p) = self.pending_q.front() {
-            if p.commit_cycle < cycle {
-                if S::EVENTS {
-                    self.sink.record(&Event::Commit {
-                        cycle: p.commit_cycle,
-                        mem: MemKind::Q,
-                        addr: p.addr as u64,
-                    });
-                }
-                self.q_mem[p.addr] = p.value;
-                self.fwd_q.retire(p.addr);
-                self.pending_q.pop_front();
-            } else {
-                break;
+        while let Some(p) = self.pending_q.pop_due(cycle) {
+            if S::EVENTS {
+                self.sink.record(&Event::Commit {
+                    cycle: p.commit_cycle,
+                    mem: MemKind::Q,
+                    addr: p.addr as u64,
+                });
             }
+            self.q_mem[p.addr] = p.value;
         }
     }
 
+    #[inline(always)]
     fn commit_qmax_until(&mut self, cycle: u64) {
-        while let Some(p) = self.pending_qmax.front() {
-            if p.commit_cycle < cycle {
-                if S::EVENTS {
-                    self.sink.record(&Event::Commit {
-                        cycle: p.commit_cycle,
-                        mem: MemKind::Qmax,
-                        addr: p.addr as u64,
-                    });
-                }
-                self.qmax_mem[p.addr] = p.value;
-                self.fwd_qmax.retire(p.addr);
-                self.pending_qmax.pop_front();
-            } else {
-                break;
+        while let Some(p) = self.pending_qmax.pop_due(cycle) {
+            if S::EVENTS {
+                self.sink.record(&Event::Commit {
+                    cycle: p.commit_cycle,
+                    mem: MemKind::Qmax,
+                    addr: p.addr as u64,
+                });
             }
-        }
-    }
-
-    /// Newest in-flight Q write to `idx`: O(1) index hit or miss, linear
-    /// queue scan only under slot aliasing.
-    #[inline(always)]
-    fn newest_q(&self, idx: usize) -> Option<Pending<V>> {
-        match self.fwd_q.newest(idx) {
-            FwdHit::Miss => None,
-            FwdHit::Newest(p) => Some(p),
-            FwdHit::Aliased => self.pending_q.iter().rev().find(|p| p.addr == idx).copied(),
-        }
-    }
-
-    /// Newest in-flight Qmax write to `idx`.
-    #[inline(always)]
-    fn newest_qmax(&self, idx: usize) -> Option<Pending<(V, Action)>> {
-        match self.fwd_qmax.newest(idx) {
-            FwdHit::Miss => None,
-            FwdHit::Newest(p) => Some(p),
-            FwdHit::Aliased => self
-                .pending_qmax
-                .iter()
-                .rev()
-                .find(|p| p.addr == idx)
-                .copied(),
+            self.qmax_mem[p.addr] = p.value;
         }
     }
 
@@ -685,6 +669,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// point: an entry still forwards (or stalls the front end) only
     /// while its commit cycle is at or above the highest cycle the
     /// memory controller has serviced.
+    #[inline(always)]
     fn read_q(&mut self, s: State, a: Action, cycle: u64) -> (V, u64) {
         let idx = sa_index(s, a, self.num_actions);
         if S::COUNTERS {
@@ -694,7 +679,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             HazardMode::Forwarding => {
                 let h = self.drain_horizon_q.max(cycle);
                 self.drain_horizon_q = h;
-                match self.newest_q(idx) {
+                match self.pending_q.newest(idx) {
                     Some(p) => {
                         if p.commit_cycle >= h {
                             self.stats.forwards += 1;
@@ -737,7 +722,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             HazardMode::StallOnly => {
                 let h = self.drain_horizon_q.max(cycle);
                 self.drain_horizon_q = h;
-                match self.newest_q(idx) {
+                match self.pending_q.newest(idx) {
                     // Hold the front end until the write commits, then
                     // the read returns the fresh value.
                     Some(p) if p.commit_cycle >= h => {
@@ -765,6 +750,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     }
 
     /// Read the Qmax entry for `s` as issued at `cycle`.
+    #[inline(always)]
     fn read_qmax(&mut self, s: State, cycle: u64) -> ((V, Action), u64) {
         let idx = s as usize;
         if S::COUNTERS {
@@ -774,7 +760,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             HazardMode::Forwarding => {
                 let h = self.drain_horizon_qmax.max(cycle);
                 self.drain_horizon_qmax = h;
-                match self.newest_qmax(idx) {
+                match self.pending_qmax.newest(idx) {
                     Some(p) => {
                         if p.commit_cycle >= h {
                             self.stats.forwards += 1;
@@ -813,7 +799,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             HazardMode::StallOnly => {
                 let h = self.drain_horizon_qmax.max(cycle);
                 self.drain_horizon_qmax = h;
-                match self.newest_qmax(idx) {
+                match self.pending_qmax.newest(idx) {
                     Some(p) if p.commit_cycle >= h => {
                         let d = p.commit_cycle + 1 - cycle;
                         if S::EVENTS {
@@ -842,6 +828,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// access (0 extra cycles) or the unoptimized |A|-read row scan
     /// (|A|−1 extra stage-2 cycles — the design point §V-A eliminates;
     /// quantified by the `ablation_qmax` experiment).
+    #[inline(always)]
     fn read_max(&mut self, s: State, cycle: u64) -> (V, Action, u64) {
         match self.config.trainer.max_mode {
             MaxMode::QmaxArray => {
@@ -874,6 +861,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// the stored greedy action — the health layer's policy-churn signal
     /// (`flip` is only computed under `S::HEALTH` and is `false`
     /// otherwise).
+    #[inline(always)]
     fn qmax_writeback(&mut self, s: State, a: Action, v: V, cycle: u64) -> (bool, bool) {
         let idx = s as usize;
         if S::COUNTERS {
@@ -895,7 +883,8 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 // retiring everything due before it: raise the
                 // visibility horizon past the next iteration's reads.
                 self.drain_horizon_qmax = self.drain_horizon_qmax.max(cycle);
-                self.newest_qmax(idx)
+                self.pending_qmax
+                    .newest(idx)
                     .map(|p| p.value)
                     .unwrap_or(self.qmax_mem[idx])
             }
@@ -909,8 +898,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 addr: idx,
                 value: (v, a),
             };
-            self.pending_qmax.push_back(p);
-            self.fwd_qmax.push(p);
+            self.pending_qmax.push(p);
             (true, S::HEALTH && a != current_a)
         } else {
             (false, false)
@@ -979,6 +967,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Stage-1 behaviour action selection; returns the action and any
     /// stall delay from the Qmax read of a greedy component.
+    #[inline(always)]
     fn behavior_select(&mut self, s: State, cycle: u64) -> (Action, u64) {
         let n = self.num_actions as u32;
         match self.config.trainer.behavior {
@@ -1014,6 +1003,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Stage-2 update-policy selection: the next action *and* the Q-value
     /// operand for the Eq. (3) multiply.
+    #[inline(always)]
     fn update_select(&mut self, s_next: State, cycle: u64) -> (Action, V, u64) {
         let n = self.num_actions as u32;
         match self.config.trainer.update {
@@ -1055,6 +1045,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// Push one iteration down the pipe: one retired sample. Returns the
     /// transition for tracing.
+    #[inline(always)]
     pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
@@ -1106,13 +1097,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // Stage 4 (cycle c1 + stalls + 3): writeback.
         let stalls = d1 + d2;
         let write_cycle = c1 + stalls + WRITE_OFFSET;
-        let p = Pending {
+        self.pending_q.push(Pending {
             commit_cycle: write_cycle,
             addr: sa_index(s, a, self.num_actions),
             value: q_new,
-        };
-        self.pending_q.push_back(p);
-        self.fwd_q.push(p);
+        });
         if S::COUNTERS {
             self.counters.inc(CounterId::QWrites);
         }
@@ -1176,7 +1165,10 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
     }
 
-    /// Run `n` iterations.
+    /// Run `n` iterations. [`step`](Self::step) and every helper on its
+    /// path (reads, selectors, writeback, commit) are `#[inline(always)]`,
+    /// so this compiles to one loop; only the active fault hook is a
+    /// call.
     pub fn run_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         for _ in 0..n {
             self.step(env);
@@ -1196,7 +1188,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// counters, events, health probe and fault campaign by construction.
     ///
     /// The kernel's entry/exit protocol converts between the engine's
-    /// pending queues and its forwarding window, so the two executors
+    /// in-flight rings and its forwarding window, so the two executors
     /// interleave freely on one pipeline: final Q-table, Qmax table and
     /// [`CycleStats`] are bit-identical to `run_samples` (enforced by the
     /// `fast_path` equivalence tests). One observable caveat: when the
@@ -1298,22 +1290,20 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             forwards: 0,
             update_read_q: false,
         };
-        while let Some(p) = self.pending_q.pop_front() {
+        while let Some(p) = self.pending_q.pop_due(u64::MAX) {
             self.q_mem[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
                 win.q[(entry_c1 + 2 - p.commit_cycle) as usize] = p.addr;
             }
         }
-        while let Some(p) = self.pending_qmax.pop_front() {
+        while let Some(p) = self.pending_qmax.pop_due(u64::MAX) {
             self.qmax_mem[p.addr] = p.value;
             debug_assert!(p.commit_cycle <= entry_c1 + 2, "stall-free write bound");
             if p.commit_cycle >= entry_c1 {
                 win.qmax[(entry_c1 + 2 - p.commit_cycle) as usize] = p.addr;
             }
         }
-        self.fwd_q.clear();
-        self.fwd_qmax.clear();
 
         // The stored format picks the image; each is built once on first
         // use and cached until the rewards or stored codes change.
@@ -1392,23 +1382,19 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             let commit_cycle = end_c1 + 2 - slot as u64;
             let addr = win.q[slot];
             if addr != NO_ADDR {
-                let p = Pending {
+                self.pending_q.push(Pending {
                     commit_cycle,
                     addr,
                     value: self.q_mem[addr],
-                };
-                self.pending_q.push_back(p);
-                self.fwd_q.push(p);
+                });
             }
             let addr = win.qmax[slot];
             if addr != NO_ADDR {
-                let p = Pending {
+                self.pending_qmax.push(Pending {
                     commit_cycle,
                     addr,
                     value: self.qmax_mem[addr],
-                };
-                self.pending_qmax.push_back(p);
-                self.fwd_qmax.push(p);
+                });
             }
         }
         self.stats
@@ -1527,7 +1513,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     pub fn q_table(&self) -> QTable<V> {
         let mut q = QTable::new(self.num_states, self.num_actions);
         let mut mem = self.q_mem.clone();
-        for p in &self.pending_q {
+        for p in self.pending_q.iter() {
             mem[p.addr] = p.value;
         }
         for s in 0..self.num_states as State {
@@ -1541,7 +1527,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// Extract the architectural Qmax array.
     pub fn qmax_table(&self) -> QmaxTable<V> {
         let mut mem = self.qmax_mem.clone();
-        for p in &self.pending_qmax {
+        for p in self.pending_qmax.iter() {
             mem[p.addr] = p.value;
         }
         let mut t = QmaxTable::new(self.num_states);
@@ -1599,6 +1585,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 
     /// The active-runtime body of [`fault_tick`](Self::fault_tick),
     /// out-of-line so the fault-free loops stay tight.
+    #[inline(never)]
     fn fault_tick_active(&mut self) {
         let mut f = self.fault.take().expect("caller checked is_some");
         // With a quantized table the BRAM cell holds `stored_bits` code
@@ -1737,13 +1724,13 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
         // In-flight write queues.
         w.push(self.pending_q.len() as u64);
-        for p in &self.pending_q {
+        for p in self.pending_q.iter() {
             w.push(p.commit_cycle);
             w.push(p.addr as u64);
             w.push(QValue::to_bits(p.value));
         }
         w.push(self.pending_qmax.len() as u64);
-        for p in &self.pending_qmax {
+        for p in self.pending_qmax.iter() {
             w.push(p.commit_cycle);
             w.push(p.addr as u64);
             w.push(QValue::to_bits(p.value.0));
@@ -1905,26 +1892,26 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             let v = V::from_bits(r.take()?);
             qmax_mem.push((v, index("Qmax action", r.take()?, na)? as Action));
         }
-        let nq = r.take_count(3)?;
-        let mut pending_q = VecDeque::with_capacity(nq);
-        for _ in 0..nq {
-            pending_q.push_back(Pending {
+        let mut pending_q = InFlight::new(V::zero());
+        for _ in 0..r.take_count(3)? {
+            let p = Pending {
                 commit_cycle: below("pending Q commit cycle", r.take()?, commit_bound)?,
                 addr: index("pending Q address", r.take()?, nq_words)?,
                 value: V::from_bits(r.take()?),
-            });
+            };
+            pending_q.try_push("pending Q writes", p)?;
         }
-        let nm = r.take_count(4)?;
-        let mut pending_qmax = VecDeque::with_capacity(nm);
-        for _ in 0..nm {
-            pending_qmax.push_back(Pending {
+        let mut pending_qmax = InFlight::new((V::zero(), 0));
+        for _ in 0..r.take_count(4)? {
+            let p = Pending {
                 commit_cycle: below("pending Qmax commit cycle", r.take()?, commit_bound)?,
                 addr: index("pending Qmax address", r.take()?, ns)?,
                 value: {
                     let v = V::from_bits(r.take()?);
                     (v, index("pending Qmax action", r.take()?, na)? as Action)
                 },
-            });
+            };
+            pending_qmax.try_push("pending Qmax writes", p)?;
         }
         let fault = if r.take()? == 0 {
             None
@@ -2055,14 +2042,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         self.qmax_mem = qmax_mem;
         self.pending_q = pending_q;
         self.pending_qmax = pending_qmax;
-        self.fwd_q.clear();
-        for &p in &self.pending_q {
-            self.fwd_q.push(p);
-        }
-        self.fwd_qmax.clear();
-        for &p in &self.pending_qmax {
-            self.fwd_qmax.push(p);
-        }
         self.fault = fault;
         // Adopt the checkpoint's quantization state wholesale. A
         // quant-absent checkpoint restored into a quant-enabled pipeline
@@ -2128,9 +2107,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qtaccel_core::trainer::{RefTrainer, TrainerConfig};
     use qtaccel_envs::GridWorld;
     use qtaccel_fixed::{Q16_16, Q8_8};
+    use std::collections::VecDeque;
 
     fn grid() -> GridWorld {
         GridWorld::builder(8, 8).goal(7, 7).build()
@@ -2373,51 +2354,66 @@ mod tests {
         assert_eq!((stats.cycles, stats.stalls), (34_617, 26_614), "exact-scan stall-only");
     }
 
-    /// The O(1) forwarding index must agree with a linear newest-writer
-    /// scan of the queue for arbitrary push/retire interleavings —
-    /// including addresses chosen to alias in the direct-mapped slots.
-    #[test]
-    fn index_matches_linear_scan() {
-        let mut rng = Lfsr32::new(0xDEAD_BEEF);
-        // 97 addresses over 64 slots: aliasing guaranteed.
-        const ADDRS: usize = 97;
-        let mut queue: VecDeque<Pending<u64>> = VecDeque::new();
-        let mut index: FwdIndex<u64> = FwdIndex::new();
-        let mut next_cc = 0u64;
-        for op in 0..50_000u64 {
-            match rng.below(3) {
-                0 | 1 => {
-                    // Push with strictly increasing commit cycles (the
-                    // queue invariant the index relies on).
-                    next_cc += 1 + rng.below(3) as u64;
-                    let p = Pending {
-                        commit_cycle: next_cc,
-                        addr: rng.below(ADDRS as u32) as usize,
-                        value: op,
-                    };
-                    queue.push_back(p);
-                    index.push(p);
-                }
-                _ => {
-                    if let Some(p) = queue.pop_front() {
-                        index.retire(p.addr);
+    /// One ring operation: `(kind, addr, gap)`. Kind 0 pushes a write
+    /// `gap + 1` cycles after the newest (a commit when the pipe is
+    /// full), 1 commits every write due before the oldest's cycle plus
+    /// `gap`, 2 looks `addr` up, and 3 offers a checkpointed write whose
+    /// commit cycle may fall back by up to two.
+    fn ring_ops() -> impl Strategy<Value = Vec<(u8, usize, u64)>> {
+        prop::collection::vec((0u8..4, 0usize..6, 0u64..4), 1..64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-flight ring agrees with a `VecDeque` model of the pipe
+        /// under any push / commit-until / lookup sequence of bounded
+        /// depth: the newest writer per address, oldest-first commit,
+        /// the iteration order `q_table`, `qmax_table` and
+        /// `checkpoint_bytes` read, and which checkpointed writes restore
+        /// accepts.
+        #[test]
+        fn ring_matches_a_queue_model(ops in ring_ops()) {
+            let mut ring = InFlight::new(0u64);
+            let mut model: VecDeque<Pending<u64>> = VecDeque::new();
+            let mut newest = 0u64;
+            for (i, (kind, addr, gap)) in ops.into_iter().enumerate() {
+                let value = i as u64;
+                match kind {
+                    0 if model.len() < PIPE_DEPTH => {
+                        newest += 1 + gap;
+                        let p = Pending { commit_cycle: newest, addr, value };
+                        ring.push(p);
+                        model.push_back(p);
+                    }
+                    0 | 1 => {
+                        let cycle = model.front().map_or(0, |p| p.commit_cycle) + gap;
+                        let retired: Vec<_> = std::iter::from_fn(|| ring.pop_due(cycle)).collect();
+                        let mut due = Vec::new();
+                        while model.front().is_some_and(|p| p.commit_cycle < cycle) {
+                            due.extend(model.pop_front());
+                        }
+                        prop_assert_eq!(retired, due);
+                    }
+                    2 => {
+                        let want = model.iter().rev().find(|p| p.addr == addr).copied();
+                        prop_assert_eq!(ring.newest(addr), want);
+                    }
+                    _ => {
+                        let commit_cycle = (newest + gap).saturating_sub(2);
+                        let p = Pending { commit_cycle, addr, value };
+                        let fits = model.len() < PIPE_DEPTH
+                            && model.back().is_none_or(|b| commit_cycle > b.commit_cycle);
+                        prop_assert_eq!(ring.try_push("pending writes", p).is_ok(), fits);
+                        if fits {
+                            newest = commit_cycle;
+                            model.push_back(p);
+                        }
                     }
                 }
-            }
-            // Cross-check the index against the model on a probe address.
-            let probe = rng.below(ADDRS as u32) as usize;
-            let model = queue.iter().rev().find(|p| p.addr == probe).copied();
-            let got = match index.newest(probe) {
-                FwdHit::Miss => None,
-                FwdHit::Newest(p) => Some(p),
-                FwdHit::Aliased => queue.iter().rev().find(|p| p.addr == probe).copied(),
-            };
-            assert_eq!(got, model, "op {op} probe {probe}");
-            // A slot hit must never silently shadow a different address.
-            if let FwdHit::Newest(p) = index.newest(probe) {
-                assert_eq!(p.addr, probe);
+                prop_assert_eq!(ring.len(), model.len());
+                prop_assert!(ring.iter().eq(model.iter().copied()), "op {}: ring order", i);
             }
         }
-        assert!(!queue.is_empty(), "interleaving should leave in-flight writes");
     }
 }

@@ -505,3 +505,86 @@ fn forged_words_never_panic_restore_or_the_next_training_call() {
     q8.run_samples(&g, 1_000);
     restore_every_forged_word(&q8, quantized);
 }
+
+/// A write commits three cycles after its stage 1 and each step retires
+/// every write due before the next stage 1, so no pipe holds more than
+/// four in-flight writes per memory, in strictly increasing commit
+/// order. A CRC-valid checkpoint whose pending queue breaks either rule
+/// must be refused with a typed error naming the queue, and leave the
+/// engine untouched.
+#[test]
+fn restore_refuses_pending_queues_no_pipe_can_hold() {
+    use qtaccel_accel::AccelPipeline;
+    use qtaccel_envs::Environment;
+    let g = grid();
+    let cfg = AccelConfig::default().with_seed(0xF1F0);
+    let mut engine = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+    engine.run_samples(&g, 1_000);
+    let good: Vec<u64> = engine
+        .checkpoint_bytes()
+        .chunks(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    // Header and format name, 17 shape/stats/control words, then the Q
+    // and Qmax images precede the pending Q queue.
+    let (ns, na) = (g.num_states(), g.num_actions());
+    let q_at = 3 + (good[2] as usize).div_ceil(8) + 17 + ns * na + 2 * ns;
+    let cycles: Vec<u64> = (0..good[q_at] as usize)
+        .map(|i| good[q_at + 1 + 3 * i])
+        .collect();
+    assert_eq!(
+        cycles,
+        [999, 1000, 1001, 1002],
+        "a full pipe at the step boundary"
+    );
+    let qmax_at = q_at + 1 + 3 * cycles.len();
+    let qmax_end = qmax_at + 1 + 4 * good[qmax_at] as usize;
+
+    let untouched = AccelPipeline::<Q8_8>::new(&g, cfg, 0).checkpoint_bytes();
+    let restore = |words: &[u64]| {
+        let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        fix_crc(&mut bytes);
+        let mut fresh = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
+        let out = fresh.restore_checkpoint_bytes(&bytes);
+        if out.is_err() {
+            assert!(
+                fresh.checkpoint_bytes() == untouched,
+                "refused restore touched the engine"
+            );
+        }
+        out
+    };
+    let spliced = |range: std::ops::Range<usize>, queue: &[u64]| {
+        let mut words = good.clone();
+        words.splice(range, queue.iter().copied());
+        words
+    };
+    let refused = |words: &[u64], queue: &str| match restore(words) {
+        Err(CheckpointError::Mismatch { field, .. }) => assert_eq!(field, queue),
+        other => panic!("{queue}: expected a refusal, got {other:?}"),
+    };
+
+    // Two Q commit cycles swapped.
+    let mut swapped = good.clone();
+    swapped.swap(q_at + 1, q_at + 4);
+    refused(&swapped, "pending Q writes");
+    // Seven Q writes, commit cycles strictly increasing.
+    let mut seven = vec![7, 996, 0, 0, 997, 0, 0, 998, 0, 0];
+    seven.extend_from_slice(&good[q_at + 1..qmax_at]);
+    refused(&spliced(q_at..qmax_at, &seven), "pending Q writes");
+    // Five Qmax writes, and two out of order.
+    let five: Vec<u64> = std::iter::once(5)
+        .chain((998..1003).flat_map(|c| [c, 0, 0, 0]))
+        .collect();
+    refused(&spliced(qmax_at..qmax_end, &five), "pending Qmax writes");
+    let backwards = [2, 1001, 0, 0, 0, 1000, 0, 0, 0];
+    refused(
+        &spliced(qmax_at..qmax_end, &backwards),
+        "pending Qmax writes",
+    );
+
+    // The Qmax splice in order, and the checkpoint as written, restore.
+    let ordered = [2, 1000, 0, 0, 0, 1001, 0, 0, 0];
+    restore(&spliced(qmax_at..qmax_end, &ordered)).expect("a queue a pipe can hold");
+    restore(&good).expect("the checkpoint as written");
+}

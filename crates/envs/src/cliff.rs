@@ -105,14 +105,17 @@ impl CliffWalk {
 }
 
 impl Environment for CliffWalk {
+    #[inline]
     fn num_states(&self) -> usize {
         1usize << (self.xbits + self.ybits)
     }
 
+    #[inline]
     fn num_actions(&self) -> usize {
         4
     }
 
+    #[inline]
     fn transition(&self, s: State, a: Action) -> State {
         if !self.in_grid(s) || self.is_cliff(s) || s == self.goal_state() {
             return s;
@@ -161,10 +164,12 @@ impl Environment for CliffWalk {
         self.step_reward
     }
 
+    #[inline]
     fn is_terminal(&self, s: State) -> bool {
         s == self.goal_state()
     }
 
+    #[inline]
     fn is_valid_state(&self, s: State) -> bool {
         self.in_grid(s) && !self.is_cliff(s)
     }

@@ -35,6 +35,7 @@ pub enum ActionSet {
 
 impl ActionSet {
     /// Number of actions in the set.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ActionSet::Four => 4,
@@ -49,6 +50,7 @@ impl ActionSet {
 
     /// (dx, dy) displacement for an action. `y` grows downward, so "up"
     /// is `dy = -1`.
+    #[inline]
     pub fn delta(&self, a: Action) -> (i64, i64) {
         match self {
             ActionSet::Four => match a {
@@ -294,23 +296,27 @@ impl GridWorld {
     }
 
     /// Pack (x, y) into a state address (§VI-B bit layout).
+    #[inline]
     pub fn state_of(&self, x: u32, y: u32) -> State {
         debug_assert!(x < self.width && y < self.height);
         (x << self.ybits) | y
     }
 
     /// Unpack a state address into (x, y).
+    #[inline]
     pub fn xy_of(&self, s: State) -> (u32, u32) {
         (s >> self.ybits, s & ((1 << self.ybits) - 1))
     }
 
     /// Is the packed address a real cell (inside the geometric grid)?
+    #[inline]
     pub fn in_grid(&self, s: State) -> bool {
         let (x, y) = self.xy_of(s);
         x < self.width && y < self.height
     }
 
     /// Is this cell an obstacle?
+    #[inline]
     pub fn is_obstacle(&self, s: State) -> bool {
         self.obstacle_mask[s as usize]
     }
@@ -372,14 +378,17 @@ impl GridWorld {
 }
 
 impl Environment for GridWorld {
+    #[inline]
     fn num_states(&self) -> usize {
         1usize << (self.xbits + self.ybits)
     }
 
+    #[inline]
     fn num_actions(&self) -> usize {
         self.actions.len()
     }
 
+    #[inline]
     fn transition(&self, s: State, a: Action) -> State {
         // Filler addresses, obstacles and the goal self-loop: the
         // combinational module outputs the unchanged state.
@@ -415,10 +424,12 @@ impl Environment for GridWorld {
         }
     }
 
+    #[inline]
     fn is_terminal(&self, s: State) -> bool {
         s == self.goal_state
     }
 
+    #[inline]
     fn is_valid_state(&self, s: State) -> bool {
         self.in_grid(s) && !self.is_obstacle(s)
     }

@@ -14,7 +14,10 @@
 # equivalence suite in release (the stall-free kernel is the only fast
 # executor, and release builds compile out its debug_asserts, so its
 # bit-exactness against the cycle-accurate engine is checked as
-# shipped), the distributed
+# shipped), the engine unit tests in release (the cycle-accurate step
+# path is #[inline(always)] end to end, so its pinned per-hazard
+# CycleStats and the in-flight ring's queue-model property run on the
+# build that ships), the distributed
 # observability suites (wire-protocol damage matrix, span-tree
 # determinism across worker counts, the durable-batch trace round-trip
 # through a live collector) with the multi-worker collector smoke gate
@@ -123,6 +126,9 @@ gate 600 "quantized stored-format suite (release)" \
 
 gate 600 "fast-path equivalence suite (release)" \
   cargo test -q --release --offline -p qtaccel-accel --test fast_path
+
+gate 600 "engine unit tests (release)" \
+  cargo test -q --release --offline -p qtaccel-accel --lib
 
 gate 600 "distributed training-cluster suite + lease-table properties (release)" \
   cargo test -q --release --offline -p qtaccel-cluster
