@@ -32,11 +32,11 @@
 //!
 //! The queues are drained once per step (the per-step commit point at the
 //! top of [`AccelPipeline::step`]) instead of before every read. A write
-//! commits [`WRITE_OFFSET`] cycles after its stage 1, so after that drain
-//! at most three older writes per memory are still in flight, and the
-//! step adds one: each queue is a fixed ring of [`PIPE_DEPTH`] = 4 slots
-//! ([`InFlight`]), and a read finds its newest in-flight writer in at
-//! most four compares, newest first. Reads that race a write committing
+//! commits `WRITE_OFFSET` = 3 cycles after its stage 1, so after that
+//! drain at most three older writes per memory are still in flight, and
+//! the step adds one: each queue is a fixed ring of `PIPE_DEPTH` = 4
+//! slots, and a read finds its newest in-flight writer in at most four
+//! compares, newest first. Reads that race a write committing
 //! mid-step compare the entry's commit cycle against the read cycle, so
 //! cycle/stall/forward/bubble counters are bit-identical to the
 //! scan-per-read formulation (pinned by the
@@ -48,6 +48,19 @@
 //! bit-exact fast path with one dispatch rule: the stall-free kernel,
 //! which skips the per-cycle bookkeeping entirely, for the
 //! configurations it accepts, and this engine for every other.
+//!
+//! ## Reward tables
+//!
+//! Each executor owns the one reward table it reads and builds it on
+//! first use, from one sweep of the environment that converts each
+//! distinct reward value once (`qtaccel_envs::RewardMemo`): the
+//! cycle-accurate engine its reward ROM on its first step, the
+//! stall-free kernel its image on its first call. A table is a pure
+//! function of the environment and the stored format in force, so
+//! `enable_quant` and a checkpoint restore drop every table instead of
+//! re-snapping it in place. The transition unit stays a live
+//! `Environment::transition` call per cycle-accurate step, as the
+//! paper's combinational transition module is.
 
 use std::path::Path;
 
@@ -57,7 +70,7 @@ use crate::fault::{strike_word, FaultConfig, FaultRt, FaultStats, LatentError};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::qtable::{MaxMode, PackedQTable, QTable, QmaxTable};
 use qtaccel_core::trainer::{seed_unit, Transition};
-use qtaccel_envs::{sa_index, Action, Environment, RewardTable, State};
+use qtaccel_envs::{sa_index, Action, Environment, RewardMemo, RewardTable, State};
 use qtaccel_fixed::{QValue, QuantPolicy};
 use qtaccel_hdl::lfsr::{Lfsr32, Lfsr32Unrolled};
 use qtaccel_hdl::pipeline::CycleStats;
@@ -191,10 +204,9 @@ impl<T: Copy> InFlight<T> {
 /// state row for `Q8_8` × 8 actions, versus three separate arrays).
 ///
 /// The transition/reward columns are a BRAM-style image of the
-/// environment, snapshotted on first kernel use — exactly as the reward
-/// table is snapshotted at construction, and as the hardware keeps both
-/// tables memory-resident. The Q column is loaded from the committed
-/// `q_mem` at kernel entry and written back at exit.
+/// environment, built from one sweep of it on first kernel use, as the
+/// hardware keeps both tables memory-resident. The Q column is loaded
+/// from the committed `q_mem` at kernel entry and written back at exit.
 #[derive(Debug, Clone, Copy)]
 struct FastCell<V> {
     next_packed: u32,
@@ -366,6 +378,31 @@ struct Window {
     update_read_q: bool,
 }
 
+/// One word per `(s, a)`, row-major, from one sweep of `env`: `reward`
+/// converts each distinct reward value once, and `word` packs a cell's
+/// next state, terminal flag and converted reward. The environment half
+/// of both kernel images. Out of line, so the builders stay out of the
+/// kernel's loop when `run_samples_fast` inlines it.
+#[inline(never)]
+fn env_image<E: Environment, R: Copy, T>(
+    env: &E,
+    reward: impl FnMut(f64) -> R,
+    word: impl Fn(State, bool, R) -> T,
+) -> Vec<T> {
+    let mut reward = RewardMemo::new(reward);
+    let mut words = Vec::with_capacity(env.num_pairs());
+    for s in 0..env.num_states() as State {
+        for a in 0..env.num_actions() as Action {
+            // Transition first: on a 262,144×8 grid world this order
+            // builds the image ~15% faster than reward first.
+            let t = env.transition(s, a);
+            let r = reward.get(env.reward(s, a));
+            words.push(word(t, env.is_terminal(t), r));
+        }
+    }
+    words
+}
+
 /// The pipeline core shared by the Q-Learning and SARSA engines (and, in
 /// pairs, by the dual-pipeline configuration).
 ///
@@ -396,13 +433,16 @@ pub struct AccelPipeline<V, S: TraceSink = NullSink> {
     // Committed memory images (the BRAM contents).
     q_mem: Vec<V>,
     qmax_mem: Vec<(V, Action)>,
-    rewards: RewardTable<V>,
+    // The cycle-accurate engine's reward ROM, built on its first step
+    // (`build_reward_rom`) and snapped to the stored grid under a quant
+    // policy. The stall-free kernel never reads it.
+    rewards: Option<RewardTable<V>>,
     // The stall-free kernel's two images (see `run_stall_free`), each
     // built on first use: the 16-bit fused (transition, reward, Q) slab,
     // and the packed (transition | terminal | reward code) words of a
-    // quantized table. Derived caches of the environment and reward ROM
-    // — never checkpointed, dropped whenever the rewards or stored codes
-    // change.
+    // quantized table. Like the ROM, derived caches of the environment
+    // and the stored format — never checkpointed, dropped whenever the
+    // stored format can change.
     fast_image: Option<Vec<FastCell<V>>>,
     packed_image: Option<Vec<u32>>,
     // In-flight writes, one pipe-deep ring per memory.
@@ -506,7 +546,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             ),
             q_mem: vec![V::zero(); s * a],
             qmax_mem,
-            rewards: RewardTable::from_env(env),
+            rewards: None,
             fast_image: None,
             packed_image: None,
             pending_q: InFlight::new(V::zero()),
@@ -530,18 +570,17 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// Switch the pipeline to a quantized stored Q-table format
     /// (DESIGN.md §2.14): Q entries are held on `policy`'s grid, every
     /// writeback is stochastically rounded using the dedicated
-    /// `seed_unit::QUANT` dither LFSR, and the reward ROM is snapped to
-    /// the same grid — so the reference trainer, the cycle-accurate
-    /// engine and the stall-free kernel compute bit-identical updates.
-    /// Must be called before training starts (mid-run adoption happens
-    /// only through checkpoint restore).
+    /// `seed_unit::QUANT` dither LFSR, and every reward table is rebuilt
+    /// on the same grid on its next use — so the reference trainer, the
+    /// cycle-accurate engine and the stall-free kernel compute
+    /// bit-identical updates. Must be called before training starts
+    /// (mid-run adoption happens only through checkpoint restore).
     pub fn enable_quant(&mut self, policy: QuantPolicy) {
         assert_eq!(
             self.stats.samples, 0,
             "enable_quant before training starts"
         );
         policy.validate_for::<V>();
-        self.rewards.map_values(|v| policy.round_nearest(v));
         // Re-encode the (still initial) memory images onto the grid so
         // the on-grid invariant holds from the first sample.
         for v in &mut self.q_mem {
@@ -550,7 +589,9 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         for e in &mut self.qmax_mem {
             e.0 = policy.round_nearest(e.0);
         }
-        // Derived caches embed rewards / Q codes: rebuild on next use.
+        // Every reward table depends on the stored format: rebuild on
+        // next use.
+        self.rewards = None;
         self.fast_image = None;
         self.packed_image = None;
         let seeds = SeedSequence::new(self.config.trainer.seed);
@@ -1047,6 +1088,16 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     /// transition for tracing.
     #[inline(always)]
     pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
+        let rom = self.take_reward_rom(env);
+        let t = self.step_with(env, &rom);
+        self.rewards = Some(rom);
+        t
+    }
+
+    /// [`step`](Self::step) reading R(Sₜ,Aₜ) from `rom`, which the caller
+    /// holds out of `self` so a run keeps it in registers.
+    #[inline(always)]
+    fn step_with<E: Environment>(&mut self, env: &E, rom: &RewardTable<V>) -> Transition<V> {
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
         let c1 = self.next_c1;
@@ -1078,7 +1129,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
             }
         };
         let s_next = env.transition(s, a);
-        let r = self.rewards.get(s, a);
+        let r = rom.get(s, a);
         let (q_sa, dq) = self.read_q(s, a, c1 + d1);
         let d1 = d1 + dq;
 
@@ -1165,13 +1216,43 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
     }
 
+    /// Move the reward ROM out of `self`, building it from `env` when
+    /// this is the cycle-accurate engine's first step since
+    /// construction, `enable_quant` or a restore. The caller puts it
+    /// back; a panic in between only drops it, to be rebuilt.
+    #[inline(always)]
+    fn take_reward_rom<E: Environment>(&mut self, env: &E) -> RewardTable<V> {
+        match self.rewards.take() {
+            Some(rom) => rom,
+            None => self.build_reward_rom(env),
+        }
+    }
+
+    /// The reward ROM for `env` on the grid of the stored format in
+    /// force. Out of line and cold: it runs once per table.
+    #[cold]
+    #[inline(never)]
+    fn build_reward_rom<E: Environment>(&self, env: &E) -> RewardTable<V> {
+        match &self.quant {
+            Some(qr) => {
+                let policy = qr.policy;
+                RewardTable::from_env_with(env, |v| policy.round_nearest(v))
+            }
+            None => RewardTable::from_env(env),
+        }
+    }
+
     /// Run `n` iterations. [`step`](Self::step) and every helper on its
     /// path (reads, selectors, writeback, commit) are `#[inline(always)]`,
     /// so this compiles to one loop; only the active fault hook is a
-    /// call.
+    /// call. The reward ROM is held out of `self` for the run.
     pub fn run_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        for _ in 0..n {
-            self.step(env);
+        if n > 0 {
+            let rom = self.take_reward_rom(env);
+            for _ in 0..n {
+                self.step_with(env, &rom);
+            }
+            self.rewards = Some(rom);
         }
         self.stats
     }
@@ -1223,19 +1304,6 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                 None => self.num_states < (1usize << 31),
                 Some(q) => self.num_states <= (1usize << 22) && q.policy.stored_bits() <= 8,
             }
-    }
-
-    /// One word per `(s, a)`, row-major, built from `env`'s transitions
-    /// and the reward ROM: the environment half of both kernel images.
-    fn env_image<E: Environment, T>(&self, env: &E, word: impl Fn(State, bool, V) -> T) -> Vec<T> {
-        let mut words = Vec::with_capacity(self.num_states * self.num_actions);
-        for s in 0..self.num_states as State {
-            for a in 0..self.num_actions as Action {
-                let t = env.transition(s, a);
-                words.push(word(t, env.is_terminal(t), self.rewards.get(s, a)));
-            }
-        }
-        words
     }
 
     /// The stall-free kernel: the fast executor for `Forwarding` hazards
@@ -1306,11 +1374,11 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         }
 
         // The stored format picks the image; each is built once on first
-        // use and cached until the rewards or stored codes change.
+        // use and cached until the stored format can change.
         let win = match self.quant.take() {
             None => {
                 let mut cells = self.fast_image.take().unwrap_or_else(|| {
-                    self.env_image(env, |t, terminal, reward| FastCell {
+                    env_image(env, V::from_f64, |t, terminal, reward| FastCell {
                         next_packed: t | if terminal { TERMINAL_BIT } else { 0 },
                         reward,
                         q: V::zero(),
@@ -1335,16 +1403,19 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
                     self.q_mem.iter().all(|&q| policy.try_code(q).is_some()),
                     "quantized q_mem is on-grid"
                 );
-                // Rewards were snapped to the stored grid by
-                // `enable_quant`, so their codes are exact.
+                // Each reward is snapped to the stored grid, as the
+                // cycle-accurate engine's ROM is, so its code is exact.
                 let words = self.packed_image.take().unwrap_or_else(|| {
-                    self.env_image(env, |t, terminal, reward| {
-                        let code = policy
+                    let code = |r| {
+                        let reward = policy.round_nearest(V::from_f64(r));
+                        policy
                             .try_code(reward)
-                            .expect("quantized rewards are on-grid");
+                            .expect("snapped rewards are on-grid") as u32
+                    };
+                    env_image(env, code, |t, terminal, code| {
                         (t & PK_STATE_MASK)
                             | if terminal { PK_TERMINAL } else { 0 }
-                            | (code as u32) << PK_REWARD_SHIFT
+                            | code << PK_REWARD_SHIFT
                     })
                 });
                 let mut q = core::mem::take(&mut self.q_mem);
@@ -2049,15 +2120,12 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
         // under a different trainer config — well-defined (the restored
         // state simply runs under the restored quant mode) but not a
         // bit-exact resume; matching configs is the caller's contract.
-        if let Some(qr) = &quant {
-            // Rewards are not checkpointed: snap them to the restored
-            // grid (idempotent when they already are).
-            let policy = qr.policy;
-            self.rewards.map_values(|v| policy.round_nearest(v));
-        }
         self.quant = quant;
         self.lease_epoch = lease_epoch;
-        // Derived caches embed rewards / stored codes.
+        // Rewards are not checkpointed: every reward table is rebuilt on
+        // its next use, on the restored stored format's grid (or off
+        // any grid when the checkpoint carries none).
+        self.rewards = None;
         self.fast_image = None;
         self.packed_image = None;
         if S::HEALTH {
@@ -2352,6 +2420,80 @@ mod tests {
         let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
         let stats = p.run_samples(&env, 8_000);
         assert_eq!((stats.cycles, stats.stalls), (34_617, 26_614), "exact-scan stall-only");
+    }
+
+    /// A grid world that counts its `reward` calls, so a test can see
+    /// which reward tables an engine builds.
+    struct CountingEnv {
+        inner: GridWorld,
+        rewards: std::cell::Cell<u64>,
+    }
+
+    impl Environment for CountingEnv {
+        fn num_states(&self) -> usize {
+            self.inner.num_states()
+        }
+        fn num_actions(&self) -> usize {
+            self.inner.num_actions()
+        }
+        fn transition(&self, s: State, a: Action) -> State {
+            self.inner.transition(s, a)
+        }
+        fn reward(&self, s: State, a: Action) -> f64 {
+            self.rewards.set(self.rewards.get() + 1);
+            self.inner.reward(s, a)
+        }
+        fn is_terminal(&self, s: State) -> bool {
+            self.inner.is_terminal(s)
+        }
+        fn is_valid_state(&self, s: State) -> bool {
+            self.inner.is_valid_state(s)
+        }
+    }
+
+    /// The fast path never builds the cycle-accurate engine's reward ROM;
+    /// the first cycle-accurate step builds it in one sweep, on the
+    /// stored grid in force, and only once; a restore drops it.
+    #[test]
+    fn reward_rom_is_built_by_the_first_step_only() {
+        let env = CountingEnv {
+            inner: GridWorld::builder(8, 8).goal(7, 7).goal_reward(0.3).build(),
+            rewards: std::cell::Cell::new(0),
+        };
+        let cells = env.num_pairs() as u64;
+        for quant in [None, Some(QuantPolicy::q8())] {
+            let mut p = AccelPipeline::<Q8_8>::new(&env, config(3), 0);
+            if let Some(policy) = quant {
+                p.enable_quant(policy);
+            }
+            assert!(p.stall_free_eligible(), "{quant:?}");
+            env.rewards.set(0);
+            p.run_samples_fast(&env, 5_000);
+            p.run_samples_fast(&env, 5_000);
+            assert!(
+                p.rewards.is_none(),
+                "{quant:?}: the fast path built the ROM"
+            );
+            assert_eq!(env.rewards.get(), cells, "{quant:?}: one image sweep");
+
+            p.step(&env);
+            let want = match quant {
+                Some(policy) => {
+                    RewardTable::<Q8_8>::from_env_with(&env.inner, |v| policy.round_nearest(v))
+                }
+                None => RewardTable::from_env(&env.inner),
+            };
+            let rom = p.rewards.as_ref().expect("the first step builds the ROM");
+            assert_eq!(rom.as_slice(), want.as_slice(), "{quant:?}");
+            assert_eq!(env.rewards.get(), 2 * cells, "{quant:?}: one ROM sweep");
+            p.run_samples(&env, 5_000);
+            p.run_samples_fast(&env, 5_000);
+            assert_eq!(env.rewards.get(), 2 * cells, "{quant:?}: built once");
+
+            p.restore_checkpoint_bytes(&p.checkpoint_bytes())
+                .expect("restore");
+            assert!(p.rewards.is_none(), "{quant:?}: restore drops the ROM");
+        }
     }
 
     /// One ring operation: `(kind, addr, gap)`. Kind 0 pushes a write

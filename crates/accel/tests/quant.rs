@@ -246,23 +246,47 @@ fn quantized_checkpoint_roundtrip_is_bit_exact() {
 
 /// An unquantized checkpoint restored into a previously quantized
 /// engine clears the stored format — the file is the source of truth.
+/// Rewards follow it: with a goal reward off the 8-bit grid, both
+/// executors of the restored engine must train on the unsnapped reward,
+/// exactly as an engine restored from the same file that was never
+/// quantized.
 #[test]
 fn unquantized_checkpoint_clears_quant_on_restore() {
-    let g = grid(6);
+    let off_grid = GridWorld::builder(6, 6)
+        .goal(5, 5)
+        .actions(ActionSet::Four)
+        .goal_reward(0.3)
+        .build();
     let cfg = AccelConfig::default().with_seed(0xC1);
-    let mut plain = QLearningAccel::<Q8_8>::new(&g, cfg);
-    plain.train_samples(&g, 3_000);
-    let path = tmp("plain");
-    plain.save_checkpoint(&path).expect("save");
+    for (label, g) in [
+        ("on-grid rewards", grid(6)),
+        ("off-grid goal reward", off_grid),
+    ] {
+        let mut plain = QLearningAccel::<Q8_8>::new(&g, cfg);
+        plain.train_samples(&g, 3_000);
+        let path = tmp("plain");
+        plain.save_checkpoint(&path).expect("save");
 
-    let mut quantized = QLearningAccel::<Q8_8>::new(&g, cfg);
-    quantized.enable_quant(QuantPolicy::q8());
-    quantized.restore_checkpoint(&path).expect("restore");
-    assert!(quantized.quant().is_none(), "restore must clear quant");
-    quantized.train_samples_fast(&g, 4_000);
-    plain.train_samples_fast(&g, 4_000);
-    assert_tables_equal(&quantized, &plain, "post-restore runs");
-    let _ = std::fs::remove_file(&path);
+        let mut quantized = QLearningAccel::<Q8_8>::new(&g, cfg);
+        quantized.enable_quant(QuantPolicy::q8());
+        quantized.restore_checkpoint(&path).expect("restore");
+        assert!(
+            quantized.quant().is_none(),
+            "{label}: restore must clear quant"
+        );
+        let mut reference = QLearningAccel::<Q8_8>::new(&g, cfg);
+        reference.restore_checkpoint(&path).expect("restore");
+        let _ = std::fs::remove_file(&path);
+
+        quantized.train_samples(&g, 2_000);
+        reference.train_samples(&g, 2_000);
+        assert_tables_equal(&quantized, &reference, &format!("{label}: cycle-accurate"));
+        quantized.train_samples_fast(&g, 4_000);
+        reference.train_samples_fast(&g, 4_000);
+        assert_tables_equal(&quantized, &reference, &format!("{label}: fast path"));
+        plain.train_samples_fast(&g, 6_000);
+        assert_tables_equal(&quantized, &plain, &format!("{label}: unbroken run"));
+    }
 }
 
 /// Satellite 3: with quantization active the health probe's rail

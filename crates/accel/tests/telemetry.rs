@@ -267,3 +267,67 @@ fn jsonl_event_stream_and_counter_dump_round_trip() {
         200
     );
 }
+
+/// Accepts `budget` bytes, then fails every write as a full disk does.
+struct FullDisk {
+    budget: usize,
+    written: Vec<u8>,
+}
+
+impl std::io::Write for FullDisk {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::ErrorKind::StorageFull.into());
+        }
+        let n = buf.len().min(self.budget);
+        self.budget -= n;
+        self.written.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A trace whose disk fills mid-run ends the trace, not the run: the
+/// engine trains to the untraced result, and the sink reports the error
+/// and counts the lines it could not write. What it did write is a
+/// prefix of the whole trace.
+#[test]
+fn jsonl_write_error_surfaces_without_stopping_the_run() {
+    let g = grid();
+    let cfg = AccelConfig::default().with_seed(9);
+    let sink = JsonlSink::new(FullDisk {
+        budget: 64 << 10,
+        written: Vec::new(),
+    });
+    let mut traced = SarsaAccel::<Q8_8, JsonlSink<FullDisk>>::with_sink(&g, cfg, 0.2, sink);
+    let mut whole =
+        SarsaAccel::<Q8_8, JsonlSink<Vec<u8>>>::with_sink(&g, cfg, 0.2, JsonlSink::new(Vec::new()));
+    traced.train_samples(&g, 5_000);
+    traced.train_samples_fast(&g, 5_000);
+    whole.train_samples(&g, 10_000);
+    let mut plain = SarsaAccel::<Q8_8>::new(&g, cfg, 0.2);
+    plain.train_samples(&g, 10_000);
+    assert_eq!(traced.stats(), plain.stats());
+    assert_eq!(traced.q_table(), plain.q_table());
+
+    let sink = traced.into_sink();
+    let kind = sink.error().map(std::io::Error::kind);
+    assert_eq!(
+        kind,
+        Some(std::io::ErrorKind::StorageFull),
+        "the error surfaces"
+    );
+    let whole = whole.into_sink();
+    assert!(sink.lines() > 0 && sink.unwritten() > 0, "{sink:?}");
+    assert_eq!(sink.lines() + sink.unwritten(), whole.lines());
+    let lines = sink.lines();
+    let written = sink.into_inner().written;
+    assert!(whole.into_inner().starts_with(&written));
+    let complete = written.iter().filter(|&&b| b == b'\n').count() as u64;
+    assert_eq!(
+        complete, lines,
+        "every line written before the error is whole"
+    );
+}

@@ -3,7 +3,7 @@
 //! An accept thread and one thread per worker session, all thin adapters
 //! over the crate's pure lease table (`lease.rs`, which states the
 //! fencing and exactly-once rules). A session's thread feeds the table
-//! its frames, polls its socket every [`POLL`] and on each quiet tick
+//! its frames, polls its socket every 20 ms (`POLL`) and on each quiet tick
 //! expires overdue leases, and on its one exit path releases whatever
 //! the session still holds. So every held lease has a live thread
 //! watching its deadline. Because

@@ -206,12 +206,13 @@ impl<V: QValue, E: Environment> RefTrainer<V, E> {
     /// Switch the trainer to a quantized stored Q-table format
     /// (DESIGN.md §2.14): every writeback is stochastically rounded onto
     /// `policy`'s grid using a dedicated LFSR dither unit, and the reward
-    /// ROM is snapped to the same grid so all executors read identical
-    /// on-grid rewards. Must be called before training starts.
+    /// ROM is rebuilt from the environment on the same grid so all
+    /// executors read identical on-grid rewards. Must be called before
+    /// training starts.
     pub fn enable_quant(&mut self, policy: QuantPolicy) {
         assert_eq!(self.samples, 0, "enable_quant before training starts");
         policy.validate_for::<V>();
-        self.rewards.map_values(|v| policy.round_nearest(v));
+        self.rewards = RewardTable::from_env_with(&self.env, |v| policy.round_nearest(v));
         // Q and Qmax are still zero-initialized; zero is on every grid,
         // but re-encode anyway so a poked initial table stays consistent.
         for s in 0..self.q.num_states() as State {

@@ -141,6 +141,7 @@ impl Environment for CliffWalk {
         }
     }
 
+    #[inline]
     fn reward(&self, s: State, a: Action) -> f64 {
         if !self.in_grid(s) || self.is_cliff(s) || s == self.goal_state() {
             return 0.0;

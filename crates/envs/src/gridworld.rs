@@ -410,6 +410,7 @@ impl Environment for GridWorld {
         }
     }
 
+    #[inline]
     fn reward(&self, s: State, a: Action) -> f64 {
         if !self.in_grid(s) || self.is_obstacle(s) || s == self.goal_state {
             return 0.0;

@@ -36,4 +36,4 @@ pub use cliff::CliffWalk;
 pub use env::{sa_index, Action, Environment, State};
 pub use gridworld::{ActionSet, GridWorld, GridWorldBuilder};
 pub use multi::PartitionedGrid;
-pub use reward_table::RewardTable;
+pub use reward_table::{RewardMemo, RewardTable};

@@ -1,7 +1,10 @@
 //! Property-based tests for the environments.
 
 use proptest::prelude::*;
-use qtaccel_envs::{ActionSet, CliffWalk, Environment, GridWorld};
+use qtaccel_envs::{
+    Action, ActionSet, CliffWalk, Environment, GridWorld, RewardMemo, RewardTable, State,
+};
+use qtaccel_fixed::{QValue, QuantPolicy, Q16_16, Q8_8};
 use qtaccel_hdl::lfsr::Lfsr32;
 
 fn arb_grid() -> impl Strategy<Value = GridWorld> {
@@ -131,6 +134,137 @@ proptest! {
         if c.is_valid_state(above) && h >= 2 && w > 2 {
             let back_down = c.transition(above, 3);
             prop_assert_eq!(back_down, c.start_state());
+        }
+    }
+}
+
+/// Rewards the memo must tell apart or convert faithfully: both zeros,
+/// two NaN payloads, both infinities, subnormals, values past `Q8_8`'s
+/// rails (±128) and past `Q16_16`'s, and ordinary on- and off-grid
+/// values — more of them than the memo remembers.
+const REWARD_POOL: [f64; 18] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MIN_POSITIVE / 4.0,
+    -5e-324,
+    1.0,
+    -1.0,
+    0.3,
+    -0.01,
+    127.998,
+    128.0,
+    -128.5,
+    40_000.0,
+    -1e300,
+    0.001953125,
+];
+
+/// A dense reward table as an environment: every state self-loops, and
+/// cell `(s, a)` pays `rewards[s·|A| + a]`.
+#[derive(Debug)]
+struct TableEnv {
+    actions: usize,
+    rewards: Vec<f64>,
+}
+
+impl Environment for TableEnv {
+    fn num_states(&self) -> usize {
+        self.rewards.len() / self.actions
+    }
+    fn num_actions(&self) -> usize {
+        self.actions
+    }
+    fn transition(&self, s: State, _a: Action) -> State {
+        s
+    }
+    fn reward(&self, s: State, a: Action) -> f64 {
+        self.rewards[s as usize * self.actions + a as usize]
+    }
+    fn is_terminal(&self, _s: State) -> bool {
+        false
+    }
+}
+
+/// Reward functions drawn from a small pool, so values repeat in runs
+/// and at random, as a grid world's do.
+fn arb_table_env() -> impl Strategy<Value = TableEnv> {
+    (
+        1usize..=8,
+        1usize..=24,
+        prop::collection::vec((0..REWARD_POOL.len(), 1usize..6), 1..64),
+    )
+        .prop_map(|(actions, states, runs)| {
+            let rewards = runs
+                .iter()
+                .flat_map(|&(i, run)| std::iter::repeat_n(REWARD_POOL[i], run))
+                .cycle()
+                .take(actions * states)
+                .collect();
+            TableEnv { actions, rewards }
+        })
+}
+
+/// `RewardTable::from_env` equals a per-cell `V::from_f64`, bit for bit.
+fn assert_converts_per_cell<V: QValue>(env: &TableEnv) {
+    let table = RewardTable::<V>::from_env(env);
+    let got: Vec<u64> = table.as_slice().iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u64> = env
+        .rewards
+        .iter()
+        .map(|&r| V::from_f64(r).to_bits())
+        .collect();
+    prop_assert_eq!(got, want, "{}", V::format_name());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn reward_table_converts_like_each_cell(env in arb_table_env()) {
+        assert_converts_per_cell::<Q8_8>(&env);
+        assert_converts_per_cell::<Q16_16>(&env);
+        assert_converts_per_cell::<f32>(&env);
+        assert_converts_per_cell::<f64>(&env);
+    }
+
+    #[test]
+    fn snapped_reward_table_rounds_like_each_cell(env in arb_table_env()) {
+        for policy in [QuantPolicy::q8(), QuantPolicy::q6(), QuantPolicy::q4()] {
+            let table = RewardTable::<Q8_8>::from_env_with(&env, |v| policy.round_nearest(v));
+            let got: Vec<u64> = table.as_slice().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = env
+                .rewards
+                .iter()
+                .map(|&r| policy.round_nearest(Q8_8::from_f64(r)).to_bits())
+                .collect();
+            prop_assert_eq!(got, want, "{}", policy.format_name());
+        }
+    }
+
+    /// Up to eight distinct values (by bits), each converts exactly
+    /// once; past that, every result is still the conversion's.
+    #[test]
+    fn reward_memo_converts_each_distinct_value_once(env in arb_table_env()) {
+        let mut calls = 0u64;
+        let mut memo = RewardMemo::new(|r: f64| {
+            calls += 1;
+            r.to_bits()
+        });
+        for &r in &env.rewards {
+            prop_assert_eq!(memo.get(r), r.to_bits());
+        }
+        drop(memo);
+        let mut distinct: Vec<u64> = env.rewards.iter().map(|r| r.to_bits()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() <= 8 {
+            prop_assert_eq!(calls, distinct.len() as u64);
+        } else {
+            prop_assert!(calls >= distinct.len() as u64);
         }
     }
 }

@@ -417,7 +417,7 @@ impl MetricsRegistry {
     }
 
     /// Publish a [`CounterBank`] snapshot: one `qtaccel_*_total` counter
-    /// per register, named by [`CounterId::metric_name`].
+    /// per register, named by [`crate::CounterId::metric_name`].
     pub fn record_counter_bank(&mut self, bank: &CounterBank) {
         for (id, value) in bank.iter() {
             self.set_counter(

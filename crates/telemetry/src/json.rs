@@ -2,7 +2,7 @@
 //!
 //! The workspace builds with zero external crates, so result persistence
 //! and telemetry traces use this emitter instead of serde; structs opt in
-//! with one [`impl_to_json!`] line. The emitter half moved here from
+//! with one [`crate::impl_to_json!`] line. The emitter half moved here from
 //! `qtaccel-bench::report` (which re-exports it for compatibility) when
 //! the telemetry layer gained sinks that *write* JSON; the parser half is
 //! new, added so run manifests and JSONL event traces can be round-trip
@@ -144,7 +144,7 @@ fn write_json_string(out: &mut String, s: &str) {
 }
 
 /// Conversion into the [`Json`] tree. Derived for experiment structs by
-/// [`impl_to_json!`].
+/// [`crate::impl_to_json!`].
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;
@@ -353,7 +353,7 @@ const MAX_DEPTH: usize = 128;
 
 /// Parse one JSON document. Strict on structure (this is a verification
 /// tool, not a lenient reader): trailing garbage, unterminated tokens,
-/// malformed escapes and nesting deeper than [`MAX_DEPTH`] are errors
+/// malformed escapes and nesting deeper than 128 levels are errors
 /// with a byte offset.
 pub fn parse(src: &str) -> Result<Parsed, String> {
     let bytes = src.as_bytes();

@@ -155,9 +155,18 @@ impl TraceSink for RingSink {
 ///
 /// Generic over the writer so tests can capture into a `Vec<u8>`; the
 /// common case is [`JsonlSink::create`], which buffers to a file.
+///
+/// A trace is observability, not training state, so an I/O error never
+/// stops the run it traces: the sink keeps the first error, writes
+/// nothing after it, and counts the lines it drops. [`error`](Self::error)
+/// reads the error for any writer, and [`JsonlSink::finish`] returns it
+/// for a file.
 pub struct JsonlSink<W: Write = BufWriter<File>> {
-    writer: W,
+    /// `None` only once [`into_inner`](Self::into_inner) moved it out.
+    writer: Option<W>,
     lines: u64,
+    unwritten: u64,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -168,36 +177,63 @@ impl JsonlSink<BufWriter<File>> {
 
     /// Flush buffered lines and fsync the file to stable storage.
     ///
-    /// Dropping the sink already flushes (best-effort, errors swallowed);
-    /// call `finish` when the trace must survive a crash right after —
-    /// it surfaces I/O errors and adds the `sync_all` barrier.
-    pub fn finish(self) -> std::io::Result<()> {
-        let mut writer = self.into_inner();
-        writer.flush()?;
-        writer.get_ref().sync_all()
+    /// Returns the first I/O error the sink met, while tracing or in
+    /// this flush. Dropping the sink already flushes (best-effort, errors
+    /// swallowed); call `finish` when the trace must be complete and
+    /// survive a crash right after — it surfaces I/O errors and adds the
+    /// `sync_all` barrier.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        TraceSink::flush(&mut self);
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.into_inner().get_ref().sync_all()
     }
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Stream events into `writer`.
     pub fn new(writer: W) -> Self {
-        Self { writer, lines: 0 }
+        Self {
+            writer: Some(writer),
+            lines: 0,
+            unwritten: 0,
+            error: None,
+        }
     }
 
-    /// Number of event lines written so far.
+    /// Number of event lines handed to the writer so far.
     pub fn lines(&self) -> u64 {
         self.lines
     }
 
+    /// Number of event lines dropped because the writer failed: the
+    /// line whose write returned the error, and every line after it.
+    pub fn unwritten(&self) -> u64 {
+        self.unwritten
+    }
+
+    /// The first I/O error the writer returned, if any. From then on the
+    /// sink writes nothing.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
+    }
+
     /// Flush and return the underlying writer (tests use this to inspect
     /// a captured `Vec<u8>`).
-    pub fn into_inner(self) -> W {
-        // Moving the writer out of a Drop type: disarm our Drop first,
-        // then lift the field without running it.
-        let this = std::mem::ManuallyDrop::new(self);
-        let mut writer = unsafe { std::ptr::read(&this.writer) };
+    pub fn into_inner(mut self) -> W {
+        let mut writer = self
+            .writer
+            .take()
+            .expect("the writer is moved out only here");
         let _ = writer.flush();
         writer
+    }
+
+    fn writer(&mut self) -> &mut W {
+        self.writer
+            .as_mut()
+            .expect("the writer is present until into_inner")
     }
 }
 
@@ -207,7 +243,9 @@ impl<W: Write> Drop for JsonlSink<W> {
     /// line unreadable rather than the whole buffered tail. Errors are
     /// swallowed — a drop during unwind must not double-panic.
     fn drop(&mut self) {
-        let _ = self.writer.flush();
+        if let Some(writer) = &mut self.writer {
+            let _ = writer.flush();
+        }
     }
 }
 
@@ -215,6 +253,8 @@ impl<W: Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
             .field("lines", &self.lines)
+            .field("unwritten", &self.unwritten)
+            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
@@ -224,15 +264,26 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     const COUNTERS: bool = true;
 
     fn record(&mut self, ev: &Event) {
-        // An I/O error mid-trace cannot unwind through the pipeline;
-        // panicking matches how the bench reporters treat write failures.
+        if self.error.is_some() {
+            self.unwritten += 1;
+            return;
+        }
         let line = ev.to_json().compact();
-        writeln!(self.writer, "{line}").expect("JSONL trace write failed");
-        self.lines += 1;
+        match writeln!(self.writer(), "{line}") {
+            Ok(()) => self.lines += 1,
+            Err(e) => {
+                self.error = Some(e);
+                self.unwritten += 1;
+            }
+        }
     }
 
     fn flush(&mut self) {
-        self.writer.flush().expect("JSONL trace flush failed");
+        if self.error.is_none() {
+            if let Err(e) = self.writer().flush() {
+                self.error = Some(e);
+            }
+        }
     }
 }
 
@@ -353,6 +404,15 @@ mod tests {
         sink.record(&stage1(0));
         let bytes = sink.into_inner();
         assert_eq!(String::from_utf8(bytes).unwrap().lines().count(), 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn finish_returns_the_write_error() {
+        let mut sink = JsonlSink::create("/dev/full").expect("open the full device");
+        sink.record(&stage1(0));
+        let err = sink.finish().expect_err("a full device refuses the flush");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
     }
 
     #[test]

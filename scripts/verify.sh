@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build, tests, lints, the telemetry
+# Tier-1 verification: offline build, tests, lints, rustdoc with
+# warnings denied (a broken or private intra-doc link fails), the telemetry
 # zero-cost equivalence suite, the metrics-service suite plus a live
 # scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
@@ -138,6 +139,9 @@ gate 900 "cargo clippy (offline, deny warnings)" \
 
 gate 300 "cargo clippy: qtaccel-cluster (explicit, deny warnings)" \
   cargo clippy --offline -p qtaccel-cluster --all-targets -- -D warnings
+
+gate 600 "cargo doc (offline, deny warnings)" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 gate 600 "bench_throughput --quick --check-baseline" \
   cargo run --release --offline -p qtaccel-bench --bin bench_throughput -- --quick --check-baseline
