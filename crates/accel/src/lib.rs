@@ -20,14 +20,18 @@
 //!   runs the **stall-free kernel** — one loop, generic over its table
 //!   image (the fused 16-bit slab, or the packed words of a quantized
 //!   table) — and anything else runs the cycle-accurate engine itself.
-//! * [`qlearning`] / [`sarsa`] — the two §V engine customizations:
-//!   Q-Learning (random behaviour, greedy update via the Qmax array) and
-//!   SARSA (ε-greedy, on-policy action forwarding from stage 2 to
-//!   stage 1).
+//!   The module also holds the one policy unit every QRL engine draws
+//!   through, and [`QrlAccel`], the one engine type behind both §V
+//!   customizations.
+//! * [`qlearning`] / [`sarsa`] — the two §V engine customizations, as
+//!   policy fixtures of [`QrlAccel`]: Q-Learning (random behaviour,
+//!   greedy update via the Qmax array) and SARSA (ε-greedy, on-policy
+//!   action forwarding from stage 2 to stage 1).
 //! * [`multi`] — the §VII-A parallel-pipeline configurations: two
 //!   state-sharing pipelines over dual-port BRAM with write-collision
-//!   arbitration (Fig. 8) and N independent pipelines over partitioned
-//!   state spaces (Fig. 9).
+//!   arbitration (Fig. 8; the paper's Forwarding + Qmax-array design
+//!   point only) and N independent pipelines over partitioned state
+//!   spaces (Fig. 9).
 //! * [`executor`] — the host-side scale-out layer: a persistent
 //!   [`ShardedExecutor`] worker pool with a chunked work queue that runs
 //!   the `multi` configurations on however many cores the host offers
@@ -87,10 +91,10 @@ pub use multi::{
     shard_budgets, shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines,
     LeaseError, ShardRun,
 };
-pub use pipeline::AccelPipeline;
+pub use pipeline::{AccelPipeline, QrlAccel};
 pub use prob_engine::{ProbPolicyAccel, WeightRule};
-pub use qlearning::QLearningAccel;
+pub use qlearning::{QLearning, QLearningAccel};
 pub use resources::AccelResources;
-pub use sarsa::SarsaAccel;
+pub use sarsa::{Sarsa, SarsaAccel};
 pub use structural::StructuralQLearning;
 pub use trace::{PipelineTrace, TraceEvent};

@@ -8,28 +8,23 @@
 //! available at the beginning of 3rd stage will be forwarded to the 1st
 //! stage as the next-step action").
 
-use crate::checkpoint::CheckpointError;
 use crate::config::AccelConfig;
-use crate::fault::{FaultConfig, FaultStats};
-use crate::pipeline::AccelPipeline;
-use crate::resources::AccelResources;
+use crate::pipeline::{AccelPipeline, QrlAccel};
 use qtaccel_core::policy::Policy;
-use qtaccel_core::qtable::{PackedQTable, QTable, QmaxTable};
-use qtaccel_core::trainer::Transition;
-use qtaccel_envs::{Action, Environment};
-use qtaccel_fixed::{QValue, QuantPolicy};
-use qtaccel_hdl::pipeline::CycleStats;
-use qtaccel_telemetry::{CounterBank, NullSink, TraceSink};
-use std::path::Path;
+use qtaccel_envs::Environment;
+use qtaccel_fixed::QValue;
+use qtaccel_telemetry::{NullSink, TraceSink};
+
+/// The SARSA fixture of [`QrlAccel`]: ε-greedy behaviour and update,
+/// with the stage-2 action forwarded to stage 1.
+#[derive(Debug, Clone, Copy)]
+pub struct Sarsa;
 
 /// The SARSA accelerator instance.
 ///
 /// Generic over a [`TraceSink`] (default [`NullSink`] = telemetry off,
 /// zero cost); see [`SarsaAccel::with_sink`].
-#[derive(Debug, Clone)]
-pub struct SarsaAccel<V, S: TraceSink = NullSink> {
-    pipe: AccelPipeline<V, S>,
-}
+pub type SarsaAccel<V, S = NullSink> = QrlAccel<V, S, Sarsa>;
 
 impl<V: QValue> SarsaAccel<V> {
     /// Build an engine sized for `env` with exploration probability
@@ -53,133 +48,14 @@ impl<V: QValue, S: TraceSink> SarsaAccel<V, S> {
         config.trainer.behavior = Policy::EpsilonGreedy { epsilon };
         config.trainer.update = Policy::EpsilonGreedy { epsilon };
         config.trainer.forward_next_action = true;
-        Self {
-            pipe: AccelPipeline::with_sink(env, config, 0, sink),
-        }
-    }
-
-    /// The pipeline's perf-counter bank (all-zero unless a
-    /// counter-bearing sink is attached).
-    pub fn counters(&self) -> &CounterBank {
-        self.pipe.counters()
-    }
-
-    /// The attached trace sink.
-    pub fn sink(&self) -> &S {
-        self.pipe.sink()
-    }
-
-    /// Mutable access to the attached trace sink.
-    pub fn sink_mut(&mut self) -> &mut S {
-        self.pipe.sink_mut()
-    }
-
-    /// Consume the engine and return its sink.
-    pub fn into_sink(self) -> S {
-        self.pipe.into_sink()
-    }
-
-    /// The sink's training-health probe, when one is attached (see
-    /// `qtaccel_telemetry::HealthSink`; `None` for every other sink).
-    pub fn health_probe(&self) -> Option<&qtaccel_telemetry::HealthProbe> {
-        self.pipe.health_probe()
-    }
-
-    /// Run `n` Q-value updates and return the cumulative cycle counters.
-    pub fn train_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.pipe.run_samples(env, n)
-    }
-
-    /// Run `n` Q-value updates through the fast-path executor — results
-    /// bit-identical to [`train_samples`](Self::train_samples), host
-    /// throughput much higher (see `AccelPipeline::run_samples_fast`).
-    pub fn train_samples_fast<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
-        self.pipe.run_samples_fast(env, n)
-    }
-
-    /// One update, exposed for tracing.
-    pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
-        self.pipe.step(env)
-    }
-
-    /// Cycle counters so far.
-    pub fn stats(&self) -> CycleStats {
-        self.pipe.stats()
-    }
-
-    /// The learned Q-table (architectural view).
-    pub fn q_table(&self) -> QTable<V> {
-        self.pipe.q_table()
-    }
-
-    /// The Qmax array (architectural view).
-    pub fn qmax_table(&self) -> QmaxTable<V> {
-        self.pipe.qmax_table()
-    }
-
-    /// Exact greedy policy extraction.
-    pub fn greedy_policy(&self) -> Vec<Action> {
-        self.pipe.greedy_policy()
-    }
-
-    /// Attach the fault-tolerance runtime — online SEU injection, SECDED
-    /// protection, Qmax scrubbing (see
-    /// `AccelPipeline::enable_faults` and [`FaultConfig`]).
-    pub fn enable_faults(&mut self, config: FaultConfig) {
-        self.pipe.enable_faults(config);
-    }
-
-    /// Switch to a quantized stored Q-table format — entries held on
-    /// `policy`'s grid, writebacks stochastically rounded (see
-    /// `AccelPipeline::enable_quant` and DESIGN.md §2.14). Must be
-    /// called before training starts.
-    pub fn enable_quant(&mut self, policy: QuantPolicy) {
-        self.pipe.enable_quant(policy);
-    }
-
-    /// The quantization policy in force, if any.
-    pub fn quant(&self) -> Option<&QuantPolicy> {
-        self.pipe.quant()
-    }
-
-    /// The learned Q-table in its packed stored form (`None` unless
-    /// quantization is enabled; see `AccelPipeline::packed_q_table`).
-    pub fn packed_q_table(&self) -> Option<PackedQTable> {
-        self.pipe.packed_q_table()
-    }
-
-    /// The fault configuration in force, if any.
-    pub fn fault_config(&self) -> Option<FaultConfig> {
-        self.pipe.fault_config()
-    }
-
-    /// Fault-campaign counters, if a fault runtime is attached.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.pipe.fault_stats()
-    }
-
-    /// Durably checkpoint the full training state to `path` (see
-    /// `AccelPipeline::save_checkpoint`).
-    pub fn save_checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.pipe.save_checkpoint(path)
-    }
-
-    /// Restore training state from a checkpoint file; resume is
-    /// bit-exact (see `AccelPipeline::restore_checkpoint`).
-    pub fn restore_checkpoint(&mut self, path: &Path) -> Result<(), CheckpointError> {
-        self.pipe.restore_checkpoint(path)
-    }
-
-    /// Structural resources, modeled fmax/throughput/power for this
-    /// instance (see `AccelPipeline::resources`).
-    pub fn resources(&self) -> AccelResources {
-        self.pipe.resources()
+        QrlAccel::from_pipe(AccelPipeline::with_sink(env, config, 0, sink))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtaccel_core::trainer::Transition;
     use qtaccel_envs::{Environment, GridWorld};
     use qtaccel_fixed::Q8_8;
 

@@ -18,7 +18,9 @@
 # shipped), the engine unit tests in release (the cycle-accurate step
 # path is #[inline(always)] end to end, so its pinned per-hazard
 # CycleStats and the in-flight ring's queue-model property run on the
-# build that ships), the distributed
+# build that ships), the facade's equivalence and multi-agent suites in
+# release (both engines against the golden RefTrainer for both formats,
+# and the dual and independent pipelines, as shipped), the distributed
 # observability suites (wire-protocol damage matrix, span-tree
 # determinism across worker counts, the durable-batch trace round-trip
 # through a live collector) with the multi-worker collector smoke gate
@@ -130,6 +132,9 @@ gate 600 "fast-path equivalence suite (release)" \
 
 gate 600 "engine unit tests (release)" \
   cargo test -q --release --offline -p qtaccel-accel --lib
+
+gate 600 "facade equivalence + multi-agent suites (release)" \
+  cargo test -q --release --offline -p qtaccel --test equivalence --test multi_agent
 
 gate 600 "distributed training-cluster suite + lease-table properties (release)" \
   cargo test -q --release --offline -p qtaccel-cluster
