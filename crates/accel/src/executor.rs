@@ -15,9 +15,9 @@
 //!   available parallelism) park on a condvar when idle. Submitting a
 //!   batch costs one queue lock, not `P × thread::spawn`.
 //! * **Chunked work queue.** A batch is a set of *shards* (one per
-//!   pipeline). Each shard is re-entered chunk by chunk — the job
-//!   callback runs one bounded chunk of samples and reports whether
-//!   work remains, and unfinished shards requeue at the *tail*. With
+//!   pipeline). Each shard is re-entered chunk by chunk — it runs one
+//!   bounded chunk of samples and reports whether work remains, and
+//!   unfinished shards requeue at the *tail*. With
 //!   P ≫ C every pipeline makes interleaved progress instead of the
 //!   first C hogging their cores to completion; with P < C the spare
 //!   workers simply stay parked. A shard is never queued (or running)
@@ -31,16 +31,13 @@
 //!   results (Q tables, `CycleStats`, counter banks) are merged by the
 //!   submitter *after* the batch completes, so no sample ever contends
 //!   on a lock or an atomic.
-//!
-//! Scoped borrows: jobs may borrow the caller's data (`&mut
-//! AccelPipeline`, `&Environment`). Soundness is the classic
-//! scoped-pool latch protocol — [`ShardedExecutor::run_shards`] erases
-//! the job lifetime but does not return until every shard has finished
-//! and every worker has released the batch (the completion latch is
-//! decremented under the batch mutex, and the submitter's wait holds
-//! that mutex), so no worker can observe the borrow after `run_shards`
-//! returns. A panicking shard is recorded, the batch drains, and the
-//! payload is resumed on the submitting thread.
+//! * **Owned shards.** A batch moves its shards into the pool and gets
+//!   them back. Each shard is a value that sits either in the queue or
+//!   in one worker's hands, so it never runs twice at once, and nothing
+//!   the pool can reach is left behind once the batch returns. A worker
+//!   runs each chunk under `catch_unwind`; a shard that panicked is
+//!   handed back like a finished one, the rest of the batch drains, and
+//!   the first payload goes back to the submitter with the shards.
 //!
 //! [`CounterBank`]: qtaccel_telemetry::CounterBank
 
@@ -53,45 +50,47 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One shard of a batch: called repeatedly, runs one bounded chunk of
-/// work per call, returns `true` while work remains.
-pub type ShardJob<'scope> = Box<dyn FnMut() -> bool + Send + 'scope>;
+/// One shard of a batch, moved into the pool and back.
+pub(crate) trait Shard: Any + Send {
+    /// Run one bounded chunk of work; `true` while work remains.
+    fn run_chunk(&mut self) -> bool;
+}
 
-/// Lock a mutex, shrugging off poisoning (a panicked shard has already
-/// been recorded by the batch protocol; its data is never reused).
+/// A panic payload caught from a shard's chunk.
+pub(crate) type Panic = Box<dyn Any + Send>;
+
+/// Lock a mutex, shrugging off poisoning: no shard code runs while a
+/// pool lock is held, so every update leaves the data valid.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Per-batch control block, stack-allocated in `run_shards`.
-///
-/// Workers reach it through a raw pointer carried by the queued jobs;
-/// the latch protocol above guarantees no worker dereferences it after
-/// `run_shards` returns.
-struct BatchCtl {
-    /// The shard callbacks, lifetime-erased. Each mutex is held for
-    /// exactly one chunk at a time (a shard is never queued twice, so
-    /// these locks are uncontended — they exist to make the erased
-    /// `FnMut` calls sound, not to arbitrate).
-    shards: Vec<Mutex<ShardJob<'static>>>,
-    /// Completion latch: shards not yet finished.
-    remaining: Mutex<usize>,
+/// Where a batch's shards come back to. The last one back wakes the
+/// submitter, so it is woken once per batch.
+struct Batch {
+    returned: Mutex<Returned>,
     done: Condvar,
-    /// First panic payload out of any shard, resumed by the submitter.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// A queued chunk: "run the next chunk of shard `idx` of batch `batch`".
+struct Returned {
+    /// Slot `i` holds shard `i` once it is back.
+    shards: Vec<Option<Box<dyn Shard>>>,
+    /// Shards still queued or running.
+    out: usize,
+    /// First panic payload out of any shard.
+    panic: Option<Panic>,
+}
+
+/// A queued shard: "run its next chunk".
 struct QueuedChunk {
-    batch: *const BatchCtl,
+    shard: Box<dyn Shard>,
+    /// The shard's slot in its batch.
     idx: usize,
+    batch: Arc<Batch>,
     /// Enqueue timestamp, set only on instrumented pools (feeds the
     /// queue-wait histogram).
     enqueued: Option<Instant>,
 }
-// SAFETY: the pointee outlives every queued chunk (latch protocol) and
-// all shared access goes through the BatchCtl mutexes.
-unsafe impl Send for QueuedChunk {}
 
 /// Pool-wide shared state.
 struct PoolShared {
@@ -104,7 +103,7 @@ struct PoolShared {
 }
 
 /// Busy/idle accounting for one worker thread. All counters are relaxed
-/// atomics: they are statistics, ordered by the batch latch when read.
+/// atomics: they are statistics, ordered by the batch's return when read.
 #[derive(Debug, Default)]
 struct WorkerCounters {
     busy_ns: AtomicU64,
@@ -349,47 +348,32 @@ impl ShardedExecutor {
         self.workers.len()
     }
 
-    /// Run a batch of shard jobs to completion.
+    /// Run a batch of shards to completion and hand them back in
+    /// submission order, with the first panic any of them raised. Each
+    /// shard requeues at the queue tail after a chunk while work remains,
+    /// so shards progress fairly even when they outnumber workers.
     ///
-    /// Each job is called repeatedly — one bounded chunk per call —
-    /// until it returns `false`; unfinished shards requeue at the queue
-    /// tail so all shards progress fairly even when they outnumber
-    /// workers. Blocks until every shard has finished. If a shard
-    /// panics, the remaining shards still run to completion and the
-    /// first panic payload is resumed here.
-    ///
-    /// Must not be called from inside a shard job running on the same
-    /// pool (the nested batch could starve with every worker busy).
-    pub fn run_shards(&self, shards: Vec<ShardJob<'_>>) {
-        if shards.is_empty() {
-            return;
-        }
+    /// Must not be called from inside a shard running on the same pool
+    /// (the nested batch could starve with every worker busy).
+    pub(crate) fn run_shards<T: Shard>(&self, shards: Vec<T>) -> (Vec<Box<T>>, Option<Panic>) {
         let n = shards.len();
-        let ctl = BatchCtl {
-            // SAFETY: lifetime erasure. `ctl` lives on this stack frame
-            // and the latch wait below does not return until every
-            // worker has finished with every shard and released the
-            // latch mutex — no borrow escapes the true scope.
-            shards: shards
-                .into_iter()
-                .map(|j| {
-                    Mutex::new(unsafe {
-                        std::mem::transmute::<ShardJob<'_>, ShardJob<'static>>(j)
-                    })
-                })
-                .collect(),
-            remaining: Mutex::new(n),
+        let batch = Arc::new(Batch {
+            returned: Mutex::new(Returned {
+                shards: (0..n).map(|_| None).collect(),
+                out: n,
+                panic: None,
+            }),
             done: Condvar::new(),
-            panic: Mutex::new(None),
-        };
+        });
 
         {
             let mut q = lock_unpoisoned(&self.shared.queue);
             let enqueued = self.shared.metrics.is_some().then(Instant::now);
-            for idx in 0..n {
+            for (idx, shard) in shards.into_iter().enumerate() {
                 q.jobs.push_back(QueuedChunk {
-                    batch: &ctl,
+                    shard: Box::new(shard),
                     idx,
+                    batch: Arc::clone(&batch),
                     enqueued,
                 });
             }
@@ -404,19 +388,15 @@ impl ShardedExecutor {
             self.shared.work.notify_one();
         }
 
-        let mut remaining = lock_unpoisoned(&ctl.remaining);
-        while *remaining > 0 {
-            remaining = ctl
-                .done
-                .wait(remaining)
-                .unwrap_or_else(|e| e.into_inner());
+        let mut r = lock_unpoisoned(&batch.returned);
+        while r.out > 0 {
+            r = batch.done.wait(r).unwrap_or_else(|e| e.into_inner());
         }
-        drop(remaining);
-
-        let payload = lock_unpoisoned(&ctl.panic).take();
-        if let Some(payload) = payload {
-            std::panic::resume_unwind(payload);
-        }
+        let shards = std::mem::take(&mut r.shards).into_iter().map(|shard| {
+            let shard: Box<dyn Any> = shard.expect("every shard is back");
+            shard.downcast().expect("a batch gets back the shards it queued")
+        });
+        (shards.collect(), r.panic.take())
     }
 }
 
@@ -437,7 +417,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
     let metrics = shared.metrics.as_deref();
     loop {
         let idle_start = metrics.map(|_| Instant::now());
-        let job = {
+        let mut job = {
             let mut q = lock_unpoisoned(&shared.queue);
             loop {
                 if let Some(job) = q.jobs.pop_front() {
@@ -469,13 +449,8 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             }
         }
 
-        // SAFETY: the batch outlives the job (latch protocol).
-        let batch = unsafe { &*job.batch };
         let busy_start = metrics.map(|_| Instant::now());
-        let outcome = {
-            let mut shard = lock_unpoisoned(&batch.shards[job.idx]);
-            catch_unwind(AssertUnwindSafe(&mut *shard))
-        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| job.shard.run_chunk()));
         if let (Some(m), Some(start)) = (metrics, busy_start) {
             let elapsed = start.elapsed().as_nanos() as u64;
             m.workers[worker]
@@ -491,7 +466,6 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 // More chunks: requeue at the tail for fair interleave.
                 {
                     let mut q = lock_unpoisoned(&shared.queue);
-                    let mut job = job;
                     job.enqueued = metrics.map(|_| Instant::now());
                     q.jobs.push_back(job);
                     if let Some(m) = metrics {
@@ -501,17 +475,16 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 }
                 shared.work.notify_one();
             }
-            Ok(false) | Err(_) => {
+            outcome => {
+                // Done or panicked: hand the shard back to its batch.
+                let mut r = lock_unpoisoned(&job.batch.returned);
+                r.shards[job.idx] = Some(job.shard);
                 if let Err(payload) = outcome {
-                    lock_unpoisoned(&batch.panic).get_or_insert(payload);
+                    r.panic.get_or_insert(payload);
                 }
-                // Finish the shard under the latch mutex; after this
-                // guard drops, `batch` is never touched again by this
-                // worker — the submitter may already be returning.
-                let mut remaining = lock_unpoisoned(&batch.remaining);
-                *remaining -= 1;
-                if *remaining == 0 {
-                    batch.done.notify_all();
+                r.out -= 1;
+                if r.out == 0 {
+                    job.batch.done.notify_one();
                 }
             }
         }
@@ -538,104 +511,122 @@ pub fn chunk_samples(budget: u64, states: usize, actions: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use proptest::prelude::*;
 
-    fn counting_shards<'a>(
-        counters: &'a [AtomicU64],
-        chunks_each: u64,
-    ) -> Vec<ShardJob<'a>> {
-        counters
-            .iter()
-            .map(|c| {
-                let mut left = chunks_each;
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    left -= 1;
-                    left > 0
-                }) as ShardJob<'a>
+    /// Runs `left` chunks, counting them.
+    struct Countdown {
+        left: u64,
+        ran: u64,
+    }
+
+    impl Shard for Countdown {
+        fn run_chunk(&mut self) -> bool {
+            self.ran += 1;
+            self.left -= 1;
+            self.left > 0
+        }
+    }
+
+    fn countdowns(shards: usize, chunks_each: u64) -> Vec<Countdown> {
+        (0..shards)
+            .map(|_| Countdown {
+                left: chunks_each,
+                ran: 0,
             })
             .collect()
     }
 
     #[test]
-    fn runs_all_chunks_of_all_shards() {
-        for threads in [1, 2, 3, 7] {
-            let pool = ShardedExecutor::new(threads);
-            let counters: Vec<AtomicU64> = (0..16).map(|_| AtomicU64::new(0)).collect();
-            pool.run_shards(counting_shards(&counters, 5));
-            for (i, c) in counters.iter().enumerate() {
-                assert_eq!(c.load(Ordering::SeqCst), 5, "shard {i} @ {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn pool_is_reusable_across_batches() {
         let pool = ShardedExecutor::new(2);
-        let c = AtomicU64::new(0);
         for _ in 0..50 {
-            let shards: Vec<ShardJob<'_>> = (0..3)
-                .map(|_| {
-                    Box::new(|| {
-                        c.fetch_add(1, Ordering::SeqCst);
-                        false
-                    }) as ShardJob<'_>
-                })
-                .collect();
-            pool.run_shards(shards);
+            let (back, panic) = pool.run_shards(countdowns(3, 1));
+            assert!(panic.is_none());
+            assert_eq!(back.iter().map(|s| s.ran).sum::<u64>(), 3);
         }
-        assert_eq!(c.load(Ordering::SeqCst), 150);
         assert_eq!(pool.workers(), 2);
     }
 
-    #[test]
-    fn scoped_mutable_borrows_are_visible_after_run() {
-        let pool = ShardedExecutor::new(3);
-        let mut data = vec![0u64; 8];
-        let shards: Vec<ShardJob<'_>> = data
-            .iter_mut()
-            .map(|slot| {
-                let mut calls = 0u64;
-                Box::new(move || {
-                    calls += 1;
-                    *slot += calls;
-                    calls < 4
-                }) as ShardJob<'_>
-            })
-            .collect();
-        pool.run_shards(shards);
-        assert_eq!(data, vec![1 + 2 + 3 + 4; 8]);
+    /// The planned panic of a [`Probe`], naming its shard.
+    struct Planned(usize);
+
+    /// Records the index of every chunk it runs, and counts itself into
+    /// `finished` at its last chunk or at its planned panic.
+    struct Probe {
+        id: usize,
+        chunks: u32,
+        panic_at: Option<u32>,
+        ran: Vec<u32>,
+        finished: Arc<AtomicUsize>,
     }
 
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let pool = ShardedExecutor::new(1);
-        pool.run_shards(Vec::new());
-    }
-
-    #[test]
-    fn shard_panic_propagates_after_batch_drains() {
-        let pool = ShardedExecutor::new(2);
-        let survivors = AtomicU64::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut shards: Vec<ShardJob<'_>> = vec![Box::new(|| panic!("shard boom"))];
-            for _ in 0..4 {
-                shards.push(Box::new(|| {
-                    survivors.fetch_add(1, Ordering::SeqCst);
-                    false
-                }));
+    impl Shard for Probe {
+        fn run_chunk(&mut self) -> bool {
+            let k = self.ran.len() as u32;
+            assert!(k < self.chunks, "shard {} ran after its last chunk", self.id);
+            self.ran.push(k);
+            let more = k + 1 < self.chunks;
+            if self.panic_at == Some(k) {
+                self.finished.fetch_add(1, Ordering::SeqCst);
+                std::panic::panic_any(Planned(self.id));
             }
-            pool.run_shards(shards);
-        }));
-        assert!(caught.is_err(), "panic must resurface on the submitter");
-        assert_eq!(survivors.load(Ordering::SeqCst), 4, "other shards still ran");
-        // The pool survives a panicked batch.
-        let c = AtomicU64::new(0);
-        pool.run_shards(vec![Box::new(|| {
-            c.fetch_add(1, Ordering::SeqCst);
-            false
-        })]);
-        assert_eq!(c.load(Ordering::SeqCst), 1);
+            if !more {
+                self.finished.fetch_add(1, Ordering::SeqCst);
+            }
+            more
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random batch shapes, P < C and P ≫ C alike: every shard comes
+        /// back exactly once, in submission order, having run its chunks
+        /// in order; a planned panic reaches the submitter once, after
+        /// every other shard finished; and the pool then runs a clean
+        /// batch.
+        #[test]
+        fn every_shard_comes_back_once_with_its_chunks_in_order(
+            workers in 1usize..5,
+            chunks in prop::collection::vec(1u32..7, 0..13),
+            victim in 0usize..20,
+            panic_chunk in 0u32..6,
+        ) {
+            let pool = ShardedExecutor::new(workers);
+            let finished = Arc::new(AtomicUsize::new(0));
+            // At most one shard panics: `victim` past the batch means none.
+            let panic_at = |id: usize| (id == victim).then(|| panic_chunk % chunks[id]);
+            let shards = chunks
+                .iter()
+                .enumerate()
+                .map(|(id, &n)| Probe {
+                    id,
+                    chunks: n,
+                    panic_at: panic_at(id),
+                    ran: Vec::new(),
+                    finished: Arc::clone(&finished),
+                })
+                .collect();
+            let (back, panic) = pool.run_shards(shards);
+            prop_assert_eq!(finished.load(Ordering::SeqCst), chunks.len());
+            prop_assert_eq!(back.len(), chunks.len());
+            for (id, shard) in back.iter().enumerate() {
+                prop_assert_eq!(shard.id, id);
+                let last = panic_at(id).map_or(shard.chunks, |k| k + 1);
+                prop_assert_eq!(&shard.ran, &(0..last).collect::<Vec<_>>());
+            }
+            match panic {
+                Some(payload) => {
+                    let planned = payload.downcast_ref::<Planned>().map(|p| p.0);
+                    prop_assert_eq!(planned, Some(victim));
+                }
+                None => prop_assert!(victim >= chunks.len()),
+            }
+
+            let (clean, panic) = pool.run_shards(countdowns(workers + 1, 3));
+            prop_assert!(panic.is_none());
+            prop_assert!(clean.iter().all(|s| s.ran == 3 && s.left == 0));
+        }
     }
 
     #[test]
@@ -651,8 +642,8 @@ mod tests {
     #[test]
     fn instrumented_pool_accounts_chunks_and_latency() {
         let pool = ShardedExecutor::new_instrumented(2);
-        let counters: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        pool.run_shards(counting_shards(&counters, 3));
+        let (_, panic) = pool.run_shards(countdowns(4, 3));
+        assert!(panic.is_none());
         let m = pool.metrics().expect("instrumented pool exposes metrics");
         let snaps = m.worker_snapshots();
         assert_eq!(snaps.len(), 2);
@@ -683,9 +674,7 @@ mod tests {
 
     #[test]
     fn global_pool_is_a_singleton() {
-        let a = ShardedExecutor::global() as *const _;
-        let b = ShardedExecutor::global() as *const _;
-        assert_eq!(a, b);
+        assert!(std::ptr::eq(ShardedExecutor::global(), ShardedExecutor::global()));
         assert!(ShardedExecutor::global().workers() >= 1);
         // Too late to resize once created.
         assert!(!set_default_workers(4));

@@ -36,7 +36,8 @@
 //!   [`ShardedExecutor`] worker pool with a chunked work queue that runs
 //!   the `multi` configurations on however many cores the host offers
 //!   (bit-identical results at any worker count), plus the sharded
-//!   `train_batch` API. Pools built
+//!   `train_batch` API. A batch moves each pipeline into the pool with
+//!   a clone of its environment and gets it back. Pools built
 //!   with [`ShardedExecutor::new_instrumented`] expose
 //!   [`ExecutorMetrics`] — per-worker busy/idle time, chunk-latency
 //!   histograms, queue-depth gauges — for the DESIGN.md §2.10 metrics

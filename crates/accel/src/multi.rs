@@ -12,11 +12,11 @@
 //!   block"). Linear throughput scaling bounded only by memory.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{atomic_write, CheckpointError};
 use crate::config::{AccelConfig, HazardMode};
-use crate::executor::{chunk_samples, ShardJob, ShardedExecutor};
+use crate::executor::{chunk_samples, Shard, ShardedExecutor};
 use crate::fault::FaultConfig;
 use crate::pipeline::{AccelPipeline, InFlight, Pending, PolicyUnit, FILL, WRITE_OFFSET};
 use crate::resources::{analyze, engine_kind, resource_report, AccelResources};
@@ -648,6 +648,76 @@ impl std::error::Error for LeaseError {
     }
 }
 
+/// What every shard of a batch does with each chunk: run the cycle
+/// engine, run the fast path, or advance its own durable lease.
+#[derive(Clone)]
+enum ChunkWork {
+    Cycle,
+    Fast,
+    Durable(Arc<[ShardLease]>),
+}
+
+/// One pipeline's share of a batch, moved into the executor and back.
+struct PipeShard<V, S: TraceSink, E> {
+    index: usize,
+    pipe: Box<AccelPipeline<V, S>>,
+    env: E,
+    work: ChunkWork,
+    chunk: u64,
+    left: u64,
+    /// The next chunk span's ordinal.
+    chunks_run: u64,
+    /// The tracer and the batch root the chunk spans nest under.
+    tracing: Option<(Arc<SpanTracer>, SpanContext)>,
+    /// The shard's first checkpoint save error.
+    failed: Option<CheckpointError>,
+}
+
+impl<V, S, E> Shard for PipeShard<V, S, E>
+where
+    V: QValue,
+    S: TraceSink + Send + 'static,
+    E: Environment + Send + 'static,
+{
+    fn run_chunk(&mut self) -> bool {
+        let take = self.chunk.min(self.left);
+        let lane = self.index as u32;
+        let scrub_rounds = |p: &AccelPipeline<V, S>| p.fault_stats().map_or(0, |f| f.scrub_rounds);
+        let scrub_before = scrub_rounds(&self.pipe);
+        let span = self.tracing.as_ref().map(|(tracer, root)| {
+            (&**tracer, tracer.begin(root.trace, Some(root.span), "chunk", lane, self.chunks_run))
+        });
+        // Cadence saves nest under the chunk that crossed the boundary.
+        let parent = span.as_ref().map(|(tracer, span)| (*tracer, span.context()));
+        let saved = match &self.work {
+            ChunkWork::Cycle => {
+                self.pipe.run_samples(&self.env, take);
+                Ok(())
+            }
+            ChunkWork::Fast => {
+                self.pipe.run_samples_fast(&self.env, take);
+                Ok(())
+            }
+            ChunkWork::Durable(leases) => {
+                leases[self.index].advance(&mut self.pipe, &self.env, take, parent).map(drop)
+            }
+        };
+        if let Some((tracer, span)) = span {
+            let (ctx, scrub_after) = (span.context(), scrub_rounds(&self.pipe));
+            if scrub_after > scrub_before {
+                tracer.instant(ctx.trace, Some(ctx.span), "scrub", lane, scrub_after);
+            }
+            tracer.end(span);
+        }
+        if let Err(e) = saved {
+            self.failed.get_or_insert(e);
+        }
+        self.chunks_run += 1;
+        self.left -= take;
+        self.left > 0
+    }
+}
+
 /// N independent pipelines over disjoint sub-environments (Fig. 9).
 ///
 /// Generic over a [`TraceSink`] (default [`NullSink`] = telemetry off,
@@ -663,7 +733,8 @@ impl std::error::Error for LeaseError {
 /// order; only scheduling varies), pinned by `tests/scaling.rs`.
 #[derive(Debug, Clone)]
 pub struct IndependentPipelines<V, S: TraceSink = NullSink> {
-    pipes: Vec<AccelPipeline<V, S>>,
+    /// Boxed, so a batch moves each pipeline into its shard by pointer.
+    pipes: Vec<Box<AccelPipeline<V, S>>>,
     /// `None` = the process-global pool.
     executor: Option<Arc<ShardedExecutor>>,
     /// `None` = span tracing off (the default; batch paths stay on the
@@ -680,7 +751,7 @@ impl<V: QValue> IndependentPipelines<V> {
             pipes: envs
                 .iter()
                 .enumerate()
-                .map(|(i, e)| AccelPipeline::new(e, config, i as u64))
+                .map(|(i, e)| Box::new(AccelPipeline::new(e, config, i as u64)))
                 .collect(),
             executor: None,
             tracer: None,
@@ -700,7 +771,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 .iter()
                 .zip(sinks)
                 .enumerate()
-                .map(|(i, (e, sink))| AccelPipeline::with_sink(e, config, i as u64, sink))
+                .map(|(i, (e, sink))| Box::new(AccelPipeline::with_sink(e, config, i as u64, sink)))
                 .collect(),
             executor: None,
             tracer: None,
@@ -772,135 +843,97 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         self.pipes.is_empty()
     }
 
-    /// Submit one shard per pipeline to the executor: shard `i` runs
-    /// `budgets[i]` samples through `run`, re-entered in deterministic
-    /// chunks so the pool's work queue can interleave P ≫ C shards.
-    /// Blocks until the batch completes; per-shard state (tables, stats,
-    /// counter banks) is written lock-free by the owning shard and read
-    /// here only after the join.
+    /// Run one batch on the executor: each pipeline `i` with a budget
+    /// moves into a shard with a clone of `envs[i]` and spends
+    /// `budgets[i]` samples on `work` in deterministic chunks, so the
+    /// work queue can interleave P ≫ C shards. Every pipeline is back in
+    /// index order before this returns, also when a shard panicked, whose
+    /// payload is resumed only then. Returns the lowest-numbered failing
+    /// shard's first save error.
     ///
     /// When a tracer is attached *and* `ctx` carries a batch root, every
-    /// chunk re-entry is wrapped in a `chunk` span (lane = shard index,
-    /// ordinal = chunk number) parented under the root — span context
-    /// crosses the executor's worker threads, so one trace covers the
-    /// whole batch — and a shard whose scrub engine advanced during the
-    /// chunk gets a `scrub` instant child. The chunk's own context is
-    /// handed to `run` so deeper work (checkpoint writes) can nest under
-    /// it. With no tracer the entire block is one `Option` test per
-    /// chunk re-entry — chunks are ≥ 2^16 samples, so the fast paths
-    /// are untouched.
-    fn drive<E, F>(
+    /// chunk is wrapped in a `chunk` span (lane = shard index, ordinal =
+    /// chunk number) under the root — span context crosses the worker
+    /// threads, so one trace covers the whole batch — and a chunk in which
+    /// the shard's scrub engine advanced gets a `scrub` instant child.
+    /// With no tracer this costs one `Option` test per chunk.
+    fn drive<E>(
         &mut self,
         envs: &[E],
         budgets: &[u64],
         ctx: Option<SpanContext>,
-        run: F,
-    ) -> CycleStats
+        work: ChunkWork,
+    ) -> Option<CheckpointError>
     where
-        E: Environment + Sync,
-        S: Send,
-        F: Fn(usize, &mut AccelPipeline<V, S>, &E, u64, Option<SpanContext>) + Sync,
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
         assert_eq!(budgets.len(), self.pipes.len(), "one budget per pipeline");
-        if budgets.iter().all(|&b| b == 0) {
-            return self.stats();
-        }
-        // Clone the Arcs so the pool/tracer references cannot alias
-        // `self.pipes`.
-        let owned = self.executor.clone();
-        let pool: &ShardedExecutor = match owned.as_deref() {
-            Some(pool) => pool,
-            None => ShardedExecutor::global(),
-        };
         let tracing = self.tracer.clone().zip(ctx);
-        let run = &run;
-        let shards: Vec<ShardJob<'_>> = self
-            .pipes
-            .iter_mut()
-            .zip(envs)
-            .zip(budgets)
-            .enumerate()
-            .filter(|(_, ((_, _), &budget))| budget > 0)
-            .map(|(i, ((pipe, env), &budget))| {
-                let chunk = chunk_samples(budget, pipe.num_states(), pipe.num_actions());
-                let mut left = budget;
-                let mut chunk_idx = 0u64;
-                let tracing = tracing.clone();
-                Box::new(move || {
-                    let take = chunk.min(left);
-                    match &tracing {
-                        Some((tracer, root)) => {
-                            let span = tracer.begin(
-                                root.trace,
-                                Some(root.span),
-                                "chunk",
-                                i as u32,
-                                chunk_idx,
-                            );
-                            let scrub_before =
-                                pipe.fault_stats().map(|f| f.scrub_rounds).unwrap_or(0);
-                            run(i, pipe, env, take, Some(span.context()));
-                            let scrub_after =
-                                pipe.fault_stats().map(|f| f.scrub_rounds).unwrap_or(0);
-                            if scrub_after > scrub_before {
-                                tracer.instant(
-                                    root.trace,
-                                    Some(span.context().span),
-                                    "scrub",
-                                    i as u32,
-                                    scrub_after,
-                                );
-                            }
-                            tracer.end(span);
-                        }
-                        None => run(i, pipe, env, take, None),
-                    }
-                    chunk_idx += 1;
-                    left -= take;
-                    left > 0
-                }) as ShardJob<'_>
-            })
-            .collect();
-        pool.run_shards(shards);
-        self.stats()
+        let mut idle = Vec::new();
+        let mut shards = Vec::new();
+        let pipes = self.pipes.drain(..).zip(envs.iter().zip(budgets));
+        for (index, (pipe, (env, &budget))) in pipes.enumerate() {
+            if budget == 0 {
+                idle.push((index, pipe));
+                continue;
+            }
+            shards.push(PipeShard {
+                index,
+                chunk: chunk_samples(budget, pipe.num_states(), pipe.num_actions()),
+                left: budget,
+                chunks_run: 0,
+                pipe,
+                env: env.clone(),
+                work: work.clone(),
+                tracing: tracing.clone(),
+                failed: None,
+            });
+        }
+        let (mut shards, panic) = match (shards.is_empty(), self.executor.as_deref()) {
+            (true, _) => (Vec::new(), None),
+            (false, Some(pool)) => pool.run_shards(shards),
+            (false, None) => ShardedExecutor::global().run_shards(shards),
+        };
+        let failed = shards.iter_mut().find_map(|s| s.failed.take());
+        // Shards come back in index order; idle pipelines go back at theirs.
+        self.pipes.extend(shards.into_iter().map(|s| s.pipe));
+        for (index, pipe) in idle {
+            self.pipes.insert(index, pipe);
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        failed
     }
 
     /// Train every pipeline for `samples_each` updates on its own
     /// environment. Shards run on the persistent [`ShardedExecutor`]
-    /// worker pool — they share no state, exactly like the hardware
-    /// banks, so results are bit-identical to
+    /// worker pool, each on a clone of its environment — they share no
+    /// state, exactly like the hardware banks, so results are
+    /// bit-identical to
     /// [`train_samples_sequential`](Self::train_samples_sequential) at
     /// any worker count.
-    pub fn train_samples<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        samples_each: u64,
-    ) -> CycleStats
+    pub fn train_samples<E>(&mut self, envs: &[E], samples_each: u64) -> CycleStats
     where
-        S: Send,
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
     {
-        let budgets = vec![samples_each; self.pipes.len()];
-        self.drive(envs, &budgets, None, |_, pipe, env, n, _| {
-            pipe.run_samples(env, n);
-        })
+        self.drive(envs, &vec![samples_each; self.len()], None, ChunkWork::Cycle);
+        self.stats()
     }
 
     /// [`train_samples`](Self::train_samples) through the fast-path
     /// executor on every bank — bit-identical results (see
     /// `AccelPipeline::run_samples_fast`).
-    pub fn train_samples_fast<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        samples_each: u64,
-    ) -> CycleStats
+    pub fn train_samples_fast<E>(&mut self, envs: &[E], samples_each: u64) -> CycleStats
     where
-        S: Send,
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
     {
-        let budgets = vec![samples_each; self.pipes.len()];
-        self.drive(envs, &budgets, None, |_, pipe, env, n, _| {
-            pipe.run_samples_fast(env, n);
-        })
+        self.drive(envs, &vec![samples_each; self.len()], None, ChunkWork::Fast);
+        self.stats()
     }
 
     /// The sequential reference for [`train_samples`](Self::train_samples):
@@ -979,28 +1012,24 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// the `total % P` remainder samples for `i < total % P`) and drive
     /// every shard through the fast path (`AccelPipeline::run_samples_fast`).
     /// Results are bit-identical to running the same per-shard budgets
-    /// sequentially.
-    pub fn train_batch<E: Environment + Sync>(
-        &mut self,
-        envs: &[E],
-        total_samples: u64,
-    ) -> BatchReport
+    /// sequentially. The batch runs on copies of `envs`: an environment's
+    /// interior state changes in the copy, not in the caller's value.
+    pub fn train_batch<E>(&mut self, envs: &[E], total_samples: u64) -> BatchReport
     where
-        S: Send,
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
         let shards = self.batch_plan(total_samples, false);
         let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
         let root = self.begin_batch_root("train_batch", total_samples);
         let ctx = root.as_ref().map(|(_, active)| active.context());
-        let stats = self.drive(envs, &budgets, ctx, |_, pipe, env, n, _| {
-            pipe.run_samples_fast(env, n);
-        });
+        self.drive(envs, &budgets, ctx, ChunkWork::Fast);
         if let Some((tracer, active)) = root {
             tracer.end(active);
         }
         BatchReport {
-            stats,
+            stats: self.stats(),
             workers: self.workers(),
             shards,
             dropped_iterations: self.dropped_iterations(),
@@ -1030,8 +1059,9 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// `checkpoint_every` is a per-shard sample cadence (a checkpoint is
     /// written whenever a shard's retired-sample count crosses a
     /// multiple of it); every shard writes one final checkpoint when the
-    /// batch completes regardless.
-    pub fn train_batch_durable<E: Environment + Sync>(
+    /// batch completes regardless. A save error returned is the
+    /// lowest-numbered failing shard's first. It too runs on copies.
+    pub fn train_batch_durable<E>(
         &mut self,
         envs: &[E],
         total_samples: u64,
@@ -1039,19 +1069,20 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         checkpoint_every: u64,
     ) -> Result<BatchReport, CheckpointError>
     where
-        S: Send,
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
         let root = self.begin_batch_root("train_batch_durable", total_samples);
         let ctx = root.as_ref().map(|(_, active)| active.context());
         let tracer = self.tracer.clone();
         let under_root = tracer.as_deref().zip(ctx);
-        let leases = self
+        let leases: Arc<[ShardLease]> = self
             .pipes
             .iter_mut()
             .enumerate()
             .map(|(i, pipe)| ShardLease::open(pipe, dir, i, 0, checkpoint_every, under_root))
-            .collect::<Result<Vec<_>, _>>()
+            .collect::<Result<_, _>>()
             .map_err(|e| match e {
                 LeaseError::Checkpoint(e) => e,
                 LeaseError::FencedEpoch { held, found } => CheckpointError::Mismatch {
@@ -1062,16 +1093,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             })?;
         let shards = self.batch_plan(total_samples, true);
         let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
-        // Shards run on pool workers and cannot return errors; the first
-        // checkpoint failure is parked here and re-raised after the join.
-        let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let stats = self.drive(envs, &budgets, ctx, |i, pipe, env, n, chunk_ctx| {
-            // Cadence saves nest under the chunk that crossed the boundary.
-            if let Err(e) = leases[i].advance(pipe, env, n, tracer.as_deref().zip(chunk_ctx)) {
-                failed.lock().expect("no shard panics holding the slot").get_or_insert(e);
-            }
-        });
-        if let Some(e) = failed.into_inner().unwrap() {
+        if let Some(e) = self.drive(envs, &budgets, ctx, ChunkWork::Durable(Arc::clone(&leases))) {
             return Err(e);
         }
         for (lease, pipe) in leases.iter().zip(&self.pipes) {
@@ -1095,13 +1117,16 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 recorder.push_snapshot(snap);
             }
             recorder.push_marker(seal_cycle, "batch_seal");
-            recorder.dump_to(dir.join("flight.jsonl"))?;
+            // Sealed like the checkpoints beside it: staged, fsynced, renamed.
+            let mut jsonl = Vec::new();
+            recorder.dump_jsonl(&mut jsonl)?;
+            atomic_write(&dir.join("flight.jsonl"), &jsonl)?;
         }
         if let Some((tracer, active)) = root {
             tracer.end(active);
         }
         Ok(BatchReport {
-            stats,
+            stats: self.stats(),
             workers: self.workers(),
             shards,
             dropped_iterations: self.dropped_iterations(),
@@ -1510,6 +1535,22 @@ mod tests {
     #[should_panic(expected = "at least one sub-environment")]
     fn independent_rejects_empty() {
         IndependentPipelines::<Q8_8>::new(&[] as &[GridWorld], AccelConfig::default());
+    }
+
+    #[test]
+    fn a_batch_puts_every_pipeline_back_at_its_index() {
+        // Tables of four sizes tell the pipelines apart.
+        let envs: Vec<GridWorld> = [2, 4, 8, 16]
+            .iter()
+            .map(|&side| GridWorld::builder(side, side).goal(side - 1, side - 1).build())
+            .collect();
+        let mut ind = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default());
+        for budgets in [[0, 9, 0, 9], [9, 0, 0, 9], [0; 4], [9; 4]] {
+            ind.drive(&envs, &budgets, None, ChunkWork::Fast);
+            for (i, env) in envs.iter().enumerate() {
+                assert_eq!(ind.greedy_policy(i).len(), env.num_states(), "{budgets:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use qtaccel_accel::config::AccelConfig;
 use qtaccel_accel::qlearning::QLearningAccel;
 use qtaccel_accel::sarsa::SarsaAccel;
-use qtaccel_accel::FaultConfig;
-use qtaccel_envs::{ActionSet, GridWorld};
+use qtaccel_accel::{FaultConfig, IndependentPipelines};
+use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
 use qtaccel_fixed::Q8_8;
 use qtaccel_telemetry::{
     check_openmetrics, encode_openmetrics, CountersOnly, FlightRecorder, HealthConfig,
@@ -261,6 +261,45 @@ fn crash_dump_round_trips_through_the_strict_parser() {
     let tail = qtaccel_telemetry::json::parse(lines[5]).unwrap();
     assert_eq!(tail.get("t").unwrap().as_str(), Some("marker"));
     assert_eq!(tail.get("label").unwrap().as_str(), Some("panic"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn durable_batch_replaces_its_flight_dump_without_rewriting_it() {
+    let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(0x47);
+    let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
+    let cfg = AccelConfig::default().with_seed(0x47);
+    let dir = std::env::temp_dir().join(format!("qtaccel-health-flight-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let batch = |total| {
+        let sinks = (0..4).map(|_| health_sink(1)).collect();
+        let mut pipes =
+            IndependentPipelines::<Q8_8, HealthSink>::with_sinks(part.partitions(), cfg, sinks);
+        pipes
+            .train_batch_durable(part.partitions(), total, &dir, 4_096)
+            .expect("durable batch");
+    };
+    let seen = |dump: &str| -> u64 {
+        dump.lines()
+            .map(|line| qtaccel_telemetry::json::parse(line).expect("strict parse"))
+            .filter_map(|entry| entry.get("samples_seen").and_then(|v| v.as_u64()))
+            .sum()
+    };
+
+    batch(20_000);
+    let flight = dir.join("flight.jsonl");
+    let first = std::fs::read_to_string(&flight).expect("first dump");
+    assert_eq!(seen(&first), 20_000);
+    // A second name for the first dump's file: a dump written in place
+    // would show through it.
+    std::fs::hard_link(&flight, dir.join("before.jsonl")).expect("hard link");
+
+    batch(40_000);
+    let before = std::fs::read_to_string(dir.join("before.jsonl")).expect("old dump");
+    assert_eq!(before, first, "the old dump is replaced, never rewritten");
+    let second = std::fs::read_to_string(&flight).expect("new dump");
+    assert_eq!(second.lines().count(), 5, "4 shard snapshots + the seal marker");
+    assert_eq!(seen(&second), 40_000);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -270,6 +270,12 @@ impl FlakyEnv {
     }
 }
 
+impl Clone for FlakyEnv {
+    fn clone(&self) -> Self {
+        Self::new(self.inner.clone(), self.fuse.load(Ordering::Relaxed))
+    }
+}
+
 impl Environment for FlakyEnv {
     fn num_states(&self) -> usize {
         self.inner.num_states()

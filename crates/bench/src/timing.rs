@@ -1,6 +1,6 @@
 //! Minimal wall-clock measurement harness — the dependency-free
-//! stand-in for criterion used by the `benches/` targets and the
-//! `bench_throughput` binary. Fixed warm-up, median-of-runs reporting.
+//! stand-in for criterion used by the bench binaries. Fixed warm-up,
+//! median-of-runs reporting.
 
 use std::time::Instant;
 

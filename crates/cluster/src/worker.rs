@@ -157,6 +157,7 @@ fn backoff(cfg: &WorkerConfig, jitter: &mut Lfsr32, attempt: u32) -> Duration {
 pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport, ClusterError> {
     let envs = spec.environment();
     let mut pipes = spec.pipelines();
+    let budgets = spec.budgets();
     let our_hash = spec.hash();
     let mut jitter = Lfsr32::new((cfg.worker_id as u32) ^ (spec.seed as u32) ^ 0xC1A0_5EED);
     let mut report = WorkerReport {
@@ -246,6 +247,20 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                         budget,
                         checkpoint_every,
                     } => {
+                        // The verified spec fixes every lease this run can
+                        // hand out: a shard index, that shard's budget and
+                        // the spec's cadence. Anything else is refused
+                        // before it can index a shard.
+                        let shard = usize::try_from(lease).ok().filter(|&i| {
+                            budgets.get(i) == Some(&budget)
+                                && checkpoint_every == spec.checkpoint_every
+                        });
+                        let Some(shard) = shard else {
+                            let _ = session.send(FramePayload::Goodbye {
+                                reason: goodbye_reason::REFUSED,
+                            });
+                            return Err(ClusterError::Protocol("lease outside the spec"));
+                        };
                         // Chaos interception (first lease only).
                         if chaos_armed {
                             match cfg.chaos {
@@ -281,8 +296,8 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
                         let mut send_failed = false;
                         let mut abandoned = false;
                         let trained = pipes.train_shard_durable(
-                            lease as usize,
-                            envs.partition(lease as usize),
+                            shard,
+                            envs.partition(shard),
                             budget,
                             epoch,
                             &cfg.dir,

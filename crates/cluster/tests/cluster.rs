@@ -614,3 +614,56 @@ fn the_reconnect_budget_restarts_after_each_verified_session() {
     assert_eq!(report.reconnects, 5);
     fake.join().expect("fake coordinator");
 }
+
+#[test]
+fn a_lease_outside_the_spec_is_refused_not_trained() {
+    let s = spec();
+    let budget = s.budgets()[0];
+    let lease = |lease, budget, checkpoint_every| FramePayload::Lease {
+        lease,
+        epoch: 1,
+        budget,
+        checkpoint_every,
+    };
+    for (row, forged) in [
+        ("shard past the spec", lease(s.shards() as u64, budget, s.checkpoint_every)),
+        ("zero cadence", lease(0, budget, 0)),
+        ("budget off the spec", lease(0, budget + 1, s.checkpoint_every)),
+    ] {
+        // A fake coordinator: a verified handshake, the forged lease,
+        // then the worker's first answer that is not a heartbeat.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let fake = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut session = WireClient::from_stream(stream, 0).expect("session");
+            match session.recv_timeout(Duration::from_secs(5)) {
+                Ok(Some(f)) => assert!(matches!(f.payload, FramePayload::Hello { .. })),
+                other => panic!("expected hello, got {other:?}"),
+            }
+            let ack = FramePayload::HelloAck {
+                capabilities: CAP_LEASE_V1,
+                spec_hash: s.hash(),
+            };
+            session.send(ack).expect("ack");
+            session.send(forged).expect("lease");
+            loop {
+                match session.recv_timeout(Duration::from_secs(5)) {
+                    Ok(Some(f)) if matches!(f.payload, FramePayload::Heartbeat { .. }) => {}
+                    Ok(Some(f)) => return Some(f.payload),
+                    _ => return None,
+                }
+            }
+        });
+
+        let mut cfg = WorkerConfig::new(addr.to_string(), 9, tmp("forged-lease"));
+        cfg.max_attempts = 1;
+        let outcome = run_worker(&s, &cfg);
+        assert!(matches!(outcome, Err(ClusterError::Protocol(_))), "{row}: {outcome:?}");
+        let answer = fake.join().expect("fake coordinator");
+        let refused = FramePayload::Goodbye {
+            reason: goodbye_reason::REFUSED,
+        };
+        assert_eq!(answer, Some(refused), "{row}");
+    }
+}

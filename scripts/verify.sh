@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline build, tests, lints, rustdoc with
-# warnings denied (a broken or private intra-doc link fails), the telemetry
+# warnings denied (a broken or private intra-doc link fails). The root
+# manifest's [workspace.lints.rust] sets unsafe_code = "forbid" for every
+# lib, bin, test, example and bench of every member, so the build gates
+# fail on any `unsafe`; qtbench is a workspace of its own, and its
+# --locked gate below shows its path dependencies still inherit the
+# table. Then the telemetry
 # zero-cost equivalence suite, the metrics-service suite plus a live
 # scrape smoke test, the fault-tolerance suites (SEU injection,
 # checkpoint/restore) with the self-gating protection-ladder campaign
