@@ -40,10 +40,9 @@
 //! [`AccelPipeline::checkpoint_bytes`]: crate::AccelPipeline::checkpoint_bytes
 //! [`AccelPipeline::restore_checkpoint_bytes`]: crate::AccelPipeline::restore_checkpoint_bytes
 
+use qtaccel_telemetry::durable;
 use qtaccel_telemetry::frame::{self, ReadError, WordReader, COUNTER_LIMIT};
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// `"QTACCKPT"` in ASCII — the first word of every checkpoint file.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"QTACCKPT");
@@ -202,33 +201,19 @@ pub(crate) fn probability(field: &'static str, value: f64) -> Result<f64, Checkp
 }
 
 /// Durably replace `path` with `bytes`: stage in a sibling `*.tmp`,
-/// fsync, rename over the destination, fsync the directory.
+/// fsync, rename over the destination, fsync the directory
+/// ([`qtaccel_telemetry::durable::atomic_write`]), with the checkpoint
+/// error type.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
-    };
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // Make the rename itself durable. Directory fsync is best-effort:
-    // some filesystems refuse to sync a directory handle.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    Ok(durable::atomic_write(path, bytes)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qtaccel_telemetry::frame::WordWriter;
+    use std::fs;
+    use std::path::PathBuf;
 
     #[test]
     fn truncated_and_corrupt_containers_are_refused() {

@@ -15,14 +15,16 @@
 //!   [`HazardMode::Ignore`] (no interlock at all: stale operands, wrong
 //!   values — demonstrates that the dependency handling is *necessary*).
 //!   Beside the cycle-accurate engine sits the bit-exact fast path
-//!   (`AccelPipeline::run_samples_fast`), with one dispatch rule: an
+//!   ([`QrlAccel::run_samples_fast`]), with one dispatch rule: an
 //!   uninstrumented, fault-free `Forwarding` + Qmax-array configuration
 //!   runs the **stall-free kernel** — one loop, generic over its table
 //!   image (the fused 16-bit slab, or the packed words of a quantized
 //!   table) — and anything else runs the cycle-accurate engine itself.
 //!   The module also holds the one policy unit every QRL engine draws
-//!   through, and [`QrlAccel`], the one engine type behind both §V
-//!   customizations.
+//!   through, and [`QrlAccel`], the one QRL engine type: the pipeline
+//!   itself, whose policy fixture only picks the constructors.
+//!   [`AccelPipeline`] is the fixture that keeps the policies its
+//!   [`AccelConfig`] gives, on a caller-chosen seed bank.
 //! * [`qlearning`] / [`sarsa`] — the two §V engine customizations, as
 //!   policy fixtures of [`QrlAccel`]: Q-Learning (random behaviour,
 //!   greedy update via the Qmax array) and SARSA (ε-greedy, on-policy
@@ -92,7 +94,7 @@ pub use multi::{
     shard_budgets, shard_checkpoint_path, BatchReport, DualPipelineShared, IndependentPipelines,
     LeaseError, ShardRun,
 };
-pub use pipeline::{AccelPipeline, QrlAccel};
+pub use pipeline::{AccelPipeline, Configured, QrlAccel};
 pub use prob_engine::{ProbPolicyAccel, WeightRule};
 pub use qlearning::{QLearning, QLearningAccel};
 pub use resources::AccelResources;

@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::checkpoint::{atomic_write, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use crate::config::{AccelConfig, HazardMode};
 use crate::executor::{chunk_samples, Shard, ShardedExecutor};
 use crate::fault::FaultConfig;
@@ -1118,9 +1118,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             }
             recorder.push_marker(seal_cycle, "batch_seal");
             // Sealed like the checkpoints beside it: staged, fsynced, renamed.
-            let mut jsonl = Vec::new();
-            recorder.dump_jsonl(&mut jsonl)?;
-            atomic_write(&dir.join("flight.jsonl"), &jsonl)?;
+            recorder.dump_to(dir.join("flight.jsonl"))?;
         }
         if let Some((tracer, active)) = root {
             tracer.end(active);

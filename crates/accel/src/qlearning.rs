@@ -7,7 +7,7 @@
 //! spaces" where the FSM-per-pair baseline cannot.
 
 use crate::config::AccelConfig;
-use crate::pipeline::{AccelPipeline, QrlAccel};
+use crate::pipeline::QrlAccel;
 use qtaccel_core::policy::Policy;
 use qtaccel_envs::Environment;
 use qtaccel_fixed::QValue;
@@ -40,7 +40,7 @@ impl<V: QValue, S: TraceSink> QLearningAccel<V, S> {
         config.trainer.behavior = Policy::Random;
         config.trainer.update = Policy::Greedy;
         config.trainer.forward_next_action = false;
-        QrlAccel::from_pipe(AccelPipeline::with_sink(env, config, 0, sink))
+        Self::build(env, config, 0, sink)
     }
 }
 
@@ -58,9 +58,9 @@ mod tests {
         cfg.trainer.behavior = Policy::Greedy;
         cfg.trainer.forward_next_action = true;
         let a = QLearningAccel::<Q8_8>::new(&g, cfg);
-        assert_eq!(a.pipe.config().trainer.behavior, Policy::Random);
-        assert_eq!(a.pipe.config().trainer.update, Policy::Greedy);
-        assert!(!a.pipe.config().trainer.forward_next_action);
+        assert_eq!(a.config().trainer.behavior, Policy::Random);
+        assert_eq!(a.config().trainer.update, Policy::Greedy);
+        assert!(!a.config().trainer.forward_next_action);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   records them against each figure.
 
 use crate::config::AccelConfig;
-use crate::pipeline::AccelPipeline;
+use crate::pipeline::QrlAccel;
 use qtaccel_fixed::QValue;
 use qtaccel_hdl::bram::blocks_for;
 use qtaccel_hdl::dsp::dsp_slices_for_mul;
@@ -314,9 +314,9 @@ pub fn analyze_stored(
     }
 }
 
-impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
+impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
     /// Structural resources, modeled fmax/throughput/power for this
-    /// pipeline (Figs. 3–6), at its measured issue rate (the design
+    /// engine (Figs. 3–6), at its measured issue rate (the design
     /// rate before any sample retires). The instance's options each add
     /// their fabric: a counter-bearing sink the perf-counter bank
     /// ([`with_perf_regfile`]); an event-emitting sink the

@@ -9,7 +9,7 @@
 //! stage as the next-step action").
 
 use crate::config::AccelConfig;
-use crate::pipeline::{AccelPipeline, QrlAccel};
+use crate::pipeline::QrlAccel;
 use qtaccel_core::policy::Policy;
 use qtaccel_envs::Environment;
 use qtaccel_fixed::QValue;
@@ -48,7 +48,7 @@ impl<V: QValue, S: TraceSink> SarsaAccel<V, S> {
         config.trainer.behavior = Policy::EpsilonGreedy { epsilon };
         config.trainer.update = Policy::EpsilonGreedy { epsilon };
         config.trainer.forward_next_action = true;
-        QrlAccel::from_pipe(AccelPipeline::with_sink(env, config, 0, sink))
+        Self::build(env, config, 0, sink)
     }
 }
 

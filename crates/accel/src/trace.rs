@@ -53,31 +53,6 @@ impl PipelineTrace {
         }
     }
 
-    /// Record one iteration's four stage slots. `c1` is its stage-1
-    /// cycle; stages 2–4 follow at `c1 + stalls + k` per the stall
-    /// placement (stalls hold the iteration between stage 1 and the
-    /// back half). Atomic: if the remaining capacity cannot hold all
-    /// four slots the whole iteration is dropped (and counted), never
-    /// truncated part-way.
-    pub fn record_iteration(&mut self, iteration: u64, c1: u64, stalls: u64) {
-        if self.events.len() + 4 > self.capacity {
-            self.dropped_iterations += 1;
-            return;
-        }
-        for (k, stage) in (1u8..=4).enumerate() {
-            let cycle = if stage == 1 {
-                c1
-            } else {
-                c1 + stalls + k as u64
-            };
-            self.events.push(TraceEvent {
-                cycle,
-                stage,
-                iteration,
-            });
-        }
-    }
-
     /// All recorded events.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -182,11 +157,22 @@ mod tests {
     use qtaccel_envs::GridWorld;
     use qtaccel_fixed::Q8_8;
 
+    /// A pipeline on `g` under `cfg` that feeds a trace of `capacity`
+    /// events.
+    fn traced(
+        g: &GridWorld,
+        cfg: AccelConfig,
+        capacity: usize,
+    ) -> AccelPipeline<Q8_8, PipelineTrace> {
+        AccelPipeline::with_sink(g, cfg, 0, PipelineTrace::new(capacity))
+    }
+
     #[test]
     fn records_four_events_per_iteration() {
-        let mut t = PipelineTrace::new(100);
-        t.record_iteration(0, 0, 0);
-        t.record_iteration(1, 1, 0);
+        let g = GridWorld::builder(4, 4).goal(3, 3).build();
+        let mut p = traced(&g, AccelConfig::default().with_seed(1), 100);
+        p.run_samples(&g, 2);
+        let t = p.sink();
         assert_eq!(t.events().len(), 8);
         assert_eq!(t.events()[0], TraceEvent { cycle: 0, stage: 1, iteration: 0 });
         assert_eq!(t.events()[7], TraceEvent { cycle: 4, stage: 4, iteration: 1 });
@@ -197,58 +183,23 @@ mod tests {
         // Capacity 6 holds one whole iteration; the second no longer
         // half-fits (4 + 4 > 6) and is dropped whole, not truncated to a
         // torn 2-event stub as the pre-telemetry implementation did.
-        let mut t = PipelineTrace::new(6);
-        t.record_iteration(0, 0, 0);
-        assert!(t.is_full());
-        t.record_iteration(1, 1, 0);
-        assert_eq!(t.events().len(), 4);
-        assert_eq!(t.dropped_iterations(), 1);
-        t.record_iteration(2, 2, 0);
-        assert_eq!(t.dropped_iterations(), 2);
-    }
-
-    #[test]
-    fn sink_interface_matches_manual_recording() {
-        // Driving the trace through the TraceSink interface (attached to
-        // a pipeline) must record exactly what the manual bookkeeping
-        // formulation does.
-        let g = GridWorld::builder(2, 2).goal(1, 1).build();
-        let cfg = AccelConfig::default()
-            .with_seed(3)
-            .with_hazard(HazardMode::StallOnly);
-        let mut attached =
-            AccelPipeline::<Q8_8, PipelineTrace>::with_sink(&g, cfg, 0, PipelineTrace::new(60));
-        let mut manual_pipe = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
-        let mut manual = PipelineTrace::new(60);
-        let mut c1 = 0u64;
-        for i in 0..40 {
-            attached.step(&g);
-            let before = manual_pipe.stats();
-            manual_pipe.step(&g);
-            let stalls = manual_pipe.stats().stalls - before.stalls;
-            manual.record_iteration(i, c1, stalls);
-            c1 += stalls + 1;
-        }
-        assert_eq!(attached.sink().events(), manual.events());
-        assert_eq!(
-            attached.sink().dropped_iterations(),
-            manual.dropped_iterations()
-        );
-        assert!(attached.sink().dropped_iterations() > 0, "60/4 < 40");
+        let g = GridWorld::builder(4, 4).goal(3, 3).build();
+        let mut p = traced(&g, AccelConfig::default().with_seed(1), 6);
+        p.step(&g);
+        assert!(p.sink().is_full());
+        p.step(&g);
+        assert_eq!(p.sink().events().len(), 4);
+        assert_eq!(p.sink().dropped_iterations(), 1);
+        p.step(&g);
+        assert_eq!(p.sink().dropped_iterations(), 2);
     }
 
     #[test]
     fn waveform_shows_the_full_diagonal_under_forwarding() {
         let g = GridWorld::builder(4, 4).goal(3, 3).build();
-        let mut p = AccelPipeline::<Q8_8>::new(&g, AccelConfig::default().with_seed(1), 0);
-        let mut trace = PipelineTrace::new(400);
-        for _ in 0..100 {
-            let c1 = p.stats().samples + p.stats().stalls; // next c1 in forwarding mode
-            let before = p.stats();
-            p.step(&g);
-            let stalls = p.stats().stalls - before.stalls;
-            trace.record_iteration(before.samples, c1, stalls);
-        }
+        let mut p = traced(&g, AccelConfig::default().with_seed(1), 400);
+        p.run_samples(&g, 100);
+        let trace = p.sink();
         // Steady state: every stage fully occupied.
         for stage in 1..=4u8 {
             assert!(
@@ -272,16 +223,9 @@ mod tests {
         let cfg = AccelConfig::default()
             .with_seed(3)
             .with_hazard(HazardMode::StallOnly);
-        let mut p = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
-        let mut trace = PipelineTrace::new(4000);
-        let mut c1 = 0u64;
-        for i in 0..500 {
-            let before = p.stats();
-            p.step(&g);
-            let stalls = p.stats().stalls - before.stalls;
-            trace.record_iteration(i, c1, stalls);
-            c1 += stalls + 1;
-        }
+        let mut p = traced(&g, cfg, 4000);
+        p.run_samples(&g, 500);
+        let trace = p.sink();
         // Hazard-heavy 4-state world: the back half of the pipe has idle
         // slots (occupancy measurably below 1).
         assert!(

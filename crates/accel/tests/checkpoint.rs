@@ -413,6 +413,57 @@ fn checkpoints_encode_to_their_pinned_bytes() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A fixture is only its policies: after the same `train_samples_fast`
+/// run, `QLearningAccel::new` and `SarsaAccel::new` save byte-identical
+/// checkpoint files to `AccelPipeline::new` on seed bank 0 whose config
+/// carries the fixture's policies — on the kernel (`Forwarding`) and on
+/// the cycle-accurate engine. The base config's own policies differ from
+/// both fixtures', so a fixture that kept them would save other bytes.
+#[test]
+fn fixtures_save_the_checkpoints_of_a_configured_pipeline() {
+    use qtaccel_accel::AccelPipeline;
+    use qtaccel_core::policy::Policy;
+    use qtaccel_core::trainer::TrainerConfig;
+    let g = grid();
+    let (fixture_path, configured_path) = (tmp("fixture"), tmp("configured"));
+    let saved = |path: &PathBuf| std::fs::read(path).expect("read checkpoint");
+    for hazard in HAZARDS {
+        let mut base = AccelConfig::default().with_hazard(hazard);
+        base.trainer = TrainerConfig::sarsa(0.5).with_seed(0xF1C5);
+        base.trainer.forward_next_action = false;
+        let train = |mut p: AccelPipeline<Q8_8>| {
+            p.train_samples_fast(&g, 5_003);
+            p.save_checkpoint(&configured_path).expect("save");
+            saved(&configured_path)
+        };
+        let unfixed = train(AccelPipeline::new(&g, base, 0));
+
+        let mut ql = QLearningAccel::<Q8_8>::new(&g, base);
+        ql.train_samples_fast(&g, 5_003);
+        ql.save_checkpoint(&fixture_path).expect("save");
+        let mut cfg = base;
+        cfg.trainer.behavior = Policy::Random;
+        cfg.trainer.update = Policy::Greedy;
+        cfg.trainer.forward_next_action = false;
+        let configured = train(AccelPipeline::new(&g, cfg, 0));
+        assert_eq!(saved(&fixture_path), configured, "Q-learning {hazard:?}");
+        assert_ne!(unfixed, configured, "Q-learning {hazard:?}");
+
+        let mut sarsa = SarsaAccel::<Q8_8>::new(&g, base, 0.2);
+        sarsa.train_samples_fast(&g, 5_003);
+        sarsa.save_checkpoint(&fixture_path).expect("save");
+        let mut cfg = base;
+        cfg.trainer.behavior = Policy::EpsilonGreedy { epsilon: 0.2 };
+        cfg.trainer.update = Policy::EpsilonGreedy { epsilon: 0.2 };
+        cfg.trainer.forward_next_action = true;
+        let configured = train(AccelPipeline::new(&g, cfg, 0));
+        assert_eq!(saved(&fixture_path), configured, "SARSA {hazard:?}");
+        assert_ne!(unfixed, configured, "SARSA {hazard:?}");
+    }
+    let _ = std::fs::remove_file(&fixture_path);
+    let _ = std::fs::remove_file(&configured_path);
+}
+
 /// Overwrite each payload word of `engine`'s checkpoint with a forged
 /// count or index and restamp the CRC. Restoring into a fresh engine
 /// must never panic; a refusal must leave the engine untouched; an

@@ -41,16 +41,12 @@
 //! produced it) and a provenance manifest (git commit + timestamp +
 //! host parallelism + worker threads).
 //!
-//! `--threads N` pins the process-global shard pool to N workers and
-//! records the count in the manifest (the sweep itself is
-//! single-pipeline, so this only matters for consumers that also train
-//! multi-bank configs in the same process).
-//!
 //! `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the run's latency
 //! probe as an OpenMetrics scrape endpoint until the process exits; the
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
+use qtaccel_accel::executor::host_parallelism;
 use qtaccel_accel::{AccelConfig, QLearningAccel, SarsaAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
@@ -413,24 +409,12 @@ fn baseline_packed_rate(path: &Path, states: usize) -> Result<f64, String> {
 fn main() {
     let mut quick = false;
     let mut check_baseline = false;
-    let mut threads: Option<usize> = None;
     let mut metrics_addr: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--check-baseline" => check_baseline = true,
-            "--threads" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --threads needs a positive integer");
-                        std::process::exit(2);
-                    });
-                threads = Some(n);
-            }
             "--metrics-addr" => {
                 metrics_addr = Some(args.next().unwrap_or_else(|| {
                     eprintln!("error: --metrics-addr needs an address (e.g. 127.0.0.1:0)");
@@ -440,22 +424,12 @@ fn main() {
             other => {
                 eprintln!(
                     "error: unknown argument `{other}` \
-                     (supported: --quick, --check-baseline, --threads N, \
-                     --metrics-addr ADDR)"
+                     (supported: --quick, --check-baseline, --metrics-addr ADDR)"
                 );
                 std::process::exit(2);
             }
         }
     }
-    // Single-pipeline sweeps run on the calling thread, but the flag
-    // still pins the process-global shard pool (anything the accel crate
-    // routes through it) and is recorded in the manifest so the report
-    // says what it ran with.
-    if let Some(n) = threads {
-        qtaccel_accel::executor::set_default_workers(n);
-    }
-    let worker_threads =
-        threads.unwrap_or_else(qtaccel_accel::executor::host_parallelism) as u64;
     // Per measured row, the sample count is floored at |S|·|A| (see
     // `row_samples`) so the fast path's one-time environment-image
     // build is amortized at every size — without the floor, quick
@@ -654,7 +628,7 @@ fn main() {
         telemetry: gate_counter_dump(samples),
         health: gate_health_dump(samples),
         latency: latency.to_json(),
-        manifest: manifest::provenance_with_workers(worker_threads),
+        manifest: manifest::provenance_with_workers(host_parallelism() as u64),
     };
     // Quick runs land in results/ so the tracked workspace-root baseline
     // only ever records the full sweep.

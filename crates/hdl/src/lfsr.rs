@@ -8,141 +8,106 @@
 //! generated using linear feedback shift registers whose output can be
 //! summed up to obtain the normal distribution").
 //!
-//! These are Galois-form LFSRs with maximal-length taps, so a width-`n`
-//! register cycles through all `2^n − 1` nonzero states. The models are
+//! Every unit is one [`Lfsr32`]: a Galois-form register with
+//! maximal-length taps, so it cycles through all `2^32 − 1` nonzero
+//! states, read through one 32-shift leap network per word. The model is
 //! bit-exact: the same seed produces the same stream in the pipeline
-//! simulator and in the software golden reference.
+//! simulator and in the software golden reference. [`NormalLfsr`] sums
+//! several of them.
 
 use crate::rng::RngSource;
 
-/// 16-bit Galois LFSR, taps `x^16 + x^14 + x^13 + x^11 + 1` (0xB400).
-///
-/// Period `2^16 − 1`. This is the cheapest generator: 16 flip-flops and a
-/// couple of XOR gates, the register cost quoted for SARSA in §VI-C2.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lfsr16 {
-    state: u16,
-}
-
 /// 32-bit Galois LFSR, taps `x^32 + x^22 + x^2 + x^1 + 1` (0x80200003).
 ///
-/// Period `2^32 − 1`.
+/// Period `2^32 − 1`. Every engine's random units (start state,
+/// behaviour, update, quantizer dither, fault injection) are one of
+/// these registers, each drawing a word per 32-shift leap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr32 {
     state: u32,
 }
 
-/// 64-bit Galois LFSR, taps `x^64 + x^63 + x^61 + x^60 + 1` (0xD800000000000000).
-///
-/// Period `2^64 − 1`. Used where a simulation must not wrap within a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lfsr64 {
-    state: u64,
-}
+impl Lfsr32 {
+    /// Feedback tap mask (Galois form).
+    pub const TAPS: u32 = 0x8020_0003;
+    /// Register width in bits.
+    pub const BITS: u32 = 32;
+    /// Full period of the maximal-length sequence.
+    pub const PERIOD: u64 = (1u64 << 32) - 1;
 
-macro_rules! impl_lfsr {
-    ($name:ident, $ty:ty, $mask:expr, $bits:expr) => {
-        impl $name {
-            /// Feedback tap mask (Galois form).
-            pub const TAPS: $ty = $mask;
-            /// Register width in bits.
-            pub const BITS: u32 = $bits;
-            /// Full period of the maximal-length sequence.
-            pub const PERIOD: u64 = ((1u128 << $bits) - 1) as u64;
-
-            /// Create from a seed. A zero seed is the one forbidden LFSR
-            /// state (the register would lock up); it is remapped to 1,
-            /// exactly as a hardware reset value would be chosen.
-            #[inline]
-            pub fn new(seed: $ty) -> Self {
-                Self {
-                    state: if seed == 0 { 1 } else { seed },
-                }
-            }
-
-            /// Advance one shift and return the new register state.
-            #[inline]
-            pub fn step(&mut self) -> $ty {
-                let lsb = self.state & 1;
-                self.state >>= 1;
-                if lsb != 0 {
-                    self.state ^= Self::TAPS;
-                }
-                self.state
-            }
-
-            /// Current register state without advancing.
-            #[inline]
-            pub fn peek(&self) -> $ty {
-                self.state
-            }
+    /// Create from a seed. A zero seed is the one forbidden LFSR state
+    /// (the register would lock up); it is remapped to 1, exactly as a
+    /// hardware reset value would be chosen.
+    #[inline]
+    pub fn new(seed: u32) -> Self {
+        Self {
+            state: if seed == 0 { 1 } else { seed },
         }
-    };
-}
+    }
 
-impl_lfsr!(Lfsr16, u16, 0xB400, 16);
-impl_lfsr!(Lfsr32, u32, 0x8020_0003, 32);
-impl_lfsr!(Lfsr64, u64, 0xD800_0000_0000_0000, 64);
+    /// Advance one shift and return the new register state.
+    #[inline]
+    pub fn step(&mut self) -> u32 {
+        let lsb = self.state & 1;
+        self.state >>= 1;
+        if lsb != 0 {
+            self.state ^= Self::TAPS;
+        }
+        self.state
+    }
+
+    /// Current register state without advancing.
+    #[inline]
+    pub fn peek(&self) -> u32 {
+        self.state
+    }
+}
 
 // Word-wide sampling leaps the register a full word width per draw.
 // Consecutive bit-serial LFSR states are shifts of each other, so sampling
 // a multi-bit field from single-stepped states would produce samples whose
 // bits are deterministically correlated across draws (the low bit of draw
 // t+1 equals a high bit of draw t). Hardware solves this with a
-// "leap-forward" LFSR — an XOR network computing w shifts in one clock —
-// and that is the primitive these impls model.
+// "leap-forward" LFSR — an XOR network computing 32 shifts in one clock —
+// and that is the primitive `leap32` models.
 //
 // The Galois step s ↦ (s >> 1) ^ (taps if s&1) is linear over GF(2), so
-// the w-step leap is a fixed linear transform M^w of the state bits. The
-// simulator evaluates it the way the hardware's XOR network would: as a
-// constant fan-in of per-byte partial images, precomputed at compile time
-// (`leap(s) = T0[s.byte0] ^ T1[s.byte1] ^ …`). This turns the `w`
-// serially-dependent shifts of the naive model into a handful of
+// the 32-step leap is a fixed linear transform M^32 of the state bits.
+// The simulator evaluates it the way the hardware's XOR network would: as
+// a constant fan-in of per-byte partial images, precomputed at compile
+// time (`leap(s) = T0[s.byte0] ^ T1[s.byte1] ^ T2[s.byte2] ^ T3[s.byte3]`).
+// This turns the 32 serially-dependent shifts of the naive model into four
 // independent table loads per draw — bit-exact with explicit stepping,
 // which `leap_tables_match_naive_stepping` pins down.
 
-macro_rules! leap_table {
-    ($builder:ident, $table:ident, $ty:ty, $taps:expr, $steps:expr, $bytes:expr) => {
-        const fn $builder() -> [[$ty; 256]; $bytes] {
-            let mut t = [[0; 256]; $bytes];
-            let mut byte = 0;
-            while byte < $bytes {
-                let mut v = 0;
-                while v < 256 {
-                    // M^steps applied to the basis image v << 8·byte, by
-                    // naive stepping (linearity makes the XOR of per-byte
-                    // images equal the image of the full state).
-                    let mut s = (v as $ty) << (8 * byte as u32);
-                    let mut i = 0;
-                    while i < $steps {
-                        let lsb = s & 1;
-                        s >>= 1;
-                        if lsb != 0 {
-                            s ^= $taps;
-                        }
-                        i += 1;
-                    }
-                    t[byte][v] = s;
-                    v += 1;
+const fn build_leap32() -> [[u32; 256]; 4] {
+    let mut t = [[0; 256]; 4];
+    let mut byte = 0;
+    while byte < 4 {
+        let mut v = 0;
+        while v < 256 {
+            // M^32 applied to the basis image v << 8·byte, by naive
+            // stepping (linearity makes the XOR of per-byte images equal
+            // the image of the full state).
+            let mut s = (v as u32) << (8 * byte as u32);
+            let mut i = 0;
+            while i < 32 {
+                let lsb = s & 1;
+                s >>= 1;
+                if lsb != 0 {
+                    s ^= Lfsr32::TAPS;
                 }
-                byte += 1;
+                i += 1;
             }
-            t
+            t[byte][v] = s;
+            v += 1;
         }
-        static $table: [[$ty; 256]; $bytes] = $builder();
-    };
+        byte += 1;
+    }
+    t
 }
 
-leap_table!(build_leap16, LEAP16, u16, Lfsr16::TAPS, 16, 2);
-leap_table!(build_leap32, LEAP32, u32, Lfsr32::TAPS, 32, 4);
-leap_table!(build_leap64, LEAP64, u64, Lfsr64::TAPS, 32, 8);
-// Double leap (two words = 64 shifts) for the unrolled generator below.
-leap_table!(build_leap32x2, LEAP32X2, u32, Lfsr32::TAPS, 64, 4);
-
-#[inline(always)]
-fn leap16(s: u16) -> u16 {
-    LEAP16[0][(s & 0xFF) as usize] ^ LEAP16[1][(s >> 8) as usize]
-}
+static LEAP32: [[u32; 256]; 4] = build_leap32();
 
 #[inline(always)]
 fn leap32(s: u32) -> u32 {
@@ -152,109 +117,12 @@ fn leap32(s: u32) -> u32 {
         ^ LEAP32[3][(s >> 24) as usize]
 }
 
-#[inline(always)]
-fn leap64(s: u64) -> u64 {
-    LEAP64[0][(s & 0xFF) as usize]
-        ^ LEAP64[1][(s >> 8 & 0xFF) as usize]
-        ^ LEAP64[2][(s >> 16 & 0xFF) as usize]
-        ^ LEAP64[3][(s >> 24 & 0xFF) as usize]
-        ^ LEAP64[4][(s >> 32 & 0xFF) as usize]
-        ^ LEAP64[5][(s >> 40 & 0xFF) as usize]
-        ^ LEAP64[6][(s >> 48 & 0xFF) as usize]
-        ^ LEAP64[7][(s >> 56) as usize]
-}
-
-#[inline(always)]
-fn leap32x2(s: u32) -> u32 {
-    LEAP32X2[0][(s & 0xFF) as usize]
-        ^ LEAP32X2[1][(s >> 8 & 0xFF) as usize]
-        ^ LEAP32X2[2][(s >> 16 & 0xFF) as usize]
-        ^ LEAP32X2[3][(s >> 24) as usize]
-}
-
-/// Two-ahead software unrolling of [`Lfsr32`].
-///
-/// Emits exactly the word stream `RngSource::next_u32` would produce on
-/// the source register, but holds the next *two* outputs and refills with
-/// a 64-shift leap, splitting the generator into two interleaved
-/// half-rate chains. Each emitted word then depends on the word two draws
-/// back instead of the previous one, halving the serial table-load
-/// latency on the critical path. This is purely a host-side throughput
-/// device for the fast-path executor; the modeled hardware remains the
-/// single 32-shift leap network of [`Lfsr32`].
-#[derive(Debug, Clone)]
-pub struct Lfsr32Unrolled {
-    next: u32,
-    ahead: u32,
-    last: u32,
-}
-
-impl Lfsr32Unrolled {
-    /// Continue the stream of `src` (which is left untouched).
-    #[inline]
-    pub fn new(src: &Lfsr32) -> Self {
-        let next = leap32(src.peek());
-        Self {
-            next,
-            ahead: leap32(next),
-            last: src.peek(),
-        }
-    }
-
-    /// Identical to `RngSource::next_u32` on the underlying register.
-    #[inline(always)]
-    pub fn next_u32(&mut self) -> u32 {
-        let out = self.next;
-        self.next = self.ahead;
-        self.ahead = leap32x2(out);
-        self.last = out;
-        out
-    }
-
-    /// Collapse back to a plain register positioned exactly where the
-    /// serial generator would be after the same number of draws. Sound
-    /// because an [`Lfsr32`]'s state *is* its last emitted word, and an
-    /// LFSR never emits 0 (so `Lfsr32::new`'s zero remap never fires).
-    #[inline]
-    pub fn into_lfsr(self) -> Lfsr32 {
-        Lfsr32::new(self.last)
-    }
-}
-
-impl RngSource for Lfsr32Unrolled {
-    #[inline(always)]
-    fn next_u32(&mut self) -> u32 {
-        Lfsr32Unrolled::next_u32(self)
-    }
-}
-
-impl RngSource for Lfsr16 {
-    /// Two 16-shift leaps assemble a 32-bit word from the 16-bit register.
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        let hi = leap16(self.state);
-        let lo = leap16(hi);
-        self.state = lo;
-        ((hi as u32) << 16) | lo as u32
-    }
-}
-
 impl RngSource for Lfsr32 {
     /// One 32-shift leap per word.
     #[inline]
     fn next_u32(&mut self) -> u32 {
         self.state = leap32(self.state);
         self.state
-    }
-}
-
-impl RngSource for Lfsr64 {
-    /// One 32-shift leap per word; the top half of the register is the
-    /// sample.
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        self.state = leap64(self.state);
-        (self.state >> 32) as u32
     }
 }
 
@@ -339,40 +207,7 @@ mod tests {
 
     #[test]
     fn zero_seed_is_remapped() {
-        assert_eq!(Lfsr16::new(0).peek(), 1);
         assert_eq!(Lfsr32::new(0).peek(), 1);
-        assert_eq!(Lfsr64::new(0).peek(), 1);
-    }
-
-    #[test]
-    fn lfsr16_is_maximal_length() {
-        // Walk the full period and verify we return to the seed without
-        // hitting it early and without ever reaching zero.
-        let mut l = Lfsr16::new(0xACE1);
-        let mut count = 0u64;
-        loop {
-            let s = l.step();
-            count += 1;
-            assert_ne!(s, 0, "LFSR reached the lock-up state");
-            if s == 0xACE1 {
-                break;
-            }
-            assert!(count <= Lfsr16::PERIOD, "period exceeded 2^16-1");
-        }
-        assert_eq!(count, Lfsr16::PERIOD);
-    }
-
-    #[test]
-    fn lfsr16_visits_every_nonzero_state() {
-        let mut seen = vec![false; 1 << 16];
-        let mut l = Lfsr16::new(1);
-        for _ in 0..Lfsr16::PERIOD {
-            let s = l.step() as usize;
-            assert!(!seen[s], "state {s} repeated before full period");
-            seen[s] = true;
-        }
-        assert!(!seen[0]);
-        assert_eq!(seen.iter().filter(|&&b| b).count() as u64, Lfsr16::PERIOD);
     }
 
     #[test]
@@ -404,22 +239,9 @@ mod tests {
     #[test]
     fn leap_tables_match_naive_stepping() {
         // The precomputed XOR-network leap must be bit-exact with the
-        // serially-stepped register for every width, across many states.
-        let mut s16 = Lfsr16::new(0xACE1);
+        // serially-stepped register across many states.
         let mut s32 = Lfsr32::new(0xDEAD_BEEF);
-        let mut s64 = Lfsr64::new(0x0123_4567_89AB_CDEF);
         for _ in 0..10_000 {
-            let naive16 = {
-                let mut c = s16.clone();
-                let mut w = 0u16;
-                for _ in 0..16 {
-                    w = c.step();
-                }
-                w
-            };
-            assert_eq!(super::leap16(s16.peek()), naive16);
-            s16.step();
-
             let naive32 = {
                 let mut c = s32.clone();
                 let mut w = 0u32;
@@ -430,42 +252,15 @@ mod tests {
             };
             assert_eq!(super::leap32(s32.peek()), naive32);
             s32.step();
-
-            let naive64 = {
-                let mut c = s64.clone();
-                let mut w = 0u64;
-                for _ in 0..32 {
-                    w = c.step();
-                }
-                w
-            };
-            assert_eq!(super::leap64(s64.peek()), naive64);
-            s64.step();
-        }
-    }
-
-    #[test]
-    fn unrolled_lfsr32_matches_serial_stream_and_resyncs() {
-        for seed in [1u32, 0xACE1, 0xDEAD_BEEF, u32::MAX] {
-            let mut serial = Lfsr32::new(seed);
-            let mut unrolled = Lfsr32Unrolled::new(&serial);
-            for _ in 0..10_000 {
-                assert_eq!(unrolled.next_u32(), serial.next_u32());
-            }
-            // Collapsing back must land on the serial register's state...
-            let resynced = unrolled.clone().into_lfsr();
-            assert_eq!(resynced, serial);
-            // ...and a zero-draw collapse must be the identity.
-            assert_eq!(Lfsr32Unrolled::new(&serial).into_lfsr(), serial);
         }
     }
 
     /// The exact words the 0x8020_0003 Galois register emits, pinned as
     /// constants (independently computed by serial bit-stepping): guards
-    /// the LEAP32X2 table and the two-ahead refill wiring against silent
-    /// drift, not just against the in-process serial model.
+    /// the leap table against silent drift, not just against the
+    /// in-process serial model.
     #[test]
-    fn unrolled_lfsr32_pinned_golden_words() {
+    fn lfsr32_pinned_golden_words() {
         const GOLD_1: [u32; 8] = [
             0x8A0F_3DB5, 0x90BD_2FA6, 0x44C3_8D95, 0x9725_42A4,
             0xCAE5_AE48, 0x743C_EA61, 0xD57C_C71C, 0x875E_9ED7,
@@ -483,26 +278,10 @@ mod tests {
             (0xACE1, &GOLD_ACE1),
             (0xDEAD_BEEF, &GOLD_BEEF),
         ] {
-            let mut u = Lfsr32Unrolled::new(&Lfsr32::new(seed));
+            let mut u = Lfsr32::new(seed);
             let got: Vec<u32> = (0..8).map(|_| u.next_u32()).collect();
             assert_eq!(got.as_slice(), gold, "seed {seed:#X}");
         }
-    }
-
-    #[test]
-    fn lfsr16_next_u32_uses_two_leaps() {
-        let mut l = Lfsr16::new(0xACE1);
-        let mut copy = l.clone();
-        let w = l.next_u32();
-        let mut hi = 0u16;
-        let mut lo = 0u16;
-        for _ in 0..16 {
-            hi = copy.step();
-        }
-        for _ in 0..16 {
-            lo = copy.step();
-        }
-        assert_eq!(w, ((hi as u32) << 16) | lo as u32);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! means modelling the hardware primitives the design is assembled from, at
 //! the level of detail the paper's claims depend on:
 //!
-//! * [`lfsr`] — linear feedback shift registers, the paper's random number
-//!   generators ("The action selector used to generate random actions is
-//!   implemented using linear feedback shift registers"), plus the
-//!   Irwin–Hall normal sampler of §VII-B (sum of uniform LFSR outputs).
+//! * [`lfsr`] — the 32-bit linear feedback shift register with its
+//!   32-shift leap network, the paper's random number generator ("The
+//!   action selector used to generate random actions is implemented
+//!   using linear feedback shift registers"), plus the Irwin–Hall normal
+//!   sampler of §VII-B (sum of uniform LFSR outputs).
 //! * [`rng`] — the [`rng::RngSource`] trait, so the *identical* bit stream
 //!   can drive both the cycle-accurate pipeline and the software golden
 //!   reference; this is what makes bit-exact equivalence testing possible.
@@ -43,7 +44,7 @@ pub use bram::{Bram, BramPort, WriteCollisionPolicy};
 pub use dsp::dsp_slices_for_mul;
 pub use explut::ExpLut;
 pub use fault::{FaultInjector, Secded, SecdedResult};
-pub use lfsr::{Lfsr16, Lfsr32, Lfsr64, NormalLfsr};
+pub use lfsr::{Lfsr32, NormalLfsr};
 pub use pipeline::CycleStats;
 pub use regfile::PerfRegFile;
 pub use resource::{Device, FmaxModel, PowerModel, ResourceReport, Utilization};

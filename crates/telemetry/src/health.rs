@@ -1007,12 +1007,13 @@ impl FlightRecorder {
         Ok(self.entries.len() as u64)
     }
 
-    /// [`dump_jsonl`](Self::dump_jsonl) into a freshly created (truncated)
-    /// file.
+    /// [`dump_jsonl`](Self::dump_jsonl) into `path`, replaced through
+    /// [`durable::atomic_write`](crate::durable::atomic_write): a crash
+    /// mid-dump leaves the previous dump whole.
     pub fn dump_to(&self, path: impl AsRef<Path>) -> std::io::Result<u64> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        let lines = self.dump_jsonl(&mut w)?;
-        w.flush()?;
+        let mut jsonl = Vec::new();
+        let lines = self.dump_jsonl(&mut jsonl)?;
+        crate::durable::atomic_write(path.as_ref(), &jsonl)?;
         Ok(lines)
     }
 
@@ -1346,6 +1347,62 @@ mod tests {
         let last = parse(lines[2]).unwrap();
         assert_eq!(last.get("label").unwrap().as_str(), Some("panic"));
         assert_eq!(last.get("cycle").unwrap().as_u64(), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `dump_to` and a panicking `with_panic_dump` replace the dump file
+    /// instead of rewriting it: a second name (hard link) for the old
+    /// dump keeps its bytes, so a crash mid-dump cannot destroy the
+    /// previous post-mortem.
+    #[test]
+    fn flight_dumps_replace_their_file_without_rewriting_it() {
+        let dir =
+            std::env::temp_dir().join(format!("qtaccel-health-replace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flight.jsonl");
+        let read = |p: &Path| std::fs::read_to_string(p).expect("dump exists");
+
+        let mut rec = FlightRecorder::new(8);
+        rec.push_marker(1, "first");
+        assert_eq!(rec.dump_to(&path).unwrap(), 1);
+        let first = read(&path);
+        std::fs::hard_link(&path, dir.join("first.jsonl")).expect("hard link");
+
+        rec.push_marker(2, "second");
+        assert_eq!(rec.dump_to(&path).unwrap(), 2);
+        assert_eq!(
+            read(&dir.join("first.jsonl")),
+            first,
+            "dump_to rewrote the old dump"
+        );
+        let second = read(&path);
+        assert_eq!(second.lines().count(), 2);
+        std::fs::hard_link(&path, dir.join("second.jsonl")).expect("hard link");
+
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FlightRecorder::with_panic_dump(&path, 16, |rec| {
+                rec.push_marker(3, "working");
+                panic!("simulated crash");
+            })
+        }));
+        assert!(result.is_err(), "panic propagates");
+        assert_eq!(
+            read(&dir.join("second.jsonl")),
+            second,
+            "the panic dump rewrote the old dump"
+        );
+        let post_mortem = read(&path);
+        let labels: Vec<String> = post_mortem
+            .lines()
+            .map(|line| parse(line).expect("strict parse"))
+            .filter_map(|entry| entry.get("label")?.as_str().map(str::to_owned))
+            .collect();
+        assert_eq!(labels, ["working", "panic"]);
+        assert!(
+            !dir.join("flight.jsonl.tmp").exists(),
+            "staging file left behind"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,6 +40,9 @@
 //!   [`SpanId`]s derived from sample ordinals (never wall-clock), a
 //!   bounded [`SpanTracer`] ring with drop accounting, and contexts
 //!   that cross executor worker threads so one trace covers a batch.
+//! * [`durable`] — [`durable::atomic_write`], the crash-safe file
+//!   replacement (stage, fsync, rename, directory fsync) that
+//!   checkpoints and flight-recorder dumps share.
 //! * [`frame`] — the word container every byte format shares:
 //!   little-endian `u64` words, magic + version header, CRC-32 trailer,
 //!   one writer and one bounded, borrowing reader. Checkpoints
@@ -65,6 +68,7 @@
 
 pub mod collector;
 pub mod counters;
+pub mod durable;
 pub mod event;
 pub mod export;
 pub mod frame;

@@ -5,57 +5,59 @@
 # lib, bin, test, example and bench of every member, so the build gates
 # fail on any `unsafe`; qtbench is a workspace of its own, and its
 # --locked gate below shows its path dependencies still inherit the
-# table. Then the telemetry
-# zero-cost equivalence suite, the metrics-service suite plus a live
-# scrape smoke test, the fault-tolerance suites (SEU injection,
-# checkpoint/restore) with the self-gating protection-ladder campaign
-# (unprotected degrades permanently, ECC corrects, ECC+scrub recovers
-# to >=95% of fault-free optimality), the training-health suite
-# (health-off bit-identity, engine-exact probes, checkpointed probe
-# state, the ECC-off divergence watchdog proof, crash-dump JSONL
-# round-trip), the quantized stored-format
-# suite (4/6/8-bit bit-exactness across executors x hazard modes,
+# table.
+#
+# Every workspace test runs twice: once in debug, and once in release,
+# because the release build is what ships — the stall-free kernel's
+# debug_asserts compile out and the cycle-accurate step path is
+# #[inline(always)] end to end. The release run covers, among the rest:
+# the telemetry zero-cost equivalence suite; the metrics-service suite;
+# the fault-tolerance suites (SEU injection, checkpoint/restore); the
+# training-health suite (health-off bit-identity, engine-exact probes,
+# checkpointed probe state, the ECC-off divergence watchdog proof,
+# crash-dump JSONL round-trip); the quantized stored-format suite
+# (4/6/8-bit bit-exactness across executors x hazard modes,
 # golden-reference transitivity, on-grid invariants under faults,
-# checkpoint adoption, stored-rail health probes), the fast-path
-# equivalence suite in release (the stall-free kernel is the only fast
-# executor, and release builds compile out its debug_asserts, so its
-# bit-exactness against the cycle-accurate engine is checked as
-# shipped), the engine unit tests in release (the cycle-accurate step
-# path is #[inline(always)] end to end, so its pinned per-hazard
-# CycleStats and the in-flight ring's queue-model property run on the
-# build that ships), the facade's equivalence and multi-agent suites in
-# release (both engines against the golden RefTrainer for both formats,
-# and the dual and independent pipelines, as shipped), the distributed
+# checkpoint adoption, stored-rail health probes); the fast-path
+# equivalence suite (the stall-free kernel against the cycle-accurate
+# engine, as shipped); the engine unit tests (pinned per-hazard
+# CycleStats, the in-flight ring's queue-model property); the facade's
+# equivalence and multi-agent suites (both engines against the golden
+# RefTrainer, the dual and independent pipelines); the distributed
 # observability suites (wire-protocol damage matrix, span-tree
 # determinism across worker counts, the durable-batch trace round-trip
-# through a live collector) with the multi-worker collector smoke gate
-# (three concurrent workers stream wire deltas into an ephemeral
-# collector; the merged scrape must sum bit-exactly and the exported
-# multi-process Perfetto trace must re-parse strictly with per-track
-# monotonic timestamps and zero decode errors), the distributed
-# training-cluster suite (DESIGN.md §2.16: the lease-table properties —
-# epochs bump on every assignment and release, stale/foreign/malformed
-# frames change nothing but refused_frames, each lease merges at most
-# once, no exited session holds a lease, expired sessions wait until
-# they speak, and drained tables merge exactly the budget — plus
-# kill-tolerant epoch-fenced lease reassignment, heartbeat-deadline
-# partitions, zombie fencing, spec-hash refusal — every failure mode
-# must end bit-identical to the single-process reference) plus its
-# process-level chaos harness
-# (bench_distributed --quick --chaos: real SIGKILLs against worker
-# processes, a forced heartbeat-deadline partition, wire corruption;
-# gates on exact merged sample totals and bit-identical Q/Qmax images),
-# and two instrumented quick benches that fail if (a) the
-# disabled-telemetry (NullSink) fast path or (b) the scale-out
-# executor's aggregate rate regressed >5% against the tracked
-# BENCH_throughput.json / BENCH_scaling.json baselines — (a) holds with
-# the health layer compiled in but disabled, keeping probes free when
-# off. The throughput bench also emits the roofline fields
-# (stream-triad roof, per-row achieved bytes/sec) and guards the packed fast_q8 row at the roof row
-# against its committed baseline (>5% regression fails, best-of-N
-# re-measured). The format sweep's --check run enforces the 8-bit
-# stored-format quality gate (q8s2 >= 99% of the 16-bit greedy-policy
-# quality at the horizon-covered anchor).
+# through a live collector); and the training-cluster suite
+# (DESIGN.md §2.16: the lease-table properties — epochs bump on every
+# assignment and release, stale/foreign/malformed frames change nothing
+# but refused_frames, each lease merges at most once, no exited session
+# holds a lease, expired sessions wait until they speak, and drained
+# tables merge exactly the budget — plus kill-tolerant epoch-fenced
+# lease reassignment, heartbeat-deadline partitions, zombie fencing,
+# spec-hash refusal — every failure mode must end bit-identical to the
+# single-process reference).
+#
+# Then the metrics smoke gate (a live scrape, and three concurrent
+# workers streaming wire deltas into an ephemeral collector: the merged
+# scrape must sum bit-exactly and the exported multi-process Perfetto
+# trace must re-parse strictly with per-track monotonic timestamps and
+# zero decode errors), clippy over every target of the
+# workspace, rustdoc, and the bench gates: two instrumented quick
+# benches that fail if (a) the disabled-telemetry (NullSink) fast path
+# or (b) the scale-out executor's aggregate rate regressed >5% against
+# the tracked BENCH_throughput.json / BENCH_scaling.json baselines — (a)
+# holds with the health layer compiled in but disabled, keeping probes
+# free when off; the throughput bench also emits the roofline fields
+# (stream-triad roof, per-row achieved bytes/sec) and guards the packed
+# fast_q8 row at the roof row (best-of-N re-measured).
+# bench_faults runs the self-gating protection-ladder campaign
+# (unprotected degrades permanently, ECC corrects, ECC+scrub recovers to
+# >=95% of fault-free optimality); the format sweep's --check run
+# enforces the 8-bit stored-format quality gate (q8s2 >= 99% of the
+# 16-bit greedy-policy quality at the horizon-covered anchor); the
+# cluster's process-level chaos harness (bench_distributed --quick
+# --chaos: real SIGKILLs against worker processes, a forced
+# heartbeat-deadline partition, wire corruption) gates on exact merged
+# sample totals and bit-identical Q/Qmax images.
 # Quick runs write results/BENCH_*_quick.json; the tracked root
 # baselines are only refreshed by full (no --quick) runs. The last gate
 # builds the benchmark package (crates/bench/src/bin/qtbench, its own
@@ -101,54 +103,17 @@ gate 1200 "cargo build (release, offline)" \
 gate 1200 "cargo test (offline)" \
   cargo test -q --offline --workspace
 
-gate 600 "telemetry equivalence suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test telemetry
-
-gate 600 "scale-out determinism suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test scaling
-
-gate 600 "metrics-service suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test metrics
-
-gate 600 "wire-protocol damage matrix (release)" \
-  cargo test -q --release --offline -p qtaccel-telemetry --test wire
-
-gate 600 "span determinism + collector round-trip suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test spans
+# One release run of every workspace test; its timeout is the sum of the
+# thirteen per-suite release gates (600 s each) it replaced.
+gate 7800 "cargo test (release, offline)" \
+  cargo test -q --release --offline --workspace
 
 gate 600 "metrics smoke: serve, scrape, validate + multi-worker collector gate" \
   cargo run --release --offline -p qtaccel-bench --bin metrics_smoke
 test -s results/collector_trace.json || { echo "collector trace export missing"; exit 1; }
 
-gate 600 "training-health suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test health
-
-gate 600 "fault-injection suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test faults
-
-gate 600 "checkpoint/restore suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test checkpoint
-
-gate 600 "quantized stored-format suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test quant
-
-gate 600 "fast-path equivalence suite (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --test fast_path
-
-gate 600 "engine unit tests (release)" \
-  cargo test -q --release --offline -p qtaccel-accel --lib
-
-gate 600 "facade equivalence + multi-agent suites (release)" \
-  cargo test -q --release --offline -p qtaccel --test equivalence --test multi_agent
-
-gate 600 "distributed training-cluster suite + lease-table properties (release)" \
-  cargo test -q --release --offline -p qtaccel-cluster
-
 gate 900 "cargo clippy (offline, deny warnings)" \
   cargo clippy --offline --workspace --all-targets -- -D warnings
-
-gate 300 "cargo clippy: qtaccel-cluster (explicit, deny warnings)" \
-  cargo clippy --offline -p qtaccel-cluster --all-targets -- -D warnings
 
 gate 600 "cargo doc (offline, deny warnings)" \
   env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
