@@ -41,6 +41,7 @@
 //!
 //! [`CounterBank`]: qtaccel_telemetry::CounterBank
 
+use qtaccel_telemetry::manifest::host_parallelism;
 use qtaccel_telemetry::{Histogram, MetricsRegistry};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -260,13 +261,6 @@ impl std::fmt::Debug for ShardedExecutor {
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL: OnceLock<ShardedExecutor> = OnceLock::new();
 
-/// The host's available parallelism (1 if unreadable).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Set the worker count the process-global pool will be created with.
 /// Takes effect only before the first [`ShardedExecutor::global`] call;
 /// returns whether the override was applied in time. `0` restores auto
@@ -322,7 +316,7 @@ impl ShardedExecutor {
 
     /// A pool sized to the host's available parallelism.
     pub fn with_default_parallelism() -> Self {
-        Self::new(host_parallelism())
+        Self::new(host_parallelism() as usize)
     }
 
     /// The process-global pool, created on first use with

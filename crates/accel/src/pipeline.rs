@@ -44,10 +44,14 @@
 //! cycle/stall/forward/bubble counters are bit-identical to the
 //! scan-per-read formulation (pinned by the
 //! `hazard_mode_cycle_stats_are_pinned` regression test). The step and
-//! every helper on its path are `#[inline(always)]`, so
-//! [`QrlAccel::run_samples`] is one loop per hazard mode, each with
-//! its mode's read path specialised, and no call per sample except the
-//! attached fault runtime's hook. This is the
+//! every per-sample helper on its path are `#[inline(always)]`, so
+//! [`QrlAccel::run_samples`] is one loop per hazard mode, each with its
+//! mode's read path specialised. A loop holds only per-sample work, the
+//! transition unit included (see *Reward tables*). What does not run on
+//! every sample is a call, so its code stays out of the loops: the
+//! start-state selector, once per episode; the |A|-read row scan, only
+//! under [`MaxMode::ExactScan`] (the design point §V-A removes); and the
+//! fault runtime's hook, only when one is attached. This is the
 //! cycle-accurate engine. [`QrlAccel::run_samples_fast`] is the
 //! bit-exact fast path with one dispatch rule: the stall-free kernel,
 //! which skips the per-cycle bookkeeping entirely, for the
@@ -63,8 +67,9 @@
 //! function of the environment and the stored format in force, so
 //! `enable_quant` and a checkpoint restore drop every table instead of
 //! re-snapping it in place. The transition unit stays a live
-//! `Environment::transition` call per cycle-accurate step, as the
-//! paper's combinational transition module is.
+//! `Environment::transition` evaluation per cycle-accurate step, in
+//! line in each loop (`GridWorld::transition` is `#[inline(always)]`),
+//! as the paper's combinational transition module is.
 
 use std::marker::PhantomData;
 use std::path::Path;
@@ -558,6 +563,17 @@ fn env_image<E: Environment, R: Copy, T>(
     words
 }
 
+/// The LFSR start-state selector (§IV-B): an episode's first state, by
+/// rejection over the packed address space. Both engines start every
+/// episode here. It fires once per episode, not once per sample, so it
+/// is a cold call: inlined, its rejection loop sat in every per-sample
+/// loop of both engines and made the kernel 4–8% slower.
+#[cold]
+#[inline(never)]
+fn episode_start<E: Environment>(env: &E, rng: &mut Lfsr32) -> State {
+    env.random_start(rng)
+}
+
 /// A QRL accelerator instance (§IV): the 4-stage pipeline with one
 /// policy fixture `A`, which only picks the constructors that set the
 /// behaviour and update policies:
@@ -932,25 +948,33 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
                 let ((v, a), d) = self.read_qmax(hz, s, cycle);
                 (v, a, d)
             }
-            MaxMode::ExactScan => {
-                let mut delay = 0u64;
-                let (mut best_v, mut best_a) = {
-                    let (v, d) = self.read_q(hz, s, 0, cycle);
-                    delay = delay.max(d);
-                    (v, 0u32)
-                };
-                for a in 1..self.num_actions as Action {
-                    let (v, d) = self.read_q(hz, s, a, cycle + a as u64);
-                    delay = delay.max(d);
-                    if v.vcmp(best_v) == core::cmp::Ordering::Greater {
-                        best_v = v;
-                        best_a = a;
-                    }
-                }
-                // The scan occupies stage 2 for |A| cycles instead of 1.
-                (best_v, best_a, delay + self.num_actions as u64 - 1)
+            MaxMode::ExactScan => self.scan_row(hz, s, cycle),
+        }
+    }
+
+    /// The |A|-read row scan of [`MaxMode::ExactScan`], issued from
+    /// `cycle`: the row's first maximum, its action and the stall delay.
+    /// Out of line, as the design point §V-A removes: inlined, its loop
+    /// sat in every hazard mode's per-sample loop, Qmax-array runs
+    /// included, and the cycle engine ran ~3% slower.
+    #[inline(never)]
+    fn scan_row(&mut self, hz: HazardMode, s: State, cycle: u64) -> (V, Action, u64) {
+        let mut delay = 0u64;
+        let (mut best_v, mut best_a) = {
+            let (v, d) = self.read_q(hz, s, 0, cycle);
+            delay = delay.max(d);
+            (v, 0u32)
+        };
+        for a in 1..self.num_actions as Action {
+            let (v, d) = self.read_q(hz, s, a, cycle + a as u64);
+            delay = delay.max(d);
+            if v.vcmp(best_v) == core::cmp::Ordering::Greater {
+                best_v = v;
+                best_a = a;
             }
         }
+        // The scan occupies stage 2 for |A| cycles instead of 1.
+        (best_v, best_a, delay + self.num_actions as u64 - 1)
     }
 
     /// Stage-4 Qmax read-modify-write. Returns `(wrote, flip)`: whether
@@ -1141,7 +1165,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
                     // `random_start` stay internal to the unit).
                     self.counters.inc(CounterId::LfsrDraws);
                 }
-                let s = env.random_start(&mut self.start_rng);
+                let s = episode_start(env, &mut self.start_rng);
                 let (a, d) = self.behavior_select(hz, behavior, s, c1);
                 (s, a, d)
             }
@@ -1261,12 +1285,13 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
         }
     }
 
-    /// Run `n` iterations. [`step`](Self::step) and every helper on its
-    /// path (reads, selectors, writeback, commit) are `#[inline(always)]`,
-    /// so this compiles to one loop per hazard mode, each with its read
-    /// path specialised; only the active fault hook is a call. The policy
-    /// units and the hazard mode are resolved and the reward ROM is held
-    /// out of `self` once for the run.
+    /// Run `n` iterations. [`step`](Self::step) and every per-sample
+    /// helper on its path (reads, selectors, transition, writeback,
+    /// commit) are `#[inline(always)]`, so this compiles to one loop per
+    /// hazard mode, each with its read path specialised; the episode-start
+    /// selector, the `ExactScan` row scan and the active fault hook are
+    /// calls. The policy units and the hazard mode are resolved and the
+    /// reward ROM is held out of `self` once for the run.
     ///
     /// Never inlined: each fixture instantiates its own engine, so a
     /// program that runs one fixture only through
@@ -1518,7 +1543,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
         for _ in 0..n {
             // Stage 1: state + behaviour action.
             let (s, carried_a) = match carry.take() {
-                None => (env.random_start(&mut self.start_rng), None),
+                None => (episode_start(env, &mut self.start_rng), None),
                 Some((s, a)) => (s, a),
             };
             let a = match carried_a.or_else(|| behavior.draw(&mut behavior_rng, na)) {
@@ -2439,6 +2464,40 @@ mod tests {
         let mut p = AccelPipeline::<Q8_8>::new(&env, cfg, 0);
         let stats = p.run_samples(&env, 8_000);
         assert_eq!((stats.cycles, stats.stalls), (34_617, 26_614), "exact-scan stall-only");
+    }
+
+    /// The loops `hazard_mode_cycle_stats_are_pinned` leaves open: the
+    /// out-of-line row scan under `Forwarding` and `Ignore`, and SARSA's
+    /// stage-2 Q read under `Forwarding`. Each run starts episodes
+    /// through the out-of-line start selector, so these also pin its
+    /// draws. Values as (cycles, stalls, forwards).
+    #[test]
+    fn every_cycle_engine_loop_is_pinned() {
+        let env = GridWorld::builder(4, 4).goal(3, 3).build();
+        for (hazard, gold) in [
+            (HazardMode::Forwarding, (32_003, 24_000, 1_584)),
+            (HazardMode::Ignore, (32_003, 24_000, 0)),
+        ] {
+            let cfg = AccelConfig::default()
+                .with_seed(13)
+                .with_hazard(hazard)
+                .with_max_mode(MaxMode::ExactScan);
+            let stats = AccelPipeline::<Q8_8>::new(&env, cfg, 0).run_samples(&env, 8_000);
+            assert_eq!(
+                (stats.cycles, stats.stalls, stats.forwards),
+                gold,
+                "exact-scan {hazard:?}"
+            );
+        }
+
+        let mut cfg = AccelConfig::default().with_hazard(HazardMode::Forwarding);
+        cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(17);
+        let stats = AccelPipeline::<Q8_8>::new(&env, cfg, 0).run_samples(&env, 15_000);
+        assert_eq!(
+            (stats.cycles, stats.stalls, stats.forwards),
+            (15_003, 0, 2_331),
+            "sarsa forwarding"
+        );
     }
 
     /// A grid world that counts its `reward` calls, so a test can see

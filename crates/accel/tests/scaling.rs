@@ -10,12 +10,13 @@
 //! including P ≫ C oversubscription and `train_batch`'s uneven splits.
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
-use qtaccel_accel::executor::{host_parallelism, ShardedExecutor};
+use qtaccel_accel::executor::ShardedExecutor;
 use qtaccel_accel::multi::{shard_checkpoint_path, IndependentPipelines};
 use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::{Action, ActionSet, Environment, GridWorld, PartitionedGrid, State};
 use qtaccel_fixed::Q8_8;
 use qtaccel_hdl::lfsr::Lfsr32;
+use qtaccel_telemetry::manifest::host_parallelism;
 use qtaccel_telemetry::CountersOnly;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +32,7 @@ const HAZARDS: [HazardMode; 3] = [
 /// two and three workers (odd count ≠ pipeline count, so chunks
 /// interleave unevenly), and whatever the host really has.
 fn worker_counts() -> Vec<usize> {
-    let mut w = vec![1, 2, 3, host_parallelism()];
+    let mut w = vec![1, 2, 3, host_parallelism() as usize];
     w.sort_unstable();
     w.dedup();
     w

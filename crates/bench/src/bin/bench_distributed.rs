@@ -450,11 +450,10 @@ fn main() {
         None
     };
 
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = Json::Obj(vec![
         ("quick", quick.to_json()),
         ("chaos_enabled", chaos.to_json()),
-        ("host_parallelism", (host_cores as u64).to_json()),
+        ("host_parallelism", manifest::host_parallelism().to_json()),
         (
             "gate_note",
             "correctness-only gates: cluster output must be bit-identical to the \

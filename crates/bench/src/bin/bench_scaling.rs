@@ -31,7 +31,7 @@
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
-use qtaccel_accel::executor::{host_parallelism, set_default_workers, ShardedExecutor};
+use qtaccel_accel::executor::{set_default_workers, ShardedExecutor};
 use qtaccel_accel::{AccelConfig, IndependentPipelines, QLearningAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
@@ -233,7 +233,7 @@ fn main() {
         set_default_workers(n);
     }
 
-    let host = host_parallelism() as usize;
+    let host = manifest::host_parallelism() as usize;
     // Table I per-bank sizes.
     let (bank_sizes, pipe_counts, runs): (Vec<usize>, Vec<usize>, usize) = if quick {
         (vec![1024, GATE_BANK_STATES], vec![1, GATE_PIPES], 2)

@@ -39,14 +39,14 @@
 //! The emitted report carries a telemetry block (the perf-counter dump
 //! of an instrumented re-run at the gate point plus the config that
 //! produced it) and a provenance manifest (git commit + timestamp +
-//! host parallelism + worker threads).
+//! host parallelism). No worker pool runs the sweep, so the manifest
+//! carries no worker-thread count.
 //!
 //! `--metrics-addr ADDR` (e.g. `127.0.0.1:0`) serves the run's latency
 //! probe as an OpenMetrics scrape endpoint until the process exits; the
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
-use qtaccel_accel::executor::host_parallelism;
 use qtaccel_accel::{AccelConfig, QLearningAccel, SarsaAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
@@ -628,7 +628,7 @@ fn main() {
         telemetry: gate_counter_dump(samples),
         health: gate_health_dump(samples),
         latency: latency.to_json(),
-        manifest: manifest::provenance_with_workers(host_parallelism() as u64),
+        manifest: manifest::provenance(),
     };
     // Quick runs land in results/ so the tracked workspace-root baseline
     // only ever records the full sweep.

@@ -151,7 +151,7 @@ pub fn measure_latency(bank_states: usize, pipes: usize, samples: u64) -> Latenc
     // Instrumented batch: counters live, so the shards run the
     // cycle-accurate engine.
     let pool = Arc::new(ShardedExecutor::new_instrumented(
-        qtaccel_accel::executor::host_parallelism().min(pipes.max(2)),
+        (qtaccel_telemetry::manifest::host_parallelism() as usize).min(pipes.max(2)),
     ));
     let envs: Vec<_> = (0..pipes).map(|_| paper_grid(bank_states, ACTIONS)).collect();
     let tracer = Arc::new(SpanTracer::new(AccelConfig::default().trainer.seed, 1 << 12));

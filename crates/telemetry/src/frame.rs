@@ -16,31 +16,65 @@
 //! [`WordReader`] never panics and never allocates from a count it has
 //! not bounded by the words left.
 
-/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), one nibble per
-/// table step — small table, no dependency.
+/// The reflected CRC-32/ISO-HDLC polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `[0]` is the byte-at-a-time table, and `[k]`
+/// advances `[k - 1]`'s entry by one more zero byte, so one step folds
+/// eight input bytes through eight independent table loads.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC32_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = t[k - 1][n];
+            t[k][n] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// CRC-32/ISO-HDLC (the zlib/PNG polynomial, reflected), eight bytes per
+/// step (slicing-by-8) over tables built at compile time, then the tail a
+/// byte at a time — no dependency.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1DB7_1064,
-        0x3B6E_20C8,
-        0x26D9_30AC,
-        0x76DC_4190,
-        0x6B6B_51F4,
-        0x4DB2_6158,
-        0x5005_713C,
-        0xEDB8_8320,
-        0xF00F_9344,
-        0xD6D6_A3E8,
-        0xCB61_B38C,
-        0x9B64_C2B0,
-        0x86D3_D2D4,
-        0xA00A_E278,
-        0xBDBD_F21C,
-    ];
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -215,12 +249,52 @@ impl<'a> WordReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A sealed container holding `words` after a test header.
     fn sealed(words: &[u64]) -> Vec<u8> {
         let mut w = WordWriter::new(u64::from_le_bytes(*b"TESTTEST"), 1);
         words.iter().for_each(|&x| w.push(x));
         w.seal()
+    }
+
+    /// The CRC one bit at a time, straight from the polynomial.
+    fn crc32_bit_serial(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC32_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_a_bit_serial_reference(
+            bytes in prop::collection::vec(any::<u8>(), 0..4097),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bit_serial(&bytes));
+        }
+
+        #[test]
+        fn crc_ok_refuses_every_single_bit_flip(
+            words in prop::collection::vec(any::<u64>(), 0..64),
+            bit in any::<usize>(),
+        ) {
+            let mut bytes = sealed(&words);
+            prop_assert!(crc_ok(&bytes));
+            let bit = bit % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(!crc_ok(&bytes), "flip of bit {bit} passed");
+        }
     }
 
     #[test]
