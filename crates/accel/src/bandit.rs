@@ -118,26 +118,23 @@ impl<V: QValue> BanditAccel<V> {
         match self.policy {
             BanditPolicy::EpsilonGreedy { epsilon } => {
                 let n = self.estimates.len() as u32;
-                let arm = match epsilon_greedy_draw(
-                    &mut self.select_rng,
-                    epsilon_to_q32(epsilon),
-                    n,
-                ) {
-                    Some(a) => a as usize,
-                    None => {
-                        // The single-entry Qmax register: argmax with
-                        // lowest-index ties.
-                        let mut best = 0;
-                        for i in 1..self.estimates.len() {
-                            if self.estimates[i].vcmp(self.estimates[best])
-                                == core::cmp::Ordering::Greater
-                            {
-                                best = i;
+                let arm =
+                    match epsilon_greedy_draw(&mut self.select_rng, epsilon_to_q32(epsilon), n) {
+                        Some(a) => a as usize,
+                        None => {
+                            // The single-entry Qmax register: argmax with
+                            // lowest-index ties.
+                            let mut best = 0;
+                            for i in 1..self.estimates.len() {
+                                if self.estimates[i].vcmp(self.estimates[best])
+                                    == core::cmp::Ordering::Greater
+                                {
+                                    best = i;
+                                }
                             }
+                            best
                         }
-                        best
-                    }
-                };
+                    };
                 (arm, 0)
             }
             BanditPolicy::Exp3 { .. } => {
@@ -201,17 +198,19 @@ impl<V: QValue> BanditAccel<V> {
             V::storage_bits(),
             EngineKind::Bandit,
             &self.config,
-            self.stats.samples_per_cycle().max(if self.stats.samples == 0 {
-                match self.policy {
-                    BanditPolicy::EpsilonGreedy { .. } => 1.0,
-                    BanditPolicy::Exp3 { .. } => {
-                        let m = self.estimates.len();
-                        1.0 / (usize::BITS - (m - 1).leading_zeros()).max(1) as f64
+            self.stats
+                .samples_per_cycle()
+                .max(if self.stats.samples == 0 {
+                    match self.policy {
+                        BanditPolicy::EpsilonGreedy { .. } => 1.0,
+                        BanditPolicy::Exp3 { .. } => {
+                            let m = self.estimates.len();
+                            1.0 / (usize::BITS - (m - 1).leading_zeros()).max(1) as f64
+                        }
                     }
-                }
-            } else {
-                0.0
-            }),
+                } else {
+                    0.0
+                }),
         )
     }
 }
@@ -325,11 +324,9 @@ impl<V: QValue> StatefulBanditAccel<V> {
             V::storage_bits(),
             EngineKind::Bandit,
             &self.config,
-            self.stats.samples_per_cycle().max(if self.stats.samples == 0 {
-                1.0
-            } else {
-                0.0
-            }),
+            self.stats
+                .samples_per_cycle()
+                .max(if self.stats.samples == 0 { 1.0 } else { 0.0 }),
         )
     }
 }
@@ -351,7 +348,8 @@ mod tests {
     #[test]
     fn epsilon_greedy_engine_finds_best_arm() {
         let mut e = env(1);
-        let mut b = BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.1 }, 0.1, cfg());
+        let mut b =
+            BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.1 }, 0.1, cfg());
         b.run(&mut e, 30_000);
         let est = b.estimates();
         let best = est
@@ -366,7 +364,8 @@ mod tests {
     #[test]
     fn epsilon_greedy_is_one_pull_per_cycle() {
         let mut e = env(2);
-        let mut b = BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.1 }, 0.1, cfg());
+        let mut b =
+            BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.1 }, 0.1, cfg());
         b.run(&mut e, 10_000);
         let s = b.stats();
         assert_eq!(s.samples, 10_000);
@@ -388,7 +387,8 @@ mod tests {
     #[test]
     fn regret_grows_sublinearly_for_epsilon_greedy() {
         let mut e = env(4);
-        let mut b = BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.05 }, 0.1, cfg());
+        let mut b =
+            BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.05 }, 0.1, cfg());
         let regret = b.run(&mut e, 40_000);
         let early = regret[3_999] / 4_000.0;
         let late = (regret[39_999] - regret[19_999]) / 20_000.0;
@@ -408,12 +408,8 @@ mod tests {
 
     #[test]
     fn bandit_resources_are_tiny() {
-        let b = BanditAccel::<Q8_8>::new(
-            8,
-            BanditPolicy::EpsilonGreedy { epsilon: 0.1 },
-            0.1,
-            cfg(),
-        );
+        let b =
+            BanditAccel::<Q8_8>::new(8, BanditPolicy::EpsilonGreedy { epsilon: 0.1 }, 0.1, cfg());
         let r = b.resources();
         assert_eq!(r.report.dsp, 4);
         assert!(r.report.bram36 <= 2, "single-state tables are small");
@@ -422,7 +418,6 @@ mod tests {
         let x = BanditAccel::<Q8_8>::new(8, BanditPolicy::Exp3 { gamma: 0.2 }, 0.1, cfg());
         assert!((x.resources().throughput_msps - 63.0).abs() < 1.0);
     }
-
 
     fn stateful_env(seed: u32) -> StatefulBandit {
         StatefulBandit::new(
@@ -495,7 +490,11 @@ mod tests {
         assert_eq!(env.num_global_states(), 243);
         let e = StatefulBanditAccel::<Q8_8>::new(&env, cfg(), 0.1);
         let r = e.resources();
-        assert!(r.report.bram36 <= 2, "243x5 table is tiny: {} blocks", r.report.bram36);
+        assert!(
+            r.report.bram36 <= 2,
+            "243x5 table is tiny: {} blocks",
+            r.report.bram36
+        );
         assert_eq!(r.throughput_msps, 189.0, "one pull per clock");
     }
 

@@ -356,7 +356,10 @@ mod tests {
         let v = Q8_8::from_f64(1.0);
         assert_eq!(strike_word(v, &mut latents, &mut stats, true, 4, 8), None);
         assert_eq!(strike_word(v, &mut latents, &mut stats, true, 4, 8), None);
-        assert!(latents.is_empty(), "toggled-back cell must clear the record");
+        assert!(
+            latents.is_empty(),
+            "toggled-back cell must clear the record"
+        );
         assert_eq!(stats.detected_uncorrectable, 0);
     }
 

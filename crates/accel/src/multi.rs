@@ -102,8 +102,7 @@ impl<V: QValue> DualPipelineShared<V> {
         // configurations: seed bank 0).
         let mut qmax_mem = vec![(V::zero(), 0 as Action); s];
         let mut init_rng = Lfsr32::new(
-            SeedSequence::new(config.trainer.seed)
-                .derive(seed_unit::of(0, seed_unit::QMAX_INIT)),
+            SeedSequence::new(config.trainer.seed).derive(seed_unit::of(0, seed_unit::QMAX_INIT)),
         );
         for e in &mut qmax_mem {
             e.1 = init_rng.below(a as u32);
@@ -300,7 +299,11 @@ impl<V: QValue> DualPipelineShared<V> {
     /// Merged cycle counters: 2 samples per cycle.
     pub fn stats(&self) -> CycleStats {
         CycleStats {
-            cycles: if self.cycle == 0 { 0 } else { self.cycle + FILL },
+            cycles: if self.cycle == 0 {
+                0
+            } else {
+                self.cycle + FILL
+            },
             samples: self.samples,
             stalls: 0,
             fill_bubbles: FILL,
@@ -495,7 +498,9 @@ fn in_span<T>(
     ordinal: u64,
     f: impl FnOnce() -> T,
 ) -> T {
-    let Some((tracer, ctx)) = parent else { return f() };
+    let Some((tracer, ctx)) = parent else {
+        return f();
+    };
     let span = tracer.begin(ctx.trace, Some(ctx.span), name, shard as u32, ordinal);
     let out = f();
     tracer.end(span);
@@ -529,7 +534,9 @@ impl ShardLease {
         assert!(checkpoint_every > 0, "checkpoint cadence must be nonzero");
         std::fs::create_dir_all(dir).map_err(CheckpointError::from)?;
         let path = shard_checkpoint_path(dir, shard);
-        match in_span(span, "checkpoint_restore", shard, 0, || pipe.restore_checkpoint(&path)) {
+        match in_span(span, "checkpoint_restore", shard, 0, || {
+            pipe.restore_checkpoint(&path)
+        }) {
             Ok(()) => {}
             Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
@@ -595,7 +602,9 @@ impl ShardLease {
     ) -> Result<u64, CheckpointError> {
         let samples = pipe.stats().samples;
         let ordinal = samples / self.checkpoint_every + 1;
-        in_span(span, "checkpoint_save", self.shard, ordinal, || pipe.save_checkpoint(&self.path))?;
+        in_span(span, "checkpoint_save", self.shard, ordinal, || {
+            pipe.save_checkpoint(&self.path)
+        })?;
         Ok(samples)
     }
 }
@@ -685,10 +694,15 @@ where
         let scrub_rounds = |p: &AccelPipeline<V, S>| p.fault_stats().map_or(0, |f| f.scrub_rounds);
         let scrub_before = scrub_rounds(&self.pipe);
         let span = self.tracing.as_ref().map(|(tracer, root)| {
-            (&**tracer, tracer.begin(root.trace, Some(root.span), "chunk", lane, self.chunks_run))
+            (
+                &**tracer,
+                tracer.begin(root.trace, Some(root.span), "chunk", lane, self.chunks_run),
+            )
         });
         // Cadence saves nest under the chunk that crossed the boundary.
-        let parent = span.as_ref().map(|(tracer, span)| (*tracer, span.context()));
+        let parent = span
+            .as_ref()
+            .map(|(tracer, span)| (*tracer, span.context()));
         let saved = match &self.work {
             ChunkWork::Cycle => {
                 self.pipe.run_samples(&self.env, take);
@@ -698,9 +712,9 @@ where
                 self.pipe.run_samples_fast(&self.env, take);
                 Ok(())
             }
-            ChunkWork::Durable(leases) => {
-                leases[self.index].advance(&mut self.pipe, &self.env, take, parent).map(drop)
-            }
+            ChunkWork::Durable(leases) => leases[self.index]
+                .advance(&mut self.pipe, &self.env, take, parent)
+                .map(drop),
         };
         if let Some((tracer, span)) = span {
             let (ctx, scrub_after) = (span.context(), scrub_rounds(&self.pipe));
@@ -920,7 +934,12 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         E: Environment + Clone + Send + 'static,
         S: Send + 'static,
     {
-        self.drive(envs, &vec![samples_each; self.len()], None, ChunkWork::Cycle);
+        self.drive(
+            envs,
+            &vec![samples_each; self.len()],
+            None,
+            ChunkWork::Cycle,
+        );
         self.stats()
     }
 
@@ -1111,8 +1130,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             .collect();
         if !snapshots.is_empty() {
             let seal_cycle = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
-            let mut recorder =
-                qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
+            let mut recorder = qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
             for snap in snapshots {
                 recorder.push_snapshot(snap);
             }
@@ -1192,7 +1210,10 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
     /// Cumulative iterations dropped by the attached sinks, summed
     /// across banks (see [`BatchReport::dropped_iterations`]).
     pub fn dropped_iterations(&self) -> u64 {
-        self.pipes.iter().map(|p| p.sink().dropped_iterations()).sum()
+        self.pipes
+            .iter()
+            .map(|p| p.sink().dropped_iterations())
+            .sum()
     }
 
     /// Merged counters: wall-clock is the slowest pipeline, samples sum.
@@ -1335,12 +1356,7 @@ mod tests {
     fn dual_resources_share_bram() {
         let g = grid();
         let d = DualPipelineShared::<Q8_8>::new(&g, AccelConfig::default());
-        let single = resource_report(
-            g.num_states(),
-            g.num_actions(),
-            16,
-            EngineKind::QLearning,
-        );
+        let single = resource_report(g.num_states(), g.num_actions(), 16, EngineKind::QLearning);
         let r = d.resources();
         assert_eq!(r.report.bram36, single.bram36, "tables are shared");
         assert_eq!(r.report.dsp, 2 * single.dsp, "datapaths are duplicated");
@@ -1408,24 +1424,54 @@ mod tests {
         greedy_random.trainer.behavior = qtaccel_core::policy::Policy::Greedy;
         greedy_random.trainer.update = qtaccel_core::policy::Policy::Random;
         let runs = [
-            (q_learning, Gold {
-                w: 8, h: 8, forwards: 1_054,
-                q_collisions: 22, qmax_collisions: 5,
-                counters: [(CounterId::QmaxWrites, 1_403), (CounterId::FwdQHit, 690), (CounterId::FwdQmaxHit, 364)],
-                crc: 0x513b_a8fc,
-            }),
-            (sarsa, Gold {
-                w: 8, h: 8, forwards: 2_902,
-                q_collisions: 96, qmax_collisions: 6,
-                counters: [(CounterId::QmaxWrites, 312), (CounterId::FwdQHit, 2_902), (CounterId::FwdQmaxHit, 0)],
-                crc: 0xaec5_796a,
-            }),
-            (greedy_random, Gold {
-                w: 3, h: 5, forwards: 7_473,
-                q_collisions: 2_996, qmax_collisions: 0,
-                counters: [(CounterId::QmaxWrites, 0), (CounterId::FwdQHit, 7_473), (CounterId::FwdQmaxHit, 0)],
-                crc: 0x4762_d805,
-            }),
+            (
+                q_learning,
+                Gold {
+                    w: 8,
+                    h: 8,
+                    forwards: 1_054,
+                    q_collisions: 22,
+                    qmax_collisions: 5,
+                    counters: [
+                        (CounterId::QmaxWrites, 1_403),
+                        (CounterId::FwdQHit, 690),
+                        (CounterId::FwdQmaxHit, 364),
+                    ],
+                    crc: 0x513b_a8fc,
+                },
+            ),
+            (
+                sarsa,
+                Gold {
+                    w: 8,
+                    h: 8,
+                    forwards: 2_902,
+                    q_collisions: 96,
+                    qmax_collisions: 6,
+                    counters: [
+                        (CounterId::QmaxWrites, 312),
+                        (CounterId::FwdQHit, 2_902),
+                        (CounterId::FwdQmaxHit, 0),
+                    ],
+                    crc: 0xaec5_796a,
+                },
+            ),
+            (
+                greedy_random,
+                Gold {
+                    w: 3,
+                    h: 5,
+                    forwards: 7_473,
+                    q_collisions: 2_996,
+                    qmax_collisions: 0,
+                    counters: [
+                        (CounterId::QmaxWrites, 0),
+                        (CounterId::FwdQHit, 7_473),
+                        (CounterId::FwdQmaxHit, 0),
+                    ],
+                    crc: 0x4762_d805,
+                },
+            ),
         ];
         for (i, (cfg, g)) in runs.into_iter().enumerate() {
             let env = GridWorld::builder(g.w, g.h).goal(g.w - 1, g.h - 1).build();
@@ -1444,7 +1490,13 @@ mod tests {
             let bank = d.counters();
             let label = format!("config {i} ({}x{})", g.w, g.h);
             assert_eq!(
-                (stats.cycles, stats.samples, stats.stalls, stats.fill_bubbles, stats.forwards),
+                (
+                    stats.cycles,
+                    stats.samples,
+                    stats.stalls,
+                    stats.fill_bubbles,
+                    stats.forwards
+                ),
                 (3_003, 6_000, 0, FILL, g.forwards),
                 "{label} stats"
             );
@@ -1540,7 +1592,11 @@ mod tests {
         // Tables of four sizes tell the pipelines apart.
         let envs: Vec<GridWorld> = [2, 4, 8, 16]
             .iter()
-            .map(|&side| GridWorld::builder(side, side).goal(side - 1, side - 1).build())
+            .map(|&side| {
+                GridWorld::builder(side, side)
+                    .goal(side - 1, side - 1)
+                    .build()
+            })
             .collect();
         let mut ind = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default());
         for budgets in [[0, 9, 0, 9], [9, 0, 0, 9], [0; 4], [9; 4]] {
@@ -1555,27 +1611,21 @@ mod tests {
     fn durable_batch_resumes_bit_exactly() {
         let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(21);
         let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
-        let dir = std::env::temp_dir().join(format!(
-            "qtaccel-durable-unit-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("qtaccel-durable-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // Straight-through reference.
-        let mut full =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        let mut full = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         full.train_batch(part.partitions(), 40_000);
 
         // Two durable legs over the same directory: 24k, then top up to
         // the full 40k on a *fresh* instance (simulated crash between).
-        let mut leg1 =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        let mut leg1 = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         let r1 = leg1
             .train_batch_durable(part.partitions(), 24_000, &dir, 4_096)
             .expect("leg 1");
         assert_eq!(r1.stats.samples, 24_000);
-        let mut leg2 =
-            IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
+        let mut leg2 = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         let r2 = leg2
             .train_batch_durable(part.partitions(), 40_000, &dir, 4_096)
             .expect("leg 2");
@@ -1596,10 +1646,8 @@ mod tests {
     fn durable_batch_is_fenced_by_a_cluster_epoch() {
         let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(8);
         let part = PartitionedGrid::new(16, 8, 2, 1, 0, ActionSet::Four, &mut rng);
-        let dir = std::env::temp_dir().join(format!(
-            "qtaccel-durable-fenced-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("qtaccel-durable-fenced-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // A cluster lease seals shard 1 under epoch 3.
         let mut worker =
@@ -1611,8 +1659,15 @@ mod tests {
         let mut batch =
             IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         match batch.train_batch_durable(part.partitions(), 10_000, &dir, 1_024) {
-            Err(CheckpointError::Mismatch { field, expected, found }) => {
-                assert_eq!((field, expected.as_str(), found.as_str()), ("lease epoch", "0", "3"));
+            Err(CheckpointError::Mismatch {
+                field,
+                expected,
+                found,
+            }) => {
+                assert_eq!(
+                    (field, expected.as_str(), found.as_str()),
+                    ("lease epoch", "0", "3")
+                );
             }
             other => panic!("expected a lease-epoch mismatch, got {other:?}"),
         }

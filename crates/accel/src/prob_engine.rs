@@ -190,8 +190,11 @@ impl<V: QValue> ProbPolicyAccel<V> {
 
         // Stage 4: writeback + probability update for the visited pair.
         self.q.set(s, a, q_new);
-        self.p
-            .set_weight(s, a, self.rule.weight(q_new.to_f64(), self.exp_lut.as_ref()));
+        self.p.set_weight(
+            s,
+            a,
+            self.rule.weight(q_new.to_f64(), self.exp_lut.as_ref()),
+        );
 
         self.stats.samples += 1;
         self.stats.stalls += stall;
@@ -228,11 +231,13 @@ impl<V: QValue> ProbPolicyAccel<V> {
             V::storage_bits(),
             EngineKind::Sarsa, // on-policy shape: LFSR bank present
             &self.config,
-            self.stats.samples_per_cycle().max(if self.stats.samples == 0 {
-                1.0 / (usize::BITS - (self.num_actions - 1).leading_zeros()).max(1) as f64
-            } else {
-                0.0
-            }),
+            self.stats
+                .samples_per_cycle()
+                .max(if self.stats.samples == 0 {
+                    1.0 / (usize::BITS - (self.num_actions - 1).leading_zeros()).max(1) as f64
+                } else {
+                    0.0
+                }),
         );
         // Add the P table (weights at datapath width) and, for Boltzmann,
         // the exp ROM.
@@ -267,11 +272,8 @@ mod tests {
     #[test]
     fn boltzmann_rule_learns_the_grid() {
         let g = grid();
-        let mut e = ProbPolicyAccel::<Q8_8>::new(
-            &g,
-            cfg(),
-            WeightRule::Boltzmann { temperature: 0.1 },
-        );
+        let mut e =
+            ProbPolicyAccel::<Q8_8>::new(&g, cfg(), WeightRule::Boltzmann { temperature: 0.1 });
         e.train_samples(&g, 600_000);
         let opt = step_optimality(&g, &e.greedy_policy(), &g.shortest_distances());
         assert!(opt > 0.9, "step-optimality {opt}");
@@ -280,11 +282,8 @@ mod tests {
     #[test]
     fn policy_concentrates_on_good_actions() {
         let g = grid();
-        let mut e = ProbPolicyAccel::<Q8_8>::new(
-            &g,
-            cfg(),
-            WeightRule::Boltzmann { temperature: 0.05 },
-        );
+        let mut e =
+            ProbPolicyAccel::<Q8_8>::new(&g, cfg(), WeightRule::Boltzmann { temperature: 0.05 });
         e.train_samples(&g, 400_000);
         // Next to the goal, the P table should overwhelmingly prefer the
         // goal-entering action (right, from (6,7)).
@@ -296,11 +295,8 @@ mod tests {
     #[test]
     fn selection_costs_log2_actions_cycles() {
         let g = grid(); // 4 actions: log2 = 2 cycles per selection.
-        let mut e = ProbPolicyAccel::<Q8_8>::new(
-            &g,
-            cfg(),
-            WeightRule::Boltzmann { temperature: 0.1 },
-        );
+        let mut e =
+            ProbPolicyAccel::<Q8_8>::new(&g, cfg(), WeightRule::Boltzmann { temperature: 0.1 });
         e.train_samples(&g, 10_000);
         let s = e.stats();
         // Two selections per sample (behaviour + update), each costing
@@ -312,11 +308,8 @@ mod tests {
     #[test]
     fn proportional_rule_works_for_nonnegative_values() {
         let g = grid();
-        let mut e = ProbPolicyAccel::<Q8_8>::new(
-            &g,
-            cfg(),
-            WeightRule::Proportional { floor: 0.02 },
-        );
+        let mut e =
+            ProbPolicyAccel::<Q8_8>::new(&g, cfg(), WeightRule::Proportional { floor: 0.02 });
         e.train_samples(&g, 600_000);
         let opt = step_optimality(&g, &e.greedy_policy(), &g.shortest_distances());
         assert!(opt > 0.8, "step-optimality {opt}");
@@ -325,11 +318,8 @@ mod tests {
     #[test]
     fn resources_include_the_third_table() {
         let g = grid();
-        let prob = ProbPolicyAccel::<Q8_8>::new(
-            &g,
-            cfg(),
-            WeightRule::Boltzmann { temperature: 0.1 },
-        );
+        let prob =
+            ProbPolicyAccel::<Q8_8>::new(&g, cfg(), WeightRule::Boltzmann { temperature: 0.1 });
         let ql = crate::qlearning::QLearningAccel::<Q8_8>::new(&g, cfg());
         assert!(
             prob.resources().report.bram36 > ql.resources().report.bram36,
@@ -367,6 +357,9 @@ mod tests {
             );
         }
         // Beyond the covered exponent range the ROM saturates.
-        assert_eq!(rule.weight(100.0, Some(&lut)), rule.weight(10.0, Some(&lut)));
+        assert_eq!(
+            rule.weight(100.0, Some(&lut)),
+            rule.weight(10.0, Some(&lut))
+        );
     }
 }

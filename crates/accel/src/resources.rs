@@ -130,10 +130,7 @@ pub fn resource_report_stored(
     // LFSR register + leap fabric, the saturating rounder's adder and
     // rail clamps, and the read-side sign-extend shifters.
     let (quant_ff, quant_lut) = if stored_bits < value_bits {
-        (
-            32 + 2 * stored_bits as u64,
-            150 + 4 * value_bits as u64,
-        )
+        (32 + 2 * stored_bits as u64, 150 + 4 * value_bits as u64)
     } else {
         (0, 0)
     };
@@ -171,10 +168,8 @@ pub struct AccelResources {
 /// Clock is unaffected (the bank sits off the critical path); the
 /// utilization and power figures are recomputed over the combined report.
 pub fn with_perf_regfile(mut res: AccelResources, config: &AccelConfig) -> AccelResources {
-    let bank = qtaccel_hdl::resource::perf_regfile_report(
-        qtaccel_telemetry::CounterId::COUNT as u64,
-        64,
-    );
+    let bank =
+        qtaccel_hdl::resource::perf_regfile_report(qtaccel_telemetry::CounterId::COUNT as u64, 64);
     res.report = res.report.combine(bank);
     res.utilization = res.report.utilization(&config.device);
     res.power_mw = config.power.power_mw(&res.report, res.fmax_mhz);
@@ -215,11 +210,8 @@ pub fn with_health_probes(
     num_states: usize,
     value_bits: u32,
 ) -> AccelResources {
-    let probe = qtaccel_hdl::resource::health_probe_report(
-        num_states as u64,
-        value_bits as u64,
-        64,
-    );
+    let probe =
+        qtaccel_hdl::resource::health_probe_report(num_states as u64, value_bits as u64, 64);
     res.report = res.report.combine(probe);
     res.utilization = res.report.utilization(&config.device);
     res.power_mw = config.power.power_mw(&res.report, res.fmax_mhz);
@@ -422,7 +414,11 @@ mod tests {
     fn analyze_bundles_models() {
         let cfg = crate::config::AccelConfig::default();
         let a = analyze(262_144, 8, 16, EngineKind::QLearning, &cfg, 1.0);
-        assert!((153.0..159.0).contains(&a.throughput_msps), "{}", a.throughput_msps);
+        assert!(
+            (153.0..159.0).contains(&a.throughput_msps),
+            "{}",
+            a.throughput_msps
+        );
         assert!(a.power_mw > 0.0);
         let small = analyze(64, 8, 16, EngineKind::QLearning, &cfg, 1.0);
         assert_eq!(small.throughput_msps, 189.0);
@@ -438,7 +434,10 @@ mod tests {
         assert_eq!(inst.report.ff - base.report.ff, 13 * 64);
         assert_eq!(inst.report.dsp, base.report.dsp);
         assert_eq!(inst.report.bram36, base.report.bram36);
-        assert_eq!(inst.fmax_mhz, base.fmax_mhz, "bank is off the critical path");
+        assert_eq!(
+            inst.fmax_mhz, base.fmax_mhz,
+            "bank is off the critical path"
+        );
         assert!(inst.power_mw > base.power_mw, "more fabric, more power");
         // Even instrumented, register utilization honours the paper's
         // "< 0.1 %" claim at 2 M pairs.
@@ -454,7 +453,10 @@ mod tests {
         assert_eq!(inst.report.ff - base.report.ff, 65 * 64 + 64);
         assert_eq!(inst.report.dsp, base.report.dsp);
         assert_eq!(inst.report.bram36, base.report.bram36);
-        assert_eq!(inst.fmax_mhz, base.fmax_mhz, "monitor is off the critical path");
+        assert_eq!(
+            inst.fmax_mhz, base.fmax_mhz,
+            "monitor is off the critical path"
+        );
         // The monitor's 65 wide bucket counters dominate the design's
         // own tiny register count, so the paper's "< 0.1 %" claim is
         // only for uninstrumented builds — but even counter bank plus
@@ -474,8 +476,14 @@ mod tests {
         assert_eq!(inst.report.ff - base.report.ff, expected_ff as u64);
         // Coverage bitset: 262 144 one-bit entries = eight 32K×1 blocks.
         assert_eq!(inst.report.bram36 - base.report.bram36, 8);
-        assert_eq!(inst.report.dsp, base.report.dsp, "no multipliers in a probe");
-        assert_eq!(inst.fmax_mhz, base.fmax_mhz, "probe taps the write port passively");
+        assert_eq!(
+            inst.report.dsp, base.report.dsp,
+            "no multipliers in a probe"
+        );
+        assert_eq!(
+            inst.fmax_mhz, base.fmax_mhz,
+            "probe taps the write port passively"
+        );
         assert!(inst.power_mw > base.power_mw, "more fabric, more power");
         // Probe block stays debug-sized even at 2 M pairs.
         assert!(inst.utilization.ff_pct < 0.5, "{}", inst.utilization.ff_pct);

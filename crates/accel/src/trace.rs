@@ -78,8 +78,7 @@ impl PipelineTrace {
             if e.cycle >= from && e.cycle < from + width {
                 let col = (e.cycle - from) as usize;
                 let row = (e.stage - 1) as usize;
-                grid[row][col] =
-                    char::from_digit((e.iteration % 10) as u32, 10).unwrap_or('?');
+                grid[row][col] = char::from_digit((e.iteration % 10) as u32, 10).unwrap_or('?');
             }
         }
         let mut out = String::new();
@@ -174,8 +173,22 @@ mod tests {
         p.run_samples(&g, 2);
         let t = p.sink();
         assert_eq!(t.events().len(), 8);
-        assert_eq!(t.events()[0], TraceEvent { cycle: 0, stage: 1, iteration: 0 });
-        assert_eq!(t.events()[7], TraceEvent { cycle: 4, stage: 4, iteration: 1 });
+        assert_eq!(
+            t.events()[0],
+            TraceEvent {
+                cycle: 0,
+                stage: 1,
+                iteration: 0
+            }
+        );
+        assert_eq!(
+            t.events()[7],
+            TraceEvent {
+                cycle: 4,
+                stage: 4,
+                iteration: 1
+            }
+        );
     }
 
     #[test]

@@ -92,9 +92,7 @@ fn ecc_keeps_committed_tables_identical_while_counting_corrections() {
     clean.train_samples_fast(&g, 100_000);
 
     let mut protected = QLearningAccel::<Q8_8>::new(&g, cfg);
-    protected.enable_faults(
-        FaultConfig::default().with_seu_rate(1e-4).with_ecc(true),
-    );
+    protected.enable_faults(FaultConfig::default().with_seu_rate(1e-4).with_ecc(true));
     protected.train_samples_fast(&g, 100_000);
 
     let stats = protected.fault_stats().unwrap();
@@ -194,10 +192,8 @@ fn checkpoint_resumes_a_fault_campaign_bit_exactly() {
     straight.train_samples_fast(&g, 30_000);
     straight.train_samples_fast(&g, 20_000);
 
-    let path: PathBuf = std::env::temp_dir().join(format!(
-        "qtaccel-fault-ckpt-{}.ckpt",
-        std::process::id()
-    ));
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("qtaccel-fault-ckpt-{}.ckpt", std::process::id()));
     let mut first = QLearningAccel::<Q8_8>::new(&g, cfg);
     first.enable_faults(fc);
     first.train_samples_fast(&g, 30_000);

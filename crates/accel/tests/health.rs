@@ -12,8 +12,8 @@ use qtaccel_accel::{FaultConfig, IndependentPipelines};
 use qtaccel_envs::{ActionSet, GridWorld, PartitionedGrid};
 use qtaccel_fixed::Q8_8;
 use qtaccel_telemetry::{
-    check_openmetrics, encode_openmetrics, CountersOnly, FlightRecorder, HealthConfig,
-    HealthProbe, HealthSink, MetricsRegistry, Watchdog, WatchdogConfig, WatchdogRule,
+    check_openmetrics, encode_openmetrics, CountersOnly, FlightRecorder, HealthConfig, HealthProbe,
+    HealthSink, MetricsRegistry, Watchdog, WatchdogConfig, WatchdogRule,
 };
 use std::path::PathBuf;
 
@@ -93,10 +93,8 @@ fn probe_state_is_engine_exact_at_every_stride() {
 fn probe_state_survives_checkpoint_round_trips_bit_exactly() {
     let g = grid(8);
     let cfg = AccelConfig::default().with_seed(0x43);
-    let path: PathBuf = std::env::temp_dir().join(format!(
-        "qtaccel-health-ckpt-{}.ckpt",
-        std::process::id()
-    ));
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("qtaccel-health-ckpt-{}.ckpt", std::process::id()));
 
     // Straight-through reference at stride 3 (so the cursor phase
     // matters: a restore that reset the cursor would drift).
@@ -128,7 +126,9 @@ fn probe_state_survives_checkpoint_round_trips_bit_exactly() {
     // A health-instrumented checkpoint also restores into a plain
     // engine (the probe section is simply not applied)...
     let mut plain = QLearningAccel::<Q8_8>::new(&g, cfg);
-    plain.restore_checkpoint(&path).expect("restore into NullSink");
+    plain
+        .restore_checkpoint(&path)
+        .expect("restore into NullSink");
     // ...and a pre-health (plain) checkpoint restores into an
     // instrumented engine with the probe reset.
     plain.save_checkpoint(&path).expect("save plain");
@@ -136,7 +136,11 @@ fn probe_state_survives_checkpoint_round_trips_bit_exactly() {
     fresh.train_samples_fast(&g, 500);
     fresh.restore_checkpoint(&path).expect("restore plain");
     let probe = fresh.health_probe().unwrap();
-    assert_eq!(probe.samples_seen(), 0, "health-absent checkpoint resets the probe");
+    assert_eq!(
+        probe.samples_seen(),
+        0,
+        "health-absent checkpoint resets the probe"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -298,7 +302,11 @@ fn durable_batch_replaces_its_flight_dump_without_rewriting_it() {
     let before = std::fs::read_to_string(dir.join("before.jsonl")).expect("old dump");
     assert_eq!(before, first, "the old dump is replaced, never rewritten");
     let second = std::fs::read_to_string(&flight).expect("new dump");
-    assert_eq!(second.lines().count(), 5, "4 shard snapshots + the seal marker");
+    assert_eq!(
+        second.lines().count(),
+        5,
+        "4 shard snapshots + the seal marker"
+    );
     assert_eq!(seen(&second), 40_000);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -339,7 +347,11 @@ fn probe_scrape_is_strict_openmetrics_and_saturation_fires_on_narrow_formats() {
         saturation_fraction: 0.05,
     });
     wd.check(probe, 0);
-    assert!(wd.trip_count(WatchdogRule::Saturation) > 0, "{:?}", wd.alerts());
+    assert!(
+        wd.trip_count(WatchdogRule::Saturation) > 0,
+        "{:?}",
+        wd.alerts()
+    );
 
     let mut reg = MetricsRegistry::new();
     probe.register_into(&mut reg);

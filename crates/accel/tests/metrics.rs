@@ -156,7 +156,10 @@ fn scrape_endpoint_serves_the_acceptance_payload() {
         "qtaccel_executor_queue_wait_ns",
         "qtaccel_stall_run_cycles",
     ] {
-        assert!(body.contains(&format!("# TYPE {hist} histogram\n")), "{hist}");
+        assert!(
+            body.contains(&format!("# TYPE {hist} histogram\n")),
+            "{hist}"
+        );
         for q in ["p50", "p90", "p99"] {
             assert!(body.contains(&format!("{hist}_{q} ")), "{hist}_{q}");
         }
@@ -193,7 +196,14 @@ fn perfetto_export_round_trips_with_per_pipeline_tracks() {
     let track_names: Vec<&str> = events
         .iter()
         .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
-        .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
+        .map(|e| {
+            e.get("args")
+                .unwrap()
+                .get("name")
+                .unwrap()
+                .as_str()
+                .unwrap()
+        })
         .collect();
     assert_eq!(track_names, vec!["pipeline-0", "pipeline-1"]);
 
@@ -202,9 +212,7 @@ fn perfetto_export_round_trips_with_per_pipeline_tracks() {
     for tid in 0..2u64 {
         let ts: Vec<u64> = events
             .iter()
-            .filter(|e| {
-                e.get("tid").and_then(|t| t.as_u64()) == Some(tid) && e.get("ts").is_some()
-            })
+            .filter(|e| e.get("tid").and_then(|t| t.as_u64()) == Some(tid) && e.get("ts").is_some())
             .map(|e| e.get("ts").unwrap().as_u64().unwrap())
             .collect();
         assert!(!ts.is_empty(), "track {tid} has events");

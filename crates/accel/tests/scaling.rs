@@ -65,7 +65,11 @@ fn assert_banks_identical<S: qtaccel_telemetry::TraceSink>(
         );
         let (qa, qb) = (a.qmax_table(i), b.qmax_table(i));
         for st in 0..qa.len() as qtaccel_envs::State {
-            assert_eq!(qa.get(st), qb.get(st), "{label}: bank {i} Qmax diverged at {st}");
+            assert_eq!(
+                qa.get(st),
+                qb.get(st),
+                "{label}: bank {i} Qmax diverged at {st}"
+            );
         }
     }
 }
@@ -83,8 +87,8 @@ fn parallel_cycle_accurate_matches_sequential_every_worker_count() {
             reference.train_samples_sequential(part.partitions(), 4_000);
             for workers in worker_counts() {
                 let pool = Arc::new(ShardedExecutor::new(workers));
-                let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg)
-                    .with_executor(pool);
+                let mut par =
+                    IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
                 assert_eq!(par.workers(), workers);
                 par.train_samples(part.partitions(), 4_000);
                 assert_banks_identical(
@@ -110,8 +114,8 @@ fn parallel_fast_path_matches_sequential_every_worker_count() {
             reference.train_samples_fast_sequential(part.partitions(), 6_000);
             for workers in worker_counts() {
                 let pool = Arc::new(ShardedExecutor::new(workers));
-                let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg)
-                    .with_executor(pool);
+                let mut par =
+                    IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
                 par.train_samples_fast(part.partitions(), 6_000);
                 assert_banks_identical(
                     &reference,
@@ -132,8 +136,7 @@ fn oversubscribed_pipelines_remain_deterministic() {
     let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
     reference.train_samples_fast_sequential(part.partitions(), 5_000);
     let pool = Arc::new(ShardedExecutor::new(2));
-    let mut par =
-        IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
+    let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
     par.train_samples_fast(part.partitions(), 5_000);
     assert_banks_identical(&reference, &par, "16 banks on 2 workers");
 }
@@ -153,12 +156,9 @@ fn instrumented_counters_merge_identically_in_parallel() {
         );
         reference.train_samples_sequential(part.partitions(), 3_000);
         let pool = Arc::new(ShardedExecutor::new(3));
-        let mut par = IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(
-            part.partitions(),
-            cfg,
-            sinks,
-        )
-        .with_executor(pool);
+        let mut par =
+            IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(part.partitions(), cfg, sinks)
+                .with_executor(pool);
         par.train_samples(part.partitions(), 3_000);
         assert_banks_identical(&reference, &par, &format!("instrumented {hazard:?}"));
         // The instrumented parallel run really counted something.
@@ -213,8 +213,7 @@ fn train_batch_even_split_matches_fast_sequential() {
     let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
     reference.train_samples_fast_sequential(part.partitions(), each);
     let pool = Arc::new(ShardedExecutor::new(2));
-    let mut batch =
-        IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
+    let mut batch = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
     let report = batch.train_batch(part.partitions(), each * 4);
     assert!(report.shards.iter().all(|s| s.samples == each));
     assert_banks_identical(&reference, &batch, "even train_batch vs fast sequential");
@@ -228,8 +227,7 @@ fn durable_train_batch_is_bit_exact_across_a_kill_and_a_pool_swap() {
     // carry everything, and worker count was already proven irrelevant.
     let part = four_banks(53);
     let cfg = AccelConfig::default().with_seed(41);
-    let dir = std::env::temp_dir()
-        .join(format!("qtaccel-durable-scaling-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("qtaccel-durable-scaling-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let pool = Arc::new(ShardedExecutor::new(3));
@@ -238,8 +236,7 @@ fn durable_train_batch_is_bit_exact_across_a_kill_and_a_pool_swap() {
     straight.train_batch(part.partitions(), 40_000);
 
     let pool1 = Arc::new(ShardedExecutor::new(3));
-    let mut leg1 =
-        IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool1);
+    let mut leg1 = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool1);
     leg1.train_batch_durable(part.partitions(), 24_000, &dir, 4_000)
         .expect("first leg");
     for i in 0..4 {
@@ -248,8 +245,7 @@ fn durable_train_batch_is_bit_exact_across_a_kill_and_a_pool_swap() {
     drop(leg1); // the "kill"
 
     let pool2 = Arc::new(ShardedExecutor::new(2));
-    let mut leg2 =
-        IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool2);
+    let mut leg2 = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool2);
     let report = leg2
         .train_batch_durable(part.partitions(), 40_000, &dir, 4_000)
         .expect("second leg");
@@ -267,7 +263,10 @@ struct FlakyEnv {
 
 impl FlakyEnv {
     fn new(inner: GridWorld, fuse: u64) -> Self {
-        Self { inner, fuse: AtomicU64::new(fuse) }
+        Self {
+            inner,
+            fuse: AtomicU64::new(fuse),
+        }
     }
 }
 
@@ -312,10 +311,8 @@ fn pool_survives_a_panicked_train_batch() {
             .actions(ActionSet::Four)
             .build()
     };
-    let envs: Vec<FlakyEnv> =
-        (0..4).map(|_| FlakyEnv::new(grid(8), u64::MAX)).collect();
-    let mut poisoned: Vec<FlakyEnv> =
-        (0..4).map(|_| FlakyEnv::new(grid(8), u64::MAX)).collect();
+    let envs: Vec<FlakyEnv> = (0..4).map(|_| FlakyEnv::new(grid(8), u64::MAX)).collect();
+    let mut poisoned: Vec<FlakyEnv> = (0..4).map(|_| FlakyEnv::new(grid(8), u64::MAX)).collect();
     poisoned[2] = FlakyEnv::new(grid(8), 500);
 
     // StallOnly runs the cycle-accurate engine, which consults the live
@@ -327,8 +324,7 @@ fn pool_survives_a_panicked_train_batch() {
         .with_hazard(HazardMode::StallOnly);
     let pool = Arc::new(ShardedExecutor::new(2));
 
-    let mut doomed =
-        IndependentPipelines::<Q8_8>::new(&poisoned, cfg).with_executor(pool.clone());
+    let mut doomed = IndependentPipelines::<Q8_8>::new(&poisoned, cfg).with_executor(pool.clone());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         doomed.train_batch(&poisoned, 8_000);
     }));
@@ -338,8 +334,7 @@ fn pool_survives_a_panicked_train_batch() {
     // Same pool, healthy batch: bit-exact against the sequential run.
     let mut reference = IndependentPipelines::<Q8_8>::new(&envs, cfg);
     reference.train_samples_fast_sequential(&envs, 2_000);
-    let mut after =
-        IndependentPipelines::<Q8_8>::new(&envs, cfg).with_executor(pool);
+    let mut after = IndependentPipelines::<Q8_8>::new(&envs, cfg).with_executor(pool);
     after.train_batch(&envs, 8_000);
     assert_banks_identical(&reference, &after, "pool reused after panic");
 }

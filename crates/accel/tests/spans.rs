@@ -10,9 +10,7 @@
 //!   wire protocol into a live collector, merges bit-identically, and
 //!   exports as a strictly parseable multi-process Perfetto trace.
 
-use qtaccel_accel::{
-    AccelConfig, FaultConfig, IndependentPipelines, ShardedExecutor,
-};
+use qtaccel_accel::{AccelConfig, FaultConfig, IndependentPipelines, ShardedExecutor};
 use qtaccel_envs::GridWorld;
 use qtaccel_fixed::Q8_8;
 use qtaccel_telemetry::{
@@ -88,10 +86,7 @@ fn span_tree_is_bit_identical_across_worker_counts() {
 
     for workers in [2usize, 4] {
         let tree = identity_tree(&traced_batch(workers));
-        assert_eq!(
-            tree, reference,
-            "span tree diverged at {workers} workers"
-        );
+        assert_eq!(tree, reference, "span tree diverged at {workers} workers");
     }
 }
 
@@ -130,7 +125,10 @@ fn durable_batch_trace_round_trips_through_the_collector() {
     }
     let names: HashSet<&str> = spans.iter().map(|s| s.name.as_str()).collect();
     for required in ["chunk", "checkpoint_restore", "checkpoint_save", "scrub"] {
-        assert!(names.contains(required), "missing {required:?} in {names:?}");
+        assert!(
+            names.contains(required),
+            "missing {required:?} in {names:?}"
+        );
     }
     let chunk_lanes: HashSet<u32> = spans
         .iter()
@@ -164,8 +162,8 @@ fn durable_batch_trace_round_trips_through_the_collector() {
 
     let aux_envs = [grid()];
     let aux_tracer = Arc::new(SpanTracer::new(77, 256));
-    let mut aux = IndependentPipelines::<Q8_8>::new(&aux_envs, cfg)
-        .with_tracer(Arc::clone(&aux_tracer));
+    let mut aux =
+        IndependentPipelines::<Q8_8>::new(&aux_envs, cfg).with_tracer(Arc::clone(&aux_tracer));
     aux.train_batch(&aux_envs, 10_000);
     let aux_spans = aux_tracer.drain();
     assert!(!aux_spans.is_empty());

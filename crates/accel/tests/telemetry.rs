@@ -54,7 +54,10 @@ fn q_learning_is_bit_identical_with_telemetry_attached() {
                     traced.train_samples_fast(&g, 6_000),
                 )
             } else {
-                (plain.train_samples(&g, 6_000), traced.train_samples(&g, 6_000))
+                (
+                    plain.train_samples(&g, 6_000),
+                    traced.train_samples(&g, 6_000),
+                )
             };
             assert_eq!(s0, s1, "{hazard:?} fast={fast}");
             assert_eq!(plain.q_table(), traced.q_table(), "{hazard:?} fast={fast}");
@@ -87,7 +90,10 @@ fn sarsa_is_bit_identical_with_telemetry_attached() {
                     traced.train_samples_fast(&g, 6_000),
                 )
             } else {
-                (plain.train_samples(&g, 6_000), traced.train_samples(&g, 6_000))
+                (
+                    plain.train_samples(&g, 6_000),
+                    traced.train_samples(&g, 6_000),
+                )
             };
             assert_eq!(s0, s1, "{hazard:?} fast={fast}");
             assert_eq!(plain.q_table(), traced.q_table(), "{hazard:?} fast={fast}");
@@ -111,7 +117,10 @@ fn counters_match_between_cycle_and_fast_paths() {
         let g = grid();
         let mut cyc = QLearningAccel::<Q8_8, CountersOnly>::with_sink(&g, cfg, CountersOnly);
         let mut fast = QLearningAccel::<Q8_8, CountersOnly>::with_sink(&g, cfg, CountersOnly);
-        assert_eq!(cyc.train_samples(&g, 8_000), fast.train_samples_fast(&g, 8_000));
+        assert_eq!(
+            cyc.train_samples(&g, 8_000),
+            fast.train_samples_fast(&g, 8_000)
+        );
         for id in CounterId::ALL {
             assert_eq!(
                 cyc.counters().get(id),
@@ -148,18 +157,31 @@ fn counter_invariants_tie_out_against_cycle_stats() {
         let b = eng.counters();
         assert_eq!(b.total_stalls(), stats.stalls, "{hazard:?}");
         assert_eq!(b.total_forwards(), stats.forwards, "{hazard:?}");
-        assert_eq!(b.get(CounterId::SamplesRetired), stats.samples, "{hazard:?}");
-        assert_eq!(b.get(CounterId::FillCycles), stats.fill_bubbles, "{hazard:?}");
+        assert_eq!(
+            b.get(CounterId::SamplesRetired),
+            stats.samples,
+            "{hazard:?}"
+        );
+        assert_eq!(
+            b.get(CounterId::FillCycles),
+            stats.fill_bubbles,
+            "{hazard:?}"
+        );
         // Forwarding lookups resolve to exactly one of {hit, miss}.
-        let lookups = b.get(CounterId::FwdQHit)
-            + b.get(CounterId::FwdQmaxHit)
-            + b.get(CounterId::FwdMiss);
+        let lookups =
+            b.get(CounterId::FwdQHit) + b.get(CounterId::FwdQmaxHit) + b.get(CounterId::FwdMiss);
         match hazard {
             HazardMode::Forwarding => assert!(lookups > 0, "forwarding must look up"),
             _ => assert_eq!(lookups, 0, "{hazard:?} has no forwarding network"),
         }
-        assert!(b.get(CounterId::QReads) >= stats.samples, "one Q read per update");
-        assert!(b.get(CounterId::LfsrDraws) > 0, "ε-greedy draws every cycle");
+        assert!(
+            b.get(CounterId::QReads) >= stats.samples,
+            "one Q read per update"
+        );
+        assert!(
+            b.get(CounterId::LfsrDraws) > 0,
+            "ε-greedy draws every cycle"
+        );
     }
 }
 
@@ -246,7 +268,10 @@ fn jsonl_event_stream_and_counter_dump_round_trip() {
         }
     }
     assert_eq!(stages, 4 * 200, "four stage slots per retired iteration");
-    assert!(commits > 0, "in-flight writes must commit within 200 cycles");
+    assert!(
+        commits > 0,
+        "in-flight writes must commit within 200 cycles"
+    );
     assert_eq!(stall_pairs, 0, "every stall_begin has a matching stall_end");
 
     // The pretty counter dump re-parses with one field per register.

@@ -147,12 +147,7 @@ impl CpuBaseline {
                 let q_max = self.max_dict(s_next);
                 let q_new = (1.0 - alpha) * q_sa + alpha * r + alpha * gamma * q_max;
                 let key = self.env.xy_of(s);
-                *self
-                    .dict
-                    .entry(key)
-                    .or_default()
-                    .entry(a)
-                    .or_insert(0.0) = q_new;
+                *self.dict.entry(key).or_default().entry(a).or_insert(0.0) = q_new;
             }
             CpuKind::DenseArray => {
                 let na = self.env.num_actions();
@@ -164,8 +159,7 @@ impl CpuBaseline {
                         q_max = *v;
                     }
                 }
-                let q_new =
-                    (1.0 - alpha) * self.dense[idx] + alpha * r + alpha * gamma * q_max;
+                let q_new = (1.0 - alpha) * self.dense[idx] + alpha * r + alpha * gamma * q_max;
                 self.dense[idx] = q_new;
             }
         }
@@ -198,9 +192,7 @@ impl CpuBaseline {
                 for a in 0..na {
                     let v = match self.kind {
                         CpuKind::NestedDict => self.q_get_dict(s, a),
-                        CpuKind::DenseArray => {
-                            self.dense[s as usize * na as usize + a as usize]
-                        }
+                        CpuKind::DenseArray => self.dense[s as usize * na as usize + a as usize],
                     };
                     if v > best_v {
                         best_v = v;

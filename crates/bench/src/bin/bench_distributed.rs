@@ -171,7 +171,9 @@ fn worker_main(args: &[String]) -> ! {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut val = |name: &str| -> String {
-            it.next().unwrap_or_else(|| panic!("missing value for {name}")).clone()
+            it.next()
+                .unwrap_or_else(|| panic!("missing value for {name}"))
+                .clone()
         };
         match arg.as_str() {
             "--worker" => id = val("--worker").parse().expect("worker id"),
@@ -320,12 +322,13 @@ fn chaos_leg(spec: &ClusterSpec, failures: &mut Vec<String>) -> ChaosReport {
         failures.push(format!("chaos: run did not complete: {status:?}"));
     }
     if killed < 2 {
-        failures.push(format!("chaos: only {killed} workers were SIGKILLed (need >= 2)"));
+        failures.push(format!(
+            "chaos: only {killed} workers were SIGKILLed (need >= 2)"
+        ));
     }
     if status.deadline_expirations < 1 {
-        failures.push(
-            "chaos: the partitioned worker never forced a heartbeat-deadline expiry".into(),
-        );
+        failures
+            .push("chaos: the partitioned worker never forced a heartbeat-deadline expiry".into());
     }
     if status.decode_errors < 1 {
         failures.push("chaos: wire corruption was not counted as decode errors".into());

@@ -31,8 +31,8 @@ use qtaccel_bench::report::results_dir;
 use qtaccel_envs::{ActionSet, GridWorld};
 use qtaccel_fixed::Q8_8;
 use qtaccel_telemetry::{
-    manifest, FlightRecorder, HealthConfig, HealthSink, Json, ToJson, Watchdog,
-    WatchdogConfig, WatchdogRule,
+    manifest, FlightRecorder, HealthConfig, HealthSink, Json, ToJson, Watchdog, WatchdogConfig,
+    WatchdogRule,
 };
 use std::path::{Path, PathBuf};
 
@@ -114,7 +114,9 @@ fn watchdog_leg(
         ("divergence_tripped", tripped.to_json()),
         (
             "detected_uncorrectable",
-            a.fault_stats().map_or(0, |s| s.detected_uncorrectable).to_json(),
+            a.fault_stats()
+                .map_or(0, |s| s.detected_uncorrectable)
+                .to_json(),
         ),
         (
             "alerts",

@@ -59,7 +59,10 @@ struct BaselineRow {
     /// the denominator every speedup in `rows` is measured against.
     fast_samples_per_sec: f64,
 }
-impl_to_json!(BaselineRow { bank_states, fast_samples_per_sec });
+impl_to_json!(BaselineRow {
+    bank_states,
+    fast_samples_per_sec
+});
 
 #[derive(Debug)]
 struct ScaleRow {
@@ -135,9 +138,14 @@ fn samples_for(quick: bool, pipes: usize) -> u64 {
 fn measure_baseline(bank_states: usize, samples: u64, runs: usize) -> BaselineRow {
     let g = paper_grid(bank_states, ACTIONS);
     let mut a = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default());
-    let r = bench(&format!("baseline/{bank_states}/fast-1t"), samples, runs, || {
-        a.train_samples_fast(&g, samples);
-    });
+    let r = bench(
+        &format!("baseline/{bank_states}/fast-1t"),
+        samples,
+        runs,
+        || {
+            a.train_samples_fast(&g, samples);
+        },
+    );
     println!("{}", r.summary());
     BaselineRow {
         bank_states,
@@ -155,7 +163,9 @@ fn measure_scale(
     runs: usize,
     baseline_rate: f64,
 ) -> ScaleRow {
-    let envs: Vec<_> = (0..pipes).map(|_| paper_grid(bank_states, ACTIONS)).collect();
+    let envs: Vec<_> = (0..pipes)
+        .map(|_| paper_grid(bank_states, ACTIONS))
+        .collect();
     let pool = Arc::new(ShardedExecutor::new(workers));
     let mut acc =
         IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default()).with_executor(pool);
@@ -184,8 +194,8 @@ fn measure_scale(
 
 /// The committed baseline's gate-point aggregate rate.
 fn baseline_gate_rate(path: &Path) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let v = json::parse(&text)?;
     v.get("gate_aggregate_rate")
         .and_then(|x| x.as_f64())
@@ -238,7 +248,11 @@ fn main() {
     let (bank_sizes, pipe_counts, runs): (Vec<usize>, Vec<usize>, usize) = if quick {
         (vec![1024, GATE_BANK_STATES], vec![1, GATE_PIPES], 2)
     } else {
-        (vec![1024, GATE_BANK_STATES, 16_384, 65_536], vec![1, 2, 4, 8], 3)
+        (
+            vec![1024, GATE_BANK_STATES, 16_384, 65_536],
+            vec![1, 2, 4, 8],
+            3,
+        )
     };
     let worker_counts: Vec<usize> = match threads {
         Some(n) => vec![n],
@@ -340,7 +354,10 @@ fn main() {
             std::process::exit(2);
         });
         server.update(|reg| latency.register_into(reg));
-        println!("metrics: serving OpenMetrics on http://{}/metrics", server.addr());
+        println!(
+            "metrics: serving OpenMetrics on http://{}/metrics",
+            server.addr()
+        );
         server
     });
 

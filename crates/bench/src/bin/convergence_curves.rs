@@ -15,8 +15,7 @@ fn main() {
         &[],
         &[("ql_1pipe_health".to_string(), c.health.clone())],
     );
-    let trace_path =
-        qtaccel_bench::report::results_dir().join("convergence_health_trace.json");
+    let trace_path = qtaccel_bench::report::results_dir().join("convergence_health_trace.json");
     std::fs::write(&trace_path, trace.pretty()).expect("write health counter tracks");
     println!("saved {} (Perfetto counter tracks)", trace_path.display());
 }

@@ -28,7 +28,11 @@ fn main() {
             }
         }
     }
-    let (states, samples) = if quick { (256, 400_000) } else { (1024, 2_000_000) };
+    let (states, samples) = if quick {
+        (256, 400_000)
+    } else {
+        (1024, 2_000_000)
+    };
     let f = qtaccel_bench::experiments::formats::run(states, samples);
     print!("{}", f.render());
 

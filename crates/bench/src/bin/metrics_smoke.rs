@@ -156,10 +156,18 @@ fn main() {
     ] {
         require(&format!("# TYPE {counter} counter\n"));
     }
-    for gauge in ["qtaccel_health_states_visited", "qtaccel_health_state_coverage"] {
+    for gauge in [
+        "qtaccel_health_states_visited",
+        "qtaccel_health_state_coverage",
+    ] {
         require(&format!("# TYPE {gauge} gauge\n"));
     }
-    for rule in ["divergence", "saturation", "stalled_learning", "scrub_failure"] {
+    for rule in [
+        "divergence",
+        "saturation",
+        "stalled_learning",
+        "scrub_failure",
+    ] {
         require(&format!("# TYPE qtaccel_health_alerts_{rule} counter\n"));
     }
     require("# TYPE qtaccel_build_info gauge\n");
@@ -191,11 +199,10 @@ fn main() {
         .collect();
     // The health leg doubles as the alert source: ship its watchdog
     // alerts (if the probed run raised any) as an alert frame.
-    let mut health_client =
-        WireClient::connect(addr, 100, "health-probe").unwrap_or_else(|e| {
-            eprintln!("metrics smoke: FAILED to connect health client: {e}");
-            std::process::exit(1);
-        });
+    let mut health_client = WireClient::connect(addr, 100, "health-probe").unwrap_or_else(|e| {
+        eprintln!("metrics smoke: FAILED to connect health client: {e}");
+        std::process::exit(1);
+    });
     let mut expected_frames = 1 + WIRE_WORKERS * 5; // hellos + 2×(delta+spans) each
     if !health.watchdog.alerts().is_empty() {
         health_client

@@ -49,7 +49,11 @@ pub fn run_forwarding(samples: u64) -> HazardAblation {
     let mut rows = Vec::new();
     for states in [16usize, 64, 256] {
         let g = paper_grid(states, 4);
-        for mode in [HazardMode::Forwarding, HazardMode::StallOnly, HazardMode::Ignore] {
+        for mode in [
+            HazardMode::Forwarding,
+            HazardMode::StallOnly,
+            HazardMode::Ignore,
+        ] {
             let cfg = AccelConfig::default().with_seed(77).with_hazard(mode);
             let mut a = QLearningAccel::<qtaccel_fixed::Q8_8>::new(&g, cfg);
             // Lock-step against a forwarding reference: divergence must be
@@ -105,7 +109,15 @@ impl HazardAblation {
             .collect();
         render_table(
             "Ablation A: hazard handling between consecutive updates",
-            &["|S|", "mode", "samples/cyc", "stalls", "forwards", "bit-exact", "optimality"],
+            &[
+                "|S|",
+                "mode",
+                "samples/cyc",
+                "stalls",
+                "forwards",
+                "bit-exact",
+                "optimality",
+            ],
             &rows,
         )
     }
@@ -179,9 +191,23 @@ impl QmaxAblation {
     }
 }
 
-crate::impl_to_json!(HazardRow { states, mode, samples_per_cycle, stalls, forwards, values_match_forwarding, optimality });
+crate::impl_to_json!(HazardRow {
+    states,
+    mode,
+    samples_per_cycle,
+    stalls,
+    forwards,
+    values_match_forwarding,
+    optimality
+});
 crate::impl_to_json!(HazardAblation { rows });
-crate::impl_to_json!(QmaxRow { actions, mode, samples_per_cycle, msps, optimality });
+crate::impl_to_json!(QmaxRow {
+    actions,
+    mode,
+    samples_per_cycle,
+    msps,
+    optimality
+});
 crate::impl_to_json!(QmaxAblation { rows });
 
 #[cfg(test)]

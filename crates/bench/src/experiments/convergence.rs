@@ -200,6 +200,9 @@ mod tests {
         }
         let last = c.health.last().unwrap();
         assert!(last.states_visited > 0, "coverage bitset populated");
-        assert!(last.churn > 0, "greedy policy must have churned while learning");
+        assert!(
+            last.churn > 0,
+            "greedy policy must have churned while learning"
+        );
     }
 }

@@ -232,8 +232,16 @@ impl Faults {
                 self.states, self.train_samples
             ),
             &[
-                "rate", "protection", "opt clean", "opt flux", "opt recov",
-                "recovery", "injected", "corrected", "uncorr", "scrubbed",
+                "rate",
+                "protection",
+                "opt clean",
+                "opt flux",
+                "opt recov",
+                "recovery",
+                "injected",
+                "corrected",
+                "uncorr",
+                "scrubbed",
             ],
             &rows,
         );
@@ -279,7 +287,13 @@ crate::impl_to_json!(OverheadRow {
     power_mw_base,
     power_mw_ecc
 });
-crate::impl_to_json!(Faults { states, train_samples, recovery_budget, rows, overhead });
+crate::impl_to_json!(Faults {
+    states,
+    train_samples,
+    recovery_budget,
+    rows,
+    overhead
+});
 
 #[cfg(test)]
 mod tests {

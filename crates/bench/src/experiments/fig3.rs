@@ -98,7 +98,17 @@ impl ResourceSweep {
     }
 }
 
-crate::impl_to_json!(ResourceRow { states, dsp, dsp_pct, ff, ff_pct, lut, bram_pct, power_mw, fmax_mhz });
+crate::impl_to_json!(ResourceRow {
+    states,
+    dsp,
+    dsp_pct,
+    ff,
+    ff_pct,
+    lut,
+    bram_pct,
+    power_mw,
+    fmax_mhz
+});
 crate::impl_to_json!(ResourceSweep { engine, rows });
 
 #[cfg(test)]

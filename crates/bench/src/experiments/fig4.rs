@@ -70,7 +70,12 @@ impl Fig4 {
     }
 }
 
-crate::impl_to_json!(BramRow { states, blocks, model_pct, paper_pct });
+crate::impl_to_json!(BramRow {
+    states,
+    blocks,
+    model_pct,
+    paper_pct
+});
 crate::impl_to_json!(Fig4 { rows });
 
 #[cfg(test)]

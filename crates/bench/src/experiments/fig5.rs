@@ -26,8 +26,7 @@ pub fn run(max_states: usize) -> Fig5 {
     let sarsa = sweep(EngineKind::Sarsa, max_states);
     let ql = sweep(EngineKind::QLearning, max_states);
     let extra_ff = sarsa.rows[0].ff - ql.rows[0].ff;
-    let extra_power =
-        sarsa.rows.last().unwrap().power_mw - ql.rows.last().unwrap().power_mw;
+    let extra_power = sarsa.rows.last().unwrap().power_mw - ql.rows.last().unwrap().power_mw;
     Fig5 {
         sarsa,
         extra_ff_vs_qlearning: extra_ff,
@@ -50,7 +49,11 @@ impl Fig5 {
     }
 }
 
-crate::impl_to_json!(Fig5 { sarsa, extra_ff_vs_qlearning, extra_power_mw });
+crate::impl_to_json!(Fig5 {
+    sarsa,
+    extra_ff_vs_qlearning,
+    extra_power_mw
+});
 
 #[cfg(test)]
 mod tests {

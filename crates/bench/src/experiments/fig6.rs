@@ -72,7 +72,10 @@ pub fn run(samples: u64, max_states: usize) -> Fig6 {
         }
     });
     Fig6 {
-        rows: rows.into_iter().map(|r| r.expect("sweep point ran")).collect(),
+        rows: rows
+            .into_iter()
+            .map(|r| r.expect("sweep point ran"))
+            .collect(),
     }
 }
 
@@ -97,13 +100,27 @@ impl Fig6 {
             .collect();
         render_table(
             "Fig. 6: throughput (|A|=8)",
-            &["|S|", "QL s/cyc", "QL MS/s", "SARSA s/cyc", "SARSA MS/s", "paper MS/s"],
+            &[
+                "|S|",
+                "QL s/cyc",
+                "QL MS/s",
+                "SARSA s/cyc",
+                "SARSA MS/s",
+                "paper MS/s",
+            ],
             &rows,
         )
     }
 }
 
-crate::impl_to_json!(ThroughputRow { states, ql_samples_per_cycle, ql_msps, sarsa_samples_per_cycle, sarsa_msps, paper_msps });
+crate::impl_to_json!(ThroughputRow {
+    states,
+    ql_samples_per_cycle,
+    ql_msps,
+    sarsa_samples_per_cycle,
+    sarsa_msps,
+    paper_msps
+});
 crate::impl_to_json!(Fig6 { rows });
 
 #[cfg(test)]

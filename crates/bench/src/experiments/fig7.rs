@@ -93,7 +93,8 @@ pub fn run() -> Fig7 {
     let v7 = Device::VIRTEX7_690T;
     let v6 = Device::VIRTEX6_LX240T;
     let qtaccel_max = qtaccel_max_states(&v7, 4);
-    let baseline_max = FsmArrayBaseline::<qtaccel_fixed::Q8_8, GridWorld>::max_states_on(&v6, 4, 16);
+    let baseline_max =
+        FsmArrayBaseline::<qtaccel_fixed::Q8_8, GridWorld>::max_states_on(&v6, 4, 16);
     let qtaccel_msps = v7.base_fmax_mhz; // 1 sample/cycle
     let baseline_msps = v6.base_fmax_mhz / FSM_CYCLES_PER_SAMPLE as f64;
     Fig7 {
@@ -145,9 +146,24 @@ impl Fig7 {
     }
 }
 
-crate::impl_to_json!(MultiplierRow { states, actions, qtaccel, baseline });
-crate::impl_to_json!(ScalabilityComparison { qtaccel_max_states, baseline_max_states, qtaccel_msps, baseline_msps, speedup, capacity_ratio });
-crate::impl_to_json!(Fig7 { multipliers, scalability });
+crate::impl_to_json!(MultiplierRow {
+    states,
+    actions,
+    qtaccel,
+    baseline
+});
+crate::impl_to_json!(ScalabilityComparison {
+    qtaccel_max_states,
+    baseline_max_states,
+    qtaccel_msps,
+    baseline_msps,
+    speedup,
+    capacity_ratio
+});
+crate::impl_to_json!(Fig7 {
+    multipliers,
+    scalability
+});
 
 #[cfg(test)]
 mod tests {
@@ -156,7 +172,10 @@ mod tests {
     #[test]
     fn qtaccel_is_constant_baseline_scales() {
         let f = run();
-        assert!(f.multipliers.iter().all(|r| r.qtaccel == claims::QTACCEL_DSP));
+        assert!(f
+            .multipliers
+            .iter()
+            .all(|r| r.qtaccel == claims::QTACCEL_DSP));
         assert_eq!(f.multipliers[0].baseline, 12 * 4);
         assert_eq!(f.multipliers[4].baseline, 132 * 4);
     }

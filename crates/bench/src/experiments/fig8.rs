@@ -70,7 +70,13 @@ impl Fig8 {
     pub fn render(&self) -> String {
         render_table(
             "Fig. 8: dual pipeline, shared Q table",
-            &["config", "samples", "step-optimality", "collisions/cycle", "MS/s"],
+            &[
+                "config",
+                "samples",
+                "step-optimality",
+                "collisions/cycle",
+                "MS/s",
+            ],
             &[
                 vec![
                     "1 pipeline".into(),
@@ -91,7 +97,17 @@ impl Fig8 {
     }
 }
 
-crate::impl_to_json!(Fig8 { states, cycles, single_samples, dual_samples, single_optimality, dual_optimality, q_collisions, collision_rate, dual_msps });
+crate::impl_to_json!(Fig8 {
+    states,
+    cycles,
+    single_samples,
+    dual_samples,
+    single_optimality,
+    dual_optimality,
+    q_collisions,
+    collision_rate,
+    dual_msps
+});
 
 #[cfg(test)]
 mod tests {

@@ -57,8 +57,7 @@ pub fn run(terrain: u32, tilings: &[u32], samples_per_state: u64, gamma: f64) ->
         .iter()
         .map(|&n| {
             let mut rng = Lfsr32::new(0xF19_u32 + n);
-            let part =
-                PartitionedGrid::new(terrain, terrain, n, n, 5, ActionSet::Four, &mut rng);
+            let part = PartitionedGrid::new(terrain, terrain, n, n, 5, ActionSet::Four, &mut rng);
             let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
             let tile_states = part.partition(0).num_states();
             // Scale the budget with the tile's table size so every
@@ -108,13 +107,29 @@ impl Fig9 {
             .collect();
         render_table(
             "Fig. 9: N independent pipelines",
-            &["N", "|S|/tile", "samples/cyc", "MS/s", "DSP", "BRAM", "optimality"],
+            &[
+                "N",
+                "|S|/tile",
+                "samples/cyc",
+                "MS/s",
+                "DSP",
+                "BRAM",
+                "optimality",
+            ],
             &rows,
         )
     }
 }
 
-crate::impl_to_json!(Fig9Row { pipelines, states_per_tile, samples_per_cycle, aggregate_msps, total_dsp, total_bram, mean_optimality });
+crate::impl_to_json!(Fig9Row {
+    pipelines,
+    states_per_tile,
+    samples_per_cycle,
+    aggregate_msps,
+    total_dsp,
+    total_bram,
+    mean_optimality
+});
 crate::impl_to_json!(Fig9 { rows });
 
 #[cfg(test)]
@@ -126,8 +141,14 @@ mod tests {
         let f = run(16, &[1, 2, 4], 300, 0.875);
         assert_eq!(f.rows.len(), 3);
         assert!((f.rows[0].samples_per_cycle - 1.0).abs() < 0.01);
-        assert!((f.rows[1].samples_per_cycle - 4.0).abs() < 0.05, "2x2 tiles");
-        assert!((f.rows[2].samples_per_cycle - 16.0).abs() < 0.2, "4x4 tiles");
+        assert!(
+            (f.rows[1].samples_per_cycle - 4.0).abs() < 0.05,
+            "2x2 tiles"
+        );
+        assert!(
+            (f.rows[2].samples_per_cycle - 16.0).abs() < 0.2,
+            "4x4 tiles"
+        );
         // DSPs scale with N², BRAM banks too.
         assert_eq!(f.rows[1].total_dsp, 4 * f.rows[0].total_dsp);
         // Everyone still learns.

@@ -145,7 +145,13 @@ impl Mab {
     }
 }
 
-crate::impl_to_json!(MabRow { name, final_regret, tail_regret_rate, found_best, msps });
+crate::impl_to_json!(MabRow {
+    name,
+    final_regret,
+    tail_regret_rate,
+    found_best,
+    msps
+});
 crate::impl_to_json!(Mab { arms, rounds, rows });
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 
 pub mod ablation;
 pub mod convergence;
+pub mod faults;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod faults;
 pub mod fig9;
 pub mod formats;
 pub mod mab;

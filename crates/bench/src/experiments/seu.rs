@@ -72,50 +72,56 @@ pub fn run(states: usize, train_samples: u64) -> Seu {
     let dists = g.shortest_distances();
     let mut rows = Vec::new();
     for mode in [MaxMode::ExactScan, MaxMode::QmaxArray] {
-    for &(flips, sign_only) in &[(1u32, true), (8, true), (64, true), (64, false), (256, false)] {
-        // gamma chosen so Q8.8 quantization ties do not make the
-        // optimality metric flap (see the fig9 horizon notes); the
-        // recovery threshold is 0.02 to sit above residual fluctuation.
-        let cfg = AccelConfig::default()
-            .with_seed(0x5E_u64 + flips as u64)
-            .with_gamma(0.96875)
-            .with_max_mode(mode);
-        let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
-        a.train_samples(&g, train_samples);
-        let before = step_optimality(&g, &a.greedy_policy(), &dists);
+        for &(flips, sign_only) in &[
+            (1u32, true),
+            (8, true),
+            (64, true),
+            (64, false),
+            (256, false),
+        ] {
+            // gamma chosen so Q8.8 quantization ties do not make the
+            // optimality metric flap (see the fig9 horizon notes); the
+            // recovery threshold is 0.02 to sit above residual fluctuation.
+            let cfg = AccelConfig::default()
+                .with_seed(0x5E_u64 + flips as u64)
+                .with_gamma(0.96875)
+                .with_max_mode(mode);
+            let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
+            a.train_samples(&g, train_samples);
+            let before = step_optimality(&g, &a.greedy_policy(), &dists);
 
-        // Inject.
-        let mut rng = Lfsr32::new(0xBADB17 ^ flips);
-        for _ in 0..flips {
-            let s = rng.below(g.num_states() as u32);
-            let act = rng.below(g.num_actions() as u32);
-            let bit = if sign_only { 15 } else { rng.below(16) };
-            a.inject_q_bit_flip(s, act, bit);
-        }
-        let after = step_optimality(&g, &a.greedy_policy(), &dists);
-
-        // Recover.
-        let mut recovery = None;
-        let budget = 4 * train_samples;
-        let chunk = (budget / 100).max(1);
-        let mut used = 0u64;
-        while used < budget {
-            a.train_samples(&g, chunk);
-            used += chunk;
-            if step_optimality(&g, &a.greedy_policy(), &dists) >= before - 0.02 {
-                recovery = Some(used);
-                break;
+            // Inject.
+            let mut rng = Lfsr32::new(0xBADB17 ^ flips);
+            for _ in 0..flips {
+                let s = rng.below(g.num_states() as u32);
+                let act = rng.below(g.num_actions() as u32);
+                let bit = if sign_only { 15 } else { rng.below(16) };
+                a.inject_q_bit_flip(s, act, bit);
             }
+            let after = step_optimality(&g, &a.greedy_policy(), &dists);
+
+            // Recover.
+            let mut recovery = None;
+            let budget = 4 * train_samples;
+            let chunk = (budget / 100).max(1);
+            let mut used = 0u64;
+            while used < budget {
+                a.train_samples(&g, chunk);
+                used += chunk;
+                if step_optimality(&g, &a.greedy_policy(), &dists) >= before - 0.02 {
+                    recovery = Some(used);
+                    break;
+                }
+            }
+            rows.push(SeuRow {
+                mode: format!("{mode:?}"),
+                flips,
+                sign_bits_only: sign_only,
+                optimality_before: before,
+                optimality_after: after,
+                recovery_samples: recovery,
+            });
         }
-        rows.push(SeuRow {
-            mode: format!("{mode:?}"),
-            flips,
-            sign_bits_only: sign_only,
-            optimality_before: before,
-            optimality_after: after,
-            recovery_samples: recovery,
-        });
-    }
     }
     Seu { states, rows }
 }
@@ -141,13 +147,27 @@ impl Seu {
             .collect();
         render_table(
             &format!("SEU robustness ({} states, Q8.8 BRAM)", self.states),
-            &["mode", "flips", "bits", "opt before", "opt after", "recovery"],
+            &[
+                "mode",
+                "flips",
+                "bits",
+                "opt before",
+                "opt after",
+                "recovery",
+            ],
             &rows,
         )
     }
 }
 
-crate::impl_to_json!(SeuRow { mode, flips, sign_bits_only, optimality_before, optimality_after, recovery_samples });
+crate::impl_to_json!(SeuRow {
+    mode,
+    flips,
+    sign_bits_only,
+    optimality_before,
+    optimality_after,
+    recovery_samples
+});
 crate::impl_to_json!(Seu { states, rows });
 
 #[cfg(test)]

@@ -71,7 +71,13 @@ impl Table1 {
     }
 }
 
-crate::impl_to_json!(Case { case, states, side, actions, pairs_a8 });
+crate::impl_to_json!(Case {
+    case,
+    states,
+    side,
+    actions,
+    pairs_a8
+});
 crate::impl_to_json!(Table1 { cases });
 
 #[cfg(test)]

@@ -98,7 +98,14 @@ impl Table2 {
     }
 }
 
-crate::impl_to_json!(Table2Row { states, actions, cpu_dict_sps, cpu_dense_sps, fpga_sps, speedup });
+crate::impl_to_json!(Table2Row {
+    states,
+    actions,
+    cpu_dict_sps,
+    cpu_dense_sps,
+    fpga_sps,
+    speedup
+});
 crate::impl_to_json!(Table2 { rows });
 
 #[cfg(test)]

@@ -23,7 +23,9 @@ pub fn paper_grid(num_states: usize, num_actions: usize) -> GridWorld {
         8 => ActionSet::Eight,
         _ => panic!("the paper evaluates 4 or 8 actions, got {num_actions}"),
     };
-    let mut b = GridWorld::builder(side, side).goal(side - 1, side - 1).actions(actions);
+    let mut b = GridWorld::builder(side, side)
+        .goal(side - 1, side - 1)
+        .actions(actions);
     // A sparse diagonal obstacle band, avoiding start/goal corners.
     if side >= 8 {
         for i in (2..side - 2).step_by(4) {

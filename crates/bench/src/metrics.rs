@@ -14,9 +14,8 @@ use qtaccel_accel::executor::ShardedExecutor;
 use qtaccel_accel::{AccelConfig, HazardMode, IndependentPipelines, QLearningAccel};
 use qtaccel_fixed::{QValue, Q8_8};
 use qtaccel_telemetry::{
-    stall_run_lengths, CounterBank, CountersOnly, HealthConfig, HealthProbe, HealthSink,
-    Histogram, Json, MetricsRegistry, RingSink, SpanTracer, ToJson, TraceSink, Watchdog,
-    WatchdogConfig,
+    stall_run_lengths, CounterBank, CountersOnly, HealthConfig, HealthProbe, HealthSink, Histogram,
+    Json, MetricsRegistry, RingSink, SpanTracer, ToJson, TraceSink, Watchdog, WatchdogConfig,
 };
 use std::sync::Arc;
 
@@ -153,8 +152,13 @@ pub fn measure_latency(bank_states: usize, pipes: usize, samples: u64) -> Latenc
     let pool = Arc::new(ShardedExecutor::new_instrumented(
         (qtaccel_telemetry::manifest::host_parallelism() as usize).min(pipes.max(2)),
     ));
-    let envs: Vec<_> = (0..pipes).map(|_| paper_grid(bank_states, ACTIONS)).collect();
-    let tracer = Arc::new(SpanTracer::new(AccelConfig::default().trainer.seed, 1 << 12));
+    let envs: Vec<_> = (0..pipes)
+        .map(|_| paper_grid(bank_states, ACTIONS))
+        .collect();
+    let tracer = Arc::new(SpanTracer::new(
+        AccelConfig::default().trainer.seed,
+        1 << 12,
+    ));
     let mut banks = IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(
         &envs,
         AccelConfig::default(),
@@ -331,7 +335,13 @@ mod tests {
 
         let p = parse(&r.to_json().pretty()).expect("health JSON parses");
         assert_eq!(p.get("banks").unwrap().as_u64(), Some(2));
-        assert!(p.get("snapshot").unwrap().get("td").unwrap().get("p99").is_some());
+        assert!(p
+            .get("snapshot")
+            .unwrap()
+            .get("td")
+            .unwrap()
+            .get("p99")
+            .is_some());
 
         let mut reg = MetricsRegistry::new();
         r.register_into(&mut reg);

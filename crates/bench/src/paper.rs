@@ -30,7 +30,7 @@ pub const FIG6_THROUGHPUT_MSPS: [(usize, Option<f64>); 7] = [
     (256, Some(187.0)),
     (1024, Some(187.0)),
     (4096, Some(186.0)),
-    (16384, None), // bar present, value not printed
+    (16384, None),        // bar present, value not printed
     (65536, Some(175.0)), // read off the bar chart; approximate
     (262144, Some(156.0)),
 ];

@@ -99,10 +99,7 @@ mod tests {
         let t = render_table(
             "t",
             &["a", "bbbb"],
-            &[
-                vec!["1".into(), "2".into()],
-                vec!["333".into(), "4".into()],
-            ],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
         // title, header, separator, two data rows.
         let lines: Vec<&str> = t.lines().collect();
@@ -141,7 +138,13 @@ mod tests {
             maybe: Option<u64>,
             pair: (u64, f64),
         }
-        impl_to_json!(Demo { n, rate, label, maybe, pair });
+        impl_to_json!(Demo {
+            n,
+            rate,
+            label,
+            maybe,
+            pair
+        });
         let d = Demo {
             n: 3,
             rate: 0.25,
@@ -159,9 +162,15 @@ mod tests {
 
     #[test]
     fn save_json_stamps_a_provenance_manifest() {
-        let p = save_json("__emitter_smoke", &Json::Obj(vec![("ok", Json::Bool(true))]));
+        let p = save_json(
+            "__emitter_smoke",
+            &Json::Obj(vec![("ok", Json::Bool(true))]),
+        );
         let body = std::fs::read_to_string(&p).unwrap();
-        assert!(body.starts_with("{\n  \"ok\": true,\n  \"manifest\": {"), "{body}");
+        assert!(
+            body.starts_with("{\n  \"ok\": true,\n  \"manifest\": {"),
+            "{body}"
+        );
         // The stamped report re-parses through the telemetry parser.
         let v = qtaccel_telemetry::json::parse(&body).unwrap();
         assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true));

@@ -77,7 +77,10 @@ impl std::fmt::Display for ClusterError {
                  this worker requires CAP_LEASE_V1"
             ),
             ClusterError::RetriesExhausted { attempts } => {
-                write!(f, "reconnect retry budget exhausted after {attempts} attempts")
+                write!(
+                    f,
+                    "reconnect retry budget exhausted after {attempts} attempts"
+                )
             }
             ClusterError::Protocol(what) => write!(f, "protocol violation: {what}"),
             ClusterError::Io(e) => write!(f, "io failure: {e}"),

@@ -108,7 +108,11 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// Sensible defaults for a localhost worker.
-    pub fn new(addr: impl Into<String>, worker_id: u64, dir: impl Into<std::path::PathBuf>) -> Self {
+    pub fn new(
+        addr: impl Into<String>,
+        worker_id: u64,
+        dir: impl Into<std::path::PathBuf>,
+    ) -> Self {
         Self {
             addr: addr.into(),
             worker_id,
@@ -179,7 +183,9 @@ pub fn run_worker(spec: &ClusterSpec, cfg: &WorkerConfig) -> Result<WorkerReport
         let mut session = loop {
             attempts += 1;
             if attempts > cfg.max_attempts {
-                return Err(ClusterError::RetriesExhausted { attempts: attempts - 1 });
+                return Err(ClusterError::RetriesExhausted {
+                    attempts: attempts - 1,
+                });
             }
             match WireClient::connect(
                 cfg.addr.as_str(),

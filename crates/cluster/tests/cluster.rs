@@ -22,11 +22,7 @@ use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
 use qtaccel_telemetry::{FramePayload, MetricValue, MetricsRegistry, WireClient};
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "qtaccel-cluster-{}-{}",
-        name,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("qtaccel-cluster-{}-{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mk tmpdir");
     dir
@@ -442,9 +438,17 @@ fn a_session_cannot_complete_a_lease_it_does_not_hold() {
     let s = spec();
     let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
     let mut a = raw_session(coord.addr(), 1);
-    assert_eq!(next_lease(&mut a)[..2], [0, 1], "A holds lease 0 at epoch 1");
+    assert_eq!(
+        next_lease(&mut a)[..2],
+        [0, 1],
+        "A holds lease 0 at epoch 1"
+    );
     let mut b = raw_session(coord.addr(), 2);
-    assert_eq!(next_lease(&mut b)[..2], [1, 1], "B holds lease 1 at epoch 1");
+    assert_eq!(
+        next_lease(&mut b)[..2],
+        [1, 1],
+        "B holds lease 1 at epoch 1"
+    );
 
     // B completes A's lease, at A's epoch, with a 5-sample delta.
     b.send(FramePayload::LeaseDone {
@@ -505,7 +509,10 @@ fn an_expired_session_gets_no_lease_until_it_speaks() {
     let status = coord.status();
     assert_eq!(status.deadline_expirations, 1, "{status:?}");
     assert!(!status.failed, "{status:?}");
-    assert_eq!(status.leases[0].0, 2, "one assignment, one expiry: {status:?}");
+    assert_eq!(
+        status.leases[0].0, 2,
+        "one assignment, one expiry: {status:?}"
+    );
     assert!(
         status.leases[1..].iter().all(|&(epoch, _, _)| epoch == 0),
         "the silent session was handed nothing else: {status:?}"
@@ -626,9 +633,15 @@ fn a_lease_outside_the_spec_is_refused_not_trained() {
         checkpoint_every,
     };
     for (row, forged) in [
-        ("shard past the spec", lease(s.shards() as u64, budget, s.checkpoint_every)),
+        (
+            "shard past the spec",
+            lease(s.shards() as u64, budget, s.checkpoint_every),
+        ),
         ("zero cadence", lease(0, budget, 0)),
-        ("budget off the spec", lease(0, budget + 1, s.checkpoint_every)),
+        (
+            "budget off the spec",
+            lease(0, budget + 1, s.checkpoint_every),
+        ),
     ] {
         // A fake coordinator: a verified handshake, the forged lease,
         // then the worker's first answer that is not a heartbeat.
@@ -659,7 +672,10 @@ fn a_lease_outside_the_spec_is_refused_not_trained() {
         let mut cfg = WorkerConfig::new(addr.to_string(), 9, tmp("forged-lease"));
         cfg.max_attempts = 1;
         let outcome = run_worker(&s, &cfg);
-        assert!(matches!(outcome, Err(ClusterError::Protocol(_))), "{row}: {outcome:?}");
+        assert!(
+            matches!(outcome, Err(ClusterError::Protocol(_))),
+            "{row}: {outcome:?}"
+        );
         let answer = fake.join().expect("fake coordinator");
         let refused = FramePayload::Goodbye {
             reason: goodbye_reason::REFUSED,

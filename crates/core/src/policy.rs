@@ -94,12 +94,7 @@ impl Policy {
 
 /// The greedy component shared by `Greedy` and `EpsilonGreedy`.
 #[inline]
-fn greedy_action<V: QValue>(
-    q: &QTable<V>,
-    qmax: &QmaxTable<V>,
-    mode: MaxMode,
-    s: State,
-) -> Action {
+fn greedy_action<V: QValue>(q: &QTable<V>, qmax: &QmaxTable<V>, mode: MaxMode, s: State) -> Action {
     match mode {
         MaxMode::QmaxArray => qmax.get(s).1,
         MaxMode::ExactScan => q.max_exact(s).0,
@@ -371,13 +366,10 @@ mod tests {
         let mut rng = Lfsr32::new(23);
         let mut counts = [0u32; 4];
         for _ in 0..40_000 {
-            let a = Policy::Boltzmann { temperature: 1000.0 }.select(
-                &q,
-                &m,
-                MaxMode::ExactScan,
-                0,
-                &mut rng,
-            );
+            let a = Policy::Boltzmann {
+                temperature: 1000.0,
+            }
+            .select(&q, &m, MaxMode::ExactScan, 0, &mut rng);
             counts[a as usize] += 1;
         }
         for &c in &counts {

@@ -176,7 +176,11 @@ impl<V: QValue> QmaxTable<V> {
     /// frozen random walk, which bootstraps exactly like textbook
     /// random-tie-breaking SARSA. In hardware this is one line in the
     /// BRAM init file.
-    pub fn randomize_actions(&mut self, num_actions: u32, rng: &mut dyn qtaccel_hdl::rng::RngSource) {
+    pub fn randomize_actions(
+        &mut self,
+        num_actions: u32,
+        rng: &mut dyn qtaccel_hdl::rng::RngSource,
+    ) {
         for e in &mut self.entries {
             e.1 = rng.below(num_actions);
         }
@@ -272,7 +276,8 @@ impl PackedQTable {
     #[inline]
     pub fn get<V: QValue>(&self, s: State, a: Action) -> V {
         let (word, lane) = self.locate(s, a);
-        self.policy.dequantize(self.policy.extract_code(self.words[word], lane))
+        self.policy
+            .dequantize(self.policy.extract_code(self.words[word], lane))
     }
 
     /// Store (s, a), snapping to the stored grid with round-to-nearest.

@@ -273,11 +273,8 @@ impl<V: QValue, E: Environment> RefTrainer<V, E> {
             }
             Policy::EpsilonGreedy { epsilon } => {
                 let thr = qtaccel_hdl::rng::epsilon_to_q32(epsilon);
-                match qtaccel_hdl::rng::epsilon_greedy_draw(
-                    &mut self.update_rng,
-                    thr,
-                    num_actions,
-                ) {
+                match qtaccel_hdl::rng::epsilon_greedy_draw(&mut self.update_rng, thr, num_actions)
+                {
                     Some(a) => (a, self.q.get(s_next, a)),
                     None => {
                         let (v, a) = self.max_of(s_next);
@@ -492,8 +489,7 @@ mod tests {
             if !g.is_valid_state(s) || g.is_terminal(s) {
                 continue;
             }
-            let (Some(d), t_next) = (dists[s as usize], g.transition(s, policy[s as usize]))
-            else {
+            let (Some(d), t_next) = (dists[s as usize], g.transition(s, policy[s as usize])) else {
                 continue;
             };
             let dn = dists[t_next as usize].expect("moved to unreachable cell");
@@ -543,10 +539,8 @@ mod tests {
     #[test]
     fn qmax_vs_exact_scan_converge_to_same_policy() {
         let g = small_grid();
-        let mut hw = RefTrainer::<f64, _>::new(
-            g.clone(),
-            TrainerConfig::q_learning().with_seed(10),
-        );
+        let mut hw =
+            RefTrainer::<f64, _>::new(g.clone(), TrainerConfig::q_learning().with_seed(10));
         let mut sw = RefTrainer::<f64, _>::new(
             g,
             TrainerConfig::q_learning()
@@ -643,7 +637,10 @@ mod tests {
             }
             prev_next = Some(tr.s_next);
         }
-        assert!(restarts > 10, "random walk should reach the goal: {restarts}");
+        assert!(
+            restarts > 10,
+            "random walk should reach the goal: {restarts}"
+        );
     }
 
     #[test]

@@ -248,8 +248,14 @@ mod tests {
     fn pull_statistics_match_arm() {
         let mut b = GaussianBandit::new(
             vec![
-                Arm { mean: 0.0, std: 1.0 },
-                Arm { mean: 5.0, std: 0.5 },
+                Arm {
+                    mean: 0.0,
+                    std: 1.0,
+                },
+                Arm {
+                    mean: 5.0,
+                    std: 0.5,
+                },
             ],
             42,
         );
@@ -262,7 +268,13 @@ mod tests {
 
     #[test]
     fn zero_std_is_deterministic() {
-        let mut b = GaussianBandit::new(vec![Arm { mean: 2.0, std: 0.0 }], 7);
+        let mut b = GaussianBandit::new(
+            vec![Arm {
+                mean: 2.0,
+                std: 0.0,
+            }],
+            7,
+        );
         for _ in 0..10 {
             assert_eq!(b.pull(0), 2.0);
         }
@@ -397,6 +409,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "negative std")]
     fn negative_std_rejected() {
-        GaussianBandit::new(vec![Arm { mean: 0.0, std: -1.0 }], 1);
+        GaussianBandit::new(
+            vec![Arm {
+                mean: 0.0,
+                std: -1.0,
+            }],
+            1,
+        );
     }
 }

@@ -246,7 +246,10 @@ impl GridWorld {
         actions: ActionSet,
         rng: &mut dyn RngSource,
     ) -> GridWorld {
-        assert!(obstacle_pct < 50, "obstacle density too high to stay solvable");
+        assert!(
+            obstacle_pct < 50,
+            "obstacle density too high to stay solvable"
+        );
         loop {
             let mut b = GridWorld::builder(width, height).actions(actions);
             let mut free = Vec::new();

@@ -96,7 +96,8 @@ impl<S: Storage, const FRAC: u32> Fixed<S, FRAC> {
     #[inline]
     pub fn from_int(x: i64) -> Self {
         Self::from_raw(S::from_i64_saturating(
-            x.checked_shl(FRAC).unwrap_or(if x >= 0 { i64::MAX } else { i64::MIN }),
+            x.checked_shl(FRAC)
+                .unwrap_or(if x >= 0 { i64::MAX } else { i64::MIN }),
         ))
     }
 

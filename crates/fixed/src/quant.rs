@@ -202,7 +202,8 @@ impl QuantPolicy {
     pub fn apply_raw(&self, raw: i64, rnd: u64) -> i64 {
         let mask = (1u64 << self.shift) - 1;
         let dither = (rnd & mask) as i64;
-        let code = (raw.saturating_add(dither) >> self.shift).clamp(self.min_code(), self.max_code());
+        let code =
+            (raw.saturating_add(dither) >> self.shift).clamp(self.min_code(), self.max_code());
         code << self.shift
     }
 
@@ -402,18 +403,9 @@ mod tests {
         let p = QuantPolicy::q4(); // rails −2.0 / +1.75 in Q8.8
         for rnd in [0u64, 1, 63] {
             // Far out of range both ways, including the working rails.
-            assert_eq!(
-                p.apply(Q8_8::from_f64(100.0), rnd),
-                p.max_value::<Q8_8>()
-            );
-            assert_eq!(
-                p.apply(Q8_8::max_value(), rnd),
-                p.max_value::<Q8_8>()
-            );
-            assert_eq!(
-                p.apply(Q8_8::from_f64(-100.0), rnd),
-                p.min_value::<Q8_8>()
-            );
+            assert_eq!(p.apply(Q8_8::from_f64(100.0), rnd), p.max_value::<Q8_8>());
+            assert_eq!(p.apply(Q8_8::max_value(), rnd), p.max_value::<Q8_8>());
+            assert_eq!(p.apply(Q8_8::from_f64(-100.0), rnd), p.min_value::<Q8_8>());
             assert_eq!(p.apply(Q8_8::min_value(), rnd), p.min_value::<Q8_8>());
         }
         // Just inside the rails stays put.
@@ -514,7 +506,7 @@ mod tests {
     #[test]
     fn round_nearest_is_the_deterministic_midpoint_rule() {
         let p = QuantPolicy::q8(); // step 4 raw units
-        // 101 is 1 above a code boundary: nearest is 100 (code 25).
+                                   // 101 is 1 above a code boundary: nearest is 100 (code 25).
         assert_eq!(p.round_nearest(Q8_8::from_raw(101)), Q8_8::from_raw(100));
         // 103 is 1 below: nearest is 104 (code 26).
         assert_eq!(p.round_nearest(Q8_8::from_raw(103)), Q8_8::from_raw(104));

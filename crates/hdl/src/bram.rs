@@ -317,8 +317,7 @@ mod tests {
 
     #[test]
     fn write_collision_port_b_policy() {
-        let mut b =
-            Bram::<u32>::new(8, 16).with_collision_policy(WriteCollisionPolicy::PortBWins);
+        let mut b = Bram::<u32>::new(8, 16).with_collision_policy(WriteCollisionPolicy::PortBWins);
         b.issue_write(BramPort::A, 4, 1);
         b.issue_write(BramPort::B, 4, 2);
         b.tick();
@@ -350,7 +349,11 @@ mod tests {
     fn inject_counts_but_poke_does_not() {
         let mut b = Bram::<u32>::new(8, 16);
         b.poke(1, 5);
-        assert_eq!(b.stats().injected_writes, 0, "poke is configuration, not a fault");
+        assert_eq!(
+            b.stats().injected_writes,
+            0,
+            "poke is configuration, not a fault"
+        );
         b.inject(1, 6);
         b.inject(2, 7);
         assert_eq!(b.peek(1), 6);

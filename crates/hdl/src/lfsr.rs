@@ -162,8 +162,8 @@ impl NormalLfsr {
         // distinct reset values would be chosen per register in hardware.
         let lfsrs = (0..k)
             .map(|i| {
-                let mut z = (seed as u64)
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
+                let mut z =
+                    (seed as u64).wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1));
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 Lfsr32::new((z ^ (z >> 31)) as u32)
@@ -262,16 +262,34 @@ mod tests {
     #[test]
     fn lfsr32_pinned_golden_words() {
         const GOLD_1: [u32; 8] = [
-            0x8A0F_3DB5, 0x90BD_2FA6, 0x44C3_8D95, 0x9725_42A4,
-            0xCAE5_AE48, 0x743C_EA61, 0xD57C_C71C, 0x875E_9ED7,
+            0x8A0F_3DB5,
+            0x90BD_2FA6,
+            0x44C3_8D95,
+            0x9725_42A4,
+            0xCAE5_AE48,
+            0x743C_EA61,
+            0xD57C_C71C,
+            0x875E_9ED7,
         ];
         const GOLD_ACE1: [u32; 8] = [
-            0xE4CF_DF41, 0xE0E1_1F53, 0x57F5_9106, 0x6064_42CC,
-            0xC44B_DE46, 0xAD68_A2E5, 0x183E_3599, 0x4758_B56B,
+            0xE4CF_DF41,
+            0xE0E1_1F53,
+            0x57F5_9106,
+            0x6064_42CC,
+            0xC44B_DE46,
+            0xAD68_A2E5,
+            0x183E_3599,
+            0x4758_B56B,
         ];
         const GOLD_BEEF: [u32; 8] = [
-            0x96DC_5A83, 0x39E7_D287, 0x45F0_53CA, 0x0210_9929,
-            0x0547_B9D9, 0x1333_280A, 0x2EED_DAF6, 0xA43D_4058,
+            0x96DC_5A83,
+            0x39E7_D287,
+            0x45F0_53CA,
+            0x0210_9929,
+            0x0547_B9D9,
+            0x1333_280A,
+            0x2EED_DAF6,
+            0xA43D_4058,
         ];
         for (seed, gold) in [
             (1u32, &GOLD_1),
@@ -334,8 +352,8 @@ mod tests {
         let mut n = NormalLfsr::new(31337);
         let samples: Vec<f64> = (0..200_000).map(|_| n.sample_standard()).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-            / samples.len() as f64;
+        let var =
+            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.02, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.05, "var = {var}");
     }

@@ -146,7 +146,7 @@ pub fn perf_regfile_report(num_counters: u64, counter_bits: u64) -> ResourceRepo
     let ff = num_counters * counter_bits;
     let lut = num_counters * counter_bits          // increment adders
         + counter_bits * num_counters.div_ceil(2)  // readback mux first level
-        + 8;                                       // address decode
+        + 8; // address decode
     ResourceReport {
         dsp: 0,
         bram36: 0,
@@ -171,7 +171,7 @@ pub fn histogram_regfile_report(num_buckets: u64, counter_bits: u64) -> Resource
     let ff = num_buckets * counter_bits + counter_bits; // buckets + running sum
     let lut = num_buckets * counter_bits          // increment adders
         + counter_bits * num_buckets.div_ceil(2)  // readback mux first level
-        + 96;                                     // 64-bit LZC bucket select
+        + 96; // 64-bit LZC bucket select
     ResourceReport {
         dsp: 0,
         bram36: 0,
@@ -241,13 +241,13 @@ pub fn secded_report(data_bits: u32) -> ResourceReport {
     let k = data_bits as u64;
     let p = s.hamming_parity_bits() as u64;
     let m = k + p; // Hamming codeword, without the overall-parity bit
-    // XOR chain of n inputs: ceil((n-1)/5) LUT6s.
+                   // XOR chain of n inputs: ceil((n-1)/5) LUT6s.
     let xor_luts = |inputs: u64| inputs.saturating_sub(1).div_ceil(5);
     let parity_trees = p * xor_luts(m.div_ceil(2)) + xor_luts(m + 1);
     let lut = parity_trees      // encoder
         + parity_trees          // decoder syndrome re-derivation
         + k                     // syndrome decode (position match per data bit)
-        + k;                    // correction XOR per data bit
+        + k; // correction XOR per data bit
     ResourceReport {
         dsp: 0,
         bram36: 0,
@@ -324,12 +324,7 @@ impl FmaxModel {
     /// Modeled throughput in **million samples per second** for a design
     /// that retires `samples_per_cycle` updates per clock (1.0 for a full
     /// pipeline, less when stalling, 2.0 for the dual pipeline).
-    pub fn throughput_msps(
-        &self,
-        device: &Device,
-        n_states: u64,
-        samples_per_cycle: f64,
-    ) -> f64 {
+    pub fn throughput_msps(&self, device: &Device, n_states: u64, samples_per_cycle: f64) -> f64 {
         self.fmax_mhz(device, n_states) * samples_per_cycle
     }
 }
@@ -403,7 +398,7 @@ mod tests {
             uram: 0,
             lut: 1000,
             ff: 500,
-            };
+        };
         let u = r.utilization(&Device::XCVU13P);
         assert!((u.dsp_pct - 4.0 / 12288.0 * 100.0).abs() < 1e-9);
         // The paper's largest test case lands near 80 % BRAM.

@@ -200,8 +200,11 @@ impl Collector {
         let state = Arc::new(Mutex::new(CollectorState::default()));
         let stop = Arc::new(AtomicBool::new(false));
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (state_t, stop_t, handles_t) =
-            (Arc::clone(&state), Arc::clone(&stop), Arc::clone(&conn_handles));
+        let (state_t, stop_t, handles_t) = (
+            Arc::clone(&state),
+            Arc::clone(&stop),
+            Arc::clone(&conn_handles),
+        );
         let accept_handle = std::thread::Builder::new()
             .name("qtaccel-collector".into())
             .spawn(move || {
@@ -351,11 +354,7 @@ impl Drop for Collector {
 }
 
 /// Sniff the protocol (without consuming bytes) and dispatch.
-fn serve_connection(
-    stream: TcpStream,
-    state: Arc<Mutex<CollectorState>>,
-    stop: Arc<AtomicBool>,
-) {
+fn serve_connection(stream: TcpStream, state: Arc<Mutex<CollectorState>>, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(WIRE_POLL));
     let mut first = [0u8; 8];
     // peek() does not consume, so the dispatched handler reads the full
@@ -734,14 +733,21 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(collector.decode_errors(), 1, "refusal is counted");
-        assert_eq!(collector.frames_total(), 3, "the refused frame is not accepted");
+        assert_eq!(
+            collector.frames_total(),
+            3,
+            "the refused frame is not accepted"
+        );
         assert_eq!(
             collector.merged_registry().get("qtaccel_samples_total"),
             Some(&MetricValue::Counter(u64::MAX - 5)),
             "nothing from the overflowing frame merged"
         );
         assert!(
-            collector.merged_registry().get("qtaccel_executor_chunk_service_ns").is_none(),
+            collector
+                .merged_registry()
+                .get("qtaccel_executor_chunk_service_ns")
+                .is_none(),
             "not even the metric that fit"
         );
     }
@@ -751,8 +757,8 @@ mod tests {
         let collector = Collector::serve("127.0.0.1:0").expect("bind");
         let mut client = WireClient::connect(collector.addr(), 4, "torn").expect("connect");
         wait_until(&collector, 1); // the hello landed whole
-        // Ship exactly half a metrics frame, then die — the collector
-        // sees EOF with residue in its FrameReader.
+                                   // Ship exactly half a metrics frame, then die — the collector
+                                   // sees EOF with residue in its FrameReader.
         let bytes = Frame {
             worker: 4,
             seq: 1,
@@ -855,7 +861,9 @@ mod tests {
         // A slow-loris client: partial request head, then silence. The
         // read deadline abandons it within IO_TIMEOUT.
         let mut loris = TcpStream::connect(server.addr()).expect("connect");
-        loris.write_all(b"GET /metrics HTTP/1.1\r\nHost: qt").expect("partial head");
+        loris
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: qt")
+            .expect("partial head");
 
         // A client streaming an unbounded "request": the size cap answers
         // 431 instead of buffering it all.
@@ -936,7 +944,14 @@ mod tests {
         let mut process_names: Vec<&str> = events
             .iter()
             .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("process_name"))
-            .map(|e| e.get("args").unwrap().get("name").unwrap().as_str().unwrap())
+            .map(|e| {
+                e.get("args")
+                    .unwrap()
+                    .get("name")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+            })
             .collect();
         process_names.sort_unstable();
         assert_eq!(process_names, ["shard-0", "shard-1"]);

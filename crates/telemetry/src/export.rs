@@ -196,9 +196,12 @@ pub fn check_openmetrics(text: &str) -> Result<(), String> {
         if !value_ok {
             return err("unparseable sample value");
         }
-        let belongs = families
-            .iter()
-            .any(|f| name == f || name.strip_prefix(f.as_str()).is_some_and(|s| s.starts_with('_')));
+        let belongs = families.iter().any(|f| {
+            name == f
+                || name
+                    .strip_prefix(f.as_str())
+                    .is_some_and(|s| s.starts_with('_'))
+        });
         if !belongs {
             return err("sample for undeclared family");
         }
@@ -493,9 +496,7 @@ pub fn chrome_trace_with_health(
 ) -> Json {
     let mut doc = chrome_trace(tracks);
     if let Json::Obj(fields) = &mut doc {
-        if let Some((_, Json::Arr(events))) =
-            fields.iter_mut().find(|(k, _)| *k == "traceEvents")
-        {
+        if let Some((_, Json::Arr(events))) = fields.iter_mut().find(|(k, _)| *k == "traceEvents") {
             for (name, series) in health {
                 events.extend(health_counter_tracks(name, series));
             }
@@ -509,7 +510,10 @@ pub fn chrome_trace_with_health(
 pub fn chrome_trace_from_jsonl(tracks: &[(String, String)]) -> Result<Json, String> {
     let mut parsed = Vec::with_capacity(tracks.len());
     for (name, text) in tracks {
-        parsed.push((name.clone(), events_from_jsonl(text).map_err(|e| format!("{name}: {e}"))?));
+        parsed.push((
+            name.clone(),
+            events_from_jsonl(text).map_err(|e| format!("{name}: {e}"))?,
+        ));
     }
     Ok(chrome_trace(&parsed))
 }
@@ -567,12 +571,12 @@ mod tests {
     #[test]
     fn checker_rejects_malformed_documents() {
         for bad in [
-            "",                                           // no EOF
-            "qtaccel_x 1\n# EOF\n",                       // undeclared family
-            "# TYPE qtaccel_x gauge\nqtaccel_x\n# EOF\n", // no value
-            "# TYPE qtaccel_x wat\n# EOF\n",              // bad type
+            "",                                               // no EOF
+            "qtaccel_x 1\n# EOF\n",                           // undeclared family
+            "# TYPE qtaccel_x gauge\nqtaccel_x\n# EOF\n",     // no value
+            "# TYPE qtaccel_x wat\n# EOF\n",                  // bad type
             "# TYPE qtaccel_x gauge\nqtaccel_x one\n# EOF\n", // bad value
-            "# EOF\ntrailing 1\n",                        // content after EOF
+            "# EOF\ntrailing 1\n",                            // content after EOF
         ] {
             assert!(check_openmetrics(bad).is_err(), "should reject {bad:?}");
         }
@@ -634,8 +638,7 @@ mod tests {
             let ts: Vec<u64> = events
                 .iter()
                 .filter(|e| {
-                    e.get("tid").and_then(|t| t.as_u64()) == Some(tid)
-                        && e.get("ts").is_some()
+                    e.get("tid").and_then(|t| t.as_u64()) == Some(tid) && e.get("ts").is_some()
                 })
                 .map(|e| e.get("ts").unwrap().as_u64().unwrap())
                 .collect();
@@ -670,15 +673,21 @@ mod tests {
             .iter()
             .map(|e| e.get("name").unwrap().as_str().unwrap())
             .collect();
-        for suffix in ["td_error_p99", "policy_churn", "near_rail", "state_coverage"] {
-            assert!(names.contains(&format!("p0/{suffix}").as_str()), "{names:?}");
+        for suffix in [
+            "td_error_p99",
+            "policy_churn",
+            "near_rail",
+            "state_coverage",
+        ] {
+            assert!(
+                names.contains(&format!("p0/{suffix}").as_str()),
+                "{names:?}"
+            );
         }
         // Counters merge into one loadable document next to span tracks,
         // and the whole thing survives the strict parser.
-        let doc = chrome_trace_with_health(
-            &[("p0".into(), stall_stream())],
-            &[("p0".into(), series)],
-        );
+        let doc =
+            chrome_trace_with_health(&[("p0".into(), stall_stream())], &[("p0".into(), series)]);
         let reparsed = parse(&doc.compact()).expect("valid JSON");
         let n = reparsed.get("traceEvents").unwrap().as_arr().unwrap().len();
         let spans = parse(&chrome_trace(&[("p0".into(), stall_stream())]).compact()).unwrap();

@@ -81,7 +81,11 @@ pub fn rail_distance(bits: u64, width: u32) -> u64 {
     } else {
         (1i64 << (width - 1)) - 1
     };
-    let min = if width >= 64 { i64::MIN } else { -(1i64 << (width - 1)) };
+    let min = if width >= 64 {
+        i64::MIN
+    } else {
+        -(1i64 << (width - 1))
+    };
     (max.wrapping_sub(v) as u64).min(v.wrapping_sub(min) as u64)
 }
 
@@ -766,8 +770,7 @@ impl Watchdog {
         if dn >= self.config.min_window_probes {
             let buckets = probe.td_error().bucket_counts();
             let prev = &self.mark.td_buckets;
-            let delta_bucket =
-                |i: usize| buckets[i] - prev.get(i).copied().unwrap_or(0);
+            let delta_bucket = |i: usize| buckets[i] - prev.get(i).copied().unwrap_or(0);
             let td_n: u64 = (0..Histogram::BUCKETS).map(delta_bucket).sum();
 
             // Divergence: windowed p99 bucket index.
@@ -907,10 +910,7 @@ fn entry_json(seq: u64, entry: &FlightEntry) -> Json {
             ]),
         ),
     };
-    let mut fields = vec![
-        ("t", Json::Str(tag.into())),
-        ("seq", Json::UInt(seq)),
-    ];
+    let mut fields = vec![("t", Json::Str(tag.into())), ("seq", Json::UInt(seq))];
     match body {
         Json::Obj(inner) => fields.extend(inner),
         other => fields.push(("body", other)),
@@ -1242,7 +1242,10 @@ mod tests {
         for i in 0..100u64 {
             p2.observe_sample(i, i % 8, 0, 0, 32, true, i == 50);
         }
-        assert!(wd2.check(&p2, 0).is_empty(), "churned window is not stalled");
+        assert!(
+            wd2.check(&p2, 0).is_empty(),
+            "churned window is not stalled"
+        );
     }
 
     #[test]
@@ -1324,10 +1327,7 @@ mod tests {
 
     #[test]
     fn panic_dump_writes_a_parseable_post_mortem() {
-        let dir = std::env::temp_dir().join(format!(
-            "qtaccel-health-panic-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("qtaccel-health-panic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight.jsonl");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

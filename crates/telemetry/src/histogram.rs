@@ -144,7 +144,9 @@ impl Histogram {
     /// count would pass `u64::MAX`; [`MetricsRegistry::merge`] refuses
     /// such a histogram instead.
     pub fn merge(&mut self, other: &Histogram) {
-        *self = self.checked_merge(other).expect("histogram merge overflows u64");
+        *self = self
+            .checked_merge(other)
+            .expect("histogram merge overflows u64");
     }
 
     /// `self ⊕ other`, or `None` if a bucket or the count would pass
@@ -209,7 +211,14 @@ pub struct HistogramSummary {
     pub p99: u64,
 }
 
-impl_to_json!(HistogramSummary { count, sum, max, p50, p90, p99 });
+impl_to_json!(HistogramSummary {
+    count,
+    sum,
+    max,
+    p50,
+    p90,
+    p99
+});
 
 impl ToJson for Histogram {
     /// The summary plus the occupied buckets as `[upper_bound, count]`
@@ -504,10 +513,7 @@ impl ToJson for MetricsRegistry {
                             labels
                                 .iter()
                                 .map(|(k, v)| {
-                                    Json::Arr(vec![
-                                        Json::Str(k.clone()),
-                                        Json::Str(v.clone()),
-                                    ])
+                                    Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.clone())])
                                 })
                                 .collect(),
                         ),
@@ -522,8 +528,8 @@ impl ToJson for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MemKind;
     use crate::counters::CounterId;
+    use crate::event::MemKind;
     use crate::json::parse;
 
     #[test]
@@ -736,7 +742,9 @@ mod tests {
         hist.set_histogram("qtaccel_executor_chunk_service_ns", "svc", &full);
         assert_eq!(
             r.merge(&hist),
-            Err(MergeError::Overflow("qtaccel_executor_chunk_service_ns".into()))
+            Err(MergeError::Overflow(
+                "qtaccel_executor_chunk_service_ns".into()
+            ))
         );
         assert_eq!(r, before);
 
@@ -744,7 +752,10 @@ mod tests {
         let mut fits = MetricsRegistry::new();
         fits.set_counter("qtaccel_samples_total", "samples", 5);
         r.merge(&fits).expect("u64::MAX itself fits");
-        assert_eq!(r.get("qtaccel_samples_total"), Some(&MetricValue::Counter(u64::MAX)));
+        assert_eq!(
+            r.get("qtaccel_samples_total"),
+            Some(&MetricValue::Counter(u64::MAX))
+        );
     }
 
     #[test]
@@ -758,10 +769,14 @@ mod tests {
         delta.set_gauge("qtaccel_lease_completions_total", "leases", 1.0);
         assert_eq!(
             r.merge(&delta),
-            Err(MergeError::KindMismatch("qtaccel_lease_completions_total".into()))
+            Err(MergeError::KindMismatch(
+                "qtaccel_lease_completions_total".into()
+            ))
         );
         assert_eq!(r, before, "the counter before the mismatch did not apply");
-        assert!(MergeError::KindMismatch("x".into()).to_string().contains("changed kind"));
+        assert!(MergeError::KindMismatch("x".into())
+            .to_string()
+            .contains("changed kind"));
     }
 
     #[test]

@@ -534,7 +534,11 @@ mod tests {
         assert_eq!(Json::UInt(u64::MAX).pretty(), "18446744073709551615");
         assert_eq!(Json::Int(-7).pretty(), "-7");
         assert_eq!(Json::Num(1.5).pretty(), "1.5");
-        assert_eq!(Json::Num(3.0).pretty(), "3.0", "floats keep a decimal point");
+        assert_eq!(
+            Json::Num(3.0).pretty(),
+            "3.0",
+            "floats keep a decimal point"
+        );
         assert_eq!(Json::Num(f64::NAN).pretty(), "null");
         assert_eq!(
             Json::Str("a\"b\\c\nd\u{1}".into()).pretty(),
@@ -573,7 +577,13 @@ mod tests {
             maybe: Option<u64>,
             pair: (u64, f64),
         }
-        impl_to_json!(Demo { n, rate, label, maybe, pair });
+        impl_to_json!(Demo {
+            n,
+            rate,
+            label,
+            maybe,
+            pair
+        });
         let d = Demo {
             n: 3,
             rate: 0.25,

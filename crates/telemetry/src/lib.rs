@@ -80,6 +80,7 @@ pub mod sink;
 pub mod span;
 pub mod wire;
 
+pub use collector::{Collector, WireClient, WorkerView};
 pub use counters::{CounterBank, CounterId};
 pub use event::{Event, MemKind};
 pub use export::{
@@ -93,7 +94,6 @@ pub use health::{
 pub use histogram::{
     stall_run_lengths, Histogram, HistogramSummary, MergeError, MetricValue, MetricsRegistry,
 };
-pub use collector::{Collector, WireClient, WorkerView};
 pub use json::{Json, ToJson};
 pub use sink::{CountersOnly, JsonlSink, NullSink, RingSink, TraceSink};
 pub use span::{monotonic_ns, ActiveSpan, Span, SpanContext, SpanId, SpanTracer, TraceId};

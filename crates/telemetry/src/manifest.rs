@@ -34,8 +34,7 @@ fn git_output(args: &[&str]) -> Option<String> {
 
 /// Read git provenance for the current working directory.
 pub fn git_info() -> GitInfo {
-    let commit =
-        git_output(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
+    let commit = git_output(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
     let dirty = git_output(&["status", "--porcelain"])
         .map(|s| !s.is_empty())
         .unwrap_or(false);
@@ -126,8 +125,7 @@ mod tests {
         let info = git_info();
         assert!(
             info.commit == "unknown"
-                || (info.commit.len() == 40
-                    && info.commit.chars().all(|c| c.is_ascii_hexdigit()))
+                || (info.commit.len() == 40 && info.commit.chars().all(|c| c.is_ascii_hexdigit()))
         );
     }
 }

@@ -123,11 +123,17 @@ impl core::fmt::Display for WireError {
             WireError::Truncated => write!(f, "wire frame truncated mid-frame"),
             WireError::BadMagic => write!(f, "not a QTAccel telemetry stream (bad magic)"),
             WireError::BadVersion { found } => {
-                write!(f, "unsupported wire version {found} (this build speaks {VERSION})")
+                write!(
+                    f,
+                    "unsupported wire version {found} (this build speaks {VERSION})"
+                )
             }
             WireError::BadKind { found } => write!(f, "unknown wire frame kind {found}"),
             WireError::Oversized { words } => {
-                write!(f, "frame declares {words} payload words (cap {MAX_PAYLOAD_WORDS})")
+                write!(
+                    f,
+                    "frame declares {words} payload words (cap {MAX_PAYLOAD_WORDS})"
+                )
             }
             WireError::EmptyPayload => write!(f, "frame declares an empty payload"),
             WireError::BadCrc => write!(f, "wire frame CRC mismatch (corrupt frame)"),
@@ -510,11 +516,7 @@ fn take_registry(r: &mut WordReader<'_>) -> Result<MetricsRegistry, WireError> {
                     .collect();
                 reg.set_info(&name, &help, &borrowed);
             }
-            other => {
-                return Err(WireError::BadPayload(format!(
-                    "unknown metric tag {other}"
-                )))
-            }
+            other => return Err(WireError::BadPayload(format!("unknown metric tag {other}"))),
         }
     }
     Ok(reg)
@@ -745,7 +747,11 @@ mod tests {
         for v in [3u64, 9, 1000] {
             r.observe("qtaccel_executor_chunk_service_ns", "svc", v);
         }
-        r.set_info("qtaccel_build_info", "prov", &[("seed", "7"), ("format", "Q8.8")]);
+        r.set_info(
+            "qtaccel_build_info",
+            "prov",
+            &[("seed", "7"), ("format", "Q8.8")],
+        );
         r
     }
 
@@ -1012,7 +1018,9 @@ mod tests {
         );
         // prev ⊕ delta == cur for the additive kinds.
         let mut rebuilt = prev.clone();
-        rebuilt.merge(&delta).expect("a delta merges back onto its base");
+        rebuilt
+            .merge(&delta)
+            .expect("a delta merges back onto its base");
         assert_eq!(
             rebuilt.get("qtaccel_samples_total"),
             cur.get("qtaccel_samples_total")

@@ -330,7 +330,9 @@ fn deltas_compose_associatively_across_the_wire() {
         panic!("expected a metrics payload");
     };
     let mut rebuilt = prev.clone();
-    rebuilt.merge(&shipped).expect("a delta merges back onto its base");
+    rebuilt
+        .merge(&shipped)
+        .expect("a delta merges back onto its base");
     assert_eq!(
         rebuilt.get("qtaccel_samples_total"),
         cur.get("qtaccel_samples_total"),

@@ -24,14 +24,38 @@ use qtaccel::hdl::lfsr::Lfsr32;
 fn channels(seed: u32) -> GaussianBandit {
     GaussianBandit::new(
         vec![
-            Arm { mean: 0.55, std: 0.10 },
-            Arm { mean: 0.40, std: 0.15 },
-            Arm { mean: 0.72, std: 0.08 }, // the good channel
-            Arm { mean: 0.30, std: 0.20 },
-            Arm { mean: 0.65, std: 0.12 },
-            Arm { mean: 0.20, std: 0.05 },
-            Arm { mean: 0.50, std: 0.18 },
-            Arm { mean: 0.60, std: 0.10 },
+            Arm {
+                mean: 0.55,
+                std: 0.10,
+            },
+            Arm {
+                mean: 0.40,
+                std: 0.15,
+            },
+            Arm {
+                mean: 0.72,
+                std: 0.08,
+            }, // the good channel
+            Arm {
+                mean: 0.30,
+                std: 0.20,
+            },
+            Arm {
+                mean: 0.65,
+                std: 0.12,
+            },
+            Arm {
+                mean: 0.20,
+                std: 0.05,
+            },
+            Arm {
+                mean: 0.50,
+                std: 0.18,
+            },
+            Arm {
+                mean: 0.60,
+                std: 0.10,
+            },
         ],
         seed,
     )
@@ -87,7 +111,10 @@ fn main() {
 
     // Regret trajectory sample points.
     println!("\ncumulative regret over time:");
-    println!("{:>10} {:>12} {:>12} {:>12}", "round", "eps-greedy", "EXP3", "UCB1");
+    println!(
+        "{:>10} {:>12} {:>12} {:>12}",
+        "round", "eps-greedy", "EXP3", "UCB1"
+    );
     for &t in &[1_000usize, 10_000, 50_000, rounds - 1] {
         println!(
             "{:>10} {:>12.1} {:>12.1} {:>12.1}",

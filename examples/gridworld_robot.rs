@@ -63,8 +63,14 @@ fn main() {
     let sw_opt = step_optimality(&env, &sw.greedy_policy(), &dists);
 
     println!("step-optimality:");
-    println!("  Q-Learning accel ({}, 2M)  {ql_opt:.3}", Q8_8::format_name());
-    println!("  SARSA accel      ({}, 8M)  {sa_opt:.3}", Q8_8::format_name());
+    println!(
+        "  Q-Learning accel ({}, 2M)  {ql_opt:.3}",
+        Q8_8::format_name()
+    );
+    println!(
+        "  SARSA accel      ({}, 8M)  {sa_opt:.3}",
+        Q8_8::format_name()
+    );
     println!("  Q-Learning ref   (f64, 2M)   {sw_opt:.3}");
 
     let r = ql.resources();

@@ -44,7 +44,10 @@ fn main() {
         );
         stall_hist.merge(&stall_run_lengths(accel.sink().events()));
         merged.merge(accel.counters());
-        tracks.push((format!("pipeline-{i}"), accel.sink().events().copied().collect()));
+        tracks.push((
+            format!("pipeline-{i}"),
+            accel.sink().events().copied().collect(),
+        ));
     }
     registry.record_counter_bank(&merged);
     registry.set_histogram(
@@ -64,7 +67,10 @@ fn main() {
     server
         .update(|reg| reg.merge(&registry))
         .expect("a fresh scrape registry takes every metric");
-    println!("serving OpenMetrics on http://{}/metrics — scraping it back:\n", server.addr());
+    println!(
+        "serving OpenMetrics on http://{}/metrics — scraping it back:\n",
+        server.addr()
+    );
     let body = scrape(server.addr()).expect("self-scrape");
     print!("{body}");
 }

@@ -28,8 +28,7 @@ fn main() {
     let cycles = 300_000u64;
     let mut single = QLearningAccel::<Q8_8>::new(&arena, cfg);
     single.train_samples(&arena, cycles);
-    let single_opt =
-        step_optimality(&arena, &single.greedy_policy(), &arena.shortest_distances());
+    let single_opt = step_optimality(&arena, &single.greedy_policy(), &arena.shortest_distances());
 
     let mut dual = DualPipelineShared::<Q8_8>::new(&arena, cfg);
     dual.train_cycles(&arena, cycles);
@@ -60,7 +59,10 @@ fn main() {
     let mut rovers = IndependentPipelines::<Q8_8>::new(fleet.partitions(), cfg);
     let stats = rovers.train_samples(fleet.partitions(), 400_000);
 
-    println!("\nmode 2: {} independent rovers on 16x16 quadrants", rovers.len());
+    println!(
+        "\nmode 2: {} independent rovers on 16x16 quadrants",
+        rovers.len()
+    );
     println!(
         "  aggregate: {} samples in {} cycles ({:.2} samples/cycle)",
         stats.samples,

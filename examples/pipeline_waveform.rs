@@ -34,7 +34,10 @@ fn main() {
 
     let base = AccelConfig::default().with_seed(7);
     for (title, cfg) in [
-        ("Forwarding (the paper's design): solid diagonal, 1 sample/cycle", base),
+        (
+            "Forwarding (the paper's design): solid diagonal, 1 sample/cycle",
+            base,
+        ),
         (
             "Stall-only: the front end holds on every dependent update",
             base.with_hazard(HazardMode::StallOnly),

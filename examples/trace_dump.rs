@@ -30,12 +30,8 @@ fn main() {
         ),
     ] {
         let g = GridWorld::builder(2, 2).goal(1, 1).build();
-        let mut p = AccelPipeline::<Q8_8, PipelineTrace>::with_sink(
-            &g,
-            cfg,
-            0,
-            PipelineTrace::new(200),
-        );
+        let mut p =
+            AccelPipeline::<Q8_8, PipelineTrace>::with_sink(&g, cfg, 0, PipelineTrace::new(200));
         for _ in 0..64 {
             p.step(&g);
         }
@@ -51,7 +47,12 @@ fn main() {
         }
         println!("addr  counter         value");
         for id in CounterId::ALL {
-            println!("{:>4}  {:<14} {:>6}", id.addr(), id.name(), p.counters().get(id));
+            println!(
+                "{:>4}  {:<14} {:>6}",
+                id.addr(),
+                id.name(),
+                p.counters().get(id)
+            );
         }
         println!();
     }

@@ -10,11 +10,10 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use qtaccel::accel::{
-    AccelConfig, BanditAccel, BanditPolicy, ProbPolicyAccel, QLearningAccel, SarsaAccel,
-    WeightRule,
-};
 use qtaccel::accel::resources::{analyze, EngineKind};
+use qtaccel::accel::{
+    AccelConfig, BanditAccel, BanditPolicy, ProbPolicyAccel, QLearningAccel, SarsaAccel, WeightRule,
+};
 use qtaccel::core::eval::{evaluate_policy, step_optimality};
 use qtaccel::envs::{ActionSet, Environment, GaussianBandit, GridWorld};
 use qtaccel::fixed::Q8_8;
@@ -173,12 +172,8 @@ fn cmd_bandit(map: &HashMap<String, String>) -> Result<(), String> {
         other => return Err(format!("unknown bandit policy '{other}' (eps|exp3)")),
     };
     let mut env = GaussianBandit::linear_means(arms, 0.15, seed as u32);
-    let mut engine = BanditAccel::<Q8_8>::new(
-        arms,
-        policy,
-        0.1,
-        AccelConfig::default().with_seed(seed),
-    );
+    let mut engine =
+        BanditAccel::<Q8_8>::new(arms, policy, 0.1, AccelConfig::default().with_seed(seed));
     let regret = engine.run(&mut env, rounds);
     let est = engine.estimates();
     let best = est

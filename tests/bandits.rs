@@ -66,7 +66,10 @@ fn throughput_ordering_eps_beats_exp3_beats_nothing() {
     let te = eps.resources().throughput_msps;
     let tx = exp3.resources().throughput_msps;
     assert_eq!(te, 189.0, "one decision per clock");
-    assert!((tx - 63.0).abs() < 1.0, "log2(8)=3 cycles per decision: {tx}");
+    assert!(
+        (tx - 63.0).abs() < 1.0,
+        "log2(8)=3 cycles per decision: {tx}"
+    );
 }
 
 #[test]

@@ -43,7 +43,10 @@ fn sarsa_takes_a_safe_detour() {
             y == 2 && x > 0 && x < 11
         })
         .count();
-    assert!(edge_cells <= 2, "SARSA path should avoid the edge: {edge_cells}");
+    assert!(
+        edge_cells <= 2,
+        "SARSA path should avoid the edge: {edge_cells}"
+    );
 }
 
 #[test]
@@ -75,7 +78,11 @@ fn larger_cliffs_preserve_the_split() {
     let mut sa = SarsaAccel::<Q16_16>::new(&cliff, cfg(), 0.1);
     ql.train_samples(&cliff, 2_000_000);
     sa.train_samples(&cliff, 2_000_000);
-    let ql_path = cliff.rollout(&ql.greedy_policy(), 200).expect("QL reaches goal");
-    let sa_path = cliff.rollout(&sa.greedy_policy(), 200).expect("SARSA reaches goal");
+    let ql_path = cliff
+        .rollout(&ql.greedy_policy(), 200)
+        .expect("QL reaches goal");
+    let sa_path = cliff
+        .rollout(&sa.greedy_policy(), 200)
+        .expect("SARSA reaches goal");
     assert!(ql_path.len() <= sa_path.len(), "QL at least as short");
 }

@@ -24,10 +24,8 @@ fn q_learning_reaches_optimal_policy() {
     // adjacent cells tie, which can trap the greedy policy in a loop.
     // γ = 0.96875 (exactly representable) keeps per-step value gaps above
     // the quantum across the whole 16x16 grid.
-    let mut a = QLearningAccel::<Q8_8>::new(
-        &g,
-        AccelConfig::default().with_seed(1).with_gamma(0.96875),
-    );
+    let mut a =
+        QLearningAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(1).with_gamma(0.96875));
     a.train_samples(&g, 800_000);
     let policy = a.greedy_policy();
     let opt = step_optimality(&g, &policy, &g.shortest_distances());
@@ -69,8 +67,7 @@ fn eight_action_grid_uses_diagonals() {
 #[test]
 fn qmax_approximation_does_not_change_the_learned_policy_class() {
     let g = obstacle_grid();
-    let mut qmax_mode =
-        QLearningAccel::<Q16_16>::new(&g, AccelConfig::default().with_seed(4));
+    let mut qmax_mode = QLearningAccel::<Q16_16>::new(&g, AccelConfig::default().with_seed(4));
     let mut exact_mode = QLearningAccel::<Q16_16>::new(
         &g,
         AccelConfig::default()

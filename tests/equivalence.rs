@@ -143,10 +143,7 @@ fn equivalence_survives_long_runs() {
         .obstacles([(4, 4), (4, 5), (9, 9), (10, 9)])
         .build();
     let mut hw = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(1234));
-    let mut sw = RefTrainer::<Q8_8, _>::new(
-        g.clone(),
-        TrainerConfig::q_learning().with_seed(1234),
-    );
+    let mut sw = RefTrainer::<Q8_8, _>::new(g.clone(), TrainerConfig::q_learning().with_seed(1234));
     hw.train_samples(&g, 500_000);
     sw.run_samples(500_000);
     assert_eq!(hw.q_table().as_slice(), sw.q().as_slice());

@@ -62,7 +62,11 @@ fn independent_pipelines_linear_scaling_and_isolation() {
     let stats = fleet.train_samples(part.partitions(), 150_000);
     assert_eq!(fleet.len(), 8);
     assert_eq!(stats.samples, 8 * 150_000);
-    assert!(stats.samples_per_cycle() > 7.9, "{}", stats.samples_per_cycle());
+    assert!(
+        stats.samples_per_cycle() > 7.9,
+        "{}",
+        stats.samples_per_cycle()
+    );
 
     // Isolation: each pipeline's table has the dimensions of its own
     // sub-environment and learns it.
@@ -81,8 +85,7 @@ fn independent_pipelines_differ_across_seed_banks() {
     // other (they draw from different seed banks).
     let g = GridWorld::builder(8, 8).goal(7, 7).build();
     let envs = [g.clone(), g.clone()];
-    let mut fleet =
-        IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default().with_seed(77));
+    let mut fleet = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default().with_seed(77));
     fleet.train_samples(&envs, 5_000);
     let a = fleet.q_table(0);
     let b = fleet.q_table(1);

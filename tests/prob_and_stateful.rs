@@ -2,7 +2,9 @@
 //! generic probability-table policy engine (Eq. 4) and the stateful
 //! bandit engine.
 
-use qtaccel::accel::{AccelConfig, ProbPolicyAccel, QLearningAccel, StatefulBanditAccel, WeightRule};
+use qtaccel::accel::{
+    AccelConfig, ProbPolicyAccel, QLearningAccel, StatefulBanditAccel, WeightRule,
+};
 use qtaccel::core::eval::step_optimality;
 use qtaccel::envs::{ArmChain, Environment, GridWorld, StatefulBandit};
 use qtaccel::fixed::Q8_8;

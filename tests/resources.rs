@@ -30,7 +30,11 @@ fn largest_paper_case_fits_vu13p_at_high_bram() {
     );
     assert!(a.utilization.ff_pct < 0.1, "registers under 0.1%");
     // Fig. 6's right edge: ~153-156 MS/s.
-    assert!((150.0..160.0).contains(&a.throughput_msps), "{}", a.throughput_msps);
+    assert!(
+        (150.0..160.0).contains(&a.throughput_msps),
+        "{}",
+        a.throughput_msps
+    );
 }
 
 #[test]
