@@ -19,10 +19,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// The shapes, in the order each side's [`Shape`]s are built.
-const SHAPES: [&str; 4] = [
+const SHAPES: [&str; 6] = [
     "kernel  4 x 4096x8 Q-learning, 65,536-sample calls",
     "kernel  cluster tile (seed 1), 65,536-sample calls",
     "kernel  262,144x8 SARSA q8, 2^20-sample calls",
+    "kernel  4096x8 16-bit SARSA, 65,536-sample calls",
+    "kernel  65,536x8 16-bit Q-learning, 65,536-sample calls",
     "cycle   16,384x8 Q-learning, 2^17-sample calls",
 ];
 
@@ -177,6 +179,31 @@ macro_rules! side {
                     state: |p| (p.q_table(), p.qmax_table(), p.stats()),
                 };
 
+                let sarsa_env = paper_grid(4096);
+                let sarsa16 = Banks {
+                    pipes: vec![SarsaAccel::<Q8_8>::new(&sarsa_env, sarsa, EPSILON)],
+                    envs: vec![sarsa_env],
+                    rounds: 16,
+                    call: |p, env| {
+                        p.train_samples_fast(env, 1 << 16);
+                    },
+                    state: |p| (p.q_table(), p.qmax_table(), p.stats()),
+                };
+
+                // A table of 2^19 entries trained in calls of 2^16
+                // samples: a kernel that copies Q in and out per call
+                // moves eight entries each way per sample.
+                let wide_env = paper_grid(65_536);
+                let wide = Banks {
+                    pipes: vec![QLearningAccel::<Q8_8>::new(&wide_env, ql)],
+                    envs: vec![wide_env],
+                    rounds: 16,
+                    call: |p, env| {
+                        p.train_samples_fast(env, 1 << 16);
+                    },
+                    state: |p| (p.q_table(), p.qmax_table(), p.stats()),
+                };
+
                 let cycle_env = paper_grid(16_384);
                 let cycle = Banks {
                     pipes: vec![QLearningAccel::<Q8_8>::new(&cycle_env, ql)],
@@ -192,6 +219,8 @@ macro_rules! side {
                     Box::new(batch),
                     Box::new(cluster),
                     Box::new(spill),
+                    Box::new(sarsa16),
+                    Box::new(wide),
                     Box::new(cycle),
                 ]
             }
@@ -241,7 +270,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "{:<52} {:>9}  {:>24}  {:>24}",
+        "{:<56} {:>9}  {:>24}  {:>24}",
         "shape", "parent ms", "change/parent q1 med q3", "control/parent q1 med q3"
     );
     for (name, [change, parent, control]) in SHAPES.iter().zip(&secs) {
@@ -250,7 +279,7 @@ fn main() -> ExitCode {
         let [k1, km, k3] = ratio(control);
         let parent_ms = quartiles(parent.clone())[1] * 1e3;
         println!(
-            "{name:<52} {parent_ms:>9.3}  {c1:>7.4} {cm:>7.4} {c3:>7.4}  {k1:>8.4} {km:>7.4} {k3:>7.4}"
+            "{name:<56} {parent_ms:>9.3}  {c1:>7.4} {cm:>7.4} {c3:>7.4}  {k1:>8.4} {km:>7.4} {k3:>7.4}"
         );
     }
 

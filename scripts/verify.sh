@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline build, tests, lints, rustdoc with
-# warnings denied (a broken or private intra-doc link fails). The root
+# Tier-1 verification: offline build, rustfmt check, tests, lints,
+# rustdoc with warnings denied (a broken or private intra-doc link
+# fails). The root
 # manifest's [workspace.lints.rust] sets unsafe_code = "forbid" for every
 # lib, bin, test, example and bench of every member, so the build gates
 # fail on any `unsafe`; qtbench is a workspace of its own, and its
@@ -16,7 +17,7 @@
 # training-health suite (health-off bit-identity, engine-exact probes,
 # checkpointed probe state, the ECC-off divergence watchdog proof,
 # crash-dump JSONL round-trip); the quantized stored-format suite
-# (4/6/8-bit bit-exactness across executors x hazard modes,
+# (4/6/8/12-bit bit-exactness across executors x hazard modes,
 # golden-reference transitivity, on-grid invariants under faults,
 # checkpoint adoption, stored-rail health probes); the fast-path
 # equivalence suite (the stall-free kernel against the cycle-accurate
@@ -47,8 +48,8 @@
 # the tracked BENCH_throughput.json / BENCH_scaling.json baselines — (a)
 # holds with the health layer compiled in but disabled, keeping probes
 # free when off; the throughput bench also emits the roofline fields
-# (stream-triad roof, per-row achieved bytes/sec) and guards the packed
-# fast_q8 row at the roof row (best-of-N re-measured).
+# (stream-triad roof, per-row achieved bytes/sec) and guards the
+# quantized fast_q8 row at the roof row (best-of-N re-measured).
 # bench_faults runs the self-gating protection-ladder campaign
 # (unprotected degrades permanently, ECC corrects, ECC+scrub recovers to
 # >=95% of fault-free optimality); the format sweep's --check run
@@ -99,6 +100,11 @@ gate() {
 
 gate 1200 "cargo build (release, offline)" \
   cargo build --release --offline --workspace
+
+# Every workspace member is rustfmt-clean. The benchmark package and the
+# A/B probe crate (scripts/ab) are workspaces of their own, outside it.
+gate 300 "cargo fmt --check" \
+  cargo fmt --all -- --check
 
 gate 1200 "cargo test (offline)" \
   cargo test -q --offline --workspace
