@@ -34,6 +34,11 @@ use qtaccel_cluster::{
 };
 use qtaccel_telemetry::{manifest, Json, MetricValue, ToJson};
 
+/// The corrupt clients the chaos leg injects on the control port, one
+/// connection each: a non-QTACWIRE peer, and valid magic followed by
+/// silence mid-header (a torn frame). Each must count as a decode error.
+const CORRUPT_CLIENTS: [&[u8]; 2] = [b"POST /qtable HTTP/1.1\r\n\r\n", b"QTACWIRE"];
+
 /// One scaling-sweep row: a clean cluster run at a given process count.
 #[derive(Debug)]
 struct ScaleRow {
@@ -255,15 +260,10 @@ fn chaos_leg(spec: &ClusterSpec, failures: &mut Vec<String>) -> ChaosReport {
     let coord = Coordinator::serve(spec, cfg, "127.0.0.1:0").expect("serve coordinator");
     let addr = coord.addr().to_string();
 
-    // Wire corruption: a non-QTACWIRE peer and a torn-mid-frame peer.
-    {
+    for bytes in CORRUPT_CLIENTS {
         use std::io::Write;
         if let Ok(mut raw) = std::net::TcpStream::connect(coord.addr()) {
-            let _ = raw.write_all(b"POST /qtable HTTP/1.1\r\n\r\n");
-        }
-        if let Ok(mut raw) = std::net::TcpStream::connect(coord.addr()) {
-            // Valid magic, then silence mid-header: a torn frame.
-            let _ = raw.write_all(b"QTACWIRE");
+            let _ = raw.write_all(bytes);
         }
     }
 
@@ -330,8 +330,12 @@ fn chaos_leg(spec: &ClusterSpec, failures: &mut Vec<String>) -> ChaosReport {
         failures
             .push("chaos: the partitioned worker never forced a heartbeat-deadline expiry".into());
     }
-    if status.decode_errors < 1 {
-        failures.push("chaos: wire corruption was not counted as decode errors".into());
+    let corrupt_clients = CORRUPT_CLIENTS.len() as u64;
+    if status.decode_errors < corrupt_clients {
+        failures.push(format!(
+            "chaos: {} decode errors counted for {corrupt_clients} corrupt clients",
+            status.decode_errors
+        ));
     }
     if status.leases_reassigned < 3 {
         failures.push(format!(
@@ -353,7 +357,7 @@ fn chaos_leg(spec: &ClusterSpec, failures: &mut Vec<String>) -> ChaosReport {
     let report = ChaosReport {
         workers_killed: killed,
         stalled_partitions: 1,
-        corrupt_clients: 2,
+        corrupt_clients,
         leases_reassigned: status.leases_reassigned,
         deadline_expirations: status.deadline_expirations,
         refused_frames: status.refused_frames,

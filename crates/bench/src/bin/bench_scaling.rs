@@ -35,11 +35,11 @@ use qtaccel_accel::executor::{set_default_workers, ShardedExecutor};
 use qtaccel_accel::{AccelConfig, IndependentPipelines, QLearningAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
-use qtaccel_bench::metrics::measure_latency;
-use qtaccel_bench::report::{fmt_rate, results_dir};
+use qtaccel_bench::metrics::{measure_latency, serve_metrics};
+use qtaccel_bench::report::{check_floor, fmt_rate, results_dir};
 use qtaccel_bench::timing::bench;
 use qtaccel_fixed::Q8_8;
-use qtaccel_telemetry::{json, manifest, Collector, Json, ToJson};
+use qtaccel_telemetry::{json, manifest, Json, ToJson};
 use std::path::Path;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -298,7 +298,7 @@ fn main() {
         }
     }
     // The gate point may sit outside the sweep grid (e.g. --threads).
-    let mut gate_row = measure_scale(
+    let gate_row = measure_scale(
         GATE_PIPES,
         gate_workers,
         GATE_BANK_STATES,
@@ -348,18 +348,8 @@ fn main() {
     };
     // Opt-in OpenMetrics endpoint; the server lives to the end of main
     // so `curl http://ADDR/metrics` works while the report is written.
-    let _metrics_server = metrics_addr.map(|addr| {
-        let server = Collector::serve(&addr).unwrap_or_else(|e| {
-            eprintln!("error: --metrics-addr {addr}: {e}");
-            std::process::exit(2);
-        });
-        server.update(|reg| latency.register_into(reg));
-        println!(
-            "metrics: serving OpenMetrics on http://{}/metrics",
-            server.addr()
-        );
-        server
-    });
+    let _metrics_server =
+        metrics_addr.map(|addr| serve_metrics(&addr, |reg| latency.register_into(reg)));
 
     let report = Report {
         quick,
@@ -384,40 +374,16 @@ fn main() {
     println!("wrote {}", path.display());
 
     if let Some(base) = committed {
-        let floor = 0.95 * base;
-        let mut measured = report.gate_aggregate_rate;
-        // Best-of-N re-measurement before declaring a regression — see
-        // bench_throughput's guard for the rationale.
-        let mut retries = 0;
-        while measured < floor && retries < 4 {
-            retries += 1;
-            println!(
-                "baseline check: {} below floor {}, re-measuring (retry {retries}/4)",
-                fmt_rate(measured),
-                fmt_rate(floor),
-            );
-            gate_row = measure_scale(
+        check_floor("gate aggregate", base, report.gate_aggregate_rate, || {
+            measure_scale(
                 GATE_PIPES,
                 gate_workers,
                 GATE_BANK_STATES,
                 samples_for(quick, GATE_PIPES),
                 runs,
                 1.0,
-            );
-            measured = measured.max(gate_row.aggregate_samples_per_sec);
-        }
-        println!(
-            "baseline check: gate aggregate {} vs recorded {} (floor {})",
-            fmt_rate(measured),
-            fmt_rate(base),
-            fmt_rate(floor),
-        );
-        if measured < floor {
-            eprintln!(
-                "error: scale-out aggregate throughput regressed more than 5% \
-                 vs the recorded baseline"
-            );
-            std::process::exit(1);
-        }
+            )
+            .aggregate_samples_per_sec
+        });
     }
 }

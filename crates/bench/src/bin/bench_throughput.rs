@@ -50,14 +50,13 @@
 use qtaccel_accel::{AccelConfig, QLearningAccel, SarsaAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
-use qtaccel_bench::metrics::{measure_latency, register_build_info};
+use qtaccel_bench::metrics::{measure_latency, register_build_info, serve_metrics};
 use qtaccel_bench::paper::TABLE1_STATES;
-use qtaccel_bench::report::{fmt_rate, results_dir};
+use qtaccel_bench::report::{baseline_rate, check_floor, fmt_rate, results_dir};
 use qtaccel_bench::timing::{bench, stream_triad_bytes_per_sec};
 use qtaccel_fixed::{QuantPolicy, Q8_8};
 use qtaccel_telemetry::{
-    json, manifest, Collector, CountersOnly, HealthConfig, HealthSink, Json, ToJson, Watchdog,
-    WatchdogConfig,
+    manifest, CountersOnly, HealthConfig, HealthSink, Json, ToJson, Watchdog, WatchdogConfig,
 };
 use std::path::Path;
 use std::path::PathBuf;
@@ -361,56 +360,6 @@ fn gate_health_dump(samples: u64) -> Json {
     ])
 }
 
-/// The committed baseline's q_learning fast host rate at `states`, read
-/// back through the telemetry JSON parser.
-fn baseline_fast_rate(path: &Path, states: usize) -> Result<f64, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let v = json::parse(&text)?;
-    let rows = v
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("baseline JSON has no rows array")?;
-    for r in rows {
-        if r.get("algorithm").and_then(|x| x.as_str()) == Some("q_learning")
-            && r.get("engine").and_then(|x| x.as_str()) == Some("fast")
-            && r.get("states").and_then(|x| x.as_u64()) == Some(states as u64)
-        {
-            return r
-                .get("host_samples_per_sec")
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| "baseline row lacks host_samples_per_sec".into());
-        }
-    }
-    Err(format!("no q_learning/{states}/fast row in baseline"))
-}
-
-/// The committed baseline's packed 8-bit fast rate at `states`
-/// (q_learning, engine `fast_q8`). `Err` when the baseline predates the
-/// packed rows — the caller skips that guard with a note instead of
-/// failing.
-fn baseline_packed_rate(path: &Path, states: usize) -> Result<f64, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let v = json::parse(&text)?;
-    let rows = v
-        .get("rows")
-        .and_then(|r| r.as_arr())
-        .ok_or("baseline JSON has no rows array")?;
-    for r in rows {
-        if r.get("algorithm").and_then(|x| x.as_str()) == Some("q_learning")
-            && r.get("engine").and_then(|x| x.as_str()) == Some("fast_q8")
-            && r.get("states").and_then(|x| x.as_u64()) == Some(states as u64)
-        {
-            return r
-                .get("host_samples_per_sec")
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| "baseline row lacks host_samples_per_sec".into());
-        }
-    }
-    Err(format!("no q_learning/{states}/fast_q8 row in baseline"))
-}
-
 fn main() {
     let mut quick = false;
     let mut check_baseline = false;
@@ -531,10 +480,9 @@ fn main() {
         .join("../..")
         .join("BENCH_throughput.json");
     // Read the committed baselines before they can be overwritten below.
-    let committed_fast = baseline_fast_rate(&baseline_path, GATE_STATES);
-    let committed_packed = baseline_packed_rate(&baseline_path, ROOF_STATES);
+    let committed_packed = baseline_rate(&baseline_path, "fast_q8", ROOF_STATES);
     let baseline = check_baseline.then(|| {
-        committed_fast.clone().unwrap_or_else(|e| {
+        baseline_rate(&baseline_path, "fast", GATE_STATES).unwrap_or_else(|e| {
             eprintln!("error: --check-baseline: {e}");
             std::process::exit(2);
         })
@@ -607,19 +555,10 @@ fn main() {
     // Opt-in OpenMetrics endpoint; the server lives to the end of main
     // so `curl http://ADDR/metrics` works while the report is written.
     let _metrics_server = metrics_addr.map(|addr| {
-        let server = Collector::serve(&addr).unwrap_or_else(|e| {
-            eprintln!("error: --metrics-addr {addr}: {e}");
-            std::process::exit(2);
-        });
-        server.update(|reg| {
+        serve_metrics(&addr, |reg| {
             latency.register_into(reg);
             register_build_info(reg, &AccelConfig::default());
-        });
-        println!(
-            "metrics: serving OpenMetrics on http://{}/metrics",
-            server.addr()
-        );
-        server
+        })
     });
 
     let report = Report {
@@ -648,80 +587,17 @@ fn main() {
     println!("wrote {}", path.display());
 
     if let Some(base) = baseline {
-        let floor = 0.95 * base;
-        let mut measured = gate_fast_measured;
-        // Host timings on a shared box swing far more than 5% run to
-        // run, so one low sample is not evidence of a regression: keep
-        // the best of up to 4 re-measurements of the gate point and
-        // only fail if every attempt lands below the floor.
-        let mut retries = 0;
-        while measured < floor && retries < 4 {
-            retries += 1;
-            println!(
-                "baseline check: {} below floor {}, re-measuring (retry {retries}/4)",
-                fmt_rate(measured),
-                fmt_rate(floor),
-            );
-            let row = measure("q_learning", "fast", GATE_STATES, samples, runs);
-            measured = measured.max(row.host_samples_per_sec);
-        }
-        println!(
-            "baseline check: NullSink fast path {} vs recorded {} (floor {})",
-            fmt_rate(measured),
-            fmt_rate(base),
-            fmt_rate(floor),
-        );
-        if measured < floor {
-            eprintln!(
-                "error: fast-path throughput regressed more than 5% vs the \
-                 recorded baseline — telemetry must be free when disabled"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if check_baseline {
-        // Packed quantized guard (DESIGN.md §2.14): no >5% regression
-        // vs the committed fast_q8 baseline at the roof row (skipped,
-        // loudly, when the baseline predates the packed rows). Best-of-N
-        // re-measurement absorbs shared-box noise, exactly like the
-        // NullSink guard.
+        check_floor("NullSink fast path", base, gate_fast_measured, || {
+            measure("q_learning", "fast", GATE_STATES, samples, runs).host_samples_per_sec
+        });
+        // The packed quantized guard (DESIGN.md §2.14) at the roof row,
+        // skipped loudly when the baseline predates the packed rows.
         match committed_packed {
-            Ok(base) => {
-                let floor = 0.95 * base;
-                let mut measured = roof_q8_rate;
-                let mut retries = 0;
-                while measured < floor && retries < 4 {
-                    retries += 1;
-                    println!(
-                        "baseline check: packed fast_q8 {} below floor {}, \
-                         re-measuring (retry {retries}/4)",
-                        fmt_rate(measured),
-                        fmt_rate(floor),
-                    );
-                    let row = measure_quant(
-                        "q_learning",
-                        ROOF_STATES,
-                        QuantPolicy::q8(),
-                        row_samples(ROOF_STATES),
-                        runs,
-                    );
-                    measured = measured.max(row.host_samples_per_sec);
-                }
-                println!(
-                    "baseline check: packed fast_q8 {} vs recorded {} (floor {})",
-                    fmt_rate(measured),
-                    fmt_rate(base),
-                    fmt_rate(floor),
-                );
-                if measured < floor {
-                    eprintln!(
-                        "error: packed quantized fast-path throughput regressed \
-                         more than 5% vs the recorded baseline"
-                    );
-                    std::process::exit(1);
-                }
-            }
+            Ok(base) => check_floor("packed fast_q8", base, roof_q8_rate, || {
+                let samples = row_samples(ROOF_STATES);
+                measure_quant("q_learning", ROOF_STATES, QuantPolicy::q8(), samples, runs)
+                    .host_samples_per_sec
+            }),
             Err(e) => println!("baseline check: skipping packed floor ({e})"),
         }
     }

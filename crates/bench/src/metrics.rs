@@ -14,8 +14,9 @@ use qtaccel_accel::executor::ShardedExecutor;
 use qtaccel_accel::{AccelConfig, HazardMode, IndependentPipelines, QLearningAccel};
 use qtaccel_fixed::{QValue, Q8_8};
 use qtaccel_telemetry::{
-    stall_run_lengths, CounterBank, CountersOnly, HealthConfig, HealthProbe, HealthSink, Histogram,
-    Json, MetricsRegistry, RingSink, SpanTracer, ToJson, TraceSink, Watchdog, WatchdogConfig,
+    stall_run_lengths, Collector, CounterBank, CountersOnly, HealthConfig, HealthProbe, HealthSink,
+    Histogram, Json, MetricsRegistry, RingSink, SpanTracer, ToJson, TraceSink, Watchdog,
+    WatchdogConfig,
 };
 use std::sync::Arc;
 
@@ -264,6 +265,23 @@ pub fn measure_health(bank_states: usize, banks: usize, samples: u64) -> HealthR
         probe,
         watchdog,
     }
+}
+
+/// Serve the `--metrics-addr` OpenMetrics endpoint: a [`Collector`]
+/// with no upstreams whose registry `publish` fills. Scrapes work for
+/// as long as the caller keeps the returned collector. Exits 2 when
+/// `addr` cannot be bound.
+pub fn serve_metrics(addr: &str, publish: impl FnOnce(&mut MetricsRegistry)) -> Collector {
+    let server = Collector::serve(addr).unwrap_or_else(|e| {
+        eprintln!("error: --metrics-addr {addr}: {e}");
+        std::process::exit(2);
+    });
+    server.update(publish);
+    println!(
+        "metrics: serving OpenMetrics on http://{}/metrics",
+        server.addr()
+    );
+    server
 }
 
 /// Publish the `qtaccel_build_info` info-style gauge: a constant-1

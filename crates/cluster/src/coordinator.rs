@@ -1,24 +1,23 @@
 //! The supervising coordinator.
 //!
-//! An accept thread and one thread per worker session, all thin adapters
-//! over the crate's pure lease table (`lease.rs`, which states the
-//! fencing and exactly-once rules). A session's thread feeds the table
-//! its frames, polls its socket every 20 ms (`POLL`) and on each quiet tick
-//! expires overdue leases, and on its one exit path releases whatever
-//! the session still holds. So every held lease has a live thread
-//! watching its deadline. Because
+//! One thread per worker session, on the telemetry collector's accept
+//! loop ([`Server`]); each is a thin adapter over the crate's pure lease
+//! table (`lease.rs`, which states the fencing and exactly-once rules).
+//! A session's thread feeds the table its frames, polls its socket
+//! every 20 ms (`POLL`) and on each quiet tick expires overdue leases,
+//! and on its one exit path releases whatever the session still holds.
+//! So every held lease has a live thread watching its deadline. Because
 //! each accepted `LeaseDone` delta is the lease's whole contribution
 //! and merges once, the merged `qtaccel_samples_total` equals the spec
 //! budget exactly, however many workers died on the way.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
-use qtaccel_telemetry::{FramePayload, MetricsRegistry, WireClient, WireError};
+use qtaccel_telemetry::{FramePayload, MetricsRegistry, Server, WireClient, WireError};
 
 use crate::lease::{Handout, LeaseTable, Reply};
 use crate::spec::ClusterSpec;
@@ -76,19 +75,20 @@ pub struct ClusterStatus {
     /// completion short of the budget or whose delta cannot merge, or a
     /// protocol violation.
     pub refused_frames: u64,
-    /// Wire decode failures (torn frames, bad CRC, garbage).
+    /// Sessions ended by a wire decode error (a torn frame, a bad CRC,
+    /// garbage); a disconnect at a frame boundary is not one
+    /// ([`WireError::is_decode_error`]).
     pub decode_errors: u64,
     /// Death-detection → first-accepted-replacement-frame latencies.
     pub recovery_ms: Vec<f64>,
 }
 
 /// The supervising coordinator: owns the listener and the lease table.
-/// Dropping it stops every thread.
+/// Dropping it stops every thread; each session says goodbye and
+/// releases its lease first.
 pub struct Coordinator {
-    addr: SocketAddr,
     table: Arc<Mutex<LeaseTable>>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 /// Lock the table. Every table call does its only fallible arithmetic
@@ -102,53 +102,22 @@ impl Coordinator {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start supervising the
     /// spec's leases. Workers may connect immediately.
     pub fn serve(spec: &ClusterSpec, cfg: CoordinatorConfig, addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let table = Arc::new(Mutex::new(LeaseTable::new(spec.budgets(), cfg)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let spec = *spec;
-
-        let accept = {
-            let table = Arc::clone(&table);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut next_conn: u64 = 1;
-                for incoming in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    };
-                    let conn = next_conn;
-                    next_conn += 1;
-                    let table = Arc::clone(&table);
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        if let Ok(mut session) = WireClient::from_stream(stream, 0) {
-                            serve_session(&mut session, conn, &table, &stop, cfg, &spec);
-                        }
-                        // The one exit path: whatever the session still
-                        // holds goes back to the pool, epoch bumped.
-                        lock(&table).exit(conn, Instant::now());
-                    });
-                }
-            })
-        };
-
-        Ok(Self {
-            addr: local,
-            table,
-            stop,
-            accept: Some(accept),
-        })
+        let (sessions, spec) = (Arc::clone(&table), *spec);
+        let server = Server::bind(addr, "qtaccel-coordinator", move |stream, conn, stop| {
+            if let Ok(mut session) = WireClient::from_stream(stream, 0) {
+                serve_session(&mut session, conn, &sessions, stop, cfg, &spec);
+            }
+            // The one exit path: whatever the session still holds goes
+            // back to the pool, epoch bumped.
+            lock(&sessions).exit(conn, Instant::now());
+        })?;
+        Ok(Self { table, server })
     }
 
     /// The bound address workers should dial.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Current run status (cloned snapshot).
@@ -175,19 +144,6 @@ impl Coordinator {
     /// The exactly-once merged registry across every accepted lease.
     pub fn merged_registry(&self) -> MetricsRegistry {
         lock(&self.table).merged.clone()
-    }
-}
-
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Connection threads observe `stop` within one POLL tick and
-        // exit on their own; they hold only Arc clones.
     }
 }
 
@@ -265,11 +221,7 @@ fn serve_session(
 }
 
 fn count_wire_error(table: &Mutex<LeaseTable>, e: &WireError) {
-    // A clean close at a frame boundary is a disconnect, not a decode
-    // failure; everything else (torn frame, bad CRC, garbage) counts.
-    let clean_eof =
-        matches!(e, WireError::Io(io) if io.kind() == std::io::ErrorKind::UnexpectedEof);
-    if !clean_eof {
+    if e.is_decode_error() {
         lock(table).counts.decode_errors += 1;
     }
 }

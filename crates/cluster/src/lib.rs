@@ -11,14 +11,16 @@
 //! worker processes over the QTACWIRE control-frame extension
 //! (`qtaccel_telemetry::wire` kinds 5–10), and supervises them with
 //! monotonic heartbeat deadlines. Every lease transition lives in one
-//! pure lease table; the coordinator's connection threads are thin
-//! adapters over it that check deadlines on their poll tick:
+//! pure lease table; the coordinator's session threads, one per
+//! connection on the telemetry collector's accept loop
+//! (`qtaccel_telemetry::Server`), are thin adapters over it that check
+//! deadlines on their poll tick:
 //!
 //! ```text
 //!                        ┌─────────────────────────────┐
 //!                        │         Coordinator          │
 //!                        │  lease table · epoch fences  │
-//!                        │  one thread per session      │
+//!                        │  sessions on the Server      │
 //!                        └──┬─────────┬─────────────┬──┘
 //!             Lease/HelloAck│         │             │Goodbye
 //!        Progress/LeaseDone │         │             │

@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use qtaccel_cluster::{
-    run_worker, ChaosMode, ClusterError, ClusterSpec, Coordinator, CoordinatorConfig, WorkerClose,
-    WorkerConfig,
+    run_worker, ChaosMode, ClusterError, ClusterSpec, ClusterStatus, Coordinator,
+    CoordinatorConfig, WorkerClose, WorkerConfig,
 };
 use qtaccel_telemetry::wire::{goodbye_reason, CAP_LEASE_V1};
 use qtaccel_telemetry::{FramePayload, MetricValue, MetricsRegistry, WireClient};
@@ -682,4 +682,74 @@ fn a_lease_outside_the_spec_is_refused_not_trained() {
         };
         assert_eq!(answer, Some(refused), "{row}");
     }
+}
+
+// ---------------------------------------------------------------------
+// How sessions end, probed with raw wire sessions.
+
+/// Poll the coordinator's status until `done` holds.
+fn wait_for(coord: &Coordinator, done: impl Fn(&ClusterStatus) -> bool) -> ClusterStatus {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let status = coord.status();
+        if done(&status) {
+            return status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out: {status:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn a_reset_is_a_decode_error_only_inside_a_frame() {
+    let s = spec();
+    let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
+    // Each peer leaves its hello-ack and lease unread and drops the
+    // socket, so the kernel answers with a reset. The first resets at a
+    // frame boundary: a disconnect. The second first sends a torn frame.
+    for (peer, torn) in [false, true].into_iter().enumerate() {
+        let probe = WireClient::connect(coord.addr(), 10 + peer as u64, "reset").expect("hello");
+        // The session is assigned a lease (an odd epoch: assignment and
+        // release each bump it) and then sends it.
+        wait_for(&coord, |st| {
+            st.leases.iter().any(|&(epoch, _, _)| epoch % 2 == 1)
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        if torn {
+            use std::io::Write;
+            let mut raw = probe.try_clone_stream().expect("clone");
+            raw.write_all(b"QTACWIRE").expect("torn prefix");
+        }
+        drop(probe);
+        // The session's exit releases the lease it held.
+        let status = wait_for(&coord, |st| st.workers_presumed_dead == peer as u64 + 1);
+        assert_eq!(
+            status.decode_errors,
+            u64::from(torn),
+            "peer {peer} (torn: {torn}): {status:?}"
+        );
+    }
+}
+
+#[test]
+fn dropping_the_coordinator_says_goodbye_to_every_session_first() {
+    let s = spec();
+    let shutdown = FramePayload::Goodbye {
+        reason: goodbye_reason::SHUTDOWN,
+    };
+    let rounds = 20;
+    let mut goodbyes = 0;
+    for _ in 0..rounds {
+        let coord = Coordinator::serve(&s, snappy(30_000), "127.0.0.1:0").expect("serve");
+        let mut session = raw_session(coord.addr(), 1);
+        next_lease(&mut session);
+        drop(coord);
+        if let Ok(Some(f)) = session.recv_timeout(Duration::from_millis(1)) {
+            goodbyes += u64::from(f.payload == shutdown);
+        }
+    }
+    assert_eq!(goodbyes, rounds, "goodbyes readable once the drop returned");
 }

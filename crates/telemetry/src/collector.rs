@@ -1,9 +1,12 @@
 //! The merging telemetry collector (DESIGN.md §2.15) — the crate's one
-//! HTTP scrape endpoint.
+//! HTTP scrape endpoint — and the workspace's one accept loop
+//! ([`Server`]) and framed-socket endpoint ([`WireClient`]).
 //!
-//! One [`Collector`] terminates N concurrent worker connections. A
-//! connection speaks either protocol on the same port — the first eight
-//! bytes are peeked and dispatched on the wire [`MAGIC`] word:
+//! One [`Collector`] terminates N concurrent worker connections, each
+//! on a [`Server`] connection thread (the cluster coordinator runs its
+//! sessions on the same loop). A connection speaks either protocol on
+//! the same port — the first eight bytes are peeked and dispatched on
+//! the wire [`MAGIC`] word:
 //!
 //! * **Wire connections** stream [`Frame`]s (hello / metric deltas /
 //!   span batches / alerts), read through [`WireClient::recv_timeout`],
@@ -11,7 +14,10 @@
 //!   Every accepted frame merges atomically into the collector state; a
 //!   frame that fails to decode is a *typed refusal* — the connection is
 //!   dropped, `decode_errors` increments, and nothing from the bad
-//!   frame is surfaced (no silent partial merge).
+//!   frame is surfaced (no silent partial merge). A stream that ends
+//!   inside a frame, by EOF or by reset, counts the same way; one that
+//!   ends at a frame boundary is a disconnect
+//!   ([`WireError::is_decode_error`]).
 //! * **HTTP connections** get the merged registry as OpenMetrics text.
 //!   Reads and writes carry an [`IO_TIMEOUT`] deadline, and a request
 //!   head larger than [`MAX_REQUEST_BYTES`] is answered with `431`
@@ -164,30 +170,102 @@ impl CollectorState {
     }
 }
 
+/// The one TCP accept loop; [`Collector::serve`] and the cluster
+/// coordinator both run on it. Each accepted connection gets a named
+/// thread of its own that runs `handler(stream, ordinal, &stop)`:
+/// `ordinal` numbers the accepts from 1, and `stop` is raised when the
+/// server drops. Each accept joins the connection threads that have
+/// finished. A failed accept loses that one connection; the loop keeps
+/// accepting.
+///
+/// Dropping the server raises `stop`, unblocks the accept and joins
+/// the accept thread and every connection thread. A handler must
+/// therefore return within a bounded time of `stop`: one poll interval
+/// or one socket timeout.
+pub struct Server {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+impl Server {
+    /// Bind `addr` (use `"127.0.0.1:0"` for an ephemeral port) and start
+    /// accepting on a thread named `name`; connection threads are named
+    /// `{name}-conn`.
+    pub fn bind<H>(addr: &str, name: &str, handler: H) -> std::io::Result<Self>
+    where
+        H: Fn(TcpStream, u64, &AtomicBool) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let (stop_a, conns_a, handler) = (Arc::clone(&stop), Arc::clone(&conns), Arc::new(handler));
+        let conn_name = format!("{name}-conn");
+        let accept = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                for (ordinal, conn) in (1..).zip(listener.incoming()) {
+                    if stop_a.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    let (handler, stop) = (Arc::clone(&handler), Arc::clone(&stop_a));
+                    let spawned = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || handler(stream, ordinal, &stop));
+                    let mut conns = lock_unpoisoned(&conns_a);
+                    // A finished thread that is never joined keeps its
+                    // stack mapped.
+                    for done in conns.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    if let Ok(h) = spawned {
+                        conns.push(h);
+                    }
+                }
+            })?;
+        Ok(Self {
+            addr: local,
+            stop,
+            accept: Some(accept),
+            conns,
+        })
+    }
+
+    /// The bound address (read the ephemeral port from here).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the accept loop with one throwaway connection.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        for h in std::mem::take(&mut *lock_unpoisoned(&self.conns)) {
+            let _ = h.join();
+        }
+    }
+}
+
 /// A TCP collector accepting N concurrent worker streams and serving
 /// their merged telemetry. See the module docs for the protocol split.
 pub struct Collector {
-    addr: SocketAddr,
     state: Arc<Mutex<CollectorState>>,
-    stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: Server,
 }
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
-    }
-}
-
-/// Join and drop the handles of connection threads that have exited. A
-/// finished thread that is never joined keeps its stack mapped, so a
-/// long-lived collector reaps on every accept.
-fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
-    for done in handles.extract_if(.., |h| h.is_finished()) {
-        let _ = done.join();
     }
 }
 
@@ -195,47 +273,17 @@ impl Collector {
     /// Bind `addr` (use `"127.0.0.1:0"` for an ephemeral port) and start
     /// accepting worker and scrape connections.
     pub fn serve(addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let state = Arc::new(Mutex::new(CollectorState::default()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (state_t, stop_t, handles_t) = (
-            Arc::clone(&state),
-            Arc::clone(&stop),
-            Arc::clone(&conn_handles),
-        );
-        let accept_handle = std::thread::Builder::new()
-            .name("qtaccel-collector".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_t.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let (state_c, stop_c) = (Arc::clone(&state_t), Arc::clone(&stop_t));
-                    let handle = std::thread::Builder::new()
-                        .name("qtaccel-collector-conn".into())
-                        .spawn(move || serve_connection(stream, state_c, stop_c));
-                    let mut handles = lock_unpoisoned(&handles_t);
-                    reap_finished(&mut handles);
-                    if let Ok(h) = handle {
-                        handles.push(h);
-                    }
-                }
-            })?;
-        Ok(Self {
-            addr: local,
-            state,
-            stop,
-            accept_handle: Some(accept_handle),
-            conn_handles,
-        })
+        let conn_state = Arc::clone(&state);
+        let server = Server::bind(addr, "qtaccel-collector", move |stream, _, stop| {
+            serve_connection(stream, &conn_state, stop)
+        })?;
+        Ok(Self { state, server })
     }
 
     /// The bound address (read the ephemeral port from here).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Frames accepted and merged so far.
@@ -337,24 +385,8 @@ impl Collector {
     }
 }
 
-impl Drop for Collector {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500));
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock_unpoisoned(&self.conn_handles));
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Sniff the protocol (without consuming bytes) and dispatch.
-fn serve_connection(stream: TcpStream, state: Arc<Mutex<CollectorState>>, stop: Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, state: &Mutex<CollectorState>, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(WIRE_POLL));
     let mut first = [0u8; 8];
     // peek() does not consume, so the dispatched handler reads the full
@@ -386,7 +418,7 @@ fn serve_connection(stream: TcpStream, state: Arc<Mutex<CollectorState>>, stop: 
         }
     }
     if !is_wire {
-        serve_http(stream, &state);
+        serve_http(stream, state);
         return;
     }
     // Drain one worker's frame stream until EOF, shutdown, or a refusal.
@@ -396,21 +428,19 @@ fn serve_connection(stream: TcpStream, state: Arc<Mutex<CollectorState>>, stop: 
     while !stop.load(Ordering::SeqCst) {
         match wire.recv_timeout(WIRE_POLL) {
             Ok(Some(frame)) => {
-                let mut st = lock_unpoisoned(&state);
+                let mut st = lock_unpoisoned(state);
                 if st.merge_frame(frame).is_err() {
                     st.decode_errors += 1;
                     return; // refuse the rest of the stream
                 }
             }
             Ok(None) => {}
-            // EOF on a frame boundary, or a socket failure: the stream
-            // ended without a bad frame.
-            Err(WireError::Io(_)) => return,
-            // A decode refusal, or EOF mid-frame (a peer that died
-            // mid-write): count it, drop the connection, merge nothing
-            // from the frame.
-            Err(_) => {
-                lock_unpoisoned(&state).decode_errors += 1;
+            // The connection is dropped and nothing from the frame
+            // merges; only a refusal or a torn frame counts.
+            Err(e) => {
+                if e.is_decode_error() {
+                    lock_unpoisoned(state).decode_errors += 1;
+                }
                 return;
             }
         }
@@ -543,11 +573,12 @@ impl WireClient {
 
     /// Receive the next complete inbound frame, waiting at most
     /// `timeout`. `Ok(None)` means the timeout elapsed at a quiet
-    /// moment; `Err(Truncated)` means the peer closed mid-frame (a torn
-    /// write); EOF at a frame boundary surfaces as an
-    /// [`WireError::Io`] `UnexpectedEof`. `ErrorKind::Interrupted`
-    /// retries; any decode refusal is returned as-is — the caller
-    /// should drop the session.
+    /// moment. A stream that ends inside a frame, by EOF or by reset,
+    /// is `Err(Truncated)` (a torn write); one that ends at a frame
+    /// boundary is [`WireError::Io`] (`UnexpectedEof` for a clean
+    /// close). [`WireError::is_decode_error`] tells the two apart.
+    /// `ErrorKind::Interrupted` retries; any decode refusal is returned
+    /// as-is — the caller should drop the session.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, WireError> {
         if let Some(frame) = self.reader.next_frame()? {
             return Ok(Some(frame));
@@ -560,19 +591,14 @@ impl WireClient {
                 return Ok(None);
             }
             self.stream.set_read_timeout(Some(remaining))?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(if self.reader.is_empty() {
-                        WireError::Io(std::io::ErrorKind::UnexpectedEof.into())
-                    } else {
-                        WireError::Truncated
-                    })
-                }
+            let end = match self.stream.read(&mut chunk) {
+                Ok(0) => std::io::ErrorKind::UnexpectedEof.into(),
                 Ok(n) => {
                     self.reader.push(&chunk[..n]);
                     if let Some(frame) = self.reader.next_frame()? {
                         return Ok(Some(frame));
                     }
+                    continue;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e)
@@ -581,8 +607,13 @@ impl WireClient {
                 {
                     return Ok(None)
                 }
-                Err(e) => return Err(WireError::Io(e)),
-            }
+                Err(e) => e,
+            };
+            return Err(if self.reader.is_empty() {
+                WireError::Io(end)
+            } else {
+                WireError::Truncated
+            });
         }
     }
 
@@ -900,7 +931,7 @@ mod tests {
         }
         // Every accept reaps the threads that have exited, so only the
         // last few connections can still hold a handle.
-        let live = lock_unpoisoned(&collector.conn_handles).len();
+        let live = lock_unpoisoned(&collector.server.conns).len();
         assert!(live <= 10, "{live} handles kept after 50 scrapes");
     }
 

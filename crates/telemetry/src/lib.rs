@@ -56,8 +56,10 @@
 //!   for a process publishing its own registry through
 //!   [`Collector::update`]), associatively merged registry over
 //!   OpenMetrics and a multi-process Perfetto trace out
-//!   ([`Collector::perfetto_trace`]); [`WireClient`] is the one framed
-//!   socket endpoint. DESIGN.md §2.15 documents these layers.
+//!   ([`Collector::perfetto_trace`]). [`Server`] is the one accept loop
+//!   (the collector and the cluster coordinator run on it) and
+//!   [`WireClient`] the one framed socket endpoint. DESIGN.md §2.15
+//!   documents these layers.
 //!
 //! The cost contract: telemetry is **disabled by default and free when
 //! disabled**. Pipelines are generic over the sink; with [`NullSink`]
@@ -80,7 +82,7 @@ pub mod sink;
 pub mod span;
 pub mod wire;
 
-pub use collector::{Collector, WireClient, WorkerView};
+pub use collector::{Collector, Server, WireClient, WorkerView};
 pub use counters::{CounterBank, CounterId};
 pub use event::{Event, MemKind};
 pub use export::{

@@ -111,6 +111,16 @@ pub enum WireError {
     Io(std::io::Error),
 }
 
+impl WireError {
+    /// Whether this error counts as a decode error: every variant but
+    /// [`Io`](WireError::Io). A stream that ends mid-frame, by EOF or by
+    /// reset, is [`Truncated`](WireError::Truncated); one that ends at a
+    /// frame boundary, however it ended, is a disconnect.
+    pub fn is_decode_error(&self) -> bool {
+        !matches!(self, WireError::Io(_))
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
