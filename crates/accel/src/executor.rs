@@ -46,7 +46,7 @@ use qtaccel_telemetry::{Histogram, MetricsRegistry};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -257,18 +257,7 @@ impl std::fmt::Debug for ShardedExecutor {
     }
 }
 
-/// Worker-count override for the process-global pool (0 = auto).
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static GLOBAL: OnceLock<ShardedExecutor> = OnceLock::new();
-
-/// Set the worker count the process-global pool will be created with.
-/// Takes effect only before the first [`ShardedExecutor::global`] call;
-/// returns whether the override was applied in time. `0` restores auto
-/// sizing ([`host_parallelism`]).
-pub fn set_default_workers(n: usize) -> bool {
-    DEFAULT_WORKERS.store(n, Ordering::SeqCst);
-    GLOBAL.get().is_none()
-}
 
 impl ShardedExecutor {
     /// A pool with `threads` persistent workers (clamped to ≥ 1).
@@ -320,21 +309,13 @@ impl ShardedExecutor {
     }
 
     /// The process-global pool, created on first use with
-    /// [`host_parallelism`] workers (or the [`set_default_workers`]
-    /// override). Shared by every [`IndependentPipelines`] instance that
-    /// was not given its own pool, so repeated short training calls
-    /// never pay thread-creation cost.
+    /// [`host_parallelism`] workers. Shared by every
+    /// [`IndependentPipelines`] instance that was not given its own pool,
+    /// so repeated short training calls never pay thread-creation cost.
     ///
     /// [`IndependentPipelines`]: crate::multi::IndependentPipelines
     pub fn global() -> &'static ShardedExecutor {
-        GLOBAL.get_or_init(|| {
-            let n = DEFAULT_WORKERS.load(Ordering::SeqCst);
-            if n == 0 {
-                Self::with_default_parallelism()
-            } else {
-                Self::new(n)
-            }
-        })
+        GLOBAL.get_or_init(Self::with_default_parallelism)
     }
 
     /// Number of persistent workers.
@@ -508,6 +489,7 @@ pub fn chunk_samples(budget: u64, states: usize, actions: usize) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
 
     /// Runs `left` chunks, counting them.
     struct Countdown {
@@ -679,7 +661,5 @@ mod tests {
             ShardedExecutor::global()
         ));
         assert!(ShardedExecutor::global().workers() >= 1);
-        // Too late to resize once created.
-        assert!(!set_default_workers(4));
     }
 }

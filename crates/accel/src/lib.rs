@@ -62,9 +62,12 @@
 //! Every engine is generic over a `qtaccel_telemetry::TraceSink`
 //! (default `NullSink` = telemetry off): attach a counter-bearing sink
 //! via the `with_sink` constructors to collect the hardware-style
-//! perf-counter bank and structured event trace described in DESIGN.md
-//! §2.6 — with the default sink the instrumentation compiles out and the
-//! fast path is bit- and speed-identical to the uninstrumented build.
+//! perf-counter bank, or a `RingSink` to also keep the structured event
+//! trace described in DESIGN.md §2.6, from which
+//! `qtaccel_telemetry::export` draws the pipeline waveform and a
+//! Perfetto trace — with the default sink the instrumentation compiles
+//! out and the fast path is bit- and speed-identical to the
+//! uninstrumented build.
 //!
 //! The central correctness property, asserted by this crate's tests and
 //! the workspace integration tests: **with forwarding enabled, an engine
@@ -85,7 +88,6 @@ pub mod qlearning;
 pub mod resources;
 pub mod sarsa;
 pub mod structural;
-pub mod trace;
 
 pub use bandit::{BanditAccel, BanditPolicy, StatefulBanditAccel};
 pub use checkpoint::CheckpointError;
@@ -102,4 +104,3 @@ pub use qlearning::{QLearning, QLearningAccel};
 pub use resources::AccelResources;
 pub use sarsa::{Sarsa, SarsaAccel};
 pub use structural::StructuralQLearning;
-pub use trace::{PipelineTrace, TraceEvent};

@@ -85,7 +85,7 @@ use crate::checkpoint::{self, below, counter, index, probability, CheckpointErro
 use crate::config::{AccelConfig, HazardMode};
 use crate::fault::{strike_word, FaultConfig, FaultRt, FaultStats, LatentError};
 use qtaccel_core::policy::Policy;
-use qtaccel_core::qtable::{MaxMode, PackedQTable, QTable, QmaxTable};
+use qtaccel_core::qtable::{MaxMode, QTable, QmaxTable};
 use qtaccel_core::trainer::{seed_unit, TrainerConfig, Transition};
 use qtaccel_envs::{sa_index, Action, Environment, RewardMemo, RewardTable, State};
 use qtaccel_fixed::{QValue, QuantPolicy};
@@ -752,17 +752,6 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
         self.quant.as_ref().map(|q| &q.policy)
     }
 
-    /// The architectural Q-table in its packed stored form — the BRAM
-    /// image a synthesized quantized design would hold (`⌊64/b⌋` codes
-    /// per word). `None` unless quantization is enabled. The pack is
-    /// lossless because every architectural Q word is on the stored
-    /// grid.
-    pub fn packed_q_table(&self) -> Option<PackedQTable> {
-        self.quant
-            .as_ref()
-            .map(|q| PackedQTable::from_qtable(&self.q_table(), q.policy))
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &AccelConfig {
         &self.config
@@ -793,8 +782,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
 
     /// Consume the pipeline and return its sink (e.g. to recover a
     /// captured event buffer).
-    pub fn into_sink(mut self) -> S {
-        self.sink.flush();
+    pub fn into_sink(self) -> S {
         self.sink
     }
 
@@ -1163,7 +1151,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
             self.counters.add(CounterId::StallStage2, d2);
         }
         if S::EVENTS {
-            // Stage occupancy (what `PipelineTrace` draws): stage 1 at
+            // Stage occupancy (what `export::waveform` draws): stage 1 at
             // issue, stages 2–4 compressed behind the stalls.
             self.sink.record(&Event::Stage {
                 cycle: c1,

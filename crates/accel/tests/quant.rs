@@ -122,19 +122,19 @@ fn quantized_runs_are_bit_exact_sarsa() {
 /// it), so both legs call `train_samples_fast` and check each other
 /// directly.
 #[test]
-fn packed_executor_matches_general_fast_path() {
+fn kernel_matches_instrumented_cycle_engine_on_quantized_tables() {
     let g = grid(9);
     for policy in formats() {
         let cfg = AccelConfig::default().with_seed(0x53);
-        let mut packed = QLearningAccel::<Q8_8>::new(&g, cfg);
-        let mut general = QLearningAccel::<Q8_8, CountersOnly>::with_sink(&g, cfg, CountersOnly);
-        packed.enable_quant(policy);
-        general.enable_quant(policy);
-        let sp = packed.train_samples_fast(&g, 15_000);
-        let sg = general.train_samples_fast(&g, 15_000);
+        let mut kernel = QLearningAccel::<Q8_8>::new(&g, cfg);
+        let mut cycle = QLearningAccel::<Q8_8, CountersOnly>::with_sink(&g, cfg, CountersOnly);
+        kernel.enable_quant(policy);
+        cycle.enable_quant(policy);
+        let sk = kernel.train_samples_fast(&g, 15_000);
+        let sc = cycle.train_samples_fast(&g, 15_000);
         let label = policy.format_name();
-        assert_eq!(sp, sg, "{label}: CycleStats diverged");
-        assert_tables_equal(&packed, &general, &label);
+        assert_eq!(sk, sc, "{label}: CycleStats diverged");
+        assert_tables_equal(&kernel, &cycle, &label);
     }
 }
 
@@ -188,10 +188,9 @@ fn quantized_fast_path_matches_golden_reference() {
 }
 
 /// The on-grid invariant, stated directly: after any quantized run,
-/// every architectural Q word sits exactly on the stored grid, and the
-/// packed BRAM image round-trips losslessly.
+/// every architectural Q word sits exactly on the stored grid.
 #[test]
-fn quantized_tables_stay_on_grid_and_pack_losslessly() {
+fn quantized_tables_stay_on_grid() {
     let g = grid(8);
     for policy in formats() {
         let mut a = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default().with_seed(0x55));
@@ -206,14 +205,6 @@ fn quantized_tables_stay_on_grid_and_pack_losslessly() {
                 v.to_f64()
             );
         }
-        let packed = a.packed_q_table().expect("quantized engine packs");
-        assert_eq!(packed.policy(), &policy);
-        assert_eq!(
-            packed.to_qtable::<Q8_8>().as_slice(),
-            q.as_slice(),
-            "{}: packed image must round-trip losslessly",
-            policy.format_name()
-        );
     }
 }
 
@@ -389,8 +380,8 @@ fn eight_bit_training_learns_a_usable_policy() {
     assert!(opt > 0.85, "8-bit step-optimality {opt}");
 }
 
-/// Unquantized configs pay nothing: no policy, no packed Q table, and
-/// the resource model reports the full-width baseline unchanged.
+/// Unquantized configs pay nothing: no policy, and the resource model
+/// reports the full-width baseline unchanged.
 #[test]
 fn unquantized_configs_are_untouched() {
     // Large enough that 16-bit and 8-bit words land in different BRAM
@@ -398,7 +389,6 @@ fn unquantized_configs_are_untouched() {
     let g = grid(256);
     let plain = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default());
     assert!(plain.quant().is_none());
-    assert!(plain.packed_q_table().is_none());
     let mut quantized = QLearningAccel::<Q8_8>::new(&g, AccelConfig::default());
     quantized.enable_quant(QuantPolicy::q8());
     let (rp, rq) = (plain.resources(), quantized.resources());

@@ -9,13 +9,23 @@
 //!   matches.
 //! * **Pinned golden**: the Table-I |S|=64 design point's full counter
 //!   dump is pinned, so any change to counter attribution is loud.
-//! * **Round-trip**: the JSONL event stream and the counter dump parse
-//!   back through the telemetry JSON parser with the documented schema.
+//! * **Event stream**: a `RingSink` that holds a whole run keeps four
+//!   stage events per retired iteration, commits, and paired stall
+//!   intervals; the counter dump parses back through the telemetry JSON
+//!   parser with one field per register.
+//! * **Waveform**: `export::waveform` and `export::stage_occupancy` draw
+//!   the pipe from a ring's stage events — a full diagonal under
+//!   forwarding, bubbles under stalling — and four waveforms of the
+//!   `trace_dump` example are pinned.
 
-use qtaccel_accel::{AccelConfig, HazardMode, QLearningAccel, SarsaAccel};
+use qtaccel_accel::{AccelConfig, AccelPipeline, HazardMode, QLearningAccel, SarsaAccel};
+use qtaccel_core::MaxMode;
 use qtaccel_envs::{ActionSet, GridWorld};
 use qtaccel_fixed::Q8_8;
-use qtaccel_telemetry::{json, CounterId, CountersOnly, JsonlSink, RingSink, ToJson};
+use qtaccel_telemetry::export::{stage_occupancy, waveform};
+use qtaccel_telemetry::{
+    json, CounterId, CountersOnly, Event, MemKind, RingSink, ToJson, TraceSink,
+};
 
 fn grid() -> GridWorld {
     GridWorld::builder(8, 8).goal(7, 7).build()
@@ -225,54 +235,60 @@ fn table1_s64_counter_dump_is_pinned() {
 }
 
 #[test]
-fn jsonl_event_stream_and_counter_dump_round_trip() {
+fn event_stream_invariants_and_counter_dump_round_trip() {
+    const STEPS: u64 = 200;
     let g = grid();
     let cfg = AccelConfig::default()
         .with_seed(9)
         .with_hazard(HazardMode::StallOnly);
-    let mut eng =
-        SarsaAccel::<Q8_8, JsonlSink<Vec<u8>>>::with_sink(&g, cfg, 0.2, JsonlSink::new(Vec::new()));
-    for _ in 0..200 {
+    let mut eng = SarsaAccel::<Q8_8, RingSink>::with_sink(&g, cfg, 0.2, RingSink::new(1 << 14));
+    for _ in 0..STEPS {
         eng.step(&g);
     }
     let counters_json = eng.counters().to_json().pretty();
-    let bytes = eng.into_sink().into_inner();
-    let text = String::from_utf8(bytes).expect("JSONL is UTF-8");
+    let ring = eng.into_sink();
+    assert_eq!(ring.dropped_iterations(), 0, "the ring holds all 200 steps");
 
-    let (mut stages, mut commits, mut stall_pairs) = (0u64, 0u64, 0i64);
-    for line in text.lines() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        let t = v.get("t").and_then(|t| t.as_str()).expect("tagged event");
-        assert!(
-            matches!(
-                t,
-                "stage" | "hazard" | "stall_begin" | "stall_end" | "forward" | "commit"
-            ),
-            "unknown event type {t}"
-        );
-        assert!(v.get("cycle").and_then(|c| c.as_u64()).is_some(), "{line}");
-        match t {
-            "stage" => {
-                stages += 1;
-                let s = v.get("stage").and_then(|s| s.as_u64()).unwrap();
-                assert!((1..=4).contains(&s));
+    // One bit per stage seen, per iteration.
+    let mut stages_seen = vec![0u8; STEPS as usize];
+    let mut commits = 0u64;
+    let mut stall_open = false;
+    for ev in ring.events() {
+        match *ev {
+            Event::Stage {
+                stage, iteration, ..
+            } => {
+                assert!((1..=4).contains(&stage), "{ev:?}");
+                let seen = &mut stages_seen[iteration as usize];
+                assert_eq!(*seen & (1 << (stage - 1)), 0, "stage twice: {ev:?}");
+                *seen |= 1 << (stage - 1);
             }
-            "commit" => {
-                let mem = v.get("mem").and_then(|m| m.as_str()).unwrap();
-                assert!(mem == "q" || mem == "qmax", "{mem}");
-                commits += 1;
+            // Each commit goes to Q or Qmax: a third table would leave
+            // this match non-exhaustive.
+            Event::Commit {
+                mem: MemKind::Q | MemKind::Qmax,
+                ..
+            } => commits += 1,
+            Event::StallBegin { .. } => {
+                assert!(!stall_open, "stall opened twice: {ev:?}");
+                stall_open = true;
             }
-            "stall_begin" => stall_pairs += 1,
-            "stall_end" => stall_pairs -= 1,
-            _ => {}
+            Event::StallEnd { .. } => {
+                assert!(stall_open, "stall closed before it opened: {ev:?}");
+                stall_open = false;
+            }
+            Event::Hazard { .. } | Event::Forward { .. } => {}
         }
     }
-    assert_eq!(stages, 4 * 200, "four stage slots per retired iteration");
+    assert!(
+        stages_seen.iter().all(|&seen| seen == 0b1111),
+        "four stage slots per retired iteration"
+    );
     assert!(
         commits > 0,
         "in-flight writes must commit within 200 cycles"
     );
-    assert_eq!(stall_pairs, 0, "every stall_begin has a matching stall_end");
+    assert!(!stall_open, "every stall_begin has a matching stall_end");
 
     // The pretty counter dump re-parses with one field per register.
     let parsed = json::parse(&counters_json).expect("counter dump parses");
@@ -293,66 +309,118 @@ fn jsonl_event_stream_and_counter_dump_round_trip() {
     );
 }
 
-/// Accepts `budget` bytes, then fails every write as a full disk does.
-struct FullDisk {
-    budget: usize,
-    written: Vec<u8>,
+/// A pipeline on `g` under `cfg` that records into a ring of `capacity`
+/// events.
+fn traced(g: &GridWorld, cfg: AccelConfig, capacity: usize) -> AccelPipeline<Q8_8, RingSink> {
+    AccelPipeline::with_sink(g, cfg, 0, RingSink::new(capacity))
 }
 
-impl std::io::Write for FullDisk {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        if self.budget == 0 {
-            return Err(std::io::ErrorKind::StorageFull.into());
-        }
-        let n = buf.len().min(self.budget);
-        self.budget -= n;
-        self.written.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// A trace whose disk fills mid-run ends the trace, not the run: the
-/// engine trains to the untraced result, and the sink reports the error
-/// and counts the lines it could not write. What it did write is a
-/// prefix of the whole trace.
 #[test]
-fn jsonl_write_error_surfaces_without_stopping_the_run() {
-    let g = grid();
-    let cfg = AccelConfig::default().with_seed(9);
-    let sink = JsonlSink::new(FullDisk {
-        budget: 64 << 10,
-        written: Vec::new(),
-    });
-    let mut traced = SarsaAccel::<Q8_8, JsonlSink<FullDisk>>::with_sink(&g, cfg, 0.2, sink);
-    let mut whole =
-        SarsaAccel::<Q8_8, JsonlSink<Vec<u8>>>::with_sink(&g, cfg, 0.2, JsonlSink::new(Vec::new()));
-    traced.train_samples(&g, 5_000);
-    traced.train_samples_fast(&g, 5_000);
-    whole.train_samples(&g, 10_000);
-    let mut plain = SarsaAccel::<Q8_8>::new(&g, cfg, 0.2);
-    plain.train_samples(&g, 10_000);
-    assert_eq!(traced.stats(), plain.stats());
-    assert_eq!(traced.q_table(), plain.q_table());
+fn records_four_events_per_iteration() {
+    let g = GridWorld::builder(4, 4).goal(3, 3).build();
+    let mut p = traced(&g, AccelConfig::default().with_seed(1), 100);
+    p.run_samples(&g, 2);
+    let stages: Vec<Event> = p
+        .sink()
+        .events()
+        .filter(|e| matches!(e, Event::Stage { .. }))
+        .copied()
+        .collect();
+    assert_eq!(stages.len(), 8);
+    assert_eq!(
+        stages[0],
+        Event::Stage {
+            cycle: 0,
+            stage: 1,
+            iteration: 0
+        }
+    );
+    assert_eq!(
+        stages[7],
+        Event::Stage {
+            cycle: 4,
+            stage: 4,
+            iteration: 1
+        }
+    );
+}
 
-    let sink = traced.into_sink();
-    let kind = sink.error().map(std::io::Error::kind);
-    assert_eq!(
-        kind,
-        Some(std::io::ErrorKind::StorageFull),
-        "the error surfaces"
-    );
-    let whole = whole.into_sink();
-    assert!(sink.lines() > 0 && sink.unwritten() > 0, "{sink:?}");
-    assert_eq!(sink.lines() + sink.unwritten(), whole.lines());
-    let lines = sink.lines();
-    let written = sink.into_inner().written;
-    assert!(whole.into_inner().starts_with(&written));
-    let complete = written.iter().filter(|&&b| b == b'\n').count() as u64;
-    assert_eq!(
-        complete, lines,
-        "every line written before the error is whole"
-    );
+#[test]
+fn waveform_shows_the_full_diagonal_under_forwarding() {
+    let g = GridWorld::builder(4, 4).goal(3, 3).build();
+    let mut p = traced(&g, AccelConfig::default().with_seed(1), 4096);
+    p.run_samples(&g, 100);
+    let ring = p.sink();
+    assert_eq!(ring.dropped_iterations(), 0);
+    // Steady state: every stage fully occupied.
+    for stage in 1..=4u8 {
+        let occupancy = stage_occupancy(ring.events(), stage);
+        assert!(occupancy > 0.99, "stage {stage}: {occupancy}");
+    }
+    let wf = waveform(ring.events(), 4, 12);
+    // The S1 row shows consecutive iteration digits with no dots.
+    let s1 = wf.lines().nth(1).unwrap();
+    assert!(!s1[3..].contains('.'), "{wf}");
+    // The diagonal structure: iteration k is in S4 three cycles after S1.
+    let s4 = wf.lines().nth(4).unwrap();
+    assert_eq!(&s1[3..4], &s4[6..7], "{wf}");
+}
+
+#[test]
+fn waveform_shows_bubbles_under_stalling() {
+    let g = GridWorld::builder(2, 2).goal(1, 1).build();
+    let cfg = AccelConfig::default()
+        .with_seed(3)
+        .with_hazard(HazardMode::StallOnly);
+    let mut p = traced(&g, cfg, 1 << 14);
+    p.run_samples(&g, 500);
+    let ring = p.sink();
+    assert_eq!(ring.dropped_iterations(), 0);
+    // Hazard-heavy 4-state world: the back half of the pipe has idle
+    // slots (occupancy measurably below 1).
+    let occupancy = stage_occupancy(ring.events(), 4);
+    assert!(occupancy < 0.95, "expected stall bubbles: {occupancy}");
+    let wf = waveform(ring.events(), 10, 40);
+    assert!(wf.lines().nth(4).unwrap().contains('.'), "{wf}");
+}
+
+/// The `trace_dump` example's four runs (2x2 grid, seed 7, 64 steps),
+/// drawn over cycles 8–56. The strings were rendered by the
+/// iteration-atomic trace recorder this ring replaced, with room for all
+/// 64 iterations, so a reader of the waveform sees no difference.
+#[test]
+fn trace_dump_waveforms_are_pinned() {
+    const FULL: &str = "cycle      8 +48
+S1 890123456789012345678901234567890123456789012345
+S2 789012345678901234567890123456789012345678901234
+S3 678901234567890123456789012345678901234567890123
+S4 567890123456789012345678901234567890123456789012
+";
+    const STALL_ONLY: &str = "cycle      8 +48
+S1 ..456.7890.1...2...3...4567..8901..2..345..6..78
+S2 ..345.6789.0...1...2...3456..7890..1..234..5..67
+S3 ...345.6789.0...1...2...3456..7890..1..234..5..6
+S4 2...345.6789.0...1...2...3456..7890..1..234..5..
+";
+    const EXACT_SCAN: &str = "cycle      8 +48
+S1 2...3...4...5...6...7...8...9...0...1...2...3...
+S2 1...2...3...4...5...6...7...8...9...0...1...2...
+S3 .1...2...3...4...5...6...7...8...9...0...1...2..
+S4 ..1...2...3...4...5...6...7...8...9...0...1...2.
+";
+    let base = AccelConfig::default().with_seed(7);
+    for (cfg, want) in [
+        (base, FULL),
+        (base.with_hazard(HazardMode::StallOnly), STALL_ONLY),
+        (base.with_hazard(HazardMode::Ignore), FULL),
+        (base.with_max_mode(MaxMode::ExactScan), EXACT_SCAN),
+    ] {
+        let g = GridWorld::builder(2, 2).goal(1, 1).build();
+        let mut p = traced(&g, cfg, 1024);
+        for _ in 0..64 {
+            p.step(&g);
+        }
+        assert_eq!(p.sink().dropped_iterations(), 0, "{cfg:?}");
+        assert_eq!(waveform(p.sink().events(), 8, 48), want, "{cfg:?}");
+    }
 }

@@ -21,8 +21,9 @@
 //! machines is recognizably foreign.
 //!
 //! `--threads N` restricts the worker sweep (and the gate point) to a
-//! single worker count and pins the process-global pool to it; recorded
-//! in the manifest. Combining it with `--check-baseline` compares
+//! single worker count, recorded in the manifest. Every measured point
+//! builds its own pool, so nothing this binary times runs on the
+//! process-global one. Combining it with `--check-baseline` compares
 //! against whatever gate config the committed baseline recorded, so the
 //! guard in `scripts/verify.sh` runs without `--threads`.
 //!
@@ -31,7 +32,7 @@
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
-use qtaccel_accel::executor::{set_default_workers, ShardedExecutor};
+use qtaccel_accel::executor::ShardedExecutor;
 use qtaccel_accel::{AccelConfig, IndependentPipelines, QLearningAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
@@ -239,10 +240,6 @@ fn main() {
             }
         }
     }
-    if let Some(n) = threads {
-        set_default_workers(n);
-    }
-
     let host = manifest::host_parallelism() as usize;
     // Table I per-bank sizes.
     let (bank_sizes, pipe_counts, runs): (Vec<usize>, Vec<usize>, usize) = if quick {
@@ -374,7 +371,7 @@ fn main() {
     println!("wrote {}", path.display());
 
     if let Some(base) = committed {
-        check_floor("gate aggregate", base, report.gate_aggregate_rate, || {
+        let held = check_floor("gate aggregate", base, report.gate_aggregate_rate, || {
             measure_scale(
                 GATE_PIPES,
                 gate_workers,
@@ -385,5 +382,8 @@ fn main() {
             )
             .aggregate_samples_per_sec
         });
+        if !held {
+            std::process::exit(1);
+        }
     }
 }

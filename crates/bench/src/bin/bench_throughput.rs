@@ -28,6 +28,8 @@
 //! `--check-baseline` also guards the roof-row `fast_q8` row against its
 //! committed baseline (no >5 % regression, best-of-N like the NullSink
 //! guard, skipped loudly when the baseline predates the packed rows).
+//! Both guards run and print their verdicts; the process exits 1 after
+//! the second if either failed.
 //!
 //! Alongside the throughput rows the report carries a **roofline**
 //! section: a STREAM-triad probe measures the host's sustainable
@@ -587,18 +589,26 @@ fn main() {
     println!("wrote {}", path.display());
 
     if let Some(base) = baseline {
-        check_floor("NullSink fast path", base, gate_fast_measured, || {
+        // Bind both verdicts before testing them: `&&` over the two
+        // calls would skip the second guard whenever the first fails.
+        let null_held = check_floor("NullSink fast path", base, gate_fast_measured, || {
             measure("q_learning", "fast", GATE_STATES, samples, runs).host_samples_per_sec
         });
         // The packed quantized guard (DESIGN.md §2.14) at the roof row,
         // skipped loudly when the baseline predates the packed rows.
-        match committed_packed {
+        let packed_held = match committed_packed {
             Ok(base) => check_floor("packed fast_q8", base, roof_q8_rate, || {
                 let samples = row_samples(ROOF_STATES);
                 measure_quant("q_learning", ROOF_STATES, QuantPolicy::q8(), samples, runs)
                     .host_samples_per_sec
             }),
-            Err(e) => println!("baseline check: skipping packed floor ({e})"),
+            Err(e) => {
+                println!("baseline check: skipping packed floor ({e})");
+                true
+            }
+        };
+        if !(null_held && packed_held) {
+            std::process::exit(1);
         }
     }
 }

@@ -32,7 +32,7 @@ pub mod trainer;
 pub use bandit::{BanditAlgorithm, EpsilonGreedyBandit, Exp3, Ucb1};
 pub use eval::{evaluate_policy, step_optimality, EvalReport};
 pub use policy::{Policy, ProbTablePolicy};
-pub use qtable::{MaxMode, PackedQTable, QTable, QmaxTable};
+pub use qtable::{MaxMode, QTable, QmaxTable};
 pub use trainer::{
     q_learning, sarsa, QLearningRef, RefTrainer, SarsaRef, TrainerConfig, Transition,
 };

@@ -1,7 +1,7 @@
 //! The Q-table and the Qmax array.
 
 use qtaccel_envs::{sa_index, Action, State};
-use qtaccel_fixed::{QValue, QuantPolicy};
+use qtaccel_fixed::QValue;
 
 /// How the "max over next-state actions" is obtained.
 ///
@@ -207,118 +207,6 @@ impl<V: QValue> QmaxTable<V> {
     }
 }
 
-/// A Q-table stored as packed low-precision codes, several per 64-bit
-/// word — the BRAM image of a quantized table (DESIGN.md §2.14).
-///
-/// Where [`QTable`] stores one full working-format word per entry, this
-/// container stores `⌊64 / stored_bits⌋` entries per `u64` using the
-/// [`QuantPolicy`]'s subword lane helpers, so an 8-bit table packs 8
-/// entries per word and a 4-bit table packs 16 — the 2–4× BRAM-density
-/// win the formats experiment prices. Reads dequantize to the working
-/// format; writes snap to the stored grid with round-to-nearest (the
-/// training loop's *stochastic* rounding happens in the executors before
-/// values reach this container, so everything stored here is on-grid).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedQTable {
-    words: Vec<u64>,
-    policy: QuantPolicy,
-    num_states: usize,
-    num_actions: usize,
-}
-
-impl PackedQTable {
-    /// A zeroed packed table (code 0 dequantizes to zero in every format).
-    pub fn new(num_states: usize, num_actions: usize, policy: QuantPolicy) -> Self {
-        assert!(num_states > 0 && num_actions > 0, "table must be non-empty");
-        let entries = num_states * num_actions;
-        let cpw = policy.codes_per_u64() as usize;
-        Self {
-            words: vec![0u64; entries.div_ceil(cpw)],
-            policy,
-            num_states,
-            num_actions,
-        }
-    }
-
-    /// Pack a working-format table. Entries are snapped to the stored
-    /// grid with round-to-nearest; tables produced by a quantized
-    /// training run are already on-grid, so for those this is lossless.
-    pub fn from_qtable<V: QValue>(q: &QTable<V>, policy: QuantPolicy) -> Self {
-        policy.validate_for::<V>();
-        let mut packed = Self::new(q.num_states(), q.num_actions(), policy);
-        for s in 0..q.num_states() as State {
-            for a in 0..q.num_actions() as Action {
-                packed.set(s, a, q.get(s, a));
-            }
-        }
-        packed
-    }
-
-    /// Unpack into a working-format table (every entry dequantized).
-    pub fn to_qtable<V: QValue>(&self) -> QTable<V> {
-        let mut q = QTable::new(self.num_states, self.num_actions);
-        for s in 0..self.num_states as State {
-            for a in 0..self.num_actions as Action {
-                q.set(s, a, self.get(s, a));
-            }
-        }
-        q
-    }
-
-    #[inline]
-    fn locate(&self, s: State, a: Action) -> (usize, u32) {
-        let idx = sa_index(s, a, self.num_actions);
-        let cpw = self.policy.codes_per_u64() as usize;
-        (idx / cpw, (idx % cpw) as u32)
-    }
-
-    /// Dequantized Q-value for (s, a).
-    #[inline]
-    pub fn get<V: QValue>(&self, s: State, a: Action) -> V {
-        let (word, lane) = self.locate(s, a);
-        self.policy
-            .dequantize(self.policy.extract_code(self.words[word], lane))
-    }
-
-    /// Store (s, a), snapping to the stored grid with round-to-nearest.
-    #[inline]
-    pub fn set<V: QValue>(&mut self, s: State, a: Action, v: V) {
-        let (word, lane) = self.locate(s, a);
-        let code = self
-            .policy
-            .try_code(self.policy.round_nearest(v))
-            .expect("round_nearest lands on the stored grid");
-        self.words[word] = self.policy.insert_code(self.words[word], lane, code);
-    }
-
-    /// Number of states (rows).
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Number of actions (columns).
-    pub fn num_actions(&self) -> usize {
-        self.num_actions
-    }
-
-    /// The quantization policy governing this table's stored format.
-    pub fn policy(&self) -> &QuantPolicy {
-        &self.policy
-    }
-
-    /// The packed word image (BRAM init-file contents).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// BRAM bits actually allocated: whole 64-bit words, including the
-    /// spare bits of formats that do not divide 64 (a 6-bit table packs
-    /// 10 codes per word and wastes 4 bits).
-    pub fn capacity_bits(&self) -> u64 {
-        self.words.len() as u64 * 64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,51 +323,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_table_rejected() {
         QTable::<f64>::new(0, 4);
-    }
-
-    #[test]
-    fn packed_table_roundtrips_on_grid_values() {
-        let policy = QuantPolicy::q8();
-        let mut q = QTable::<Q8_8>::new(7, 3);
-        // Fill with on-grid values (multiples of the stored step).
-        let mut lfsr = qtaccel_hdl::lfsr::Lfsr32::new(42);
-        use qtaccel_hdl::rng::RngSource;
-        for s in 0..7 {
-            for a in 0..3 {
-                let v = Q8_8::from_f64(lfsr.next_f64() * 3.8 - 1.9);
-                q.set(s, a, policy.round_nearest(v));
-            }
-        }
-        let packed = PackedQTable::from_qtable(&q, policy);
-        assert_eq!(packed.to_qtable::<Q8_8>(), q, "on-grid pack is lossless");
-        assert_eq!(packed.get::<Q8_8>(3, 1), q.get(3, 1));
-    }
-
-    #[test]
-    fn packed_table_density() {
-        // 8-bit: 8 codes/word. 256×8 entries = 2048 codes = 256 words.
-        let p8 = PackedQTable::new(256, 8, QuantPolicy::q8());
-        assert_eq!(p8.capacity_bits(), 256 * 64);
-        // Dense 16-bit table of the same shape costs 2× the bits.
-        let q = QTable::<Q8_8>::new(256, 8);
-        assert_eq!(q.capacity_bits(), 2 * p8.capacity_bits());
-        // 6-bit: 10 codes/word with 4 spare bits; 2048 codes = 205 words.
-        let p6 = PackedQTable::new(256, 8, QuantPolicy::q6());
-        assert_eq!(p6.capacity_bits(), 205 * 64);
-        // 4-bit: 16 codes/word; 128 words.
-        let p4 = PackedQTable::new(256, 8, QuantPolicy::q4());
-        assert_eq!(p4.capacity_bits(), 128 * 64);
-    }
-
-    #[test]
-    fn packed_set_saturates_at_stored_rails() {
-        let policy = QuantPolicy::q4(); // rails −2.0 … +1.75
-        let mut p = PackedQTable::new(2, 2, policy);
-        p.set(0, 0, Q8_8::from_f64(5.0));
-        assert_eq!(p.get::<Q8_8>(0, 0).to_f64(), 1.75);
-        p.set(0, 1, Q8_8::from_f64(-5.0));
-        assert_eq!(p.get::<Q8_8>(0, 1).to_f64(), -2.0);
-        // Neighbouring lanes are untouched.
-        assert_eq!(p.get::<Q8_8>(1, 0).to_f64(), 0.0);
     }
 }

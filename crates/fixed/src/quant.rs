@@ -31,11 +31,6 @@
 //!   so comparing codes and comparing dequantized values (the Qmax
 //!   comparator) give the same answer.
 //!
-//! Packing is lane-major: code `k` of a word occupies bits
-//! `[k·b, (k+1)·b)`. `stored_bits` need not divide 64 — a 6-bit code
-//! packs 10 per word with 4 spare (zero) bits on top, matching how a
-//! hardware packer concatenates narrow BRAM words onto a 64-bit bus.
-//!
 //! [`SeedSequence`]: https://docs.rs/ (the `qtaccel-hdl` RNG seeding type)
 
 use crate::QValue;
@@ -115,13 +110,6 @@ impl QuantPolicy {
     #[inline(always)]
     pub const fn shift(&self) -> u32 {
         self.shift
-    }
-
-    /// How many codes pack into one `u64` host word (floor division —
-    /// a 6-bit code packs 10 per word with 4 spare bits).
-    #[inline(always)]
-    pub const fn codes_per_u64(&self) -> u32 {
-        64 / self.stored_bits
     }
 
     /// Most positive code, as a signed integer (`2^(b−1) − 1`).
@@ -258,25 +246,6 @@ impl QuantPolicy {
         (1u64 << self.stored_bits) - 1
     }
 
-    /// Extract code `lane` of a packed word (`lane <` [`codes_per_u64`]).
-    ///
-    /// [`codes_per_u64`]: Self::codes_per_u64
-    #[inline(always)]
-    pub fn extract_code(&self, word: u64, lane: u32) -> u64 {
-        debug_assert!(lane < self.codes_per_u64());
-        (word >> (lane * self.stored_bits)) & self.code_mask()
-    }
-
-    /// Insert `code` into lane `lane` of a packed word, preserving the
-    /// other lanes.
-    #[inline(always)]
-    pub fn insert_code(&self, word: u64, lane: u32, code: u64) -> u64 {
-        debug_assert!(lane < self.codes_per_u64());
-        debug_assert!(code & !self.code_mask() == 0);
-        let shift = lane * self.stored_bits;
-        (word & !(self.code_mask() << shift)) | (code << shift)
-    }
-
     /// Short stable name for reports and checkpoint diagnostics, e.g.
     /// `"q8s2"` (8 stored bits, shift 2).
     pub fn format_name(&self) -> String {
@@ -315,9 +284,6 @@ mod tests {
             assert_eq!(p.min_value::<Q8_8>().to_f64(), lo, "{}", p.format_name());
             assert_eq!(p.max_value::<Q8_8>().to_f64(), hi, "{}", p.format_name());
         }
-        assert_eq!(QuantPolicy::q8().codes_per_u64(), 8);
-        assert_eq!(QuantPolicy::q6().codes_per_u64(), 10, "4 spare bits");
-        assert_eq!(QuantPolicy::q4().codes_per_u64(), 16);
     }
 
     #[test]
@@ -461,29 +427,6 @@ mod tests {
             avg > 0.4 * step as f64,
             "flooring must show the bias stochastic rounding removes: {avg}"
         );
-    }
-
-    #[test]
-    fn packing_round_trips_with_spare_bits_zero() {
-        let p = QuantPolicy::q6();
-        let mut word = 0u64;
-        let codes: Vec<u64> = (0..p.codes_per_u64() as u64)
-            .map(|i| (i * 7 + 3) & p.code_mask())
-            .collect();
-        for (lane, &c) in codes.iter().enumerate() {
-            word = p.insert_code(word, lane as u32, c);
-        }
-        for (lane, &c) in codes.iter().enumerate() {
-            assert_eq!(p.extract_code(word, lane as u32), c);
-        }
-        // 10 lanes × 6 bits = 60: the 4 spare top bits stay clear.
-        assert_eq!(word >> 60, 0);
-        // Inserting into one lane leaves the others untouched.
-        let patched = p.insert_code(word, 4, 0x3F);
-        for (lane, &c) in codes.iter().enumerate() {
-            let expect = if lane == 4 { 0x3F } else { c };
-            assert_eq!(p.extract_code(patched, lane as u32), expect);
-        }
     }
 
     #[test]

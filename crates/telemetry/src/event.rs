@@ -3,15 +3,11 @@
 //! The cycle-accurate pipeline emits one [`Event`] per architecturally
 //! visible occurrence: a stage becoming occupied, a RAW hazard being
 //! detected, a stall interval, a forwarded operand, a table commit. Each
-//! event carries the simulation cycle it happened on, so a sink can
-//! reconstruct a waveform or a JSONL log that lines up with the
-//! perf-counter bank.
-//!
-//! The JSONL schema (one compact object per line) tags each record with a
-//! `"t"` discriminator: `stage`, `hazard`, `stall_begin`, `stall_end`,
-//! `forward`, `commit`. DESIGN.md §2.6 lists the per-type fields.
-
-use crate::json::{Json, ToJson};
+//! event carries the simulation cycle it happened on, so the events a
+//! [`RingSink`](crate::RingSink) keeps draw a waveform
+//! ([`export::waveform`](crate::export::waveform)) or a Perfetto trace
+//! ([`export::chrome_trace`](crate::export::chrome_trace)) that lines up
+//! with the perf-counter bank. DESIGN.md §2.6 lists the variants.
 
 /// Which on-chip table a memory-related event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +19,7 @@ pub enum MemKind {
 }
 
 impl MemKind {
-    /// Stable lowercase name used in JSONL records.
+    /// Stable lowercase name used in Perfetto trace arguments.
     pub const fn name(self) -> &'static str {
         match self {
             MemKind::Q => "q",
@@ -98,113 +94,5 @@ impl Event {
             | Event::Forward { cycle, .. }
             | Event::Commit { cycle, .. } => cycle,
         }
-    }
-
-    /// The `"t"` discriminator used in JSONL records.
-    pub const fn type_name(&self) -> &'static str {
-        match self {
-            Event::Stage { .. } => "stage",
-            Event::Hazard { .. } => "hazard",
-            Event::StallBegin { .. } => "stall_begin",
-            Event::StallEnd { .. } => "stall_end",
-            Event::Forward { .. } => "forward",
-            Event::Commit { .. } => "commit",
-        }
-    }
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("t", Json::Str(self.type_name().to_string()))];
-        match *self {
-            Event::Stage {
-                cycle,
-                stage,
-                iteration,
-            } => {
-                fields.push(("cycle", Json::UInt(cycle)));
-                fields.push(("stage", Json::UInt(u64::from(stage))));
-                fields.push(("iteration", Json::UInt(iteration)));
-            }
-            Event::Hazard { cycle, mem, addr }
-            | Event::StallBegin { cycle, mem, addr }
-            | Event::Forward { cycle, mem, addr }
-            | Event::Commit { cycle, mem, addr } => {
-                fields.push(("cycle", Json::UInt(cycle)));
-                fields.push(("mem", Json::Str(mem.name().to_string())));
-                fields.push(("addr", Json::UInt(addr)));
-            }
-            Event::StallEnd { cycle } => {
-                fields.push(("cycle", Json::UInt(cycle)));
-            }
-        }
-        Json::Obj(fields)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::json::parse;
-
-    #[test]
-    fn every_variant_serializes_with_type_tag_and_cycle() {
-        let events = [
-            Event::Stage {
-                cycle: 4,
-                stage: 2,
-                iteration: 1,
-            },
-            Event::Hazard {
-                cycle: 5,
-                mem: MemKind::Q,
-                addr: 17,
-            },
-            Event::StallBegin {
-                cycle: 5,
-                mem: MemKind::Qmax,
-                addr: 3,
-            },
-            Event::StallEnd { cycle: 7 },
-            Event::Forward {
-                cycle: 8,
-                mem: MemKind::Q,
-                addr: 17,
-            },
-            Event::Commit {
-                cycle: 9,
-                mem: MemKind::Qmax,
-                addr: 3,
-            },
-        ];
-        for ev in events {
-            let p = parse(&ev.to_json().compact()).unwrap();
-            assert_eq!(p.get("t").unwrap().as_str(), Some(ev.type_name()));
-            assert_eq!(p.get("cycle").unwrap().as_u64(), Some(ev.cycle()));
-        }
-    }
-
-    #[test]
-    fn stage_event_carries_stage_and_iteration() {
-        let ev = Event::Stage {
-            cycle: 12,
-            stage: 4,
-            iteration: 9,
-        };
-        let p = parse(&ev.to_json().compact()).unwrap();
-        assert_eq!(p.get("stage").unwrap().as_u64(), Some(4));
-        assert_eq!(p.get("iteration").unwrap().as_u64(), Some(9));
-    }
-
-    #[test]
-    fn mem_events_name_the_table() {
-        let ev = Event::Forward {
-            cycle: 3,
-            mem: MemKind::Qmax,
-            addr: 41,
-        };
-        let p = parse(&ev.to_json().compact()).unwrap();
-        assert_eq!(p.get("mem").unwrap().as_str(), Some("qmax"));
-        assert_eq!(p.get("addr").unwrap().as_u64(), Some(41));
     }
 }

@@ -1,7 +1,8 @@
-//! Exporters: OpenMetrics scrape endpoint and Perfetto trace conversion.
+//! Exporters: OpenMetrics scrape endpoint, Perfetto trace conversion and
+//! the text waveform.
 //!
-//! Two ways out of the process for the metrics the rest of this crate
-//! collects, both dependency-free:
+//! The ways out of the process for the metrics the rest of this crate
+//! collects, all dependency-free:
 //!
 //! * **OpenMetrics / Prometheus text format.** [`encode_openmetrics`]
 //!   renders a [`MetricsRegistry`] snapshot. The one HTTP endpoint that
@@ -13,17 +14,20 @@
 //!   half, and [`check_openmetrics`] is the strict validator the smoke
 //!   tests run against every scrape.
 //! * **Chrome trace-event JSON (Perfetto-loadable).** [`chrome_trace`]
-//!   converts typed [`Event`] streams — straight from a `RingSink`, or
-//!   read back from a `JsonlSink` file via [`events_from_jsonl`] — into
-//!   per-pipeline tracks with stall/commit spans and hazard/forward
+//!   converts the typed [`Event`]s a [`RingSink`](crate::RingSink) kept
+//!   into per-pipeline tracks with stall/commit spans and hazard/forward
 //!   instants. Load the output at <https://ui.perfetto.dev> (one
 //!   simulation cycle is rendered as one microsecond).
+//! * **Text waveform.** [`waveform`] draws the same events' stage
+//!   occupancy as the classic pipeline diagram, and [`stage_occupancy`]
+//!   sums one of its rows.
 //!
-//! DESIGN.md §2.10 documents the endpoint lifecycle and both formats.
+//! DESIGN.md §2.10 documents the endpoint lifecycle and the OpenMetrics
+//! and trace formats; §2.6 shows a waveform.
 
 use crate::event::{Event, MemKind};
 use crate::histogram::{MetricValue, MetricsRegistry};
-use crate::json::{parse, Json, Parsed};
+use crate::json::Json;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -229,84 +233,6 @@ pub fn scrape(addr: impl ToSocketAddrs) -> std::io::Result<String> {
     }
 }
 
-/// Parse one [`Event`] back from its JSONL object form (the inverse of
-/// `Event::to_json`, used to feed trace files into [`chrome_trace`]).
-fn event_from_parsed(p: &Parsed) -> Result<Event, String> {
-    let t = p
-        .get("t")
-        .and_then(|v| v.as_str())
-        .ok_or("event lacks a \"t\" discriminator")?;
-    let cycle = p
-        .get("cycle")
-        .and_then(|v| v.as_u64())
-        .ok_or("event lacks a cycle")?;
-    let mem = || -> Result<MemKind, String> {
-        match p.get("mem").and_then(|v| v.as_str()) {
-            Some("q") => Ok(MemKind::Q),
-            Some("qmax") => Ok(MemKind::Qmax),
-            other => Err(format!("bad mem field {other:?}")),
-        }
-    };
-    let addr = || {
-        p.get("addr")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| "event lacks an addr".to_string())
-    };
-    match t {
-        "stage" => Ok(Event::Stage {
-            cycle,
-            stage: p
-                .get("stage")
-                .and_then(|v| v.as_u64())
-                .filter(|&s| (1..=4).contains(&s))
-                .ok_or("bad stage field")? as u8,
-            iteration: p
-                .get("iteration")
-                .and_then(|v| v.as_u64())
-                .ok_or("stage event lacks an iteration")?,
-        }),
-        "hazard" => Ok(Event::Hazard {
-            cycle,
-            mem: mem()?,
-            addr: addr()?,
-        }),
-        "stall_begin" => Ok(Event::StallBegin {
-            cycle,
-            mem: mem()?,
-            addr: addr()?,
-        }),
-        "stall_end" => Ok(Event::StallEnd { cycle }),
-        "forward" => Ok(Event::Forward {
-            cycle,
-            mem: mem()?,
-            addr: addr()?,
-        }),
-        "commit" => Ok(Event::Commit {
-            cycle,
-            mem: mem()?,
-            addr: addr()?,
-        }),
-        other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Read a `JsonlSink` stream back into typed events, one strict-parsed
-/// line at a time. Blank lines are skipped; a malformed line (including
-/// a final partial line from a process that died mid-write) is an error
-/// naming the line number — callers that expect truncation parse
-/// line-by-line themselves and stop at the first failure.
-pub fn events_from_jsonl(text: &str) -> Result<Vec<Event>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        events.push(event_from_parsed(&parsed).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(events)
-}
-
 /// A Chrome trace metadata event naming a track: `kind` is
 /// `"process_name"` or `"thread_name"`.
 pub(crate) fn track_name(kind: &str, pid: u64, tid: u64, name: String) -> Json {
@@ -505,24 +431,64 @@ pub fn chrome_trace_with_health(
     doc
 }
 
-/// [`chrome_trace`] over JSONL trace files: each `(track_name, text)`
-/// pair is parsed with [`events_from_jsonl`] first.
-pub fn chrome_trace_from_jsonl(tracks: &[(String, String)]) -> Result<Json, String> {
-    let mut parsed = Vec::with_capacity(tracks.len());
-    for (name, text) in tracks {
-        parsed.push((
-            name.clone(),
-            events_from_jsonl(text).map_err(|e| format!("{name}: {e}"))?,
-        ));
+/// Render the stage events among `events` as a text waveform covering
+/// cycles `[from, from + width)`: rows are stages S1–S4, columns are
+/// cycles, each cell shows `iteration % 10`, and `.` is an idle slot.
+/// Every other event variant is ignored.
+pub fn waveform<'a>(events: impl IntoIterator<Item = &'a Event>, from: u64, width: u64) -> String {
+    let mut grid = vec![vec!['.'; width as usize]; 4];
+    for ev in events {
+        let Event::Stage {
+            cycle,
+            stage,
+            iteration,
+        } = *ev
+        else {
+            continue;
+        };
+        if (from..from + width).contains(&cycle) {
+            grid[usize::from(stage) - 1][(cycle - from) as usize] =
+                char::from_digit((iteration % 10) as u32, 10).unwrap_or('?');
+        }
     }
-    Ok(chrome_trace(&parsed))
+    let mut out = format!("cycle {from:>6} +{width}\n");
+    for (row, name) in grid.iter().zip(["S1", "S2", "S3", "S4"]) {
+        out.push_str(name);
+        out.push(' ');
+        out.extend(row.iter());
+        out.push('\n');
+    }
+    out
+}
+
+/// Occupancy of `stage` over the cycles its events span: the fraction
+/// of those cycles with an iteration present (1.0 = a perfectly full
+/// pipe, 0.0 when `events` hold no event for the stage).
+pub fn stage_occupancy<'a>(events: impl IntoIterator<Item = &'a Event>, stage: u8) -> f64 {
+    let (mut n, mut first, mut last) = (0u64, u64::MAX, 0u64);
+    for ev in events {
+        if let Event::Stage {
+            cycle, stage: s, ..
+        } = *ev
+        {
+            if s == stage {
+                n += 1;
+                first = first.min(cycle);
+                last = last.max(cycle);
+            }
+        }
+    }
+    if n == 0 {
+        return 0.0;
+    }
+    n as f64 / (last - first + 1) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counters::{CounterBank, CounterId};
-    use crate::json::ToJson;
+    use crate::json::parse;
 
     fn sample_registry() -> MetricsRegistry {
         let mut bank = CounterBank::new();
@@ -693,22 +659,5 @@ mod tests {
         let spans = parse(&chrome_trace(&[("p0".into(), stall_stream())]).compact()).unwrap();
         let spans_n = spans.get("traceEvents").unwrap().as_arr().unwrap().len();
         assert_eq!(n, spans_n + 4, "counter events appended to the span set");
-    }
-
-    #[test]
-    fn jsonl_events_parse_back_into_typed_stream() {
-        let text: String = stall_stream()
-            .iter()
-            .map(|e| e.to_json().compact() + "\n")
-            .collect();
-        let events = events_from_jsonl(&text).expect("parses");
-        assert_eq!(events, stall_stream());
-        // A truncated final line is an error naming the line.
-        let cut = &text[..text.len() - 10];
-        let err = events_from_jsonl(cut).unwrap_err();
-        assert!(err.starts_with("line 6:"), "{err}");
-        // And the document form round-trips through the strict parser.
-        let doc = chrome_trace_from_jsonl(&[("p0".into(), text)]).unwrap();
-        parse(&doc.compact()).expect("valid JSON");
     }
 }

@@ -4,9 +4,9 @@
 //! and telemetry traces use this emitter instead of serde; structs opt in
 //! with one [`crate::impl_to_json!`] line. The emitter half moved here from
 //! `qtaccel-bench::report` (which re-exports it for compatibility) when
-//! the telemetry layer gained sinks that *write* JSON; the parser half is
-//! new, added so run manifests and JSONL event traces can be round-trip
-//! verified and so the bench guard can read the recorded
+//! the telemetry layer started writing JSON; the parser half is new,
+//! added so run manifests, Perfetto traces and flight-recorder dumps can
+//! be round-trip verified and so the bench guard can read the recorded
 //! `BENCH_throughput.json` baseline.
 
 use std::fmt::Write as _;
@@ -43,7 +43,7 @@ impl Json {
         out
     }
 
-    /// Compact single-line form — one JSONL record.
+    /// Compact single-line form (one line of a JSONL file).
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0, false);

@@ -15,7 +15,8 @@
 //!   hazards, stall intervals, forwards, commits.
 //! * [`sink`] — the [`TraceSink`] trait and its implementations:
 //!   [`NullSink`] (default; compiles instrumentation away entirely),
-//!   [`CountersOnly`], bounded [`RingSink`], streaming [`JsonlSink`].
+//!   [`CountersOnly`], and [`RingSink`], the one event recorder: a
+//!   bounded ring of the newest events ([`HealthSink`] is the fourth).
 //! * [`json`] — the workspace's dependency-free JSON emitter
 //!   ([`Json`]/[`ToJson`]/[`impl_to_json!`], moved here from
 //!   `qtaccel-bench`) plus a strict parser ([`json::parse`]) for
@@ -27,10 +28,11 @@
 //!   histograms that the scrape endpoint serves.
 //! * [`export`] — the ways out of the process: an OpenMetrics text
 //!   encoder, validator and [`scrape`] client (the endpoint that serves
-//!   it is the [`Collector`]), and a Chrome trace-event
-//!   (Perfetto-loadable) converter for event streams
-//!   ([`export::chrome_trace`]) plus health counter tracks
-//!   ([`export::chrome_trace_with_health`]).
+//!   it is the [`Collector`]), a Chrome trace-event (Perfetto-loadable)
+//!   converter for a ring's events ([`export::chrome_trace`]) plus
+//!   health counter tracks ([`export::chrome_trace_with_health`]), and
+//!   the text waveform of the 4-stage pipe ([`export::waveform`],
+//!   [`export::stage_occupancy`]).
 //! * [`health`] — training-health observability: per-pipeline
 //!   convergence probes ([`HealthProbe`], fed through the
 //!   [`TraceSink::health_mut`] seam by [`HealthSink`]), the [`Watchdog`]
@@ -65,7 +67,7 @@
 //! disabled**. Pipelines are generic over the sink; with [`NullSink`]
 //! every instrumentation site monomorphizes to nothing and the
 //! stall-free fast-path kernel remains engaged. DESIGN.md §2.6
-//! documents the register map, the JSONL event schema, and this policy;
+//! documents the register map, the event variants, and this policy;
 //! §2.10 documents the metrics service built on top.
 
 pub mod collector;
@@ -87,7 +89,7 @@ pub use counters::{CounterBank, CounterId};
 pub use event::{Event, MemKind};
 pub use export::{
     check_openmetrics, chrome_trace, chrome_trace_with_health, encode_openmetrics,
-    events_from_jsonl, health_counter_tracks, scrape,
+    health_counter_tracks, scrape, stage_occupancy, waveform,
 };
 pub use health::{
     Alert, FlightEntry, FlightRecorder, HealthConfig, HealthProbe, HealthSink, HealthSnapshot,
@@ -97,7 +99,7 @@ pub use histogram::{
     stall_run_lengths, Histogram, HistogramSummary, MergeError, MetricValue, MetricsRegistry,
 };
 pub use json::{Json, ToJson};
-pub use sink::{CountersOnly, JsonlSink, NullSink, RingSink, TraceSink};
+pub use sink::{CountersOnly, NullSink, RingSink, TraceSink};
 pub use span::{monotonic_ns, ActiveSpan, Span, SpanContext, SpanId, SpanTracer, TraceId};
 pub use wire::{registry_delta, Frame, FramePayload, FrameReader, WireError};
 

@@ -18,9 +18,10 @@
 //! * [`baseline`] — comparison baselines: the FSM-per-state-action design
 //!   of Da Silva et al. and CPU software Q-learning.
 //! * [`telemetry`] — observability: the hardware-style perf-counter bank,
-//!   structured event-trace sinks (ring/JSONL) every engine accepts via
-//!   `with_sink`, and the JSON emitter/parser behind run reports. Off by
-//!   default and free when off (DESIGN.md §2.6).
+//!   the bounded event ring every engine accepts via `with_sink` (and the
+//!   pipeline waveform and Perfetto trace drawn from it), and the JSON
+//!   emitter/parser behind run reports. Off by default and free when off
+//!   (DESIGN.md §2.6).
 //! * [`cluster`] — the fault-tolerant multi-process training runtime:
 //!   a supervising coordinator hands epoch-fenced shard leases to worker
 //!   processes over the telemetry wire protocol and survives kills,
