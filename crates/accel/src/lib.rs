@@ -24,7 +24,8 @@
 //!   cycle-accurate engine itself.
 //!   The module also holds the one policy unit every QRL engine draws
 //!   through, and [`QrlAccel`], the one QRL engine type: the pipeline
-//!   itself, whose policy fixture only picks the constructors.
+//!   itself, whose policy fixture picks the constructors and yields the
+//!   policies every engine loop runs ([`pipeline::Fixture`]).
 //!   [`AccelPipeline`] is the fixture that keeps the policies its
 //!   [`AccelConfig`] gives, on a caller-chosen seed bank.
 //! * [`qlearning`] / [`sarsa`] — the two §V engine customizations, as

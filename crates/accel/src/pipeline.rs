@@ -46,8 +46,11 @@
 //! `hazard_mode_cycle_stats_are_pinned` regression test). The step and
 //! every per-sample helper on its path are `#[inline(always)]`, so
 //! [`QrlAccel::run_samples`] is one loop per hazard mode, each with its
-//! mode's read path specialised. A loop holds only per-sample work, the
-//! transition unit included (see *Reward tables*). What does not run on
+//! mode's read path specialised. Each policy fixture has its own copy of
+//! those loops, and a fixture that fixes its policies' kinds
+//! ([`Fixture`]) has the per-sample policy dispatch folded away in its
+//! copy. A loop holds only per-sample work, the transition unit
+//! included (see *Reward tables*). What does not run on
 //! every sample is a call, so its code stays out of the loops: the
 //! start-state selector, once per episode; the |A|-read row scan, only
 //! under [`MaxMode::ExactScan`] (the design point §V-A removes); and the
@@ -73,10 +76,13 @@
 //! table is a pure function of the environment and the stored format in
 //! force, so `enable_quant` and a checkpoint restore drop every table
 //! (and a refused image) instead of re-snapping it in place. The
-//! transition unit stays a live `Environment::transition` evaluation per
-//! cycle-accurate step, in line in each loop (`GridWorld::transition` is
-//! `#[inline(always)]`), as the paper's combinational transition module
-//! is.
+//! cycle-accurate engine keeps no transition table: its transition unit
+//! is the environment's own `Environment::transition`, in line in each
+//! loop. A grid world computes that unit once, at build, as the paper's
+//! combinational module is fixed at synthesis: a legal-move byte per
+//! state and an address offset per action, so a transition is a byte
+//! load, a bit test and an add (`GridWorld::transition` is
+//! `#[inline(always)]`).
 
 use std::marker::PhantomData;
 use std::path::Path;
@@ -472,9 +478,20 @@ pub(crate) enum PolicyUnit {
 }
 
 impl PolicyUnit {
-    /// The behaviour and update units of `trainer`. Boltzmann has no
-    /// LFSR-only realization and is refused here, for every engine.
+    /// The behaviour and update units of `trainer`'s policies, for the
+    /// engines that run their configuration's ([`Configured`], the dual
+    /// pipeline). Not inlined into engines monomorphized in other
+    /// crates: each of their runs calls it once.
     pub(crate) fn resolve(trainer: &TrainerConfig) -> [Self; 2] {
+        Self::pair([trainer.behavior, trainer.update])
+    }
+
+    /// The behaviour and update units of `policies`, in line, so the
+    /// units of a fixture that fixes its policies' kinds are constants
+    /// in its engine loops. Boltzmann has no LFSR-only realization and
+    /// is refused here, for every engine.
+    #[inline(always)]
+    fn pair([behavior, update]: [Policy; 2]) -> [Self; 2] {
         let unit = |p, role| match p {
             Policy::Random => PolicyUnit::Random,
             Policy::Greedy => PolicyUnit::Greedy,
@@ -484,10 +501,7 @@ impl PolicyUnit {
                  use the probability-table bandit engine (qtaccel_accel::bandit)"
             ),
         };
-        [
-            unit(trainer.behavior, "behaviour"),
-            unit(trainer.update, "update"),
-        ]
+        [unit(behavior, "behaviour"), unit(update, "update")]
     }
 
     /// Whether a selection draws an LFSR word.
@@ -538,14 +552,15 @@ fn episode_start<E: Environment>(env: &E, rng: &mut Lfsr32) -> State {
 }
 
 /// A QRL accelerator instance (§IV): the 4-stage pipeline with one
-/// policy fixture `A`, which only picks the constructors that set the
-/// behaviour and update policies:
+/// policy [`Fixture`] `A`, which picks the constructors that set the
+/// behaviour and update policies and yields them to every engine loop:
 ///
 /// - [`AccelPipeline`] ([`Configured`]): the policies [`AccelConfig`]
 ///   gives and a caller-chosen seed bank — what
 ///   [`IndependentPipelines`](crate::IndependentPipelines) builds;
 /// - [`QLearningAccel`](crate::QLearningAccel) and
-///   [`SarsaAccel`](crate::SarsaAccel): the two §V engines, seed bank 0.
+///   [`SarsaAccel`](crate::SarsaAccel): the two §V engines, seed bank 0,
+///   whose policy kinds are fixed by the type.
 ///
 /// The dual-pipeline configuration (`crate::multi::DualPipelineShared`)
 /// runs two datapaths over shared memories with its own arbitration, and
@@ -611,14 +626,43 @@ pub struct QrlAccel<V, S: TraceSink = NullSink, A = Configured> {
     // this before each durable save so a checkpoint names the
     // assignment epoch it was written under. 0 outside cluster runs.
     lease_epoch: u64,
-    // The policy fixture: it only picks the constructors.
+    // The policy fixture: it picks the constructors and yields the
+    // policy units (`Fixture`).
     algorithm: PhantomData<A>,
+}
+
+pub(crate) mod sealed {
+    /// Only this crate's fixtures are [`Fixture`](super::Fixture)s.
+    pub trait Sealed {}
+}
+
+/// A policy fixture of [`QrlAccel`]: the behaviour and update policies
+/// that every engine loop runs, given the trainer configuration the
+/// fixture's constructors wrote. A fixture
+/// that fixes its policies' kinds returns them whatever the
+/// configuration says, so in its engine copy the per-sample policy
+/// dispatch folds away at compile time. Sealed: the fixtures are
+/// [`Configured`], [`QLearning`](crate::QLearning) and
+/// [`Sarsa`](crate::Sarsa).
+pub trait Fixture: sealed::Sealed {
+    /// The behaviour and update policies this fixture fixes, in that
+    /// order; `None` for one that runs whatever its configuration gives.
+    fn policies(trainer: &TrainerConfig) -> Option<[Policy; 2]>;
 }
 
 /// The policy fixture of [`AccelPipeline`]: behaviour and update
 /// policies as [`AccelConfig`] gives them.
 #[derive(Debug, Clone, Copy)]
 pub struct Configured;
+
+impl sealed::Sealed for Configured {}
+
+impl Fixture for Configured {
+    #[inline(always)]
+    fn policies(_: &TrainerConfig) -> Option<[Policy; 2]> {
+        None
+    }
+}
 
 /// The pipeline core with the policies its [`AccelConfig`] gives, on a
 /// caller-chosen RNG seed bank.
@@ -648,7 +692,7 @@ impl<V: QValue, S: TraceSink> AccelPipeline<V, S> {
     }
 }
 
-impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
+impl<V: QValue, S: TraceSink, A: Fixture> QrlAccel<V, S, A> {
     /// Build an engine for `env`'s dimensions with `config`'s policies,
     /// drawing from seed bank `pipeline_index` and feeding `sink`; each
     /// fixture's constructors set their policies and call this.
@@ -1006,6 +1050,16 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
 
     // ---- policy units --------------------------------------------------
 
+    /// The behaviour and update units, resolved once per run: in line
+    /// from the fixture's policies, or by a call from the configuration's.
+    #[inline(always)]
+    fn units(&self) -> [PolicyUnit; 2] {
+        match A::policies(&self.config.trainer) {
+            Some(policies) => PolicyUnit::pair(policies),
+            None => PolicyUnit::resolve(&self.config.trainer),
+        }
+    }
+
     /// Stage-1 behaviour action selection through `unit`; returns the
     /// action and any stall delay from the Qmax read of a greedy
     /// component.
@@ -1060,7 +1114,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
     /// transition for tracing.
     #[inline(always)]
     pub fn step<E: Environment>(&mut self, env: &E) -> Transition<V> {
-        let units = PolicyUnit::resolve(&self.config.trainer);
+        let units = self.units();
         let rom = self.take_reward_rom(env);
         let t = self.step_with(env, &rom, units, self.config.hazard);
         self.rewards = Some(rom);
@@ -1223,8 +1277,9 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
     /// commit) are `#[inline(always)]`, so this compiles to one loop per
     /// hazard mode, each with its read path specialised; the episode-start
     /// selector, the `ExactScan` row scan and the active fault hook are
-    /// calls. The policy units and the hazard mode are resolved and the
-    /// reward ROM is held out of `self` once for the run.
+    /// calls. The policy units (the fixture's, see [`Fixture`]) and the
+    /// hazard mode are resolved and the reward ROM is held out of `self`
+    /// once for the run.
     ///
     /// Never inlined: each fixture instantiates its own engine, so a
     /// program that runs one fixture only through
@@ -1234,7 +1289,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
     #[inline(never)]
     pub fn run_samples<E: Environment>(&mut self, env: &E, n: u64) -> CycleStats {
         if n > 0 {
-            let units = PolicyUnit::resolve(&self.config.trainer);
+            let units = self.units();
             let rom = self.take_reward_rom(env);
             // Each arm passes its mode as a constant: re-testing the mode
             // per read cost the Forwarding loop ~6% of its time.
@@ -1370,7 +1425,7 @@ impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
         debug_assert!(n > 0);
         debug_assert_eq!(env.num_states(), self.num_states, "environment mismatch");
         debug_assert_eq!(env.num_actions(), self.num_actions, "environment mismatch");
-        let units = PolicyUnit::resolve(&self.config.trainer);
+        let units = self.units();
         let entry_c1 = self.next_c1;
 
         // Entry: commit every pending write (memory = newest image) and

@@ -7,8 +7,9 @@
 //! spaces" where the FSM-per-pair baseline cannot.
 
 use crate::config::AccelConfig;
-use crate::pipeline::QrlAccel;
+use crate::pipeline::{sealed, Fixture, QrlAccel};
 use qtaccel_core::policy::Policy;
+use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::Environment;
 use qtaccel_fixed::QValue;
 use qtaccel_telemetry::{NullSink, TraceSink};
@@ -17,6 +18,15 @@ use qtaccel_telemetry::{NullSink, TraceSink};
 /// update through the Qmax array, no action forwarding.
 #[derive(Debug, Clone, Copy)]
 pub struct QLearning;
+
+impl sealed::Sealed for QLearning {}
+
+impl Fixture for QLearning {
+    #[inline(always)]
+    fn policies(_: &TrainerConfig) -> Option<[Policy; 2]> {
+        Some([Policy::Random, Policy::Greedy])
+    }
+}
 
 /// The Q-Learning accelerator instance.
 ///

@@ -18,7 +18,7 @@
 //!   records them against each figure.
 
 use crate::config::AccelConfig;
-use crate::pipeline::QrlAccel;
+use crate::pipeline::{Fixture, QrlAccel};
 use qtaccel_fixed::QValue;
 use qtaccel_hdl::bram::blocks_for;
 use qtaccel_hdl::dsp::dsp_slices_for_mul;
@@ -306,7 +306,7 @@ pub fn analyze_stored(
     }
 }
 
-impl<V: QValue, S: TraceSink, A> QrlAccel<V, S, A> {
+impl<V: QValue, S: TraceSink, A: Fixture> QrlAccel<V, S, A> {
     /// Structural resources, modeled fmax/throughput/power for this
     /// engine (Figs. 3–6), at its measured issue rate (the design
     /// rate before any sample retires). The instance's options each add

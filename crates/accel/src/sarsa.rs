@@ -9,8 +9,9 @@
 //! stage as the next-step action").
 
 use crate::config::AccelConfig;
-use crate::pipeline::QrlAccel;
+use crate::pipeline::{sealed, Fixture, QrlAccel};
 use qtaccel_core::policy::Policy;
+use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::Environment;
 use qtaccel_fixed::QValue;
 use qtaccel_telemetry::{NullSink, TraceSink};
@@ -19,6 +20,19 @@ use qtaccel_telemetry::{NullSink, TraceSink};
 /// with the stage-2 action forwarded to stage 1.
 #[derive(Debug, Clone, Copy)]
 pub struct Sarsa;
+
+impl sealed::Sealed for Sarsa {}
+
+impl Fixture for Sarsa {
+    /// Both ε-greedy, with the ε the constructors wrote.
+    #[inline(always)]
+    fn policies(trainer: &TrainerConfig) -> Option<[Policy; 2]> {
+        let Policy::EpsilonGreedy { epsilon } = trainer.behavior else {
+            unreachable!("SARSA's constructors write an ε-greedy behaviour policy")
+        };
+        Some([Policy::EpsilonGreedy { epsilon }; 2])
+    }
+}
 
 /// The SARSA accelerator instance.
 ///

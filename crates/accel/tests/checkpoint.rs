@@ -429,8 +429,11 @@ fn checkpoints_encode_to_their_pinned_bytes() {
 /// run, `QLearningAccel::new` and `SarsaAccel::new` save byte-identical
 /// checkpoint files to `AccelPipeline::new` on seed bank 0 whose config
 /// carries the fixture's policies — on the kernel (`Forwarding`) and on
-/// the cycle-accurate engine. The base config's own policies differ from
-/// both fixtures', so a fixture that kept them would save other bytes.
+/// the cycle-accurate engine. So they do after the same `train_samples`
+/// run, which pins each fixture's own cycle-engine loops, `Forwarding`
+/// included, to the configured pipeline's. The base config's own
+/// policies differ from both fixtures', so a fixture that kept them
+/// would save other bytes.
 #[test]
 fn fixtures_save_the_checkpoints_of_a_configured_pipeline() {
     use qtaccel_accel::AccelPipeline;
@@ -449,6 +452,11 @@ fn fixtures_save_the_checkpoints_of_a_configured_pipeline() {
             saved(&configured_path)
         };
         let unfixed = train(AccelPipeline::new(&g, base, 0));
+        let cycle = |mut p: AccelPipeline<Q8_8>| {
+            p.train_samples(&g, 5_003);
+            p.save_checkpoint(&configured_path).expect("save");
+            saved(&configured_path)
+        };
 
         let mut ql = QLearningAccel::<Q8_8>::new(&g, base);
         ql.train_samples_fast(&g, 5_003);
@@ -460,6 +468,15 @@ fn fixtures_save_the_checkpoints_of_a_configured_pipeline() {
         let configured = train(AccelPipeline::new(&g, cfg, 0));
         assert_eq!(saved(&fixture_path), configured, "Q-learning {hazard:?}");
         assert_ne!(unfixed, configured, "Q-learning {hazard:?}");
+        let mut ql = QLearningAccel::<Q8_8>::new(&g, base);
+        ql.train_samples(&g, 5_003);
+        ql.save_checkpoint(&fixture_path).expect("save");
+        let configured = cycle(AccelPipeline::new(&g, cfg, 0));
+        assert_eq!(
+            saved(&fixture_path),
+            configured,
+            "Q-learning cycle {hazard:?}"
+        );
 
         let mut sarsa = SarsaAccel::<Q8_8>::new(&g, base, 0.2);
         sarsa.train_samples_fast(&g, 5_003);
@@ -471,6 +488,11 @@ fn fixtures_save_the_checkpoints_of_a_configured_pipeline() {
         let configured = train(AccelPipeline::new(&g, cfg, 0));
         assert_eq!(saved(&fixture_path), configured, "SARSA {hazard:?}");
         assert_ne!(unfixed, configured, "SARSA {hazard:?}");
+        let mut sarsa = SarsaAccel::<Q8_8>::new(&g, base, 0.2);
+        sarsa.train_samples(&g, 5_003);
+        sarsa.save_checkpoint(&fixture_path).expect("save");
+        let configured = cycle(AccelPipeline::new(&g, cfg, 0));
+        assert_eq!(saved(&fixture_path), configured, "SARSA cycle {hazard:?}");
     }
     let _ = std::fs::remove_file(&fixture_path);
     let _ = std::fs::remove_file(&configured_path);

@@ -15,6 +15,12 @@
 //! grid dimensions the packed address space is larger than the cell count;
 //! the filler addresses exist in the Q-table (as they would in the BRAM)
 //! but are never visited.
+//!
+//! The transition module is combinational logic over a fixed grid, so
+//! [`GridWorldBuilder::build`] computes it once: one legal-move byte per
+//! packed state (bit *a* set when action *a* moves a live cell into a
+//! free one) and one packed-address offset per action. A transition is
+//! then a byte load, a bit test and an add.
 
 use crate::env::{Action, Environment, State};
 use qtaccel_hdl::rng::RngSource;
@@ -185,13 +191,41 @@ impl GridWorldBuilder {
         for &(x, y) in &self.obstacles {
             obstacle_mask[((x << ybits) | y) as usize] = true;
         }
+        let goal_state = (goal.0 << ybits) | goal.1;
+        let mut legal = vec![0u8; num_states];
+        let mut offsets = [0; 8];
+        let (w, h) = (i64::from(self.width), i64::from(self.height));
+        for a in 0..self.actions.len() as Action {
+            let (dx, dy) = self.actions.delta(a);
+            offsets[a as usize] = ((dx << ybits) + dy) as u32;
+            // Each column's cells whose neighbour along (dx, dy) is in
+            // the grid form one contiguous y range of the packing.
+            let (y0, n) = (0.max(-dy), (h - dy.abs()) as usize);
+            for x in 0.max(-dx)..w - 0.max(dx) {
+                let from = ((x as usize) << ybits) + y0 as usize;
+                let to = (((x + dx) as usize) << ybits) + (y0 + dy) as usize;
+                for (m, &blocked) in legal[from..from + n]
+                    .iter_mut()
+                    .zip(&obstacle_mask[to..to + n])
+                {
+                    *m |= u8::from(!blocked) << a;
+                }
+            }
+        }
+        // Obstacles and the goal self-loop, as filler addresses do.
+        for &(x, y) in &self.obstacles {
+            legal[((x << ybits) | y) as usize] = 0;
+        }
+        legal[goal_state as usize] = 0;
         GridWorld {
             width: self.width,
             height: self.height,
             xbits,
             ybits,
-            goal_state: (goal.0 << ybits) | goal.1,
+            goal_state,
             obstacle_mask,
+            legal,
+            offsets,
             actions: self.actions,
             goal_reward: self.goal_reward,
             wall_penalty: self.wall_penalty,
@@ -215,6 +249,12 @@ pub struct GridWorld {
     ybits: u32,
     goal_state: State,
     obstacle_mask: Vec<bool>,
+    /// One byte per packed state: bit `a` is set when action `a` moves
+    /// this live cell into a free one. Zero for obstacles, the goal and
+    /// filler addresses.
+    legal: Vec<u8>,
+    /// Per action, the packed-address change of a legal move (wrapping).
+    offsets: [u32; 8],
     actions: ActionSet,
     goal_reward: f64,
     wall_penalty: f64,
@@ -397,29 +437,24 @@ impl Environment for GridWorld {
     // of the engine's time on a 16,384×8 grid.
     #[inline(always)]
     fn transition(&self, s: State, a: Action) -> State {
-        // Filler addresses, obstacles and the goal self-loop: the
+        debug_assert!(
+            (a as usize) < self.actions.len(),
+            "action {a} out of range for {}-action set",
+            self.actions.len()
+        );
+        // A wall or obstacle bounces; filler addresses, states past the
+        // packed space, obstacles and the goal self-loop: the
         // combinational module outputs the unchanged state.
-        if !self.in_grid(s) || self.is_obstacle(s) || s == self.goal_state {
-            return s;
-        }
-        let (x, y) = self.xy_of(s);
-        let (dx, dy) = self.actions.delta(a);
-        let nx = x as i64 + dx;
-        let ny = y as i64 + dy;
-        if nx < 0 || ny < 0 || nx >= self.width as i64 || ny >= self.height as i64 {
-            return s; // wall: bounce
-        }
-        let t = self.state_of(nx as u32, ny as u32);
-        if self.is_obstacle(t) {
-            s // obstacle: bounce
-        } else {
-            t
+        let legal = self.legal.get(s as usize).copied().unwrap_or(0);
+        match self.offsets.get(a as usize) {
+            Some(&d) if (legal >> a) & 1 != 0 => s.wrapping_add(d),
+            _ => s,
         }
     }
 
     #[inline]
     fn reward(&self, s: State, a: Action) -> f64 {
-        if !self.in_grid(s) || self.is_obstacle(s) || s == self.goal_state {
+        if !self.is_valid_state(s) || s == self.goal_state {
             return 0.0;
         }
         let t = self.transition(s, a);

@@ -15,7 +15,9 @@
 //! * [`GridWorld`] — the paper's evaluation workload (§VI-A): a robot on a
 //!   grid of cells with obstacles and a goal, states encoded as packed
 //!   (x, y) coordinate bits, 4- or 8-action move sets with the paper's
-//!   exact binary encodings.
+//!   exact binary encodings. Its transition module is computed once, at
+//!   build: a legal-move byte per state and a packed-address offset per
+//!   action, so a transition is a byte load, a bit test and an add.
 //! * [`CliffWalk`] — the classic cliff-walking task, used by the examples
 //!   to show the on-policy (SARSA) vs off-policy (Q-Learning) behavioural
 //!   difference.

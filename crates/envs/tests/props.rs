@@ -6,6 +6,8 @@ use qtaccel_envs::{
 };
 use qtaccel_fixed::{QValue, QuantPolicy, Q16_16, Q8_8};
 use qtaccel_hdl::lfsr::Lfsr32;
+use qtaccel_hdl::rng::RngSource;
+use std::collections::HashSet;
 
 fn arb_grid() -> impl Strategy<Value = GridWorld> {
     (1u32..10_000, 0u32..25, any::<bool>()).prop_map(|(seed, density, eight)| {
@@ -134,6 +136,142 @@ proptest! {
         if c.is_valid_state(above) && h >= 2 && w > 2 {
             let back_down = c.transition(above, 3);
             prop_assert_eq!(back_down, c.start_state());
+        }
+    }
+}
+
+/// A grid world's description, kept beside the grid built from it, so a
+/// test can evaluate the transition and reward geometrically.
+#[derive(Debug)]
+struct Described {
+    grid: GridWorld,
+    width: u32,
+    height: u32,
+    goal: (u32, u32),
+    obstacles: HashSet<(u32, u32)>,
+    actions: ActionSet,
+    /// Goal reward, wall penalty and step reward.
+    rewards: [f64; 3],
+}
+
+impl Described {
+    /// (x, y) of a packed address: y in the low bits, as many as the
+    /// height needs.
+    fn xy(&self, s: State) -> (u64, u64) {
+        let ybits = 32 - (self.height - 1).leading_zeros();
+        (u64::from(s) >> ybits, u64::from(s) & ((1 << ybits) - 1))
+    }
+
+    fn live(&self, s: State) -> bool {
+        let (x, y) = self.xy(s);
+        x < u64::from(self.width)
+            && y < u64::from(self.height)
+            && !self.obstacles.contains(&(x as u32, y as u32))
+            && (x as u32, y as u32) != self.goal
+    }
+
+    /// The transition as geometry: a live cell moves by the action's
+    /// delta unless that leaves the grid or enters an obstacle; every
+    /// other address stays put.
+    fn transition(&self, s: State, a: Action) -> State {
+        if !self.live(s) {
+            return s;
+        }
+        let (x, y) = self.xy(s);
+        let (dx, dy) = self.actions.delta(a);
+        let (nx, ny) = (x as i64 + dx, y as i64 + dy);
+        if nx < 0 || ny < 0 || nx >= i64::from(self.width) || ny >= i64::from(self.height) {
+            return s;
+        }
+        if self.obstacles.contains(&(nx as u32, ny as u32)) {
+            return s;
+        }
+        self.grid.state_of(nx as u32, ny as u32)
+    }
+
+    fn reward(&self, s: State, a: Action) -> f64 {
+        let [goal, wall, step] = self.rewards;
+        if !self.live(s) {
+            return 0.0;
+        }
+        let t = self.transition(s, a);
+        if t == self.grid.goal_state() {
+            goal
+        } else if t == s {
+            wall
+        } else {
+            step
+        }
+    }
+}
+
+/// Random grids of 2–13 cells a side, so most packings hold filler
+/// addresses, with either action set, 0–40% obstacles, a free goal and
+/// rewards of either sign.
+fn arb_described() -> impl Strategy<Value = Described> {
+    (
+        (2u32..14, 2u32..14),
+        0u32..=40,
+        any::<bool>(),
+        1u32..100_000,
+        (-4.0f64..4.0, -4.0f64..4.0, -4.0f64..4.0),
+    )
+        .prop_map(
+            |((width, height), pct, eight, seed, (goal_r, wall, step))| {
+                let mut rng = Lfsr32::new(seed);
+                let cells = (0..width).flat_map(|x| (0..height).map(move |y| (x, y)));
+                let mut obstacles: HashSet<_> = cells.filter(|_| rng.below(100) < pct).collect();
+                let free: Vec<_> = (0..width)
+                    .flat_map(|x| (0..height).map(move |y| (x, y)))
+                    .filter(|c| !obstacles.contains(c))
+                    .collect();
+                let goal = match free.len() {
+                    0 => (0, 0),
+                    n => free[rng.below(n as u32) as usize],
+                };
+                obstacles.remove(&goal);
+                let actions = if eight {
+                    ActionSet::Eight
+                } else {
+                    ActionSet::Four
+                };
+                let grid = GridWorld::builder(width, height)
+                    .goal(goal.0, goal.1)
+                    .obstacles(obstacles.iter().copied())
+                    .actions(actions)
+                    .goal_reward(goal_r)
+                    .wall_penalty(wall)
+                    .step_reward(step)
+                    .build();
+                Described {
+                    grid,
+                    width,
+                    height,
+                    goal,
+                    obstacles,
+                    actions,
+                    rewards: [goal_r, wall, step],
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The legal-move byte and offset add that `build` computes give the
+    /// geometric transition and reward for every (s, a): every packed
+    /// address, filler included, and addresses past the packed space.
+    #[test]
+    fn grid_transition_and_reward_match_the_geometry(d in arb_described(), far in any::<u32>()) {
+        let g = &d.grid;
+        let n = g.num_states() as State;
+        let past = [n, n + 1, 2 * n - 1, n << 3, far | n, u32::MAX - 1, u32::MAX];
+        for s in (0..n).chain(past) {
+            for a in 0..g.num_actions() as Action {
+                prop_assert_eq!(g.transition(s, a), d.transition(s, a), "s {} a {}", s, a);
+                prop_assert_eq!(g.reward(s, a).to_bits(), d.reward(s, a).to_bits(), "s {} a {}", s, a);
+            }
         }
     }
 }

@@ -185,7 +185,10 @@ impl QuantPolicy {
     /// zeros. Bit-identical to `dequantize_raw(quantize_raw(..))` — the
     /// clamped code is in range, so the mask-and-sign-extend round trip
     /// is the identity — with one shift fewer on the writeback's
-    /// dependency chain (the fast path's packed-image hot loop).
+    /// dependency chain: the one Q write port both engines call, the
+    /// accelerator's `QuantRt` (the stall-free kernel's `WritePort` and
+    /// the cycle-accurate engine's `quantize_writeback`), goes through
+    /// [`apply`](Self::apply) to here.
     #[inline(always)]
     pub fn apply_raw(&self, raw: i64, rnd: u64) -> i64 {
         let mask = (1u64 << self.shift) - 1;
@@ -467,8 +470,10 @@ mod tests {
     fn apply_raw_matches_the_code_space_round_trip() {
         // The raw-domain writeback shortcut is bit-identical to
         // dequantize(quantize(..)) for every policy, dither phase, and
-        // a raw sweep past both rails (the form the fast path's packed
-        // image relies on).
+        // a raw sweep past both rails (the form the one Q write port
+        // both engines call relies on: the accelerator's `QuantRt`, the
+        // kernel's `WritePort` and the cycle engine's
+        // `quantize_writeback`).
         for p in [QuantPolicy::q4(), QuantPolicy::q6(), QuantPolicy::q8()] {
             let span = (p.max_code() + 4) << p.shift();
             let mut raw = -span;

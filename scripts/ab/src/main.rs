@@ -19,13 +19,15 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// The shapes, in the order each side's [`Shape`]s are built.
-const SHAPES: [&str; 6] = [
+const SHAPES: [&str; 8] = [
     "kernel  4 x 4096x8 Q-learning, 65,536-sample calls",
     "kernel  cluster tile (seed 1), 65,536-sample calls",
     "kernel  262,144x8 SARSA q8, 2^20-sample calls",
     "kernel  4096x8 16-bit SARSA, 65,536-sample calls",
     "kernel  65,536x8 16-bit Q-learning, 65,536-sample calls",
     "cycle   16,384x8 Q-learning, 2^17-sample calls",
+    "cycle   4096x8 SARSA, 2^17-sample calls",
+    "set-up  262,144x8 SARSA q8: grid, engine, first 2^21",
 ];
 
 /// Every order of the three sides (0 change, 1 parent, 2 control).
@@ -95,6 +97,22 @@ macro_rules! side {
                 b.build()
             }
 
+            /// An engine's final state, as [`Digest`] folds it.
+            type State = (QTable<Q8_8>, QmaxTable<Q8_8>, CycleStats);
+
+            /// Fold one engine's final state into `d`.
+            fn fold(d: &mut Digest, (q, qmax, stats): State) {
+                for v in q.as_slice() {
+                    d.tables = mix(d.tables, v.raw() as u64);
+                }
+                for s in 0..qmax.len() as u32 {
+                    let (v, a) = qmax.get(s);
+                    d.tables = mix(mix(d.tables, v.raw() as u64), u64::from(a));
+                }
+                d.forwards += stats.forwards;
+                d.cycles += stats.cycles;
+            }
+
             /// Banks of one engine type, each trained `rounds` times per
             /// rep through `call`.
             struct Banks<P> {
@@ -102,7 +120,7 @@ macro_rules! side {
                 pipes: Vec<P>,
                 rounds: usize,
                 call: fn(&mut P, &GridWorld),
-                state: fn(&P) -> (QTable<Q8_8>, QmaxTable<Q8_8>, CycleStats),
+                state: fn(&P) -> State,
             }
 
             impl<P> Shape for Banks<P> {
@@ -117,16 +135,36 @@ macro_rules! side {
                 fn digest(&self) -> Digest {
                     let mut d = Digest::default();
                     for p in &self.pipes {
-                        let (q, qmax, stats) = (self.state)(p);
-                        for v in q.as_slice() {
-                            d.tables = mix(d.tables, v.raw() as u64);
-                        }
-                        for s in 0..qmax.len() as u32 {
-                            let (v, a) = qmax.get(s);
-                            d.tables = mix(mix(d.tables, v.raw() as u64), u64::from(a));
-                        }
-                        d.forwards += stats.forwards;
-                        d.cycles += stats.cycles;
+                        fold(&mut d, (self.state)(p));
+                    }
+                    d
+                }
+            }
+
+            /// What the benchmark's `setup_s` times on its SARSA q8
+            /// workload, from scratch each rep: the 262,144-state grid,
+            /// the engine with the 8-bit stored format, and a first call
+            /// of 2^21 samples, which builds the kernel's image. A rep
+            /// first drops the previous rep's engine, on every side.
+            struct Setup {
+                config: AccelConfig,
+                last: Option<SarsaAccel<Q8_8>>,
+            }
+
+            impl Shape for Setup {
+                fn rep(&mut self) {
+                    self.last = None;
+                    let env = paper_grid(262_144);
+                    let mut accel = SarsaAccel::<Q8_8>::new(&env, self.config, EPSILON);
+                    accel.enable_quant(QuantPolicy::q8());
+                    accel.train_samples_fast(&env, 1 << 21);
+                    self.last = Some(accel);
+                }
+
+                fn digest(&self) -> Digest {
+                    let mut d = Digest::default();
+                    if let Some(p) = &self.last {
+                        fold(&mut d, (p.q_table(), p.qmax_table(), p.stats()));
                     }
                     d
                 }
@@ -215,6 +253,22 @@ macro_rules! side {
                     state: |p| (p.q_table(), p.qmax_table(), p.stats()),
                 };
 
+                let sarsa_cycle_env = paper_grid(4096);
+                let sarsa_cycle = Banks {
+                    pipes: vec![SarsaAccel::<Q8_8>::new(&sarsa_cycle_env, sarsa, EPSILON)],
+                    envs: vec![sarsa_cycle_env],
+                    rounds: 1,
+                    call: |p, env| {
+                        p.train_samples(env, 1 << 17);
+                    },
+                    state: |p| (p.q_table(), p.qmax_table(), p.stats()),
+                };
+
+                let setup = Setup {
+                    config: sarsa,
+                    last: None,
+                };
+
                 vec![
                     Box::new(batch),
                     Box::new(cluster),
@@ -222,6 +276,8 @@ macro_rules! side {
                     Box::new(sarsa16),
                     Box::new(wide),
                     Box::new(cycle),
+                    Box::new(sarsa_cycle),
+                    Box::new(setup),
                 ]
             }
         }
