@@ -9,7 +9,12 @@
 //!   here by the collision counter).
 //! * [`IndependentPipelines`] — N agents on N disjoint sub-environments,
 //!   each with its own BRAM bank ("each accessing a separate memory
-//!   block"). Linear throughput scaling bounded only by memory.
+//!   block"). Linear throughput scaling bounded only by memory. One batch
+//!   path trains them on the executor,
+//!   [`train_batch`](IndependentPipelines::train_batch), durable or not;
+//!   a durable shard can also run alone as one lease, and
+//!   [`train_samples_sequential`](IndependentPipelines::train_samples_sequential)
+//!   is the cycle-accurate reference both are pinned to.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,9 +32,7 @@ use qtaccel_fixed::QValue;
 use qtaccel_hdl::lfsr::Lfsr32;
 use qtaccel_hdl::pipeline::CycleStats;
 use qtaccel_hdl::rng::{RngSource, SeedSequence};
-use qtaccel_telemetry::{
-    ActiveSpan, CounterBank, CounterId, NullSink, SpanContext, SpanTracer, TraceSink,
-};
+use qtaccel_telemetry::{CounterBank, CounterId, NullSink, SpanContext, SpanTracer, TraceSink};
 
 #[derive(Debug, Clone)]
 struct AgentCtx {
@@ -512,6 +515,7 @@ fn in_span<T>(
 /// `train_shard_durable` (one lease under the caller's epoch, on the
 /// calling thread) and `train_batch_durable` (P leases at epoch 0,
 /// advanced on the executor).
+#[derive(Clone)]
 struct ShardLease {
     shard: usize,
     path: PathBuf,
@@ -657,21 +661,13 @@ impl std::error::Error for LeaseError {
     }
 }
 
-/// What every shard of a batch does with each chunk: run the cycle
-/// engine, run the fast path, or advance its own durable lease.
-#[derive(Clone)]
-enum ChunkWork {
-    Cycle,
-    Fast,
-    Durable(Arc<[ShardLease]>),
-}
-
 /// One pipeline's share of a batch, moved into the executor and back.
 struct PipeShard<V, S: TraceSink, E> {
     index: usize,
     pipe: Box<AccelPipeline<V, S>>,
     env: E,
-    work: ChunkWork,
+    /// The durable lease each chunk advances; `None` runs the fast path.
+    lease: Option<ShardLease>,
     chunk: u64,
     left: u64,
     /// The next chunk span's ordinal.
@@ -703,16 +699,13 @@ where
         let parent = span
             .as_ref()
             .map(|(tracer, span)| (*tracer, span.context()));
-        let saved = match &self.work {
-            ChunkWork::Cycle => {
-                self.pipe.run_samples(&self.env, take);
-                Ok(())
-            }
-            ChunkWork::Fast => {
+        // Either way the chunk runs the fast path's one dispatch rule.
+        let saved = match &self.lease {
+            None => {
                 self.pipe.run_samples_fast(&self.env, take);
                 Ok(())
             }
-            ChunkWork::Durable(leases) => leases[self.index]
+            Some(lease) => lease
                 .advance(&mut self.pipe, &self.env, take, parent)
                 .map(drop),
         };
@@ -740,11 +733,22 @@ where
 /// counter bank, mirroring the hardware where every memory bank carries
 /// its own monitor registers.
 ///
-/// Training calls run on a persistent [`ShardedExecutor`] — the
-/// process-global pool by default, or a caller-supplied one via
-/// [`with_executor`](Self::with_executor). Results are bit-identical at
-/// every worker count (each pipeline's samples execute strictly in
-/// order; only scheduling varies), pinned by `tests/scaling.rs`.
+/// Four entry points train the banks:
+/// - [`train_batch`](Self::train_batch) splits a total budget over the
+///   banks and runs every shard through the fast path on a persistent
+///   [`ShardedExecutor`] — the process-global pool by default, or a
+///   caller-supplied one via [`with_executor`](Self::with_executor);
+/// - [`train_batch_durable`](Self::train_batch_durable) is the same
+///   batch with checkpoints, resumable after a crash;
+/// - [`train_shard_durable`](Self::train_shard_durable) runs one shard's
+///   durable lease on the calling thread (the cluster worker's engine);
+/// - [`train_samples_sequential`](Self::train_samples_sequential) runs
+///   every bank on the cycle-accurate engine on the calling thread: the
+///   reference the others are pinned to.
+///
+/// Results are bit-identical at every worker count (each pipeline's
+/// samples execute strictly in order; only scheduling varies), pinned by
+/// `tests/scaling.rs`.
 #[derive(Debug, Clone)]
 pub struct IndependentPipelines<V, S: TraceSink = NullSink> {
     /// Boxed, so a batch moves each pipeline into its shard by pointer.
@@ -859,11 +863,13 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
 
     /// Run one batch on the executor: each pipeline `i` with a budget
     /// moves into a shard with a clone of `envs[i]` and spends
-    /// `budgets[i]` samples on `work` in deterministic chunks, so the
-    /// work queue can interleave P ≫ C shards. Every pipeline is back in
-    /// index order before this returns, also when a shard panicked, whose
-    /// payload is resumed only then. Returns the lowest-numbered failing
-    /// shard's first save error.
+    /// `budgets[i]` samples in deterministic chunks, so the work queue
+    /// can interleave P ≫ C shards. A chunk runs the fast path, or, in a
+    /// durable batch, advances the shard's lease `leases[i]` (which runs
+    /// the fast path and saves on the lease's cadence). Every pipeline is
+    /// back in index order before this returns, also when a shard
+    /// panicked, whose payload is resumed only then. Returns the
+    /// lowest-numbered failing shard's first save error.
     ///
     /// When a tracer is attached *and* `ctx` carries a batch root, every
     /// chunk is wrapped in a `chunk` span (lane = shard index, ordinal =
@@ -876,7 +882,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         envs: &[E],
         budgets: &[u64],
         ctx: Option<SpanContext>,
-        work: ChunkWork,
+        leases: Option<&[ShardLease]>,
     ) -> Option<CheckpointError>
     where
         E: Environment + Clone + Send + 'static,
@@ -900,7 +906,7 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
                 chunks_run: 0,
                 pipe,
                 env: env.clone(),
-                work: work.clone(),
+                lease: leases.map(|leases| leases[index].clone()),
                 tracing: tracing.clone(),
                 failed: None,
             });
@@ -922,43 +928,11 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         failed
     }
 
-    /// Train every pipeline for `samples_each` updates on its own
-    /// environment. Shards run on the persistent [`ShardedExecutor`]
-    /// worker pool, each on a clone of its environment — they share no
-    /// state, exactly like the hardware banks, so results are
-    /// bit-identical to
-    /// [`train_samples_sequential`](Self::train_samples_sequential) at
-    /// any worker count.
-    pub fn train_samples<E>(&mut self, envs: &[E], samples_each: u64) -> CycleStats
-    where
-        E: Environment + Clone + Send + 'static,
-        S: Send + 'static,
-    {
-        self.drive(
-            envs,
-            &vec![samples_each; self.len()],
-            None,
-            ChunkWork::Cycle,
-        );
-        self.stats()
-    }
-
-    /// [`train_samples`](Self::train_samples) through the fast-path
-    /// executor on every bank — bit-identical results (see
-    /// `AccelPipeline::run_samples_fast`).
-    pub fn train_samples_fast<E>(&mut self, envs: &[E], samples_each: u64) -> CycleStats
-    where
-        E: Environment + Clone + Send + 'static,
-        S: Send + 'static,
-    {
-        self.drive(envs, &vec![samples_each; self.len()], None, ChunkWork::Fast);
-        self.stats()
-    }
-
-    /// The sequential reference for [`train_samples`](Self::train_samples):
-    /// every pipeline runs to completion on the calling thread, no
-    /// executor, no chunking. The scale-out determinism tests pin the
-    /// parallel paths bit-exactly to this.
+    /// The sequential reference for [`train_batch`](Self::train_batch):
+    /// every pipeline runs `samples_each` updates on the cycle-accurate
+    /// engine, to completion on the calling thread — no executor, no
+    /// chunking, no kernel. The scale-out determinism tests pin every
+    /// executor path bit-exactly to this.
     pub fn train_samples_sequential<E: Environment>(
         &mut self,
         envs: &[E],
@@ -969,37 +943,6 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             pipe.run_samples(env, samples_each);
         }
         self.stats()
-    }
-
-    /// The sequential reference for
-    /// [`train_samples_fast`](Self::train_samples_fast).
-    pub fn train_samples_fast_sequential<E: Environment>(
-        &mut self,
-        envs: &[E],
-        samples_each: u64,
-    ) -> CycleStats {
-        assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        for (pipe, env) in self.pipes.iter_mut().zip(envs) {
-            pipe.run_samples_fast(env, samples_each);
-        }
-        self.stats()
-    }
-
-    /// Open a batch root span when a tracer is attached: a fresh trace
-    /// whose id derives from the tracer seed and trace ordinal, with
-    /// the batch total as the root span's ordinal — fully deterministic
-    /// for a fixed seed and call sequence. The caller ends the returned
-    /// active span after the batch joins.
-    fn begin_batch_root(
-        &self,
-        name: &'static str,
-        total_samples: u64,
-    ) -> Option<(Arc<SpanTracer>, ActiveSpan)> {
-        self.tracer.clone().map(|t| {
-            let trace = t.start_trace();
-            let root = t.begin(trace, None, name, 0, total_samples);
-            (t, root)
-        })
     }
 
     /// The per-shard plan of a batch of `total_samples` (the split
@@ -1026,35 +969,138 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
             .collect()
     }
 
-    /// Sharded batch training: split a *total* sample budget across the
-    /// banks (deterministically — shard `i` gets `total/P`, plus one of
-    /// the `total % P` remainder samples for `i < total % P`) and drive
-    /// every shard through the fast path (`AccelPipeline::run_samples_fast`).
-    /// Results are bit-identical to running the same per-shard budgets
-    /// sequentially. The batch runs on copies of `envs`: an environment's
-    /// interior state changes in the copy, not in the caller's value.
-    pub fn train_batch<E>(&mut self, envs: &[E], total_samples: u64) -> BatchReport
+    /// The one batch path behind [`train_batch`](Self::train_batch) and
+    /// [`train_batch_durable`](Self::train_batch_durable): open the root
+    /// span `name`, plan, drive, end the root, report. `durable` is the
+    /// checkpoint directory and per-shard cadence of a durable batch.
+    ///
+    /// With a tracer attached the root starts a fresh trace whose id
+    /// derives from the tracer seed and trace ordinal, with the batch
+    /// total as the root's ordinal — fully deterministic for a fixed
+    /// seed and call sequence. The root ends on every exit, a failed
+    /// batch's included, so every span the batch recorded has its parent.
+    fn batch<E>(
+        &mut self,
+        name: &'static str,
+        envs: &[E],
+        total_samples: u64,
+        durable: Option<(&Path, u64)>,
+    ) -> Result<BatchReport, CheckpointError>
     where
         E: Environment + Clone + Send + 'static,
         S: Send + 'static,
     {
         assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        let shards = self.batch_plan(total_samples, false);
-        let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
-        let root = self.begin_batch_root("train_batch", total_samples);
+        let root = self.tracer.clone().map(|t| {
+            let root = t.begin(t.start_trace(), None, name, 0, total_samples);
+            (t, root)
+        });
         let ctx = root.as_ref().map(|(_, active)| active.context());
-        self.drive(envs, &budgets, ctx, ChunkWork::Fast);
+        let shards = self.plan_and_drive(envs, total_samples, durable, ctx);
         if let Some((tracer, active)) = root {
             tracer.end(active);
         }
-        BatchReport {
+        Ok(BatchReport {
+            shards: shards?,
             stats: self.stats(),
             workers: self.workers(),
-            shards,
             dropped_iterations: self.dropped_iterations(),
             dropped_spans: self.dropped_spans(),
             trace: ctx,
+        })
+    }
+
+    /// [`batch`](Self::batch)'s work under its root `ctx`. A durable
+    /// batch first opens a lease per shard at epoch 0 (restore, fence,
+    /// sweep), so the plan counts restored progress; after the drive it
+    /// seals every shard and leaves the flight record.
+    fn plan_and_drive<E>(
+        &mut self,
+        envs: &[E],
+        total_samples: u64,
+        durable: Option<(&Path, u64)>,
+        ctx: Option<SpanContext>,
+    ) -> Result<Vec<ShardRun>, CheckpointError>
+    where
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
+    {
+        let tracer = self.tracer.clone();
+        let under_root = tracer.as_deref().zip(ctx);
+        let leases = match durable {
+            None => None,
+            Some((dir, every)) => Some(
+                self.pipes
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, pipe)| ShardLease::open(pipe, dir, i, 0, every, under_root))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| match e {
+                        LeaseError::Checkpoint(e) => e,
+                        LeaseError::FencedEpoch { held, found } => CheckpointError::Mismatch {
+                            field: "lease epoch",
+                            expected: held.to_string(),
+                            found: found.to_string(),
+                        },
+                    })?,
+            ),
+        };
+        let shards = self.batch_plan(total_samples, leases.is_some());
+        let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
+        if let Some(e) = self.drive(envs, &budgets, ctx, leases.as_deref()) {
+            return Err(e);
         }
+        if let (Some(leases), Some((dir, _))) = (leases, durable) {
+            for (lease, pipe) in leases.iter().zip(&self.pipes) {
+                lease.seal(pipe, under_root)?;
+            }
+            self.write_flight_record(dir)?;
+        }
+        Ok(shards)
+    }
+
+    /// Health-instrumented batches leave a flight recording next to the
+    /// sealed checkpoints: one probe snapshot per shard plus the seal
+    /// marker — the post-mortem baseline a later crash dump is diffed
+    /// against. Sealed like the checkpoints beside it: staged, fsynced,
+    /// renamed. Nothing is written when no sink carries a probe.
+    fn write_flight_record(&self, dir: &Path) -> Result<(), CheckpointError> {
+        let snapshots: Vec<_> = self
+            .pipes
+            .iter()
+            .filter_map(|p| p.sink().health())
+            .map(|probe| probe.snapshot())
+            .collect();
+        if snapshots.is_empty() {
+            return Ok(());
+        }
+        let seal_cycle = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
+        let mut recorder = qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
+        for snap in snapshots {
+            recorder.push_snapshot(snap);
+        }
+        recorder.push_marker(seal_cycle, "batch_seal");
+        recorder.dump_to(dir.join("flight.jsonl"))?;
+        Ok(())
+    }
+
+    /// Sharded batch training: split a *total* sample budget across the
+    /// banks (deterministically — shard `i` gets `total/P`, plus one of
+    /// the `total % P` remainder samples for `i < total % P`) and drive
+    /// every shard through the fast path (`AccelPipeline::run_samples_fast`,
+    /// whose one dispatch rule picks the stall-free kernel or the
+    /// cycle-accurate engine). Results are bit-identical to
+    /// [`train_samples_sequential`](Self::train_samples_sequential) with
+    /// the same per-shard budgets, at any worker count. The batch runs on
+    /// copies of `envs`: an environment's interior state changes in the
+    /// copy, not in the caller's value.
+    pub fn train_batch<E>(&mut self, envs: &[E], total_samples: u64) -> BatchReport
+    where
+        E: Environment + Clone + Send + 'static,
+        S: Send + 'static,
+    {
+        self.batch("train_batch", envs, total_samples, None)
+            .unwrap_or_else(|e| unreachable!("a batch without leases saves nothing: {e}"))
     }
 
     /// [`train_batch`](Self::train_batch) with crash-safe durability:
@@ -1091,64 +1137,8 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         E: Environment + Clone + Send + 'static,
         S: Send + 'static,
     {
-        assert_eq!(envs.len(), self.pipes.len(), "one environment per pipeline");
-        let root = self.begin_batch_root("train_batch_durable", total_samples);
-        let ctx = root.as_ref().map(|(_, active)| active.context());
-        let tracer = self.tracer.clone();
-        let under_root = tracer.as_deref().zip(ctx);
-        let leases: Arc<[ShardLease]> = self
-            .pipes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, pipe)| ShardLease::open(pipe, dir, i, 0, checkpoint_every, under_root))
-            .collect::<Result<_, _>>()
-            .map_err(|e| match e {
-                LeaseError::Checkpoint(e) => e,
-                LeaseError::FencedEpoch { held, found } => CheckpointError::Mismatch {
-                    field: "lease epoch",
-                    expected: held.to_string(),
-                    found: found.to_string(),
-                },
-            })?;
-        let shards = self.batch_plan(total_samples, true);
-        let budgets: Vec<u64> = shards.iter().map(|s| s.samples).collect();
-        if let Some(e) = self.drive(envs, &budgets, ctx, ChunkWork::Durable(Arc::clone(&leases))) {
-            return Err(e);
-        }
-        for (lease, pipe) in leases.iter().zip(&self.pipes) {
-            lease.seal(pipe, under_root)?;
-        }
-        // Health-instrumented batches leave a flight recording next to
-        // the sealed checkpoints: one probe snapshot per shard plus the
-        // seal marker — the post-mortem baseline a later crash dump is
-        // diffed against.
-        let snapshots: Vec<_> = self
-            .pipes
-            .iter()
-            .filter_map(|p| p.sink().health())
-            .map(|probe| probe.snapshot())
-            .collect();
-        if !snapshots.is_empty() {
-            let seal_cycle = snapshots.iter().map(|s| s.cycle).max().unwrap_or(0);
-            let mut recorder = qtaccel_telemetry::FlightRecorder::new(snapshots.len() + 1);
-            for snap in snapshots {
-                recorder.push_snapshot(snap);
-            }
-            recorder.push_marker(seal_cycle, "batch_seal");
-            // Sealed like the checkpoints beside it: staged, fsynced, renamed.
-            recorder.dump_to(dir.join("flight.jsonl"))?;
-        }
-        if let Some((tracer, active)) = root {
-            tracer.end(active);
-        }
-        Ok(BatchReport {
-            stats: self.stats(),
-            workers: self.workers(),
-            shards,
-            dropped_iterations: self.dropped_iterations(),
-            dropped_spans: self.dropped_spans(),
-            trace: ctx,
-        })
+        let durable = Some((dir, checkpoint_every));
+        self.batch("train_batch_durable", envs, total_samples, durable)
     }
 
     /// Lease-granular durable training (the cluster worker's engine,
@@ -1277,19 +1267,16 @@ impl<V: QValue, S: TraceSink> IndependentPipelines<V, S> {
         self.pipes[i].greedy_policy()
     }
 
-    /// Summed resources: every pipeline brings its own tables and
-    /// datapath.
+    /// Summed resources: every pipeline brings its own tables, datapath
+    /// and options (counter bank, event histogram, health probe, stored
+    /// width, SECDED), each priced as [`QrlAccel::resources`] prices a
+    /// single engine.
+    ///
+    /// [`QrlAccel::resources`]: crate::QrlAccel::resources
     pub fn resources(&self) -> qtaccel_hdl::resource::ResourceReport {
-        let mut total = qtaccel_hdl::resource::ResourceReport::default();
-        for p in &self.pipes {
-            total = total.combine(resource_report(
-                p.num_states(),
-                p.num_actions(),
-                V::storage_bits(),
-                engine_kind(p.config()),
-            ));
-        }
-        total
+        self.pipes.iter().fold(Default::default(), |total, p| {
+            total.combine(p.resources().report)
+        })
     }
 }
 
@@ -1394,7 +1381,7 @@ mod tests {
             AccelConfig::default(),
             vec![qtaccel_telemetry::CountersOnly; 4],
         );
-        ind.train_samples_fast(part.partitions(), 5_000);
+        ind.train_batch(part.partitions(), 5_000 * 4);
         for i in 0..4 {
             let bank = ind.counters(i);
             assert_eq!(bank.get(CounterId::SamplesRetired), 5_000, "bank {i}");
@@ -1548,7 +1535,7 @@ mod tests {
         let part = PartitionedGrid::new(16, 16, 2, 2, 10, ActionSet::Four, &mut rng);
         let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
         assert_eq!(ind.len(), 4);
-        let stats = ind.train_samples(part.partitions(), 10_000);
+        let stats = ind.train_batch(part.partitions(), 10_000 * 4).stats;
         assert_eq!(stats.samples, 40_000);
         assert_eq!(stats.cycles, 10_003, "lockstep wall-clock");
         assert!(stats.samples_per_cycle() > 3.9);
@@ -1559,7 +1546,7 @@ mod tests {
         let mut rng = qtaccel_hdl::lfsr::Lfsr32::new(3);
         let part = PartitionedGrid::new(16, 8, 2, 1, 0, ActionSet::Four, &mut rng);
         let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), AccelConfig::default());
-        ind.train_samples(part.partitions(), 200_000);
+        ind.train_batch(part.partitions(), 200_000 * 2);
         for i in 0..2 {
             let env = part.partition(i);
             let opt = qtaccel_core::eval::step_optimality(
@@ -1581,6 +1568,34 @@ mod tests {
         assert!(r.bram36 >= 4 * 3, "each bank has Q+R+Qmax");
     }
 
+    /// A bank's options cost what they cost on a single engine: four
+    /// counter-bearing banks, SECDED on bank 1, price as the sum of four
+    /// such engines' own reports.
+    #[test]
+    fn independent_resources_price_each_bank_like_its_engine() {
+        let envs = vec![grid(); 4];
+        let cfg = AccelConfig::default();
+        let ecc = FaultConfig::default().with_ecc(true);
+        let counted = vec![qtaccel_telemetry::CountersOnly; 4];
+        let mut ind = IndependentPipelines::<Q8_8, _>::with_sinks(&envs, cfg, counted);
+        ind.enable_faults(1, ecc);
+        let mut engines = qtaccel_hdl::resource::ResourceReport::default();
+        for (i, env) in envs.iter().enumerate() {
+            let sink = qtaccel_telemetry::CountersOnly;
+            let mut engine = AccelPipeline::<Q8_8, _>::with_sink(env, cfg, i as u64, sink);
+            if i == 1 {
+                engine.enable_faults(ecc);
+            }
+            engines = engines.combine(engine.resources().report);
+        }
+        assert_eq!(ind.resources(), engines);
+        let bare = IndependentPipelines::<Q8_8>::new(&envs, cfg).resources();
+        assert!(
+            engines.lut > bare.lut && engines.ff > bare.ff,
+            "the counter banks and the codec cost fabric: {engines:?} vs {bare:?}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "at least one sub-environment")]
     fn independent_rejects_empty() {
@@ -1600,7 +1615,7 @@ mod tests {
             .collect();
         let mut ind = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default());
         for budgets in [[0, 9, 0, 9], [9, 0, 0, 9], [0; 4], [9; 4]] {
-            ind.drive(&envs, &budgets, None, ChunkWork::Fast);
+            ind.drive(&envs, &budgets, None, None);
             for (i, env) in envs.iter().enumerate() {
                 assert_eq!(ind.greedy_policy(i).len(), env.num_states(), "{budgets:?}");
             }

@@ -252,8 +252,8 @@ fn independent_pipelines_fast_matches_slow() {
     let cfg = AccelConfig::default().with_seed(55);
     let mut slow = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
     let mut fast = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    let ss = slow.train_samples(part.partitions(), 8_000);
-    let sf = fast.train_samples_fast(part.partitions(), 8_000);
+    let ss = slow.train_samples_sequential(part.partitions(), 8_000);
+    let sf = fast.train_batch(part.partitions(), 8_000 * 4).stats;
     assert_eq!(ss, sf, "merged CycleStats diverged");
     for i in 0..slow.len() {
         assert_eq!(

@@ -76,7 +76,7 @@ fn batch_report_surfaces_ring_sink_truncation() {
             .collect(),
     );
     // Cycle-accurate training floods the tiny rings with events.
-    pipes.train_samples(part.partitions(), 2_000);
+    pipes.train_batch(part.partitions(), 2_000 * 4);
     let flooded = pipes.dropped_iterations();
     assert!(flooded > 0, "64-slot rings must have evicted iterations");
     // The next batch reports the cumulative drop count, so a consumer

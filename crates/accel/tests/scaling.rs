@@ -5,8 +5,9 @@
 //! executor must preserve that: training on the persistent worker pool
 //! has to be **bit-identical** to running every pipeline to completion
 //! on one thread, at every worker count, because only scheduling may
-//! vary — never results. These tests pin that contract for both
-//! engines, both algorithms, every hazard mode, instrumented and not,
+//! vary — never results. These tests pin `train_batch` to the
+//! cycle-accurate `train_samples_sequential` for both algorithms, every
+//! hazard mode (so both engines run on the pool), instrumented and not,
 //! including P ≫ C oversubscription and `train_batch`'s uneven splits.
 
 use qtaccel_accel::config::{AccelConfig, HazardMode};
@@ -75,53 +76,33 @@ fn assert_banks_identical<S: qtaccel_telemetry::TraceSink>(
 }
 
 #[test]
-fn parallel_cycle_accurate_matches_sequential_every_worker_count() {
-    for hazard in HAZARDS {
-        for sarsa in [false, true] {
-            let part = four_banks(11);
-            let mut cfg = AccelConfig::default().with_seed(77).with_hazard(hazard);
-            if sarsa {
-                cfg.trainer = TrainerConfig::sarsa(0.2).with_seed(77);
-            }
-            let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-            reference.train_samples_sequential(part.partitions(), 4_000);
-            for workers in worker_counts() {
-                let pool = Arc::new(ShardedExecutor::new(workers));
-                let mut par =
-                    IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
-                assert_eq!(par.workers(), workers);
-                par.train_samples(part.partitions(), 4_000);
-                assert_banks_identical(
-                    &reference,
-                    &par,
-                    &format!("cycle-accurate {hazard:?} sarsa={sarsa} workers={workers}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_fast_path_matches_sequential_every_worker_count() {
-    for hazard in HAZARDS {
-        for sarsa in [false, true] {
-            let part = four_banks(29);
-            let mut cfg = AccelConfig::default().with_seed(31).with_hazard(hazard);
-            if sarsa {
-                cfg.trainer = TrainerConfig::sarsa(0.15).with_seed(31);
-            }
-            let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-            reference.train_samples_fast_sequential(part.partitions(), 6_000);
-            for workers in worker_counts() {
-                let pool = Arc::new(ShardedExecutor::new(workers));
-                let mut par =
-                    IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
-                par.train_samples_fast(part.partitions(), 6_000);
-                assert_banks_identical(
-                    &reference,
-                    &par,
-                    &format!("fast {hazard:?} sarsa={sarsa} workers={workers}"),
-                );
+fn train_batch_matches_sequential_every_worker_count() {
+    // Two parameter sets: (grid seed, config seed, SARSA ε, samples per
+    // bank). Under `Forwarding` the batch runs the stall-free kernel and
+    // the reference the cycle-accurate engine; under the other hazard
+    // modes both run the cycle-accurate engine.
+    for (grid_seed, seed, epsilon, each) in [(11, 77, 0.2, 4_000), (29, 31, 0.15, 6_000)] {
+        for hazard in HAZARDS {
+            for sarsa in [false, true] {
+                let part = four_banks(grid_seed);
+                let mut cfg = AccelConfig::default().with_seed(seed).with_hazard(hazard);
+                if sarsa {
+                    cfg.trainer = TrainerConfig::sarsa(epsilon).with_seed(seed);
+                }
+                let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
+                reference.train_samples_sequential(part.partitions(), each);
+                for workers in worker_counts() {
+                    let pool = Arc::new(ShardedExecutor::new(workers));
+                    let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg)
+                        .with_executor(pool);
+                    assert_eq!(par.workers(), workers);
+                    par.train_batch(part.partitions(), each * 4);
+                    assert_banks_identical(
+                        &reference,
+                        &par,
+                        &format!("seed {seed} {hazard:?} sarsa={sarsa} workers={workers}"),
+                    );
+                }
             }
         }
     }
@@ -134,17 +115,19 @@ fn oversubscribed_pipelines_remain_deterministic() {
     let part = PartitionedGrid::new(16, 16, 4, 4, 8, ActionSet::Eight, &mut rng);
     let cfg = AccelConfig::default().with_seed(303);
     let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    reference.train_samples_fast_sequential(part.partitions(), 5_000);
+    reference.train_samples_sequential(part.partitions(), 5_000);
     let pool = Arc::new(ShardedExecutor::new(2));
     let mut par = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
-    par.train_samples_fast(part.partitions(), 5_000);
+    par.train_batch(part.partitions(), 5_000 * 16);
     assert_banks_identical(&reference, &par, "16 banks on 2 workers");
 }
 
 #[test]
 fn instrumented_counters_merge_identically_in_parallel() {
     // Each bank's counter bank accumulates lock-free on its own shard;
-    // the merged dump must match the sequential run exactly.
+    // the merged dump must match the sequential run exactly. A
+    // counter-bearing sink keeps `train_batch` on the cycle-accurate
+    // engine in every hazard mode, `Forwarding` included.
     for hazard in HAZARDS {
         let part = four_banks(91);
         let cfg = AccelConfig::default().with_seed(13).with_hazard(hazard);
@@ -159,7 +142,7 @@ fn instrumented_counters_merge_identically_in_parallel() {
         let mut par =
             IndependentPipelines::<Q8_8, CountersOnly>::with_sinks(part.partitions(), cfg, sinks)
                 .with_executor(pool);
-        par.train_samples(part.partitions(), 3_000);
+        par.train_batch(part.partitions(), 3_000 * 4);
         assert_banks_identical(&reference, &par, &format!("instrumented {hazard:?}"));
         // The instrumented parallel run really counted something.
         assert!(par.merged_counters().iter().any(|(_, v)| v > 0));
@@ -203,20 +186,19 @@ fn train_batch_is_worker_count_invariant() {
 }
 
 #[test]
-fn train_batch_even_split_matches_fast_sequential() {
-    // When the total divides evenly, the batch is exactly
-    // `train_samples_fast` with per-bank budgets — transitively pinned
-    // to the cycle-accurate engine by the fast-path suite.
+fn train_batch_even_split_matches_sequential() {
+    // When the total divides evenly, every bank gets exactly `each`
+    // samples, and the batch lands on the sequential reference's tables.
     let part = four_banks(63);
     let cfg = AccelConfig::default().with_seed(21);
     let each = 2_500u64;
     let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    reference.train_samples_fast_sequential(part.partitions(), each);
+    reference.train_samples_sequential(part.partitions(), each);
     let pool = Arc::new(ShardedExecutor::new(2));
     let mut batch = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg).with_executor(pool);
     let report = batch.train_batch(part.partitions(), each * 4);
     assert!(report.shards.iter().all(|s| s.samples == each));
-    assert_banks_identical(&reference, &batch, "even train_batch vs fast sequential");
+    assert_banks_identical(&reference, &batch, "even train_batch vs sequential");
 }
 
 #[test]
@@ -333,7 +315,7 @@ fn pool_survives_a_panicked_train_batch() {
 
     // Same pool, healthy batch: bit-exact against the sequential run.
     let mut reference = IndependentPipelines::<Q8_8>::new(&envs, cfg);
-    reference.train_samples_fast_sequential(&envs, 2_000);
+    reference.train_samples_sequential(&envs, 2_000);
     let mut after = IndependentPipelines::<Q8_8>::new(&envs, cfg).with_executor(pool);
     after.train_batch(&envs, 8_000);
     assert_banks_identical(&reference, &after, "pool reused after panic");
@@ -345,9 +327,9 @@ fn global_pool_drives_default_training() {
     let part = four_banks(17);
     let cfg = AccelConfig::default().with_seed(3);
     let mut reference = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    reference.train_samples_fast_sequential(part.partitions(), 2_000);
+    reference.train_samples_sequential(part.partitions(), 2_000);
     let mut global = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
     assert!(global.workers() >= 1);
-    global.train_samples_fast(part.partitions(), 2_000);
+    global.train_batch(part.partitions(), 2_000 * 4);
     assert_banks_identical(&reference, &global, "global pool");
 }

@@ -9,8 +9,13 @@
 //!   spans → checkpoint/scrub children) that round-trips through the
 //!   wire protocol into a live collector, merges bit-identically, and
 //!   exports as a strictly parseable multi-process Perfetto trace.
+//! * **Failure**: a durable batch that fails still ends its root, so
+//!   the spans it recorded before the error keep their parent.
 
-use qtaccel_accel::{AccelConfig, FaultConfig, IndependentPipelines, ShardedExecutor};
+use qtaccel_accel::{
+    shard_checkpoint_path, AccelConfig, CheckpointError, FaultConfig, IndependentPipelines,
+    ShardedExecutor,
+};
 use qtaccel_envs::GridWorld;
 use qtaccel_fixed::Q8_8;
 use qtaccel_telemetry::{
@@ -230,5 +235,38 @@ fn durable_batch_trace_round_trips_through_the_collector() {
         last_ts.insert(track, ts);
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_durable_batch_still_ends_its_root() {
+    // Shard 1's checkpoint path is a directory, so its restore fails
+    // after both shards' restore spans were recorded.
+    let dir = tmp_dir("failed");
+    std::fs::create_dir_all(shard_checkpoint_path(&dir, 1)).expect("plant a directory");
+    let envs = [grid(), grid()];
+    let tracer = Arc::new(SpanTracer::new(3, 256));
+    let mut pipes = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default().with_seed(3))
+        .with_tracer(Arc::clone(&tracer));
+    let err = pipes
+        .train_batch_durable(&envs, 10_000, &dir, 4_096)
+        .expect_err("shard 1's checkpoint cannot be read");
+    assert!(matches!(err, CheckpointError::Io(_)), "{err:?}");
+
+    let spans = tracer.drain();
+    let ids: HashSet<u64> = spans.iter().map(|s| s.id.0).collect();
+    let roots: Vec<&Span> = spans.iter().filter(|s| s.parent.is_none()).collect();
+    assert_eq!(roots.len(), 1, "exactly one batch root in {spans:?}");
+    assert_eq!(roots[0].name, "train_batch_durable");
+    for s in &spans {
+        if let Some(parent) = s.parent {
+            assert!(ids.contains(&parent.0), "orphan span: {s:?}");
+        }
+    }
+    let restores = spans
+        .iter()
+        .filter(|s| s.name == "checkpoint_restore")
+        .count();
+    assert_eq!(restores, 2, "both leases recorded their restore");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,16 +49,19 @@
 //! same probe's histogram summaries land in the report's `latency`
 //! block either way (DESIGN.md §2.10).
 
-use qtaccel_accel::{AccelConfig, QLearningAccel, SarsaAccel};
+use qtaccel_accel::pipeline::Fixture;
+use qtaccel_accel::{AccelConfig, QLearningAccel, QrlAccel, SarsaAccel};
 use qtaccel_bench::grids::paper_grid;
 use qtaccel_bench::impl_to_json;
 use qtaccel_bench::metrics::{measure_latency, register_build_info, serve_metrics};
 use qtaccel_bench::paper::TABLE1_STATES;
 use qtaccel_bench::report::{baseline_rate, check_floor, fmt_rate, results_dir};
-use qtaccel_bench::timing::{bench, stream_triad_bytes_per_sec};
+use qtaccel_bench::timing::{bench, stream_triad_bytes_per_sec, BenchResult};
+use qtaccel_envs::GridWorld;
 use qtaccel_fixed::{QuantPolicy, Q8_8};
 use qtaccel_telemetry::{
-    manifest, CountersOnly, HealthConfig, HealthSink, Json, ToJson, Watchdog, WatchdogConfig,
+    manifest, CountersOnly, HealthConfig, HealthSink, Json, NullSink, ToJson, Watchdog,
+    WatchdogConfig,
 };
 use std::path::Path;
 use std::path::PathBuf;
@@ -168,6 +171,15 @@ impl_to_json!(Report {
     manifest,
 });
 
+/// Measure one row: a fresh `algorithm` engine on a `states`×8 paper
+/// grid, timed over `runs` training calls of `samples` updates each
+/// through `engine` — the cycle-accurate engine (`cycle_accurate`), the
+/// fast path (`fast`), or the quantized fast path (`fast_q8`, `fast_q6`,
+/// `fast_q4`, DESIGN.md §2.14: the stall-free kernel over 8/6/4-bit
+/// stored Q entries, with the stochastic rounder on every writeback).
+/// The modeled MS/s comes from the engine's quant-aware resource model
+/// (the narrowed BRAM word raises the modeled fmax/banking headroom at
+/// BRAM-bound sizes).
 fn measure(
     algorithm: &'static str,
     engine: &'static str,
@@ -177,54 +189,15 @@ fn measure(
 ) -> EngineRow {
     let g = paper_grid(states, ACTIONS);
     let cfg = AccelConfig::default();
-    let (result, modeled_msps) = match (algorithm, engine) {
-        ("q_learning", "cycle_accurate") => {
-            let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
-            let r = bench(
-                &format!("{algorithm}/{states}/{engine}"),
-                samples,
-                runs,
-                || {
-                    a.train_samples(&g, samples);
-                },
-            );
-            (r, a.resources().throughput_msps)
+    let label = format!("{algorithm}/{states}/{engine}");
+    let (result, modeled_msps) = match algorithm {
+        "q_learning" => {
+            let a = QLearningAccel::new(&g, cfg);
+            time_engine(a, &g, &label, engine, samples, runs)
         }
-        ("q_learning", "fast") => {
-            let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
-            let r = bench(
-                &format!("{algorithm}/{states}/{engine}"),
-                samples,
-                runs,
-                || {
-                    a.train_samples_fast(&g, samples);
-                },
-            );
-            (r, a.resources().throughput_msps)
-        }
-        ("sarsa", "cycle_accurate") => {
-            let mut a = SarsaAccel::<Q8_8>::new(&g, cfg, 0.1);
-            let r = bench(
-                &format!("{algorithm}/{states}/{engine}"),
-                samples,
-                runs,
-                || {
-                    a.train_samples(&g, samples);
-                },
-            );
-            (r, a.resources().throughput_msps)
-        }
-        ("sarsa", "fast") => {
-            let mut a = SarsaAccel::<Q8_8>::new(&g, cfg, 0.1);
-            let r = bench(
-                &format!("{algorithm}/{states}/{engine}"),
-                samples,
-                runs,
-                || {
-                    a.train_samples_fast(&g, samples);
-                },
-            );
-            (r, a.resources().throughput_msps)
+        "sarsa" => {
+            let a = SarsaAccel::new(&g, cfg, 0.1);
+            time_engine(a, &g, &label, engine, samples, runs)
         }
         _ => unreachable!(),
     };
@@ -241,62 +214,34 @@ fn measure(
     }
 }
 
-/// Measure the quantized fast path (DESIGN.md §2.14): the stall-free
-/// kernel over `policy.stored_bits()`-wide stored Q entries, with the
-/// stochastic rounder on every writeback. The modeled MS/s comes from
-/// the quant-aware resource model (the narrowed BRAM word raises the
-/// modeled fmax/banking headroom at BRAM-bound sizes).
-fn measure_quant(
-    algorithm: &'static str,
-    states: usize,
-    policy: QuantPolicy,
+/// Time `engine`'s training call on `a` (see [`measure`]) and read the
+/// engine's modeled MS/s.
+fn time_engine<A: Fixture>(
+    mut a: QrlAccel<Q8_8, NullSink, A>,
+    g: &GridWorld,
+    label: &str,
+    engine: &str,
     samples: u64,
     runs: usize,
-) -> EngineRow {
-    let engine: &'static str = match policy.stored_bits() {
-        8 => "fast_q8",
-        6 => "fast_q6",
-        4 => "fast_q4",
-        _ => "fast_quant",
+) -> (BenchResult, f64) {
+    let quant = match engine {
+        "fast_q8" => Some(QuantPolicy::q8()),
+        "fast_q6" => Some(QuantPolicy::q6()),
+        "fast_q4" => Some(QuantPolicy::q4()),
+        _ => None,
     };
-    let g = paper_grid(states, ACTIONS);
-    let cfg = AccelConfig::default();
-    let (result, modeled_msps) = if algorithm == "sarsa" {
-        let mut a = SarsaAccel::<Q8_8>::new(&g, cfg, 0.1);
+    if let Some(policy) = quant {
         a.enable_quant(policy);
-        let r = bench(
-            &format!("{algorithm}/{states}/{engine}"),
-            samples,
-            runs,
-            || {
-                a.train_samples_fast(&g, samples);
-            },
-        );
-        (r, a.resources().throughput_msps)
-    } else {
-        let mut a = QLearningAccel::<Q8_8>::new(&g, cfg);
-        a.enable_quant(policy);
-        let r = bench(
-            &format!("{algorithm}/{states}/{engine}"),
-            samples,
-            runs,
-            || {
-                a.train_samples_fast(&g, samples);
-            },
-        );
-        (r, a.resources().throughput_msps)
-    };
-    println!("{}", result.summary());
-    EngineRow {
-        algorithm,
-        states,
-        actions: ACTIONS,
-        engine,
-        samples_per_run: samples,
-        host_samples_per_sec: result.elements_per_sec(),
-        ns_per_sample: result.ns_per_element(),
-        modeled_msps,
     }
+    let cycle_accurate = engine == "cycle_accurate";
+    let result = bench(label, samples, runs, || {
+        if cycle_accurate {
+            a.train_samples(g, samples);
+        } else {
+            a.train_samples_fast(g, samples);
+        }
+    });
+    (result, a.resources().throughput_msps)
 }
 
 /// Architectural memory traffic per sample, in bytes: the kernel
@@ -427,11 +372,11 @@ fn main() {
     // through the stall-free kernel, at both anchor rows. The
     // `--check-baseline` packed guard reads the roof row.
     for &states in &[GATE_STATES, ROOF_STATES] {
-        for policy in [QuantPolicy::q8(), QuantPolicy::q6(), QuantPolicy::q4()] {
-            rows.push(measure_quant(
+        for engine in ["fast_q8", "fast_q6", "fast_q4"] {
+            rows.push(measure(
                 "q_learning",
+                engine,
                 states,
-                policy,
                 row_samples(states),
                 runs,
             ));
@@ -599,8 +544,7 @@ fn main() {
         let packed_held = match committed_packed {
             Ok(base) => check_floor("packed fast_q8", base, roof_q8_rate, || {
                 let samples = row_samples(ROOF_STATES);
-                measure_quant("q_learning", ROOF_STATES, QuantPolicy::q8(), samples, runs)
-                    .host_samples_per_sec
+                measure("q_learning", "fast_q8", ROOF_STATES, samples, runs).host_samples_per_sec
             }),
             Err(e) => {
                 println!("baseline check: skipping packed floor ({e})");

@@ -61,9 +61,10 @@ pub fn run(terrain: u32, tilings: &[u32], samples_per_state: u64, gamma: f64) ->
             let mut ind = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
             let tile_states = part.partition(0).num_states();
             // Scale the budget with the tile's table size so every
-            // configuration trains to comparable coverage per pair.
-            let stats =
-                ind.train_samples(part.partitions(), samples_per_state * tile_states as u64);
+            // configuration trains to comparable coverage per pair; the
+            // batch's split gives every tile the same share.
+            let total = samples_per_state * tile_states as u64 * ind.len() as u64;
+            let stats = ind.train_batch(part.partitions(), total).stats;
             let fmax = cfg.fmax.fmax_mhz(&Device::XCVU13P, tile_states as u64);
             let mean_opt = (0..ind.len())
                 .map(|i| {

@@ -20,7 +20,8 @@
 //! [`GridWorldBuilder::build`] computes it once: one legal-move byte per
 //! packed state (bit *a* set when action *a* moves a live cell into a
 //! free one) and one packed-address offset per action. A transition is
-//! then a byte load, a bit test and an add.
+//! then a byte load, a bit test and an add. Obstacles are kept as one
+//! bit per packed state.
 
 use crate::env::{Action, Environment, State};
 use qtaccel_hdl::rng::RngSource;
@@ -187,10 +188,6 @@ impl GridWorldBuilder {
         let xbits = bits_for(self.width);
         let ybits = bits_for(self.height);
         let num_states = 1usize << (xbits + ybits);
-        let mut obstacle_mask = vec![false; num_states];
-        for &(x, y) in &self.obstacles {
-            obstacle_mask[((x << ybits) | y) as usize] = true;
-        }
         let goal_state = (goal.0 << ybits) | goal.1;
         let mut legal = vec![0u8; num_states];
         let mut offsets = [0; 8];
@@ -203,18 +200,25 @@ impl GridWorldBuilder {
             let (y0, n) = (0.max(-dy), (h - dy.abs()) as usize);
             for x in 0.max(-dx)..w - 0.max(dx) {
                 let from = ((x as usize) << ybits) + y0 as usize;
-                let to = (((x + dx) as usize) << ybits) + (y0 + dy) as usize;
-                for (m, &blocked) in legal[from..from + n]
-                    .iter_mut()
-                    .zip(&obstacle_mask[to..to + n])
-                {
-                    *m |= u8::from(!blocked) << a;
+                for m in &mut legal[from..from + n] {
+                    *m |= 1 << a;
                 }
             }
         }
-        // Obstacles and the goal self-loop, as filler addresses do.
+        // An obstacle blocks every move into it, and obstacles and the
+        // goal self-loop, as filler addresses do.
+        let mut obstacles = vec![0u64; num_states.div_ceil(64)];
         for &(x, y) in &self.obstacles {
-            legal[((x << ybits) | y) as usize] = 0;
+            let o = ((x << ybits) | y) as usize;
+            obstacles[o / 64] |= 1 << (o % 64);
+            legal[o] = 0;
+            for a in 0..self.actions.len() as Action {
+                let (dx, dy) = self.actions.delta(a);
+                let (px, py) = (i64::from(x) - dx, i64::from(y) - dy);
+                if (0..w).contains(&px) && (0..h).contains(&py) {
+                    legal[((px as usize) << ybits) | py as usize] &= !(1 << a);
+                }
+            }
         }
         legal[goal_state as usize] = 0;
         GridWorld {
@@ -223,7 +227,7 @@ impl GridWorldBuilder {
             xbits,
             ybits,
             goal_state,
-            obstacle_mask,
+            obstacles,
             legal,
             offsets,
             actions: self.actions,
@@ -248,7 +252,9 @@ pub struct GridWorld {
     xbits: u32,
     ybits: u32,
     goal_state: State,
-    obstacle_mask: Vec<bool>,
+    /// One bit per packed state, set for obstacles: bit `s % 64` of
+    /// word `s / 64`.
+    obstacles: Vec<u64>,
     /// One byte per packed state: bit `a` is set when action `a` moves
     /// this live cell into a free one. Zero for obstacles, the goal and
     /// filler addresses.
@@ -358,10 +364,14 @@ impl GridWorld {
         x < self.width && y < self.height
     }
 
-    /// Is this cell an obstacle?
+    /// Is this cell an obstacle? Never for filler addresses or
+    /// addresses past the packed space.
     #[inline]
     pub fn is_obstacle(&self, s: State) -> bool {
-        self.obstacle_mask[s as usize]
+        let s = s as usize;
+        self.obstacles
+            .get(s / 64)
+            .is_some_and(|word| (word >> (s % 64)) & 1 != 0)
     }
 
     /// BFS distance (in moves) from every cell to the goal; `None` for

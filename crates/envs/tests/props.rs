@@ -162,12 +162,17 @@ impl Described {
         (u64::from(s) >> ybits, u64::from(s) & ((1 << ybits) - 1))
     }
 
-    fn live(&self, s: State) -> bool {
+    /// A cell inside the grid that is not an obstacle.
+    fn valid(&self, s: State) -> bool {
         let (x, y) = self.xy(s);
         x < u64::from(self.width)
             && y < u64::from(self.height)
             && !self.obstacles.contains(&(x as u32, y as u32))
-            && (x as u32, y as u32) != self.goal
+    }
+
+    fn live(&self, s: State) -> bool {
+        let (x, y) = self.xy(s);
+        self.valid(s) && (x as u32, y as u32) != self.goal
     }
 
     /// The transition as geometry: a live cell moves by the action's
@@ -260,14 +265,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The legal-move byte and offset add that `build` computes give the
-    /// geometric transition and reward for every (s, a): every packed
-    /// address, filler included, and addresses past the packed space.
+    /// geometric transition and reward for every (s, a), and the obstacle
+    /// bits the valid states: every packed address, filler included, and
+    /// addresses past the packed space.
     #[test]
     fn grid_transition_and_reward_match_the_geometry(d in arb_described(), far in any::<u32>()) {
         let g = &d.grid;
         let n = g.num_states() as State;
         let past = [n, n + 1, 2 * n - 1, n << 3, far | n, u32::MAX - 1, u32::MAX];
         for s in (0..n).chain(past) {
+            prop_assert_eq!(g.is_valid_state(s), d.valid(s), "s {}", s);
             for a in 0..g.num_actions() as Action {
                 prop_assert_eq!(g.transition(s, a), d.transition(s, a), "s {} a {}", s, a);
                 prop_assert_eq!(g.reward(s, a).to_bits(), d.reward(s, a).to_bits(), "s {} a {}", s, a);

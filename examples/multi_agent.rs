@@ -57,7 +57,7 @@ fn main() {
     let mut rng = Lfsr32::new(99);
     let fleet = PartitionedGrid::new(32, 32, 2, 2, 8, ActionSet::Four, &mut rng);
     let mut rovers = IndependentPipelines::<Q8_8>::new(fleet.partitions(), cfg);
-    let stats = rovers.train_samples(fleet.partitions(), 400_000);
+    let stats = rovers.train_batch(fleet.partitions(), 400_000 * 4).stats;
 
     println!(
         "\nmode 2: {} independent rovers on 16x16 quadrants",

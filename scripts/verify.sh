@@ -37,12 +37,13 @@
 # spec-hash refusal — every failure mode must end bit-identical to the
 # single-process reference).
 #
-# Then the metrics smoke gate (a live scrape, and three concurrent
-# workers streaming wire deltas into an ephemeral collector: the merged
-# scrape must sum bit-exactly and the exported multi-process Perfetto
-# trace must re-parse strictly with per-track monotonic timestamps and
-# zero decode errors), clippy over every target of the
-# workspace, rustdoc, and the bench gates: two instrumented quick
+# Then every example is run in release and must exit 0 (their assert!s
+# are checks no test runs), then the metrics smoke gate (a live scrape,
+# and three concurrent workers streaming wire deltas into an ephemeral
+# collector: the merged scrape must sum bit-exactly and the exported
+# multi-process Perfetto trace must re-parse strictly with per-track
+# monotonic timestamps and zero decode errors), clippy over every target
+# of the workspace, rustdoc, and the bench gates: two instrumented quick
 # benches that fail if (a) the disabled-telemetry (NullSink) fast path
 # or (b) the scale-out executor's aggregate rate regressed >5% against
 # the tracked BENCH_throughput.json / BENCH_scaling.json baselines — (a)
@@ -113,6 +114,15 @@ gate 1200 "cargo test (offline)" \
 # thirteen per-suite release gates (600 s each) it replaced.
 gate 7800 "cargo test (release, offline)" \
   cargo test -q --release --offline --workspace
+
+# Every example runs to completion: `cargo test` only compiles them, and
+# their assert!s (multi_agent's samples/cycle, sarsa_cliff's detour,
+# quickstart's learned policy, ...) check what the library promises its
+# users. Output goes to /dev/null; a failed assert prints on stderr.
+# metrics_export writes only the git-ignored results/trace_qlearning.json.
+gate 600 "examples (release, offline): every one runs and exits 0" \
+  bash -c 'set -e; for f in examples/*.rs; do n=$(basename "$f" .rs); echo "-- $n"; \
+    cargo run -q --release --offline --example "$n" > /dev/null; done'
 
 gate 600 "metrics smoke: serve, scrape, validate + multi-worker collector gate" \
   cargo run --release --offline -p qtaccel-bench --bin metrics_smoke

@@ -59,7 +59,7 @@ fn independent_pipelines_linear_scaling_and_isolation() {
     let part = PartitionedGrid::new(32, 16, 4, 2, 5, ActionSet::Four, &mut rng);
     let cfg = AccelConfig::default().with_seed(31);
     let mut fleet = IndependentPipelines::<Q8_8>::new(part.partitions(), cfg);
-    let stats = fleet.train_samples(part.partitions(), 150_000);
+    let stats = fleet.train_batch(part.partitions(), 150_000 * 8).stats;
     assert_eq!(fleet.len(), 8);
     assert_eq!(stats.samples, 8 * 150_000);
     assert!(
@@ -86,7 +86,7 @@ fn independent_pipelines_differ_across_seed_banks() {
     let g = GridWorld::builder(8, 8).goal(7, 7).build();
     let envs = [g.clone(), g.clone()];
     let mut fleet = IndependentPipelines::<Q8_8>::new(&envs, AccelConfig::default().with_seed(77));
-    fleet.train_samples(&envs, 5_000);
+    fleet.train_batch(&envs, 5_000 * 2);
     let a = fleet.q_table(0);
     let b = fleet.q_table(1);
     assert!(a.max_abs_diff(&b) > 0.0, "seed banks must differ");
