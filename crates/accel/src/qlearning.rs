@@ -7,7 +7,7 @@
 //! spaces" where the FSM-per-pair baseline cannot.
 
 use crate::config::AccelConfig;
-use crate::pipeline::{sealed, Fixture, QrlAccel};
+use crate::pipeline::{sealed, shape, Fixture, QrlAccel};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::Environment;
@@ -19,7 +19,9 @@ use qtaccel_telemetry::{NullSink, TraceSink};
 #[derive(Debug, Clone, Copy)]
 pub struct QLearning;
 
-impl sealed::Sealed for QLearning {}
+impl sealed::Sealed for QLearning {
+    type Custom = ();
+}
 
 impl Fixture for QLearning {
     #[inline(always)]
@@ -50,7 +52,7 @@ impl<V: QValue, S: TraceSink> QLearningAccel<V, S> {
         config.trainer.behavior = Policy::Random;
         config.trainer.update = Policy::Greedy;
         config.trainer.forward_next_action = false;
-        Self::build(env, config, 0, sink)
+        Self::build(shape(env), config, 0, sink)
     }
 }
 

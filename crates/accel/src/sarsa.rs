@@ -9,7 +9,7 @@
 //! stage as the next-step action").
 
 use crate::config::AccelConfig;
-use crate::pipeline::{sealed, Fixture, QrlAccel};
+use crate::pipeline::{sealed, shape, Fixture, QrlAccel};
 use qtaccel_core::policy::Policy;
 use qtaccel_core::trainer::TrainerConfig;
 use qtaccel_envs::Environment;
@@ -21,7 +21,9 @@ use qtaccel_telemetry::{NullSink, TraceSink};
 #[derive(Debug, Clone, Copy)]
 pub struct Sarsa;
 
-impl sealed::Sealed for Sarsa {}
+impl sealed::Sealed for Sarsa {
+    type Custom = ();
+}
 
 impl Fixture for Sarsa {
     /// Both ε-greedy, with the ε the constructors wrote.
@@ -62,7 +64,7 @@ impl<V: QValue, S: TraceSink> SarsaAccel<V, S> {
         config.trainer.behavior = Policy::EpsilonGreedy { epsilon };
         config.trainer.update = Policy::EpsilonGreedy { epsilon };
         config.trainer.forward_next_action = true;
-        Self::build(env, config, 0, sink)
+        Self::build(shape(env), config, 0, sink)
     }
 }
 

@@ -263,12 +263,15 @@ fn event_stream_invariants_and_counter_dump_round_trip() {
                 assert_eq!(*seen & (1 << (stage - 1)), 0, "stage twice: {ev:?}");
                 *seen |= 1 << (stage - 1);
             }
-            // Each commit goes to Q or Qmax: a third table would leave
-            // this match non-exhaustive.
+            // Each commit goes to Q or Qmax: a fourth table would leave
+            // this match non-exhaustive, and a §V engine has no P table.
             Event::Commit {
                 mem: MemKind::Q | MemKind::Qmax,
                 ..
             } => commits += 1,
+            Event::Commit {
+                mem: MemKind::P, ..
+            } => panic!("a SARSA engine committed a P write: {ev:?}"),
             Event::StallBegin { .. } => {
                 assert!(!stall_open, "stall opened twice: {ev:?}");
                 stall_open = true;

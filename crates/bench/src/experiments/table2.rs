@@ -10,7 +10,7 @@
 //! (dict lookups scale with the action scan; the pipeline does not).
 
 use crate::grids::paper_grid;
-use crate::report::{fmt_rate, render_table};
+use crate::report::{fmt_rate, render_table, Json};
 use qtaccel_accel::{AccelConfig, QLearningAccel};
 use qtaccel_baseline::{CpuBaseline, CpuKind};
 use qtaccel_fixed::Q8_8;
@@ -40,6 +40,9 @@ pub struct Table2Row {
 pub struct Table2 {
     /// One row per (|S|, |A|).
     pub rows: Vec<Table2Row>,
+    /// Provenance of the host-timed CPU rates: commit, dirty flag, time
+    /// and host (`qtaccel_telemetry::manifest`).
+    pub manifest: Json,
 }
 
 /// Run the comparison: `cpu_samples` measured updates per CPU point,
@@ -70,7 +73,10 @@ pub fn run(cpu_samples: u64, sim_samples: u64, max_states: usize) -> Table2 {
             });
         }
     }
-    Table2 { rows }
+    Table2 {
+        rows,
+        manifest: qtaccel_telemetry::manifest::provenance(),
+    }
 }
 
 impl Table2 {
@@ -106,7 +112,7 @@ crate::impl_to_json!(Table2Row {
     fpga_sps,
     speedup
 });
-crate::impl_to_json!(Table2 { rows });
+crate::impl_to_json!(Table2 { rows, manifest });
 
 #[cfg(test)]
 mod tests {

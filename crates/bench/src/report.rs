@@ -71,23 +71,15 @@ pub fn results_dir() -> PathBuf {
 /// [`impl_to_json!`](crate::impl_to_json) line.
 pub use qtaccel_telemetry::{Json, ToJson};
 
-/// Persist a result as pretty JSON under `results/`.
-///
-/// Top-level objects are stamped with a `manifest` field — git commit,
-/// dirty flag, wall-clock time and tool version (see
-/// `qtaccel_telemetry::manifest`) — so every emitted figure/table can be
-/// traced back to the tree that produced it. An experiment that already
-/// provides its own `manifest` field wins; non-object roots are written
-/// unmodified.
+/// Persist a result as pretty JSON under `results/`: exactly
+/// `value.to_json().pretty()`, so regenerating a deterministic
+/// experiment on an unchanged tree leaves its file byte-identical. A
+/// host-timed result carries its own `manifest` field (git commit, dirty
+/// flag, wall-clock time and tool version, see
+/// `qtaccel_telemetry::manifest`), as Table II's does.
 pub fn save_json<T: ToJson>(name: &str, value: &T) -> PathBuf {
     let path = results_dir().join(format!("{name}.json"));
-    let mut tree = value.to_json();
-    if let Json::Obj(fields) = &mut tree {
-        if !fields.iter().any(|(k, _)| *k == "manifest") {
-            fields.push(("manifest", qtaccel_telemetry::manifest::provenance()));
-        }
-    }
-    fs::write(&path, tree.pretty()).expect("write result JSON");
+    fs::write(&path, value.to_json().pretty()).expect("write result JSON");
     path
 }
 
@@ -261,22 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn save_json_stamps_a_provenance_manifest() {
-        let p = save_json(
-            "__emitter_smoke",
-            &Json::Obj(vec![("ok", Json::Bool(true))]),
-        );
-        let body = std::fs::read_to_string(&p).unwrap();
-        assert!(
-            body.starts_with("{\n  \"ok\": true,\n  \"manifest\": {"),
-            "{body}"
-        );
-        // The stamped report re-parses through the telemetry parser.
-        let v = qtaccel_telemetry::json::parse(&body).unwrap();
-        assert_eq!(v.get("ok").and_then(|b| b.as_bool()), Some(true));
-        let m = v.get("manifest").expect("manifest attached");
-        assert!(m.get("git_commit").and_then(|c| c.as_str()).is_some());
-        assert!(m.get("unix_time").and_then(|t| t.as_u64()).is_some());
+    fn save_json_writes_the_same_bytes_for_the_same_value() {
+        let value = Json::Obj(vec![("ok", Json::Bool(true)), ("n", Json::UInt(3))]);
+        let p = save_json("__emitter_smoke", &value);
+        let first = std::fs::read(&p).unwrap();
+        save_json("__emitter_smoke", &value);
+        assert_eq!(std::fs::read(&p).unwrap(), first, "two saves differ");
+        assert_eq!(first, value.pretty().into_bytes(), "no field added");
         let _ = std::fs::remove_file(p);
     }
 

@@ -198,6 +198,23 @@ impl NormalLfsr {
     pub fn terms(&self) -> u32 {
         self.lfsrs.len() as u32
     }
+
+    /// The registers' states, one per term, for a checkpoint.
+    pub fn states(&self) -> Vec<u32> {
+        self.lfsrs.iter().map(Lfsr32::peek).collect()
+    }
+
+    /// A sampler whose registers hold `states` (at least one), as
+    /// [`states`](Self::states) read them.
+    pub fn from_states(states: &[u32]) -> Self {
+        assert!(
+            !states.is_empty(),
+            "Irwin-Hall sampler needs at least one term"
+        );
+        Self {
+            lfsrs: states.iter().map(|&s| Lfsr32::new(s)).collect(),
+        }
+    }
 }
 
 #[cfg(test)]

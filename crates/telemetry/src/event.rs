@@ -16,6 +16,9 @@ pub enum MemKind {
     Q,
     /// The Qmax/argmax table (|S| entries).
     Qmax,
+    /// The probability table of the §VII-B policy unit (|S|·|A|
+    /// weights).
+    P,
 }
 
 impl MemKind {
@@ -24,6 +27,7 @@ impl MemKind {
         match self {
             MemKind::Q => "q",
             MemKind::Qmax => "qmax",
+            MemKind::P => "p",
         }
     }
 }

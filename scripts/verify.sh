@@ -37,8 +37,12 @@
 # spec-hash refusal — every failure mode must end bit-identical to the
 # single-process reference).
 #
-# Then every example is run in release and must exit 0 (their assert!s
-# are checks no test runs), then the metrics smoke gate (a live scrape,
+# Then the mab.json gate: mab_bandits regenerates results/mab.json, the
+# §VII-B bandit fixtures' experiment, and `git diff --exit-code` fails on
+# any byte that moved (the file holds no time or host field, so an
+# unchanged tree regenerates it exactly). Then every example is run in
+# release and must exit 0 (their assert!s are checks no test runs), then
+# the metrics smoke gate (a live scrape,
 # and three concurrent workers streaming wire deltas into an ephemeral
 # collector: the merged scrape must sum bit-exactly and the exported
 # multi-process Perfetto trace must re-parse strictly with per-track
@@ -114,6 +118,12 @@ gate 1200 "cargo test (offline)" \
 # thirteen per-suite release gates (600 s each) it replaced.
 gate 7800 "cargo test (release, offline)" \
   cargo test -q --release --offline --workspace
+
+# The §VII-B fixtures' output cannot drift unseen: their experiment's
+# tracked artifact must regenerate byte for byte.
+gate 300 "mab.json gate: mab_bandits regenerates results/mab.json byte for byte" \
+  bash -c 'cargo run -q --release --offline -p qtaccel-bench --bin mab_bandits > /dev/null \
+    && git diff --exit-code results/mab.json'
 
 # Every example runs to completion: `cargo test` only compiles them, and
 # their assert!s (multi_agent's samples/cycle, sarsa_cliff's detour,

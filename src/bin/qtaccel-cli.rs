@@ -78,6 +78,15 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// `value` of `--key` when it lies in `[0, 1]`.
+fn unit_interval(key: &str, value: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(format!("--{key} must be in [0, 1], got {value}"))
+    }
+}
+
 fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
     let engine = map.get("engine").map(String::as_str).unwrap_or("ql");
     let width: u32 = get(map, "width", 16)?;
@@ -85,11 +94,16 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
     let actions: u32 = get(map, "actions", 4)?;
     let obstacles: u32 = get(map, "obstacles", 10)?;
     let samples: u64 = get(map, "samples", 500_000)?;
-    let alpha: f64 = get(map, "alpha", 0.5)?;
-    let gamma: f64 = get(map, "gamma", 0.96875)?;
-    let epsilon: f64 = get(map, "epsilon", 0.2)?;
+    let alpha = unit_interval("alpha", get(map, "alpha", 0.5)?)?;
+    let gamma = unit_interval("gamma", get(map, "gamma", 0.96875)?)?;
+    let epsilon = unit_interval("epsilon", get(map, "epsilon", 0.2)?)?;
     let temperature: f64 = get(map, "temperature", 0.1)?;
     let seed: u64 = get(map, "seed", 1)?;
+    if !(temperature > 0.0 && temperature.is_finite()) {
+        return Err(format!(
+            "--temperature must be positive and finite, got {temperature}"
+        ));
+    }
 
     let action_set = match actions {
         4 => ActionSet::Four,
@@ -123,9 +137,7 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
             let mut a =
                 ProbPolicyAccel::<Q8_8>::new(&env, cfg, WeightRule::Boltzmann { temperature });
             let s = a.train_samples(&env, samples);
-            let policy = a.greedy_policy();
-            let r = a.resources();
-            (s, policy, r)
+            (s, a.greedy_policy(), a.resources())
         }
         other => return Err(format!("unknown engine '{other}' (ql|sarsa|prob)")),
     };
@@ -164,8 +176,11 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_bandit(map: &HashMap<String, String>) -> Result<(), String> {
     let arms: usize = get(map, "arms", 5)?;
     let rounds: usize = get(map, "rounds", 100_000)?;
-    let epsilon: f64 = get(map, "epsilon", 0.05)?;
+    let epsilon = unit_interval("epsilon", get(map, "epsilon", 0.05)?)?;
     let seed: u64 = get(map, "seed", 1)?;
+    if arms < 2 {
+        return Err(format!("--arms must be at least 2, got {arms}"));
+    }
     let policy = match map.get("policy").map(String::as_str).unwrap_or("eps") {
         "eps" => BanditPolicy::EpsilonGreedy { epsilon },
         "exp3" => BanditPolicy::Exp3 { gamma: 0.1 },
