@@ -170,6 +170,20 @@ pub(crate) fn below(field: &'static str, value: u64, bound: u64) -> Result<u64, 
     }
 }
 
+/// A restored word, refused with [`CheckpointError::Mismatch`] unless it
+/// is `expected`, the restoring pipeline's own value.
+pub(crate) fn same(field: &'static str, value: u64, expected: u64) -> Result<u64, CheckpointError> {
+    if value == expected {
+        Ok(value)
+    } else {
+        Err(CheckpointError::Mismatch {
+            field,
+            expected: expected.to_string(),
+            found: value.to_string(),
+        })
+    }
+}
+
 /// A restored index, checked against the restoring pipeline's shape: a
 /// forged or foreign index must not reach a memory image.
 pub(crate) fn index(

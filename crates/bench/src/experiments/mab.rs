@@ -52,53 +52,30 @@ pub fn run(rounds: usize) -> Mab {
     let arms = 5usize;
     let mut rows = Vec::new();
 
-    // Hardware ε-greedy engine.
-    let mut env = GaussianBandit::linear_means(arms, 0.15, 101);
-    let mut eps = BanditAccel::<Q8_8>::new(
-        arms,
-        BanditPolicy::EpsilonGreedy { epsilon: 0.05 },
-        0.1,
-        AccelConfig::default(),
-    );
-    let regret = eps.run(&mut env, rounds);
-    let est = eps.estimates();
-    let best = est
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0;
-    rows.push(MabRow {
-        name: "accel eps-greedy".into(),
-        final_regret: *regret.last().unwrap(),
-        tail_regret_rate: tail_rate(&regret),
-        found_best: best == env.optimal_arm(),
-        msps: Some(eps.resources().throughput_msps),
-    });
-
-    // Hardware EXP3 engine.
-    let mut env = GaussianBandit::linear_means(arms, 0.15, 102);
-    let mut exp3 = BanditAccel::<Q8_8>::new(
-        arms,
-        BanditPolicy::Exp3 { gamma: 0.1 },
-        0.1,
-        AccelConfig::default(),
-    );
-    let regret = exp3.run(&mut env, rounds);
-    let est = exp3.estimates();
-    let best = est
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0;
-    rows.push(MabRow {
-        name: "accel EXP3".into(),
-        final_regret: *regret.last().unwrap(),
-        tail_regret_rate: tail_rate(&regret),
-        found_best: best == env.optimal_arm(),
-        msps: Some(exp3.resources().throughput_msps),
-    });
+    // The hardware engines: ε-greedy, and EXP3's probability table.
+    for (name, policy, seed) in [
+        (
+            "accel eps-greedy",
+            BanditPolicy::EpsilonGreedy { epsilon: 0.05 },
+            101,
+        ),
+        ("accel EXP3", BanditPolicy::Exp3 { gamma: 0.1 }, 102),
+    ] {
+        let mut env = GaussianBandit::linear_means(arms, 0.15, seed);
+        let mut engine = BanditAccel::<Q8_8>::new(arms, policy, 0.1, AccelConfig::default());
+        let regret = engine.run(&mut env, rounds);
+        let est = engine.estimates();
+        let best = (0..arms)
+            .max_by(|&a, &b| est[a].partial_cmp(&est[b]).unwrap())
+            .unwrap();
+        rows.push(MabRow {
+            name: name.into(),
+            final_regret: *regret.last().unwrap(),
+            tail_regret_rate: tail_rate(&regret),
+            found_best: best == env.optimal_arm(),
+            msps: Some(engine.resources().throughput_msps),
+        });
+    }
 
     // Software UCB1 reference.
     let mut env = GaussianBandit::linear_means(arms, 0.15, 103);
