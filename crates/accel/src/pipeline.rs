@@ -501,21 +501,15 @@ impl PolicyUnit {
 
     /// The behaviour and update units of `policies`, in line, so the
     /// units of a fixture that fixes its policies' kinds are constants
-    /// in its engine loops. Boltzmann has no LFSR-only realization and
-    /// is refused here, for every engine (the probability-table fixture
-    /// realizes it, `WeightRule::Boltzmann`).
+    /// in its engine loops.
     #[inline(always)]
     fn pair([behavior, update]: [Policy; 2]) -> [Self; 2] {
-        let unit = |p, role| match p {
+        let unit = |p| match p {
             Policy::Random => PolicyUnit::Random,
             Policy::Greedy => PolicyUnit::Greedy,
             Policy::EpsilonGreedy { epsilon } => PolicyUnit::Eps(epsilon_to_q32(epsilon)),
-            Policy::Boltzmann { .. } => panic!(
-                "Boltzmann {role} policy is not synthesizable on the QRL engine; \
-                 use the probability-table engine (qtaccel_accel::prob_engine)"
-            ),
         };
-        [unit(behavior, "behaviour"), unit(update, "update")]
+        [unit(behavior), unit(update)]
     }
 
     /// Whether a selection draws an LFSR word.
@@ -2728,16 +2722,6 @@ mod tests {
             let (_, true_max) = q.max_exact(s);
             assert!(qmax.get(s).0 >= true_max, "state {s}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not synthesizable")]
-    fn boltzmann_rejected_on_qrl_engine() {
-        let g = grid();
-        let mut cfg = config(1);
-        cfg.trainer.behavior = Policy::Boltzmann { temperature: 1.0 };
-        let mut p = AccelPipeline::<Q8_8>::new(&g, cfg, 0);
-        p.step(&g);
     }
 
     /// Every CycleStats counter pinned to the values the scan-per-read,

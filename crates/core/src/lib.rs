@@ -10,8 +10,8 @@
 //!   optimization: "an array Qmax of size equal to the number of states
 //!   which stores the maximum Q-value for all the states").
 //! * [`policy`] — action-selection policies: random, greedy, ε-greedy
-//!   (§III-B), Boltzmann, and the probability-table policy with
-//!   binary-search selection of §VII-B.
+//!   (§III-B), and the probability-table policy with binary-search
+//!   selection of §VII-B (Boltzmann weights among its rules).
 //! * [`trainer`] — step-exact Q-Learning (Eq. 1/3) and SARSA (Eq. 2)
 //!   trainers. These are **golden references**: given the same master
 //!   seed, datapath format and Qmax semantics, they make bit-identical

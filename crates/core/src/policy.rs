@@ -12,8 +12,8 @@
 //! * **Boltzmann / generic distributions** — a probability table and a
 //!   binary search over its row's running weights in `log₂ nⱼ` cycles
 //!   (§VII-B), modelled by [`ProbTablePolicy`] and realized by the
-//!   accelerator's probability-table fixture. [`Policy::Boltzmann`] is
-//!   the software softmax over a Q row, which the QRL engine refuses.
+//!   accelerator's probability-table fixture, whose weight rule may be
+//!   Boltzmann's `exp(Q/T)`.
 
 use crate::qtable::{MaxMode, QTable, QmaxTable};
 use qtaccel_envs::{Action, State};
@@ -33,13 +33,6 @@ pub enum Policy {
         /// Exploration probability in `[0, 1]`.
         epsilon: f64,
     },
-    /// Softmax over Q-values with temperature `T`:
-    /// `P(a) ∝ exp(Q(s,a)/T)`. Software reference for the probability
-    /// table approach; see [`ProbTablePolicy`] for the hardware shape.
-    Boltzmann {
-        /// Temperature (> 0). Lower is greedier.
-        temperature: f64,
-    },
 }
 
 impl Policy {
@@ -51,7 +44,7 @@ impl Policy {
     /// `Random` draws one word; `Greedy` draws none; `EpsilonGreedy`
     /// draws exactly one word (the paper's single-number scheme, §V-B:
     /// the word decides explore-vs-exploit *and*, when exploring,
-    /// directly indexes the action); `Boltzmann` draws one word.
+    /// directly indexes the action).
     pub fn select<V: QValue>(
         &self,
         q: &QTable<V>,
@@ -70,27 +63,7 @@ impl Policy {
                     None => greedy_action(q, qmax, mode, s),
                 }
             }
-            Policy::Boltzmann { temperature } => {
-                assert!(temperature > 0.0, "Boltzmann temperature must be > 0");
-                let row = q.row(s);
-                // Subtract the row max before exponentiating for
-                // numerical stability; the distribution is unchanged.
-                let m = row
-                    .iter()
-                    .map(|v| v.to_f64())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let weights: Vec<f64> = row
-                    .iter()
-                    .map(|v| ((v.to_f64() - m) / temperature).exp())
-                    .collect();
-                sample_discrete(&weights, rng)
-            }
         }
-    }
-
-    /// Does this policy ever consult the Qmax array / row maximum?
-    pub fn uses_max(&self) -> bool {
-        matches!(self, Policy::Greedy | Policy::EpsilonGreedy { .. })
     }
 }
 
@@ -101,23 +74,6 @@ fn greedy_action<V: QValue>(q: &QTable<V>, qmax: &QmaxTable<V>, mode: MaxMode, s
         MaxMode::QmaxArray => qmax.get(s).1,
         MaxMode::ExactScan => q.max_exact(s).0,
     }
-}
-
-/// Sample an index proportionally to non-negative `weights` using a single
-/// RNG word. Zero-total rows degenerate to uniform.
-fn sample_discrete(weights: &[f64], rng: &mut dyn RngSource) -> Action {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 || !total.is_finite() {
-        return rng.below(weights.len() as u32);
-    }
-    let mut r = rng.next_f64() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        r -= w;
-        if r < 0.0 {
-            return i as Action;
-        }
-    }
-    (weights.len() - 1) as Action
 }
 
 /// One draw from a row of non-negative weights given as their running
@@ -335,45 +291,6 @@ mod tests {
         // Non-greedy fraction should be ~ ε·(|A|−1)/|A| = 0.225.
         let frac = non_greedy as f64 / n as f64;
         assert!((frac - 0.225).abs() < 0.01, "frac {frac}");
-    }
-
-    #[test]
-    fn boltzmann_prefers_higher_q() {
-        let (q, m) = setup();
-        let mut rng = Lfsr32::new(21);
-        let mut counts = [0u32; 4];
-        for _ in 0..50_000 {
-            let a = Policy::Boltzmann { temperature: 1.0 }.select(
-                &q,
-                &m,
-                MaxMode::ExactScan,
-                0,
-                &mut rng,
-            );
-            counts[a as usize] += 1;
-        }
-        assert!(counts[2] > counts[1], "exp(5) beats exp(3)");
-        assert!(counts[1] > counts[0], "exp(3) beats exp(0)");
-        // Expected ratio between actions 1 and 2 is exp(-2) ≈ 0.135.
-        let ratio = counts[1] as f64 / counts[2] as f64;
-        assert!((ratio - (-2.0f64).exp()).abs() < 0.02, "ratio {ratio}");
-    }
-
-    #[test]
-    fn boltzmann_high_temperature_flattens() {
-        let (q, m) = setup();
-        let mut rng = Lfsr32::new(23);
-        let mut counts = [0u32; 4];
-        for _ in 0..40_000 {
-            let a = Policy::Boltzmann {
-                temperature: 1000.0,
-            }
-            .select(&q, &m, MaxMode::ExactScan, 0, &mut rng);
-            counts[a as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((c as f64 / 40_000.0 - 0.25).abs() < 0.03);
-        }
     }
 
     #[test]

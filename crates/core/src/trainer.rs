@@ -288,16 +288,6 @@ impl<V: QValue, E: Environment> RefTrainer<V, E> {
                     }
                 }
             }
-            Policy::Boltzmann { .. } => {
-                let a = self.config.update.select(
-                    &self.q,
-                    &self.qmax,
-                    self.config.max_mode,
-                    s_next,
-                    &mut self.update_rng,
-                );
-                (a, self.q.get(s_next, a))
-            }
         }
     }
 
