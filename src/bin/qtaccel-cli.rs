@@ -8,6 +8,8 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use qtaccel::accel::resources::{analyze, EngineKind};
@@ -48,6 +50,29 @@ COMMANDS:
                  --device vu13p|v7|v6   (default vu13p)
     help         show this text
 ";
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write to stdout. A reader that closes the pipe early
+/// (`qtaccel-cli train | head -1`) has read what it wanted, so a broken
+/// pipe ends the process quietly with status 0, where `println!` would
+/// panic. Any other write error panics, as `println!` does.
+fn emit(args: fmt::Arguments) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn parse_args(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
@@ -117,7 +142,7 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
         .with_gamma(gamma)
         .with_seed(seed);
 
-    println!(
+    outln!(
         "training {engine} on a {width}x{height} grid ({} states x {} actions), {samples} samples",
         env.num_states(),
         env.num_actions()
@@ -142,14 +167,14 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
         other => return Err(format!("unknown engine '{other}' (ql|sarsa|prob)")),
     };
 
-    println!(
+    outln!(
         "cycles {} | samples/cycle {:.4} | stalls {} | forwards {}",
         stats.cycles,
         stats.samples_per_cycle(),
         stats.stalls,
         stats.forwards
     );
-    println!(
+    outln!(
         "hardware: {} DSP | {} BRAM ({:.2}%) | {:.0} MHz | {:.0} MS/s | {:.1} mW",
         resources.report.dsp,
         resources.report.bram36,
@@ -161,14 +186,14 @@ fn cmd_train(map: &HashMap<String, String>) -> Result<(), String> {
     let opt = step_optimality(&env, &policy, &env.shortest_distances());
     let mut eval_rng = Lfsr32::new(7);
     let report = evaluate_policy(&env, &policy, 100, width * height * 2, &mut eval_rng);
-    println!(
+    outln!(
         "policy: step-optimality {:.3} | success {:.0}% | mean path {:.1}",
         opt,
         report.success_rate() * 100.0,
         report.mean_steps
     );
     if width <= 64 && height <= 64 {
-        print!("{}", env.render_policy(&policy));
+        out!("{}", env.render_policy(&policy));
     }
     Ok(())
 }
@@ -197,7 +222,7 @@ fn cmd_bandit(map: &HashMap<String, String>) -> Result<(), String> {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
         .map(|(i, _)| i)
         .unwrap_or(0);
-    println!(
+    outln!(
         "{arms}-arm bandit, {rounds} rounds: regret {:.1}, best-arm estimate {} (true {}), \
          modeled {:.0} M decisions/s",
         regret.last().copied().unwrap_or(0.0),
@@ -224,11 +249,11 @@ fn cmd_resources(map: &HashMap<String, String>) -> Result<(), String> {
     };
     let cfg = AccelConfig::default().with_device(device);
     let r = analyze(states, actions, 16, kind, &cfg, 1.0);
-    println!(
+    outln!(
         "{kind:?} with |S|={states}, |A|={actions} on {}:",
         device.name
     );
-    println!(
+    outln!(
         "  DSP {} ({:.3}%) | BRAM {} blocks ({:.2}%) | FF {} ({:.3}%) | LUT {}",
         r.report.dsp,
         r.utilization.dsp_pct,
@@ -239,11 +264,13 @@ fn cmd_resources(map: &HashMap<String, String>) -> Result<(), String> {
         r.report.lut
     );
     if !r.report.fits(&device) {
-        println!("  DOES NOT FIT this device");
+        outln!("  DOES NOT FIT this device");
     }
-    println!(
+    outln!(
         "  fmax {:.0} MHz -> {:.0} MS/s | power {:.1} mW",
-        r.fmax_mhz, r.throughput_msps, r.power_mw
+        r.fmax_mhz,
+        r.throughput_msps,
+        r.power_mw
     );
     Ok(())
 }
@@ -251,12 +278,12 @@ fn cmd_resources(map: &HashMap<String, String>) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        print!("{HELP}");
+        out!("{HELP}");
         return ExitCode::FAILURE;
     };
     let result = match command.as_str() {
         "help" | "--help" | "-h" => {
-            print!("{HELP}");
+            out!("{HELP}");
             Ok(())
         }
         cmd => match parse_args(&args[1..]) {

@@ -1,8 +1,9 @@
 //! The `qtaccel-cli` binary end to end: the §VII-B commands run and print
-//! their summary lines, and out-of-range input is an `error:` line and
-//! exit status 1, never a panic.
+//! their summary lines, out-of-range input is an `error:` line and exit
+//! status 1, never a panic, and a reader that stops early ends it quietly.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_qtaccel-cli"))
@@ -64,4 +65,25 @@ fn out_of_range_input_is_an_error_not_a_panic() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_run_quietly() {
+    // Enough samples that training outlasts the read of the first line,
+    // so the later lines meet a closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qtaccel-cli"))
+        .args(["train", "--samples", "2000000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn qtaccel-cli");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("training "), "{first}");
+    let out = child.wait_with_output().expect("wait for qtaccel-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
