@@ -4,14 +4,15 @@
 //! Pareto table of stored bits × convergence quality × modeled MS/s/W.
 //!
 //! Full runs write the tracked `BENCH_formats.json` at the workspace
-//! root (plus the legacy `results/formats.json`); `--quick` trims the
-//! workload and writes `results/BENCH_formats_quick.json` so the
+//! root (`run_all formats` writes `results/formats.json`); `--quick` trims
+//! the workload and writes `results/BENCH_formats_quick.json` so the
 //! tracked baseline is never clobbered by a reduced run. `--check`
 //! exits non-zero unless the 8-bit stored-format quality gate holds
 //! (q8s2 >= 99% of the 16-bit greedy-policy quality at the gate's
 //! horizon-covered anchor) — the guard `scripts/verify.sh` runs.
 
-use qtaccel_bench::report::{results_dir, save_json, ToJson};
+use qtaccel_bench::experiments::formats;
+use qtaccel_bench::report::{results_dir, ToJson};
 use qtaccel_telemetry::{manifest, Json};
 use std::path::PathBuf;
 
@@ -28,12 +29,8 @@ fn main() {
             }
         }
     }
-    let (states, samples) = if quick {
-        (256, 400_000)
-    } else {
-        (1024, 2_000_000)
-    };
-    let f = qtaccel_bench::experiments::formats::run(states, samples);
+    let (states, samples) = if quick { (256, 400_000) } else { formats::FULL };
+    let f = formats::run(states, samples);
     print!("{}", f.render());
 
     let report = Json::Obj(vec![
@@ -46,8 +43,6 @@ fn main() {
     let path: PathBuf = if quick {
         results_dir().join("BENCH_formats_quick.json")
     } else {
-        let legacy = save_json("formats", &f);
-        println!("saved {}", legacy.display());
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join("BENCH_formats.json")

@@ -1,101 +1,53 @@
-//! Run the entire evaluation section and write `results/summary.md`.
+//! Run the paper's evaluation: every row of
+//! `qtaccel_bench::experiments::EXPERIMENTS`, or only the named ones.
 //!
 //! ```text
-//! cargo run --release -p qtaccel-bench --bin run_all
+//! cargo run --release -p qtaccel-bench --bin run_all              # all + results/summary.md
+//! cargo run --release -p qtaccel-bench --bin run_all -- fig3 mab  # only these rows
 //! ```
+//!
+//! Each row writes `results/<name>.json` (the `convergence` row also
+//! writes `results/convergence_health_trace.json`) and prints its table.
+//! Only a run of every row writes `results/summary.md`, because that file
+//! carries Table II's host timings. An unknown name exits 2, before any
+//! row runs.
 
 use std::fmt::Write as _;
 use std::fs;
+use std::process::ExitCode;
 
-use qtaccel_bench::experiments as exp;
-use qtaccel_bench::report::{results_dir, save_json};
-use qtaccel_bench::RunScale;
+use qtaccel_bench::experiments::EXPERIMENTS;
+use qtaccel_bench::report::results_dir;
 
-fn main() {
-    let s = RunScale::full();
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| EXPERIMENTS.iter().all(|e| e.name != n.as_str()))
+    {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!(
+            "error: unknown artifact `{unknown}` (known: {})",
+            known.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let rows: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| names.is_empty() || names.iter().any(|n| n == e.name))
+        .collect();
+
     let mut md = String::from("# QTAccel reproduction — experiment output\n\n");
-
-    println!("[1/15] Table I");
-    let t1 = exp::table1::run();
-    save_json("table1", &t1);
-    let _ = writeln!(md, "```\n{}```\n", t1.render());
-
-    println!("[2/15] Fig. 3 (Q-Learning resources)");
-    let f3 = exp::fig3::run(s.max_states);
-    save_json("fig3", &f3);
-    let _ = writeln!(
-        md,
-        "```\n{}```\n",
-        f3.render("Fig. 3: Q-Learning resources on xcvu13p (|A|=8)")
-    );
-
-    println!("[3/15] Fig. 4 (BRAM)");
-    let f4 = exp::fig4::run(s.max_states);
-    save_json("fig4", &f4);
-    let _ = writeln!(md, "```\n{}```\n", f4.render());
-
-    println!("[4/15] Fig. 5 (SARSA resources)");
-    let f5 = exp::fig5::run(s.max_states);
-    save_json("fig5", &f5);
-    let _ = writeln!(md, "```\n{}```\n", f5.render());
-
-    println!("[5/15] Fig. 6 (throughput)");
-    let f6 = exp::fig6::run(s.sim_samples, s.max_states);
-    save_json("fig6", &f6);
-    let _ = writeln!(md, "```\n{}```\n", f6.render());
-
-    println!("[6/15] Table II (CPU comparison)");
-    let t2 = exp::table2::run(s.cpu_samples, s.sim_samples, s.max_states);
-    save_json("table2", &t2);
-    let _ = writeln!(md, "```\n{}```\n", t2.render());
-
-    println!("[7/15] Fig. 7 (baseline comparison)");
-    let f7 = exp::fig7::run();
-    save_json("fig7", &f7);
-    let _ = writeln!(md, "```\n{}```\n", f7.render());
-
-    println!("[8/15] Fig. 8 (dual pipeline)");
-    let f8 = exp::fig8::run(1024, 600_000);
-    save_json("fig8", &f8);
-    let _ = writeln!(md, "```\n{}```\n", f8.render());
-
-    println!("[9/15] Fig. 9 (independent pipelines)");
-    let f9 = exp::fig9::run(64, &[1, 2, 4, 8], 600, 0.96875);
-    save_json("fig9", &f9);
-    let _ = writeln!(md, "```\n{}```\n", f9.render());
-
-    println!("[10/15] SVII-B (MAB)");
-    let mab = exp::mab::run(s.bandit_rounds);
-    save_json("mab", &mab);
-    let _ = writeln!(md, "```\n{}```\n", mab.render());
-
-    println!("[11/15] Ablation A (hazards)");
-    let aa = exp::ablation::run_forwarding(100_000);
-    save_json("ablation_forwarding", &aa);
-    let _ = writeln!(md, "```\n{}```\n", aa.render());
-
-    println!("[12/15] Ablation B (Qmax)");
-    let ab = exp::ablation::run_qmax(200_000);
-    save_json("ablation_qmax", &ab);
-    let _ = writeln!(md, "```\n{}```\n", ab.render());
-
-    println!("[13/15] Convergence curves");
-    let cv = exp::convergence::run(1024, 600_000);
-    save_json("convergence", &cv);
-    let _ = writeln!(md, "```\n{}```\n", cv.render());
-
-    println!("[14/15] SEU robustness");
-    let seu = exp::seu::run(1024, 400_000);
-    save_json("seu", &seu);
-    let _ = writeln!(md, "```\n{}```\n", seu.render());
-
-    println!("[15/15] Format sweep");
-    let fm = exp::formats::run(1024, 2_000_000);
-    save_json("formats", &fm);
-    let _ = writeln!(md, "```\n{}```\n", fm.render());
-
-    let path = results_dir().join("summary.md");
-    fs::write(&path, &md).expect("write summary");
-    println!("\nwrote {}", path.display());
-    print!("{md}");
+    for (i, e) in rows.iter().enumerate() {
+        println!("[{}/{}] {}", i + 1, rows.len(), e.name);
+        let table = e.run();
+        print!("{table}");
+        let _ = writeln!(md, "```\n{table}```\n");
+    }
+    if names.is_empty() {
+        let path = results_dir().join("summary.md");
+        fs::write(&path, &md).expect("write summary");
+        println!("wrote {}", path.display());
+    }
+    ExitCode::SUCCESS
 }

@@ -130,6 +130,11 @@ fn msps_per_watt(value_bits: u32, stored_bits: u32) -> f64 {
     r.throughput_msps / (r.power_mw / 1000.0)
 }
 
+/// The full-scale sweep's `(states, samples)`: the `formats` row of
+/// [`EXPERIMENTS`](super::EXPERIMENTS) and `format_sweep`'s tracked
+/// `BENCH_formats.json` both run it.
+pub const FULL: (usize, u64) = (1024, 2_000_000);
+
 /// Run the sweep on a `states`-state grid with `samples` updates per
 /// format.
 pub fn run(states: usize, samples: u64) -> Formats {

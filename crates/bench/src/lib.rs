@@ -2,25 +2,29 @@
 //! paper.
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
-//! serializable result struct; the `src/bin/*` binaries are thin wrappers
-//! that run one experiment and print its table. `run_all` executes the
-//! whole evaluation section and writes both JSON and a Markdown summary
-//! under `results/`.
+//! serializable result struct. [`experiments::EXPERIMENTS`] pairs each
+//! artifact's name with its full-scale run, and the `run_all` binary runs
+//! those rows: every one of them, writing JSON per artifact plus a
+//! Markdown summary under `results/`, or only the ones it is given by
+//! name (`run_all fig3 mab`).
 //!
-//! | Paper artifact | Module | Binary |
+//! | Paper artifact | Module | Name |
 //! |---|---|---|
 //! | Table I (test cases) | [`experiments::table1`] | `table1` |
-//! | Fig. 3 (Q-Learning resources) | [`experiments::fig3`] | `fig3_resources_qlearning` |
-//! | Fig. 4 (BRAM utilization) | [`experiments::fig4`] | `fig4_bram` |
-//! | Fig. 5 (SARSA resources) | [`experiments::fig5`] | `fig5_resources_sarsa` |
-//! | Fig. 6 (throughput) | [`experiments::fig6`] | `fig6_throughput` |
-//! | Table II (CPU comparison) | [`experiments::table2`] | `table2_cpu_comparison` |
-//! | Fig. 7 + §VI-F (baseline comparison) | [`experiments::fig7`] | `fig7_dsp_comparison` |
-//! | Fig. 8 (dual pipeline) | [`experiments::fig8`] | `fig8_dual_pipeline` |
-//! | Fig. 9 (independent pipelines) | [`experiments::fig9`] | `fig9_independent` |
-//! | §VII-B (MAB) | [`experiments::mab`] | `mab_bandits` |
+//! | Fig. 3 (Q-Learning resources) | [`experiments::fig3`] | `fig3` |
+//! | Fig. 4 (BRAM utilization) | [`experiments::fig4`] | `fig4` |
+//! | Fig. 5 (SARSA resources) | [`experiments::fig5`] | `fig5` |
+//! | Fig. 6 (throughput) | [`experiments::fig6`] | `fig6` |
+//! | Table II (CPU comparison) | [`experiments::table2`] | `table2` |
+//! | Fig. 7 + §VI-F (baseline comparison) | [`experiments::fig7`] | `fig7` |
+//! | Fig. 8 (dual pipeline) | [`experiments::fig8`] | `fig8` |
+//! | Fig. 9 (independent pipelines) | [`experiments::fig9`] | `fig9` |
+//! | §VII-B (MAB) | [`experiments::mab`] | `mab` |
 //! | Ablation: hazard handling | [`experiments::ablation`] | `ablation_forwarding` |
 //! | Ablation: Qmax array | [`experiments::ablation`] | `ablation_qmax` |
+//! | §VII-A convergence rate | [`experiments::convergence`] | `convergence` |
+//! | SEU robustness | [`experiments::seu`] | `seu` |
+//! | Datapath and stored formats | [`experiments::formats`] | `formats` |
 
 pub mod experiments;
 pub mod grids;
@@ -34,39 +38,3 @@ pub mod timing;
 // call sites (and downstream `qtaccel_bench::impl_to_json` imports)
 // are unaffected.
 pub use qtaccel_telemetry::impl_to_json;
-
-/// Sample counts etc. scale down in quick mode so the experiment
-/// functions can run inside unit tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunScale {
-    /// Samples simulated per cycle-accuracy measurement.
-    pub sim_samples: u64,
-    /// Samples per CPU wall-clock measurement.
-    pub cpu_samples: u64,
-    /// Cap on |S| for sweeps (quick mode skips the 262144 point).
-    pub max_states: usize,
-    /// Rounds per bandit run.
-    pub bandit_rounds: usize,
-}
-
-impl RunScale {
-    /// The full evaluation (used by the binaries).
-    pub fn full() -> Self {
-        Self {
-            sim_samples: 200_000,
-            cpu_samples: 400_000,
-            max_states: 262_144,
-            bandit_rounds: 100_000,
-        }
-    }
-
-    /// Reduced scale for tests.
-    pub fn quick() -> Self {
-        Self {
-            sim_samples: 5_000,
-            cpu_samples: 20_000,
-            max_states: 4_096,
-            bandit_rounds: 5_000,
-        }
-    }
-}

@@ -37,10 +37,12 @@
 # spec-hash refusal — every failure mode must end bit-identical to the
 # single-process reference).
 #
-# Then the mab.json gate: mab_bandits regenerates results/mab.json, the
-# §VII-B bandit fixtures' experiment, and `git diff --exit-code` fails on
-# any byte that moved (the file holds no time or host field, so an
-# unchanged tree regenerates it exactly). Then every example is run in
+# Then the results gate: run_all regenerates every deterministic paper
+# artifact (every row of the experiments table but Table II, whose CPU
+# rates are host-timed), and `git diff --exit-code results/` fails on any
+# byte that moved (those files hold no time or host field, so an
+# unchanged tree regenerates them exactly; a run with names writes no
+# summary.md). Then every example is run in
 # release and must exit 0 (their assert!s are checks no test runs), then
 # the metrics smoke gate (a live scrape,
 # and three concurrent workers streaming wire deltas into an ephemeral
@@ -119,11 +121,14 @@ gate 1200 "cargo test (offline)" \
 gate 7800 "cargo test (release, offline)" \
   cargo test -q --release --offline --workspace
 
-# The §VII-B fixtures' output cannot drift unseen: their experiment's
-# tracked artifact must regenerate byte for byte.
-gate 300 "mab.json gate: mab_bandits regenerates results/mab.json byte for byte" \
-  bash -c 'cargo run -q --release --offline -p qtaccel-bench --bin mab_bandits > /dev/null \
-    && git diff --exit-code results/mab.json'
+# The paper's tables and figures cannot drift from the code unseen: each
+# deterministic artifact must regenerate byte for byte. The list is every
+# name in qtaccel_bench::experiments::EXPERIMENTS but table2; a unit test
+# there fails when the two disagree.
+DETERMINISTIC_ARTIFACTS="table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 mab ablation_forwarding ablation_qmax convergence seu formats"
+gate 300 "results gate: run_all regenerates every deterministic artifact byte for byte" \
+  bash -c "cargo run -q --release --offline -p qtaccel-bench --bin run_all -- $DETERMINISTIC_ARTIFACTS > /dev/null \
+    && git diff --exit-code results/"
 
 # Every example runs to completion: `cargo test` only compiles them, and
 # their assert!s (multi_agent's samples/cycle, sarsa_cliff's detour,
