@@ -25,7 +25,7 @@
 //!   flags exactly this as the throughput limiter ("We will develop
 //!   efficient pipelined implementation of probability based policy
 //!   selection … to ensure high-throughput architecture with limited
-//!   stalls"); the engine charges those cycles so the `mab_bandits`
+//!   stalls"); the engine charges those cycles so the `mab`
 //!   experiment can show the gap.
 //!
 //! [`StatefulBanditAccel`] is the [`Stateful`] fixture over a

@@ -1884,7 +1884,7 @@ impl<V: QValue, S: TraceSink, A: Fixture> QrlAccel<V, S, A> {
     /// Inject a single-event upset: flip `bit` of the *committed* Q BRAM
     /// word for (s, a). Models a radiation-induced soft error in the
     /// on-chip memory (in-flight pipeline values are unaffected, exactly
-    /// as a BRAM cell flip would behave). Used by the `seu_robustness`
+    /// as a BRAM cell flip would behave). Used by the `seu`
     /// experiment.
     pub fn inject_q_bit_flip(&mut self, s: State, a: Action, bit: u32) {
         let idx = sa_index(s, a, self.num_actions);

@@ -11,7 +11,7 @@
 //!   the probability-table policy.
 //!
 //! [`Ucb1`] is included as the classical stochastic-bandit baseline for
-//! the regret comparison in the `mab_bandits` experiment.
+//! the regret comparison in the `mab` experiment.
 
 use crate::policy::{draw_weighted, running_sums};
 use qtaccel_hdl::rng::{epsilon_to_q32, RngSource};
